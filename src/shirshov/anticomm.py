@@ -296,12 +296,20 @@ class AcCdReport:
 
 
 def ac_gsb_check_bounded(S, n_letters, max_deg):
+    """Bounded three-condition report for a set of monic relations.
+
+    Raises when the bound cannot hold some element's leading word.
+    """
     _check_monic(S)
+    for i, s in enumerate(S):
+        size = ac_size(s.leading_monomial())
+        if size > max_deg:
+            raise ValueError(
+                "max_deg %d is below element %d's leading size %d"
+                % (max_deg, i, size))
     failing = []
     for f in S:
         for g in S:
-            if ac_size(f.leading_monomial()) > max_deg:
-                continue
             for w, result in ac_compositions(f, g):
                 if ac_normal_form(result, S):
                     failing.append((w, result))

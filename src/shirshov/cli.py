@@ -495,7 +495,8 @@ def cmd_check(args):
                   "failing: %d" % len(rep.failing)]
         holds = rep.holds
     elif kind == "dialgebra":
-        bound = args.max_deg or _default_bound(pfile)
+        bound = (args.max_deg if args.max_deg is not None
+                 else _default_bound(pfile))
         rep = di_gsb_check_bounded(pfile.relations, len(pfile.alphabet),
                                    bound)
         lines += ["max_deg: %d" % bound,
@@ -503,7 +504,8 @@ def cmd_check(args):
                   "counts: %s" % _bool(rep.counts_ok)]
         holds = rep.holds
     else:
-        bound = args.max_deg or _default_bound(pfile)
+        bound = (args.max_deg if args.max_deg is not None
+                 else _default_bound(pfile))
         rep = ac_gsb_check_bounded(pfile.relations, len(pfile.alphabet),
                                    bound)
         lines += ["max_deg: %d" % bound,

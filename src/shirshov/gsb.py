@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Polynomial
@@ -88,6 +89,45 @@ def _mul_word_poly(a, p, b):
     return Polynomial({a + t + b: c for t, c in p.terms.items()})
 
 
+def _overlaps(lf, lg):
+    """(kind, a, b) of every overlap of the leading words lf and lg.
+
+    Intersections pair every proper suffix of lf with an equal proper
+    prefix of lg (w = lf*b = a*lg); the symmetric overlaps belong to the
+    swapped pair.  Inclusions cover every occurrence of lg inside lf
+    (w = lf = a*lg*b), the identity occurrence of a word in itself
+    included.
+    """
+    out = []
+    for k in range(1, min(len(lf), len(lg))):
+        if lf[len(lf) - k:] == lg[:k]:
+            out.append(("intersection", lf[:len(lf) - k], lg[k:]))
+    if len(lg) <= len(lf):
+        pos = find_factor(lf, lg)
+        while pos is not None:
+            out.append(("inclusion", lf[:pos], lf[pos + len(lg):]))
+            pos = find_factor(lf, lg, pos + 1)
+    return out
+
+
+def _composition(kind, f, g, a, b, order, left, right):
+    # Builds f*b - a*g or f - a*g*b and checks that its leading word lies
+    # strictly below the ambient word, which holds whenever the order
+    # agrees with the polynomials' leading terms.
+    if kind == "intersection":
+        w = f.leading_monomial() + b
+        result = _mul_word_poly((), f, b) - _mul_word_poly(a, g, ())
+    else:
+        w = f.leading_monomial()
+        result = f - _mul_word_poly(a, g, b)
+    if result and not order.key(result.leading_monomial()) < order.key(w):
+        raise ValueError(
+            "composition of elements %d and %d does not fall below its "
+            "ambient word %r; the order disagrees with the leading terms"
+            % (left, right, w))
+    return Composition(kind, w, left, right, a, b, result)
+
+
 def find_compositions(f, g, order, left=0, right=1):
     """All compositions of the ordered pair (f, g), ascending by ambient
     word.
@@ -98,35 +138,10 @@ def find_compositions(f, g, order, left=0, right=1):
     identity occurrence of an element in itself, whose result is exactly
     zero.
     """
-    lf = f.leading_monomial()
-    lg = g.leading_monomial()
-    out = []
-
-    for k in range(1, min(len(lf), len(lg))):
-        if lf[len(lf) - k:] == lg[:k]:
-            b = lg[k:]
-            a = lf[:len(lf) - k]
-            w = lf + b
-            result = _mul_word_poly((), f, b) - _mul_word_poly(a, g, ())
-            out.append(Composition("intersection", w, left, right, a, b,
-                                   result))
-
-    if len(lg) <= len(lf):
-        pos = 0
-        while True:
-            pos = find_factor(lf, lg, pos)
-            if pos is None:
-                break
-            a, b = lf[:pos], lf[pos + len(lg):]
-            if not (f == g and not a and not b):
-                result = f - _mul_word_poly(a, g, b)
-                out.append(Composition("inclusion", lf, left, right, a, b,
-                                       result))
-            pos += 1
-
-    for c in out:
-        if c.result:
-            assert order.key(c.result.leading_monomial()) < order.key(c.w)
+    out = [_composition(kind, f, g, a, b, order, left, right)
+           for kind, a, b in _overlaps(f.leading_monomial(),
+                                       g.leading_monomial())
+           if not (f == g and kind == "inclusion" and not a and not b)]
     out.sort(key=lambda c: (order.key(c.w), c.kind, len(c.a), c.a))
     return out
 
@@ -155,6 +170,19 @@ def is_gsb(system):
     return GsbReport(holds=not failing, checked=len(comps), failing=failing)
 
 
+def _reducible_by_others(p, own, leads, lengths):
+    # Whether some monomial of p contains the leading word of an element
+    # other than p itself; leads counts the leading words of all elements.
+    for w in p.terms:
+        n = len(w)
+        for m in lengths:
+            for pos in range(n - m + 1):
+                u = w[pos:pos + m]
+                if u in leads and (u != own or leads[u] > 1):
+                    return True
+    return False
+
+
 def _inter_reduce_elements(elements, order):
     elems = []
     for p in elements:
@@ -163,10 +191,15 @@ def _inter_reduce_elements(elements, order):
     changed = True
     while changed:
         changed = False
+        own = [p.leading_monomial() for p in elems]
+        leads = Counter(own)
+        lengths = {len(lw) for lw in own}
         for i in range(len(elems)):
-            others = elems[:i] + elems[i + 1:]
-            if not others:
+            # An element no other leading word occurs in is its own normal
+            # form modulo the rest; skip building that system.
+            if not _reducible_by_others(elems[i], own[i], leads, lengths):
                 continue
+            others = elems[:i] + elems[i + 1:]
             nf = normal_form(elems[i], RewriteSystem(tuple(others), order))
             if nf == elems[i]:
                 continue
@@ -194,12 +227,17 @@ def inter_reduce(system):
 def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     """Close the system under compositions, bounded by resources.
 
-    Each round inter-reduces the basis, recomputes all compositions in
-    ascending ambient-word order, and reduces the least one that does not
-    vanish.  A surviving composition whose ambient word is longer than
-    max_deg stops the run as degree-capped; needing more than max_elems
-    additions stops it as element-capped.  Caps are statuses, not errors.
-    With status completed the result passes is_gsb exactly.
+    Each round inter-reduces the basis and reduces, in ascending order of
+    (ambient word, kind, left, right, |a|, a), the compositions of the
+    current basis until one does not vanish.  The overlaps of a pair depend
+    only on its two leading words, so they are found once, when a leading
+    word enters the basis, and kept until one of the two leaves it; a
+    composition's polynomial is built only when it is reduced.
+
+    A surviving composition whose ambient word is longer than max_deg
+    stops the run as degree-capped; needing more than max_elems additions
+    stops it as element-capped.  Caps are statuses, not errors.  With
+    status completed the result passes is_gsb exactly.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
@@ -211,6 +249,8 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
 
     order = system.order
     elems = _inter_reduce_elements(system.elements, order)
+    overlaps = {}  # (lead f, lead g) -> overlaps, for overlapping pairs
+    known = set()  # the leading words of the previous round's basis
     added = 0
     iterations = 0
     while True:
@@ -219,8 +259,33 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
             raise BudgetExceeded(
                 "completion exceeded the %.3gs budget" % budget_seconds)
         basis = RewriteSystem(tuple(elems), order)
+        leads = basis.leading_words
+        position = {lw: i for i, lw in enumerate(leads)}
+        for pair in [p for p in overlaps
+                     if p[0] not in position or p[1] not in position]:
+            del overlaps[pair]
+        for lf in leads:
+            for lg in leads:
+                if lf in known and lg in known:
+                    continue
+                # a and b are both empty only for the identity inclusion
+                # of an element in itself, whose result is zero
+                found = [(kind, a, b) for kind, a, b in _overlaps(lf, lg)
+                         if a or b]
+                if found:
+                    overlaps[lf, lg] = found
+        known = set(leads)
+
+        pending = []
+        for (lf, lg), found in overlaps.items():
+            i, j = position[lf], position[lg]
+            for kind, a, b in found:
+                w = lf + b if kind == "intersection" else lf
+                pending.append((order.key(w), kind, i, j, len(a), a, b))
+        pending.sort()
         obstruction = None
-        for comp in all_compositions(basis):
+        for _, kind, i, j, _, a, b in pending:
+            comp = _composition(kind, elems[i], elems[j], a, b, order, i, j)
             h = normal_form(comp.result, basis)
             if h:
                 obstruction = (comp, h)
@@ -237,15 +302,13 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
             break
         elems = _inter_reduce_elements(elems + [h.monic()], order)
         added += 1
-    return CompletionReport(status=status,
-                            basis=RewriteSystem(tuple(elems), order),
-                            added=added, iterations=iterations)
+    return CompletionReport(status=status, basis=basis, added=added,
+                            iterations=iterations)
 
 
 def _sample_ideal_element(rng, system, max_deg):
     n = len(system.order.alphabet)
-    usable = [(s, lw) for s, lw in zip(system.elements, system.leading_words)
-              if len(lw) <= max_deg]
+    usable = list(zip(system.elements, system.leading_words))
     if not usable:
         return None
     f = Polynomial()
@@ -272,10 +335,17 @@ def cd_lemma_check(system, max_deg, samples=20, seed=0):
 
     For a closed system all three hold; a bounded failure of (i) forces a
     failure of (iii) at any bound reaching the offending ambient word.
-    Identical inputs give identical reports.
+    Identical inputs give identical reports.  Raises when the bound cannot
+    hold some element's leading word, since the compositions of that
+    element would go unexamined.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
+    for i, lw in enumerate(system.leading_words):
+        if len(lw) > max_deg:
+            raise ValueError(
+                "max_deg %d is below element %d's leading word length %d"
+                % (max_deg, i, len(lw)))
     comps = [c for c in all_compositions(system) if len(c.w) <= max_deg]
     failing = tuple(c for c in comps if not is_trivial(c, system))
     gsb_ok = not failing

@@ -5,6 +5,9 @@ bounded-degree ideal membership test.
 The reduction strategy is fixed so every run is reproducible: rewrite the
 order-greatest reducible monomial, using the order-greatest applicable
 leading word (ties broken by element position) at its leftmost occurrence.
+A system indexes its leading words by value, so the strategy is realised
+by probing the factors of a monomial, longest length first, against that
+index instead of searching the monomial once per element.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ class RewriteSystem:
 
     Rewriting with an element replaces its leading word by the negated
     tail, which is strictly smaller, so every reduction terminates.
+    lead_index maps each leading word to the first element that has it;
+    lead_lengths lists the distinct leading-word lengths, descending.
     """
 
     elements: tuple
@@ -42,7 +47,14 @@ class RewriteSystem:
                 raise ValueError(
                     "element %d has the empty word as leading term" % i)
             leads.append(lw)
+        index = {}
+        for i, lw in enumerate(leads):
+            index.setdefault(lw, i)
         object.__setattr__(self, "leading_words", tuple(leads))
+        object.__setattr__(self, "lead_index", index)
+        object.__setattr__(self, "lead_lengths",
+                           tuple(sorted({len(lw) for lw in leads},
+                                        reverse=True)))
 
     def __len__(self):
         return len(self.elements)
@@ -58,10 +70,26 @@ def find_factor(word, factor, start=0):
     return None
 
 
+def _greatest_lead(word, index, lengths):
+    # The order-greatest leading word occurring in word, with its leftmost
+    # position, or None.  Under the degree-lexicographic order the longest
+    # length with a hit wins, then the lexicographically greatest factor.
+    n = len(word)
+    for m in lengths:
+        best = None
+        for pos in range(n - m + 1):
+            u = word[pos:pos + m]
+            if u in index and (best is None or u > best):
+                best, at = u, pos
+        if best is not None:
+            return best, at
+    return None
+
+
 def reducible(word, system):
     """True when some leading word of the system occurs in word."""
-    return any(find_factor(word, lw) is not None
-               for lw in system.leading_words)
+    return _greatest_lead(word, system.lead_index,
+                          system.lead_lengths) is not None
 
 
 def reduce_step(p, system):
@@ -73,21 +101,14 @@ def reduce_step(p, system):
     element) at its leftmost occurrence; subtracts c * a * s * b where the
     monomial is a * lead(s) * b with coefficient c.
     """
-    key = system.order.key
-    for mono in sorted(p.terms, key=key, reverse=True):
-        best = None
-        for idx, lw in enumerate(system.leading_words):
-            pos = find_factor(mono, lw)
-            if pos is None:
-                continue
-            cand = (key(lw), -idx)
-            if best is None or cand > best[0]:
-                best = (cand, idx, pos)
-        if best is None:
+    index = system.lead_index
+    lengths = system.lead_lengths
+    for mono in sorted(p.terms, key=system.order.key, reverse=True):
+        hit = _greatest_lead(mono, index, lengths)
+        if hit is None:
             continue
-        _, idx, pos = best
-        s = system.elements[idx]
-        lw = system.leading_words[idx]
+        lw, pos = hit
+        s = system.elements[index[lw]]
         c = p.terms[mono]
         a, b = mono[:pos], mono[pos + len(lw):]
         step = Polynomial({a + t + b: c * tc for t, tc in s.terms.items()})

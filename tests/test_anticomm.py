@@ -168,3 +168,10 @@ def test_flatten_inverts_bracketing():
     for n in range(1, 8):
         for u in ls_words(2, n):
             assert ac_flatten(ls_bracketing(u)) == u
+
+
+def test_bounded_check_refuses_a_bound_below_a_leading_size():
+    S = hall_gsb(2, 5)
+    largest = max(ac_size(s.leading_monomial()) for s in S)
+    with pytest.raises(ValueError):
+        ac_gsb_check_bounded(S, 2, largest - 1)

@@ -147,6 +147,28 @@ def test_check_bounded_kinds(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_max_deg_zero_is_a_bound_not_unset(tmp_path, capsys):
+    path = write(tmp_path, AC)
+    assert main(["check", path, "--max-deg", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "max_deg: 4" not in captured.out
+    assert "below" in captured.err
+    assert main(["check", path, "--max-deg", "3"]) == 0
+    assert "max_deg: 3\n" in capsys.readouterr().out
+
+
+def test_bounded_checks_refuse_a_bound_below_a_leading_word(tmp_path,
+                                                            capsys):
+    path = write(tmp_path, "kind assoc\ngens x1 x2\n"
+                           "rel x2*x2*x2*x2*x2 - x1\n")
+    assert main(["cdcheck", path, "--max-deg", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below" in captured.err
+    assert main(["cdcheck", write(tmp_path, AC), "--max-deg", "2"]) == 2
+    assert "below" in capsys.readouterr().err
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     path = write(tmp_path, "kind assoc\ngens x\nrel x + $\n")
     assert main(["check", path]) == 2

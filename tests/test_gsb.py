@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from shirshov.catalog import chinese_gsb, chinese_relations
 from shirshov.core import Alphabet, DegLexOrder, Polynomial
-from shirshov.gsb import (BudgetExceeded, all_compositions, cd_lemma_check,
+from shirshov.gsb import (BudgetExceeded, _inter_reduce_elements,
+                          all_compositions, cd_lemma_check,
                           find_compositions, inter_reduce, is_gsb,
                           is_trivial, shirshov_complete)
-from shirshov.rewrite import RewriteSystem
+from shirshov.rewrite import RewriteSystem, normal_form
 
 AB = Alphabet(("y", "x"))
 ORDER = DegLexOrder(AB)
@@ -41,6 +44,21 @@ def test_inclusion_composition():
     assert c.result == Polynomial([((Y, Y), -1)])
     # no identity self-inclusion
     assert find_compositions(g, g, ORDER) == []
+
+
+class ReverseLexOrder(DegLexOrder):
+    """Length first, then reverse lexicographic: disagrees with the
+    leading terms that Polynomial picks."""
+
+    def key(self, w):
+        return (len(w), tuple(-c for c in w))
+
+
+def test_compositions_refuse_an_order_that_disagrees_with_leads():
+    f = Polynomial([((X, X), 1), ((Y, X), -1)])
+    # xyx - yxx has leading word xyx, which reverse-lex puts above xxx
+    with pytest.raises(ValueError):
+        find_compositions(f, f, ReverseLexOrder(AB))
 
 
 def test_no_composition_without_overlap():
@@ -149,3 +167,115 @@ def test_cd_check_flags_a_broken_system():
     rep = cd_lemma_check(branching_system(), 3)
     assert not rep.gsb_ok
     assert not rep.counts_ok
+
+
+def test_cd_check_refuses_a_bound_below_a_leading_word():
+    ab = Alphabet(("x1", "x2"))
+    f = Polynomial([((1,) * 5, 1), ((0,), -1)])
+    S = RewriteSystem((f,), DegLexOrder(ab))
+    with pytest.raises(ValueError):
+        cd_lemma_check(S, 3)
+    with pytest.raises(ValueError):
+        cd_lemma_check(S, 4)
+
+
+# -- differential test against the round-by-round completion ---------------
+
+
+def reference_complete(system, max_deg, max_elems):
+    """Completion that recomputes and re-reduces every composition of the
+    current basis in every round; (status, basis, added, iterations)."""
+    order = system.order
+    elems = _inter_reduce_elements(system.elements, order)
+    added = 0
+    iterations = 0
+    while True:
+        iterations += 1
+        basis = RewriteSystem(tuple(elems), order)
+        obstruction = None
+        for comp in all_compositions(basis):
+            h = normal_form(comp.result, basis)
+            if h:
+                obstruction = (comp, h)
+                break
+        if obstruction is None:
+            return "completed", basis, added, iterations
+        comp, h = obstruction
+        if len(comp.w) > max_deg:
+            return "degree-capped", basis, added, iterations
+        if added >= max_elems:
+            return "element-capped", basis, added, iterations
+        elems = _inter_reduce_elements(elems + [h.monic()], order)
+        added += 1
+
+
+def assert_matches_reference(system, max_deg, max_elems):
+    """Both loops end alike: the same report, or the same ValueError when
+    a composition reduces to a nonzero constant."""
+
+    def outcome(run):
+        try:
+            status, basis, added, iterations = run()
+        except ValueError as exc:
+            return "raised", str(exc)
+        return status, basis.elements, added, iterations
+
+    def incremental():
+        rep = shirshov_complete(system, max_deg=max_deg, max_elems=max_elems)
+        return rep.status, rep.basis, rep.added, rep.iterations
+
+    got = outcome(incremental)
+    assert got == outcome(lambda: reference_complete(system, max_deg,
+                                                     max_elems))
+    return got
+
+
+def random_system(rng):
+    n = rng.randint(2, 3)
+    alphabet = Alphabet(tuple("x%d" % i for i in range(1, n + 1)))
+    elems = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.randrange(n) for _ in range(rng.randint(0, 4)))
+            terms[word] = rng.choice([-2, -1, 1, 2, 3])
+        p = Polynomial(terms)
+        if p and p.leading_monomial():
+            elems.append(p.monic())
+    if not elems:
+        elems.append(Polynomial.monomial((0, 0)))
+    return RewriteSystem(tuple(elems), DegLexOrder(alphabet))
+
+
+def test_completion_matches_reference_on_random_presentations():
+    rng = random.Random(20080408)
+    statuses = set()
+    for _ in range(200):
+        statuses.add(assert_matches_reference(random_system(rng), 6, 15)[0])
+    assert {"completed", "degree-capped", "element-capped"} <= statuses
+
+
+def knuth_system(names):
+    # z x y = x z y for x <= y < z, y z x = y x z for x < y <= z
+    alphabet = Alphabet(names)
+    r = {v: alphabet.rank("x%d" % v) for v in (1, 2, 3)}
+    elems = []
+    for x in (1, 2, 3):
+        for y in range(x, 4):
+            for z in range(y + 1, 4):
+                elems.append(((z, x, y), (x, z, y)))
+        for y in range(x + 1, 4):
+            for z in range(y, 4):
+                elems.append(((y, z, x), (y, x, z)))
+    return RewriteSystem(
+        tuple(Polynomial({tuple(r[v] for v in u): 1,
+                          tuple(r[v] for v in w): -1}).monic()
+              for u, w in elems),
+        DegLexOrder(alphabet))
+
+
+@pytest.mark.parametrize("names", [("x3", "x2", "x1"), ("x1", "x2", "x3")])
+def test_completion_matches_reference_on_plactic_rank_three(names):
+    status, _, added, _ = assert_matches_reference(knuth_system(names), 7,
+                                                   1000)
+    assert status in ("completed", "degree-capped") and added > 0

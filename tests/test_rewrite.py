@@ -73,6 +73,28 @@ def test_reduce_step_prefers_greater_leading_word():
     assert q == Polynomial.monomial((Y, Y))
 
 
+def test_reduce_step_duplicate_leading_words_use_the_earliest():
+    f = Polynomial([((X, X), 1), ((Y,), -1)])
+    g = Polynomial([((X, X), 1), ((Y, Y), -1)])
+    p = Polynomial.monomial((Y, X, X))
+    assert reduce_step(p, RewriteSystem((f, g), ORDER)) == \
+        Polynomial.monomial((Y, Y))
+    assert reduce_step(p, RewriteSystem((g, f), ORDER)) == \
+        Polynomial.monomial((Y, Y, Y))
+
+
+def test_reduce_step_equal_length_leads_in_one_monomial():
+    # over y < x the word xy is greater than yx, so it wins in yxy although
+    # yx occurs further left, and in xyxy its leftmost occurrence is used
+    f = Polynomial([((Y, X), 1), ((Y,), -1)])
+    g = Polynomial([((X, Y), 1), ((X,), -1)])
+    S = RewriteSystem((f, g), ORDER)
+    assert reduce_step(Polynomial.monomial((Y, X, Y)), S) == \
+        Polynomial.monomial((Y, X))
+    assert reduce_step(Polynomial.monomial((X, Y, X, Y)), S) == \
+        Polynomial.monomial((X, X, Y))
+
+
 def test_irr_words_ascending_and_complete():
     S = branching_system()
     words = irr_words(S, 3)
