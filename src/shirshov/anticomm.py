@@ -9,10 +9,11 @@ so that every element is a combination of normal trees.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Terms, VectorSpan
+from .core import Terms, graded_span
 
 
 def ac_size(t):
@@ -22,12 +23,19 @@ def ac_size(t):
     return ac_size(t[0]) + ac_size(t[1])
 
 
+def _size_key(t):
+    # (ac_size(t), ac_key(t)) in one pass over the tree.
+    if isinstance(t, int):
+        return 1, (1, t)
+    ls, lk = _size_key(t[0])
+    rs, rk = _size_key(t[1])
+    return ls + rs, (ls + rs, lk, rk)
+
+
 def ac_key(t):
     """Sort key for the recursive order: size first, then (left, right)
     lexicographically, leaves by rank."""
-    if isinstance(t, int):
-        return (1, t)
-    return (ac_size(t), ac_key(t[0]), ac_key(t[1]))
+    return _size_key(t)[1]
 
 
 def ac_cmp(u, v):
@@ -139,19 +147,19 @@ def hall_gsb(n_letters, max_deg):
     words u > v > w with total size <= max_deg, ascending by (size, u, v,
     w).  Each relation is monic with leading word [[uv]w]."""
     pool = hall_words(n_letters, max_deg)
+    sizes = [ac_size(u) for u in pool]
+    # The pool ascends in ac_key, so indices order triples like the keys.
     triples = []
-    for iu, u in enumerate(pool):
+    for iu in range(len(pool)):
         for iv in range(iu):
-            v = pool[iv]
             for iw in range(iv):
-                w = pool[iw]
-                total = ac_size(u) + ac_size(v) + ac_size(w)
+                total = sizes[iu] + sizes[iv] + sizes[iw]
                 if total <= max_deg:
-                    triples.append((total, ac_key(u), ac_key(v), ac_key(w),
-                                    u, v, w))
+                    triples.append((total, iu, iv, iw))
     triples.sort()
     out = []
-    for _, _, _, _, u, v, w in triples:
+    for _, iu, iv, iw in triples:
+        u, v, w = pool[iu], pool[iv], pool[iw]
         rel = (ac_mul(ac_mul(u, v), w) - ac_mul(ac_mul(u, w), v)
                - ac_mul(u, ac_mul(v, w)))
         out.append(rel)
@@ -241,29 +249,38 @@ def ac_irr_words(S, n_letters, max_deg):
             if not any(_occurrence_paths(t, l) for l in leads)]
 
 
+def _ac_rows(S, n_letters, max_deg):
+    # (d, vec) for every nonzero chain product of ambient size d, level by
+    # level: a level is yielded in full, and its right products by normal
+    # words go to the higher levels, before the next level starts.
+    levels = {}
+    for s in S:
+        size = ac_size(s.leading_monomial())
+        if size <= max_deg:
+            levels.setdefault(size, []).append(s)
+    for ambient in range(1, max_deg + 1):
+        for p in levels.pop(ambient, ()):
+            yield ambient, p.terms
+            for d in range(1, max_deg - ambient + 1):
+                for m in _normal_by_degree(n_letters, d):
+                    prod = ac_mul(p, m)
+                    if prod:
+                        levels.setdefault(ambient + d, []).append(prod)
+
+
 def ac_ideal_span(S, n_letters, max_deg):
     """Bounded row space of the ideal generated by S.
 
     Every ideal element is a combination of multiplication chains applied
     to a single generator, and anti-commutativity makes one-sided chains
     span both sides, so right-multiplying by normal words up to the size
-    budget enumerates a spanning set.
+    budget enumerates a spanning set.  Rows go in by ascending ambient
+    size; ranks[d] is the rank of the span at bound d, for
+    1 <= d <= max_deg.
     """
     _check_monic(S)
-    span = VectorSpan(key=ac_key)
-    queue = [(s, ac_size(s.leading_monomial())) for s in S
-             if ac_size(s.leading_monomial()) <= max_deg]
-    while queue:
-        p, ambient = queue.pop(0)
-        if not p:
-            continue
-        span.insert(p.terms)
-        for d in range(1, max_deg - ambient + 1):
-            for m in _normal_by_degree(n_letters, d):
-                prod = ac_mul(p, m)
-                if prod:
-                    queue.append((prod, ambient + d))
-    return span
+    return graded_span(_ac_rows(S, n_letters, max_deg), ac_key,
+                       range(1, max_deg + 1))
 
 
 @dataclass(frozen=True)
@@ -298,7 +315,10 @@ class AcCdReport:
 def ac_gsb_check_bounded(S, n_letters, max_deg):
     """Bounded three-condition report for a set of monic relations.
 
-    Raises when the bound cannot hold some element's leading word.
+    One span is built at max_deg, its rows in ascending ambient size, and
+    gives both the pivots and the rank per size; the irreducible words are
+    enumerated once and counted cumulatively per size.  Raises when the
+    bound cannot hold some element's leading word.
     """
     _check_monic(S)
     for i, s in enumerate(S):
@@ -321,12 +341,14 @@ def ac_gsb_check_bounded(S, n_letters, max_deg):
                 if not any(_occurrence_paths(t, l) for l in leads))
     leading_ok = not bad
 
+    words = ac_irr_words(S, n_letters, max_deg)
+    per_size = Counter(ac_size(t) for t in words)
     table = []
+    irr = total = 0
     for d in range(1, max_deg + 1):
-        total = sum(len(_normal_by_degree(n_letters, k))
-                    for k in range(1, d + 1))
-        irr = len(ac_irr_words(S, n_letters, d))
-        rank = ac_ideal_span(S, n_letters, d).rank
+        total += len(_normal_by_degree(n_letters, d))
+        irr += per_size[d]
+        rank = span.ranks[d]
         table.append(AcDegreeLine(degree=d, irreducible=irr, rank=rank,
                                   total=total, ok=(irr + rank == total)))
     counts_ok = all(line.ok for line in table)

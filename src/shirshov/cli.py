@@ -749,6 +749,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -285,12 +285,14 @@ class VectorSpan:
     Columns are arbitrary hashable keys ordered by `key`; each stored row is
     normalized with coefficient 1 at its pivot, the key-greatest column of
     its support.  The pivot set and rank are canonical invariants of the
-    span, independent of insertion order.
+    span, independent of insertion order.  A span built by graded_span
+    also maps each closed degree to its rank in `ranks`.
     """
 
     def __init__(self, key):
         self.key = key
         self.rows = {}
+        self.ranks = {}
 
     def _reduce(self, vec):
         vec = {m: c for m, c in vec.items() if c}
@@ -328,6 +330,34 @@ class VectorSpan:
     def pivots(self):
         """Pivot columns, key-descending."""
         return sorted(self.rows, key=self.key, reverse=True)
+
+
+def graded_span(rows, key, degrees):
+    """One VectorSpan of a graded row source, with the rank per degree.
+
+    rows yields (degree, vec) pairs in ascending degree; each vec is
+    inserted as it arrives, so the source is never held in memory.
+    degrees lists ascending degrees; the returned span's ranks[d] is the
+    rank of the rows of degree <= d, which is the rank of the span those
+    rows alone would build, since rank does not depend on insertion order.
+    Raises on a row of a degree already closed or above the last degree.
+    """
+    degrees = list(degrees)
+    span = VectorSpan(key)
+    closed = 0
+    for deg, vec in rows:
+        if closed and deg <= degrees[closed - 1]:
+            raise ValueError("row of degree %d after degree %d closed"
+                             % (deg, degrees[closed - 1]))
+        while closed < len(degrees) and degrees[closed] < deg:
+            span.ranks[degrees[closed]] = span.rank
+            closed += 1
+        if closed == len(degrees):
+            raise ValueError("row of degree %d above the last degree" % deg)
+        span.insert(vec)
+    for d in degrees[closed:]:
+        span.ranks[d] = span.rank
+    return span
 
 
 def row_reduce(rows):

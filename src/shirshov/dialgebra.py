@@ -9,11 +9,12 @@ is the center.  In printed form the center letter carries an @ mark.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import Polynomial, Terms, VectorSpan, deglex_key
+from .core import Polynomial, Terms, VectorSpan, graded_span
 
 _ZERO = Fraction(0)
 
@@ -249,6 +250,29 @@ def di_irr(S, n_letters, max_len):
     return out
 
 
+def _di_rows(entries, n_letters, max_len):
+    # (d, vec) for every product a * s * b of ambient length d, ascending
+    # in d, then by element, |a|, a and b; per product the center inside
+    # the occurrence first, then inside a, then inside b.
+    for d in range(1, max_len + 1):
+        for entry in entries:
+            room = d - len(entry.lead.letters)
+            if room < 0:
+                continue
+            for la in range(room + 1):
+                lb = room - la
+                for a in product(range(n_letters), repeat=la):
+                    for b in product(range(n_letters), repeat=lb):
+                        yield d, _context_image(entry, a, b, True).terms
+                        for q in range(la):
+                            yield d, _context_image(
+                                entry, a, b, False, lambda n: q).terms
+                        for r in range(lb):
+                            yield d, _context_image(
+                                entry, a, b, False,
+                                lambda n: la + n + r).terms
+
+
 def di_ideal_span(S, n_letters, max_len):
     """Row space of every product a * s * b whose ambient length
     |a| + |lead(s)| + |b| stays within max_len, over all center
@@ -256,28 +280,11 @@ def di_ideal_span(S, n_letters, max_len):
 
     Products of elements whose center-forgetting image degenerates are
     included too; they are ideal members even though the reducer cannot
-    use them.
+    use them.  Rows go in by ascending ambient length; ranks[d] is the
+    rank of the span at bound d, for 1 <= d <= max_len.
     """
-    span = VectorSpan(key=diword_key)
-    for entry in _prep(S):
-        ls = entry.lead.letters
-        room = max_len - len(ls)
-        if room < 0:
-            continue
-        for la in range(room + 1):
-            for a in product(range(n_letters), repeat=la):
-                for lb in range(room - la + 1):
-                    for b in product(range(n_letters), repeat=lb):
-                        span.insert(_context_image(
-                            entry, a, b, True).terms)
-                        for q in range(la):
-                            span.insert(_context_image(
-                                entry, a, b, False, lambda n: q).terms)
-                        for r in range(lb):
-                            span.insert(_context_image(
-                                entry, a, b, False,
-                                lambda n, r=r: la + n + r).terms)
-    return span
+    return graded_span(_di_rows(_prep(S), n_letters, max_len), diword_key,
+                       range(1, max_len + 1))
 
 
 @dataclass(frozen=True)
@@ -310,6 +317,9 @@ class DiCdReport:
 def di_gsb_check_bounded(S, n_letters, max_len):
     """Bounded two-condition report for a set of monic relations.
 
+    One span is built at max_len, its rows in ascending ambient length,
+    and gives both the pivots and the rank per length; the irreducible
+    diwords are enumerated once and counted cumulatively per length.
     Raises when the bound cannot even hold one relation's leading diword.
     """
     entries = _prep(S)
@@ -324,12 +334,13 @@ def di_gsb_check_bounded(S, n_letters, max_len):
                 if not any(_occurrences(m, e) for e in entries))
     leading_ok = not bad
 
+    per_length = Counter(len(m) for m in di_irr(S, n_letters, max_len))
     table = []
+    irr = total = 0
     for d in range(1, max_len + 1):
-        total = sum(length * n_letters ** length
-                    for length in range(1, d + 1))
-        irr = len(di_irr(S, n_letters, d))
-        rank = di_ideal_span(S, n_letters, d).rank
+        total += d * n_letters ** d
+        irr += per_length[d]
+        rank = span.ranks[d]
         table.append(DiDegreeLine(length=d, irreducible=irr, rank=rank,
                                   total=total, ok=(irr + rank == total)))
     counts_ok = all(line.ok for line in table)

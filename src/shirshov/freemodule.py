@@ -5,10 +5,11 @@ right-justified composition shape drives the basis theory.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Polynomial, Terms, VectorSpan
+from .core import Polynomial, Terms, graded_span
 from .rewrite import RewriteSystem, find_factor
 
 
@@ -170,17 +171,26 @@ def module_irr(S, nx, ny, max_len):
     return out
 
 
-def module_ideal_span(S, nx, max_len):
-    """Row space of the products a.s with |a| + |lead(s) u-part| bounded."""
-    span = VectorSpan(key=mword_key)
-    for s in S:
-        room = max_len - len(s.leading_monomial().u)
-        if room < 0:
-            continue
-        for la in range(room + 1):
+def _module_rows(S, nx, max_len):
+    # (d, vec) for every product a.s with d = |a| + |lead(s) u-part|,
+    # ascending in d, then by element, then a.
+    for d in range(max_len + 1):
+        for s in S:
+            la = d - len(s.leading_monomial().u)
+            if la < 0:
+                continue
             for a in product(range(nx), repeat=la):
-                span.insert(act(Polynomial.monomial(a), s).terms)
-    return span
+                yield d, act(Polynomial.monomial(a), s).terms
+
+
+def module_ideal_span(S, nx, max_len):
+    """Row space of the products a.s with |a| + |lead(s) u-part| bounded.
+
+    Rows go in by ascending ambient u-length; ranks[d] is the rank of the
+    span at bound d, for 0 <= d <= max_len.
+    """
+    return graded_span(_module_rows(S, nx, max_len), mword_key,
+                       range(max_len + 1))
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,10 @@ class ModuleCdReport:
 def module_cd_check(S, nx, ny, max_len):
     """Bounded check of the three equivalent conditions.
 
-    The bound must reach every element's leading u-length, else raises.
+    One span is built at max_len, its rows in ascending ambient u-length,
+    and gives both the pivots and the rank per u-length; the irreducible
+    module words are enumerated once and counted cumulatively.  The bound
+    must reach every element's leading u-length, else raises.
     """
     _check_monic(S)
     for i, s in enumerate(S):
@@ -231,11 +244,13 @@ def module_cd_check(S, nx, ny, max_len):
                 if not module_reducible(mw, S))
     leading_ok = not bad
 
+    per_length = Counter(len(mw.u) for mw in module_irr(S, nx, ny, max_len))
     table = []
+    irr = total = 0
     for d in range(max_len + 1):
-        total = ny * sum(nx ** l for l in range(d + 1))
-        irr = len(module_irr(S, nx, ny, d))
-        rank = module_ideal_span(S, nx, d).rank
+        total += ny * nx ** d
+        irr += per_length[d]
+        rank = span.ranks[d]
         table.append(ModuleDegreeLine(length=d, irreducible=irr, rank=rank,
                                       total=total,
                                       ok=(irr + rank == total)))

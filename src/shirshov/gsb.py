@@ -331,7 +331,10 @@ def cd_lemma_check(system, max_deg, samples=20, seed=0):
     (ii) seeded random bounded ideal elements all have a leading word
     containing some leading word of the system;
     (iii) for each d <= max_deg, the irreducible words of length <= d plus
-    the rank of the bounded ideal span equal the total word count.
+    the rank of the bounded ideal span equal the total word count.  One
+    span is built at max_deg, its rows in ascending ambient degree, with
+    the rank recorded as each degree closes; the irreducible words are
+    enumerated once and counted cumulatively per length.
 
     For a closed system all three hold; a bounded failure of (i) forces a
     failure of (iii) at any bound reaching the offending ambient word.
@@ -361,11 +364,14 @@ def cd_lemma_check(system, max_deg, samples=20, seed=0):
     leading_ok = not bad
 
     n = len(system.order.alphabet)
+    ranks = ideal_span(system, max_deg).ranks
+    per_length = Counter(len(w) for w in irr_words(system, max_deg))
     table = []
+    irr = total = 0
     for d in range(max_deg + 1):
-        total = sum(n ** k for k in range(d + 1))
-        irr = len(irr_words(system, d))
-        rank = ideal_span(system, d).rank
+        total += n ** d
+        irr += per_length[d]
+        rank = ranks[d]
         table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
                                 total=total, ok=(irr + rank == total)))
     counts_ok = all(line.ok for line in table)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import DegLexOrder, Polynomial, VectorSpan, deglex_key
+from .core import DegLexOrder, Polynomial, deglex_key, graded_span
 
 
 @dataclass(frozen=True)
@@ -175,30 +175,29 @@ def _all_words(n_letters, length):
 
 
 def ideal_rows(system, max_deg):
-    """Sparse coefficient vectors of all products a * s * b whose monomials
-    stay within max_deg, i.e. |a| + |lead(s)| + |b| <= max_deg."""
+    """(d, vec) for every product a * s * b with ambient degree
+    d = |a| + |lead(s)| + |b| <= max_deg, in ascending d; within a degree
+    by element, then |a|, then a, then b.  A generator: rows stream."""
     n = len(system.order.alphabet)
-    rows = []
-    for idx, s in enumerate(system.elements):
-        lw = system.leading_words[idx]
-        room = max_deg - len(lw)
-        if room < 0:
-            continue
-        for la in range(room + 1):
-            for a in _all_words(n, la):
-                for lb in range(room - la + 1):
-                    for b in _all_words(n, lb):
-                        rows.append({a + t + b: c
-                                     for t, c in s.terms.items()})
-    return rows
+    for d in range(max_deg + 1):
+        for s, lw in zip(system.elements, system.leading_words):
+            room = d - len(lw)
+            if room < 0:
+                continue
+            for la in range(room + 1):
+                for a in _all_words(n, la):
+                    for b in _all_words(n, room - la):
+                        yield d, {a + t + b: c for t, c in s.terms.items()}
 
 
 def ideal_span(system, max_deg):
-    """Bounded row space of the two-sided ideal of the system."""
-    span = VectorSpan(key=deglex_key)
-    for row in ideal_rows(system, max_deg):
-        span.insert(row)
-    return span
+    """Bounded row space of the two-sided ideal of the system.
+
+    Rows go in by ascending ambient degree; ranks[d] is the rank of the
+    bounded span at bound d, for 0 <= d <= max_deg.
+    """
+    return graded_span(ideal_rows(system, max_deg), deglex_key,
+                       range(max_deg + 1))
 
 
 def membership_oracle(p, system, max_deg):

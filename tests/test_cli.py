@@ -283,3 +283,14 @@ def test_dialgebra_file_round_trip(tmp_path, capsys):
     code = main(["nf", write(tmp_path, LEIBNIZ), "--elem", "a*@a"])
     assert code == 0
     assert capsys.readouterr().out.strip().endswith("@a*a - @b")
+
+
+def test_deeply_nested_relation_is_an_input_error(tmp_path, capsys):
+    tree = "x1"
+    for _ in range(3000):
+        tree = "(%s x2)" % tree
+    path = write(tmp_path, "kind ac\ngens x1 x2\nrel %s\n" % tree)
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expression nested too deeply\n"

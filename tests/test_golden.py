@@ -1,0 +1,29 @@
+"""Byte-for-byte CLI output of the bounded commands on a fixed golden set.
+
+`tests/golden/cases.json` maps each case to its argv and exit code; the
+expected stdout is `tests/golden/<case>.out`.  Arguments naming a file in
+`tests/golden/` are resolved there.  The outputs were captured from the
+implementation that rebuilt the bounded ideal span for every degree, so
+they pin the reports of the graded span to the old ones exactly.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from shirshov.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys):
+    case = CASES[name]
+    argv = [str(GOLDEN / a) if (GOLDEN / a).is_file() else a
+            for a in case["argv"]]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == case["exit"]
+    assert out == (GOLDEN / (name + ".out")).read_text()

@@ -1,0 +1,348 @@
+"""The graded span against the loop it replaced.
+
+Each bounded check builds one span at its top bound and reads the rank
+per degree off it, and enumerates the irreducible words once.  The
+references below keep the old construction: a separate span per degree,
+built element first (the anti-commutative one through a FIFO queue), and
+the irreducible words enumerated again at every degree.  The whole report
+must come out equal, down to the last Fraction.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from shirshov.anticomm import (AcCdReport, AcDegreeLine, AcPolynomial,
+                               _normal_by_degree, _occurrence_paths,
+                               ac_compositions, ac_gsb_check_bounded,
+                               ac_irr_words, ac_key, ac_mul, ac_normal_form,
+                               ac_size, hall_gsb, hall_words, normal_words)
+from shirshov.catalog import chinese_gsb
+from shirshov.core import (Alphabet, DegLexOrder, Polynomial, VectorSpan,
+                           deglex_key, graded_span)
+from shirshov.dialgebra import (DiCdReport, DiDegreeLine, DiPolynomial,
+                                _context_image, _occurrences, _prep,
+                                all_diwords, di_gsb_check_bounded, di_irr,
+                                diword_key, leibniz_dim2,
+                                leibniz_enveloping)
+from shirshov.freemodule import (ModuleCdReport, ModuleDegreeLine, act,
+                                 module_cd_check, module_irr,
+                                 module_is_gsb, module_reducible, mword_key,
+                                 random_module_set)
+from shirshov.gsb import (CdReport, DegreeLine, _sample_ideal_element,
+                          all_compositions, cd_lemma_check, is_trivial)
+from shirshov.rewrite import (RewriteSystem, ideal_span, irr_words,
+                              reducible)
+
+
+# -- graded_span --------------------------------------------------------
+
+
+def test_graded_span_records_the_rank_as_each_degree_closes():
+    rows = [(1, {"a": 1}), (1, {"a": 2}), (3, {"b": 1}), (3, {"c": 1})]
+    span = graded_span(iter(rows), key=str, degrees=range(5))
+    # degree 0 has no rows, degree 2 none of its own, degree 4 none at all
+    assert span.ranks == {0: 0, 1: 1, 2: 1, 3: 3, 4: 3}
+    assert span.rank == 3
+    assert span.pivots() == ["c", "b", "a"]
+
+
+def test_graded_span_counts_rows_below_the_lowest_degree():
+    rows = [(0, {"a": 1}), (2, {"b": 1})]
+    span = graded_span(iter(rows), key=str, degrees=[1, 2])
+    assert span.ranks == {1: 1, 2: 2}
+
+
+def test_graded_span_of_an_empty_row_source():
+    span = graded_span(iter(()), key=str, degrees=range(1, 4))
+    assert span.ranks == {1: 0, 2: 0, 3: 0}
+    assert span.rank == 0
+
+
+def test_graded_span_refuses_rows_out_of_order_or_above_the_bound():
+    with pytest.raises(ValueError):
+        graded_span(iter([(2, {"a": 1}), (1, {"b": 1})]), str, range(3))
+    with pytest.raises(ValueError):
+        graded_span(iter([(3, {"a": 1})]), str, range(3))
+
+
+# -- reference spans: one per bound, element first -----------------------
+
+
+def reference_ideal_span(system, max_deg):
+    n = len(system.order.alphabet)
+    span = VectorSpan(key=deglex_key)
+    for s, lw in zip(system.elements, system.leading_words):
+        room = max_deg - len(lw)
+        for la in range(room + 1):
+            for a in product(range(n), repeat=la):
+                for lb in range(room - la + 1):
+                    for b in product(range(n), repeat=lb):
+                        span.insert({a + t + b: c
+                                     for t, c in s.terms.items()})
+    return span
+
+
+def reference_di_span(S, n, max_len):
+    span = VectorSpan(key=diword_key)
+    for entry in _prep(S):
+        room = max_len - len(entry.lead.letters)
+        for la in range(room + 1):
+            for a in product(range(n), repeat=la):
+                for lb in range(room - la + 1):
+                    for b in product(range(n), repeat=lb):
+                        span.insert(_context_image(entry, a, b, True).terms)
+                        for q in range(la):
+                            span.insert(_context_image(
+                                entry, a, b, False, lambda m: q).terms)
+                        for r in range(lb):
+                            span.insert(_context_image(
+                                entry, a, b, False,
+                                lambda m: la + m + r).terms)
+    return span
+
+
+def reference_module_span(S, nx, max_len):
+    span = VectorSpan(key=mword_key)
+    for s in S:
+        room = max_len - len(s.leading_monomial().u)
+        for la in range(room + 1):
+            for a in product(range(nx), repeat=la):
+                span.insert(act(Polynomial.monomial(a), s).terms)
+    return span
+
+
+def reference_ac_span(S, n, max_deg):
+    span = VectorSpan(key=ac_key)
+    queue = [(s, ac_size(s.leading_monomial())) for s in S
+             if ac_size(s.leading_monomial()) <= max_deg]
+    while queue:
+        p, ambient = queue.pop(0)
+        span.insert(p.terms)
+        for d in range(1, max_deg - ambient + 1):
+            for m in _normal_by_degree(n, d):
+                prod = ac_mul(p, m)
+                if prod:
+                    queue.append((prod, ambient + d))
+    return span
+
+
+def reference_table(line, degrees, total_at, irr_at, rank_at):
+    out = []
+    for d in degrees:
+        total, irr, rank = total_at(d), irr_at(d), rank_at(d)
+        out.append(line(d, irr, rank, total, irr + rank == total))
+    return tuple(out)
+
+
+# -- reference reports --------------------------------------------------
+
+
+def reference_cd(system, max_deg, samples=20, seed=0):
+    comps = [c for c in all_compositions(system) if len(c.w) <= max_deg]
+    failing = tuple(c for c in comps if not is_trivial(c, system))
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(samples):
+        f = _sample_ideal_element(rng, system, max_deg)
+        if f and not reducible(f.leading_monomial(), system):
+            bad.append(f)
+    n = len(system.order.alphabet)
+    table = reference_table(
+        DegreeLine, range(max_deg + 1),
+        lambda d: sum(n ** k for k in range(d + 1)),
+        lambda d: len(irr_words(system, d)),
+        lambda d: reference_ideal_span(system, d).rank)
+    return CdReport(max_deg, not failing, failing, not bad, tuple(bad),
+                    all(line.ok for line in table), table)
+
+
+def reference_di(S, n, max_len):
+    entries = _prep(S)
+    span = reference_di_span(S, n, max_len)
+    bad = tuple(m for m in span.pivots()
+                if not any(_occurrences(m, e) for e in entries))
+    table = reference_table(
+        DiDegreeLine, range(1, max_len + 1),
+        lambda d: sum(k * n ** k for k in range(1, d + 1)),
+        lambda d: len(di_irr(S, n, d)),
+        lambda d: reference_di_span(S, n, d).rank)
+    return DiCdReport(max_len, not bad, bad,
+                      all(line.ok for line in table), table)
+
+
+def reference_module(S, nx, ny, max_len):
+    report = module_is_gsb(S)
+    span = reference_module_span(S, nx, max_len)
+    bad = tuple(mw for mw in span.pivots() if not module_reducible(mw, S))
+    table = reference_table(
+        ModuleDegreeLine, range(max_len + 1),
+        lambda d: ny * sum(nx ** k for k in range(d + 1)),
+        lambda d: len(module_irr(S, nx, ny, d)),
+        lambda d: reference_module_span(S, nx, d).rank)
+    return ModuleCdReport(max_len, report.holds, report.failing, not bad,
+                          bad, all(line.ok for line in table), table)
+
+
+def reference_ac(S, n, max_deg):
+    failing = tuple((w, r) for f in S for g in S
+                    for w, r in ac_compositions(f, g)
+                    if ac_normal_form(r, S))
+    span = reference_ac_span(S, n, max_deg)
+    leads = [s.leading_monomial() for s in S]
+    bad = tuple(t for t in span.pivots()
+                if not any(_occurrence_paths(t, lw) for lw in leads))
+    table = reference_table(
+        AcDegreeLine, range(1, max_deg + 1),
+        lambda d: sum(len(_normal_by_degree(n, k)) for k in range(1, d + 1)),
+        lambda d: len(ac_irr_words(S, n, d)),
+        lambda d: reference_ac_span(S, n, d).rank)
+    return AcCdReport(max_deg, not failing, failing, not bad, bad,
+                      all(line.ok for line in table), table)
+
+
+# -- inputs -------------------------------------------------------------
+
+
+def random_assoc(rng):
+    n = rng.randint(2, 3)
+    elems = []
+    while not elems:
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                word = tuple(rng.randrange(n)
+                             for _ in range(rng.randint(0, 4)))
+                terms[word] = rng.choice([-2, -1, 1, 2, 3])
+            p = Polynomial(terms)
+            if p and p.leading_monomial():
+                elems.append(p.monic())
+    alphabet = Alphabet(tuple("x%d" % (i + 1) for i in range(n)))
+    return RewriteSystem(tuple(elems), DegLexOrder(alphabet))
+
+
+def random_di(rng):
+    pool = all_diwords(2, 1) + all_diwords(2, 2) + all_diwords(2, 3)
+    elems = []
+    for _ in range(rng.randint(1, 2)):
+        p = DiPolynomial({rng.choice(pool): rng.choice([-2, -1, 1, 2])
+                          for _ in range(rng.randint(1, 3))})
+        elems.append(p.monic())
+    return elems
+
+
+def random_ac(rng):
+    pool = normal_words(2, 4)
+    elems = []
+    while not elems:
+        for _ in range(rng.randint(1, 3)):
+            p = AcPolynomial({rng.choice(pool): rng.choice([-2, -1, 1, 2])
+                              for _ in range(rng.randint(1, 3))})
+            if p:
+                elems.append(p.monic())
+    return elems
+
+
+# -- the differential tests ---------------------------------------------
+
+
+def test_assoc_report_matches_reference():
+    cases = [(chinese_gsb(3), 8)]
+    x = Alphabet(("x1", "x2"))
+    cases.append((RewriteSystem(
+        (Polynomial({(1,) * 5: 1, (0,): -1}),), DegLexOrder(x)), 5))
+    rng = random.Random(18)
+    for _ in range(40):
+        system = random_assoc(rng)
+        longest = max(len(lw) for lw in system.leading_words)
+        cases.append((system, longest + rng.randint(0, 1)))
+    failed = 0
+    for system, bound in cases:
+        report = cd_lemma_check(system, bound)
+        assert report == reference_cd(system, bound)
+        failed += not report.counts_ok
+    assert failed
+
+
+def test_dialgebra_report_matches_reference():
+    rels = leibniz_enveloping(leibniz_dim2())
+    cases = [(rels, 6), (rels[1:], 5), (rels[:-1], 5)]
+    rng = random.Random(5)
+    for _ in range(20):
+        S = random_di(rng)
+        cases.append((S, max(len(s.leading_monomial()) for s in S) + 1))
+    for S, bound in cases:
+        report = di_gsb_check_bounded(S, 2, bound)
+        assert report == reference_di(S, 2, bound)
+    assert not di_gsb_check_bounded(rels[:-1], 2, 5).holds
+
+
+def test_module_report_matches_reference():
+    rng = random.Random(2)
+    failed = 0
+    for _ in range(50):
+        S = random_module_set(2, 2, 3, rng)
+        report = module_cd_check(S, 2, 2, 7)
+        assert report == reference_module(S, 2, 2, 7)
+        failed += not report.counts_ok
+    assert failed
+
+
+def test_ac_report_matches_reference():
+    hall6 = hall_gsb(2, 6)
+    cases = [(hall_gsb(2, 8), 8)]
+    cases += [(hall6[:i] + hall6[i + 1:], 6) for i in (0, 4, 9)]
+    cases.append(([AcPolynomial({((1, 0), 0): 1}),
+                   AcPolynomial({(1, 0): 1, 1: -1})], 5))
+    rng = random.Random(8)
+    for _ in range(30):
+        S = random_ac(rng)
+        longest = max(ac_size(s.leading_monomial()) for s in S)
+        cases.append((S, longest + rng.randint(0, 1)))
+    failed = 0
+    for S, bound in cases:
+        report = ac_gsb_check_bounded(S, 2, bound)
+        assert report == reference_ac(S, 2, bound)
+        failed += not report.holds
+    assert failed
+
+
+def test_ideal_span_ranks_match_one_span_per_bound():
+    system = chinese_gsb(2)
+    span = ideal_span(system, 6)
+    assert span.ranks == {d: reference_ideal_span(system, d).rank
+                          for d in range(7)}
+    assert span.pivots() == reference_ideal_span(system, 6).pivots()
+
+
+# -- the anti-commutative key and Hall relations --------------------------
+
+
+def reference_ac_key(t):
+    if isinstance(t, int):
+        return (1, t)
+    return (ac_size(t), reference_ac_key(t[0]), reference_ac_key(t[1]))
+
+
+def reference_hall_gsb(n, max_deg):
+    pool = hall_words(n, max_deg)
+    triples = sorted(
+        (ac_size(u) + ac_size(v) + ac_size(w), ac_key(u), ac_key(v),
+         ac_key(w), u, v, w)
+        for iu, u in enumerate(pool) for iv, v in enumerate(pool[:iu])
+        for w in pool[:iv]
+        if ac_size(u) + ac_size(v) + ac_size(w) <= max_deg)
+    return [ac_mul(ac_mul(u, v), w) - ac_mul(ac_mul(u, w), v)
+            - ac_mul(u, ac_mul(v, w)) for *_, u, v, w in triples]
+
+
+def test_ac_key_matches_the_recursive_definition():
+    for t in normal_words(3, 6):
+        assert ac_key(t) == reference_ac_key(t)
+
+
+@pytest.mark.parametrize("n,max_deg", [(2, 6), (2, 7), (3, 5)])
+def test_hall_gsb_matches_reference(n, max_deg):
+    assert hall_gsb(n, max_deg) == reference_hall_gsb(n, max_deg)
+
