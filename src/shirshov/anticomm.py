@@ -9,11 +9,10 @@ so that every element is a combination of normal trees.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Terms, graded_span
+from .core import (Terms, bounded_report, check_bound, check_monic,
+                   composition_report, graded_span)
 
 
 def ac_size(t):
@@ -36,16 +35,6 @@ def ac_key(t):
     """Sort key for the recursive order: size first, then (left, right)
     lexicographically, leaves by rank."""
     return _size_key(t)[1]
-
-
-def ac_cmp(u, v):
-    """-1, 0 or 1 as u <, =, > v."""
-    ku, kv = ac_key(u), ac_key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
 
 
 def is_normal_acword(t):
@@ -83,11 +72,12 @@ def ac_mul(u, v):
     p, q = _lift(u), _lift(v)
     items = []
     for a, ca in p.items():
+        ka = ac_key(a)
         for b, cb in q.items():
-            c = ac_cmp(a, b)
-            if c > 0:
+            kb = ac_key(b)
+            if ka > kb:
                 items.append(((a, b), ca * cb))
-            elif c < 0:
+            elif ka < kb:
                 items.append(((b, a), -ca * cb))
     return AcPolynomial(items)
 
@@ -192,14 +182,6 @@ def _substitute(tree, path, replacement):
     return ac_mul(left, _substitute(right, path[1:], replacement))
 
 
-def _check_monic(S):
-    for i, s in enumerate(S):
-        if not isinstance(s, AcPolynomial) or not s:
-            raise ValueError("element %d is not a nonzero AcPolynomial" % i)
-        if s.leading_coeff() != 1:
-            raise ValueError("element %d is not monic" % i)
-
-
 def ac_compositions(f, g):
     """Inclusion compositions of the ordered pair: one per occurrence of
     lead(g) as a subtree of lead(f), each (lead(f), f - substitution).
@@ -232,7 +214,7 @@ def ac_reduce_step(p, S):
 def ac_normal_form(p, S):
     """Fully reduced representative of p modulo monic relations S.
     Substituted monomials are strictly smaller, so this terminates."""
-    _check_monic(S)
+    check_monic(S, AcPolynomial)
     while True:
         nxt = ac_reduce_step(p, S)
         if nxt is None:
@@ -243,7 +225,7 @@ def ac_normal_form(p, S):
 def ac_irr_words(S, n_letters, max_deg):
     """Normal words of size <= max_deg containing no leading word of S as
     a subtree, ascending."""
-    _check_monic(S)
+    check_monic(S, AcPolynomial)
     leads = [s.leading_monomial() for s in S]
     return [t for t in normal_words(n_letters, max_deg)
             if not any(_occurrence_paths(t, l) for l in leads)]
@@ -278,84 +260,32 @@ def ac_ideal_span(S, n_letters, max_deg):
     size; ranks[d] is the rank of the span at bound d, for
     1 <= d <= max_deg.
     """
-    _check_monic(S)
+    check_monic(S, AcPolynomial)
     return graded_span(_ac_rows(S, n_letters, max_deg), ac_key,
                        range(1, max_deg + 1))
 
 
-@dataclass(frozen=True)
-class AcDegreeLine:
-    degree: int
-    irreducible: int
-    rank: int
-    total: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class AcCdReport:
-    """Bounded closedness report: compositions with ambient size within
-    the bound reduce to zero; leading words of the bounded ideal span are
-    reducible; irreducible plus rank matches the normal-word count,
-    cumulative per degree."""
-
-    max_deg: int
-    gsb_ok: bool
-    failing: tuple
-    leading_ok: bool
-    bad_pivots: tuple
-    counts_ok: bool
-    table: tuple
-
-    @property
-    def holds(self):
-        return self.gsb_ok and self.leading_ok and self.counts_ok
-
-
 def ac_gsb_check_bounded(S, n_letters, max_deg):
-    """Bounded three-condition report for a set of monic relations.
+    """Bounded three-condition report for a set of monic relations:
+    compositions with ambient size within the bound reduce to zero;
+    leading words of the bounded ideal span are reducible; irreducible
+    plus rank matches the normal-word count, cumulative per degree.
 
     One span is built at max_deg, its rows in ascending ambient size, and
     gives both the pivots and the rank per size; the irreducible words are
     enumerated once and counted cumulatively per size.  Raises when the
     bound cannot hold some element's leading word.
     """
-    _check_monic(S)
-    for i, s in enumerate(S):
-        size = ac_size(s.leading_monomial())
-        if size > max_deg:
-            raise ValueError(
-                "max_deg %d is below element %d's leading size %d"
-                % (max_deg, i, size))
-    failing = []
-    for f in S:
-        for g in S:
-            for w, result in ac_compositions(f, g):
-                if ac_normal_form(result, S):
-                    failing.append((w, result))
-    gsb_ok = not failing
-
-    span = ac_ideal_span(S, n_letters, max_deg)
+    check_monic(S, AcPolynomial)
     leads = [s.leading_monomial() for s in S]
-    bad = tuple(t for t in span.pivots()
-                if not any(_occurrence_paths(t, l) for l in leads))
-    leading_ok = not bad
-
-    words = ac_irr_words(S, n_letters, max_deg)
-    per_size = Counter(ac_size(t) for t in words)
-    table = []
-    irr = total = 0
-    for d in range(1, max_deg + 1):
-        total += len(_normal_by_degree(n_letters, d))
-        irr += per_size[d]
-        rank = span.ranks[d]
-        table.append(AcDegreeLine(degree=d, irreducible=irr, rank=rank,
-                                  total=total, ok=(irr + rank == total)))
-    counts_ok = all(line.ok for line in table)
-    return AcCdReport(max_deg=max_deg, gsb_ok=gsb_ok,
-                      failing=tuple(failing), leading_ok=leading_ok,
-                      bad_pivots=bad, counts_ok=counts_ok,
-                      table=tuple(table))
+    check_bound(max_deg, [ac_size(lw) for lw in leads])
+    failing = composition_report(S, ac_compositions, ac_normal_form).failing
+    span = ac_ideal_span(S, n_letters, max_deg)
+    bad = [t for t in span.pivots()
+           if not any(_occurrence_paths(t, lw) for lw in leads)]
+    return bounded_report(max_deg, failing, bad, span.ranks,
+                          map(ac_size, ac_irr_words(S, n_letters, max_deg)),
+                          lambda d: len(_normal_by_degree(n_letters, d)))
 
 
 def ac_flatten(t):

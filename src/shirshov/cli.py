@@ -27,9 +27,6 @@ from .freemodule import (ModuleElement, ModuleWord, module_cd_check,
 from .gsb import BudgetExceeded, cd_lemma_check, is_gsb, shirshov_complete
 from .rewrite import RewriteSystem, irr_words, normal_form
 
-KINDS = ("assoc", "dialgebra", "module", "ac")
-
-
 class ParseError(Exception):
     def __init__(self, line, col, msg):
         super().__init__("line %d, col %d: %s" % (line, col, msg))
@@ -140,7 +137,8 @@ def _parse_ac_tree(cur, alphabet):
 def _parse_term(cur, kind, alphabet, mgens):
     """One product term; returns (coefficient, monomial or None).
 
-    None stands for the empty associative word (a pure scalar term)."""
+    None stands for a term of numerals alone whose product is 0, which
+    every kind reads as zero; other bare scalars are associative only."""
     coeff = Fraction(1)
     letters = []
     center = None
@@ -199,6 +197,8 @@ def _parse_term(cur, kind, alphabet, mgens):
     if not saw_atom:
         cur.error("expected a term")
 
+    if not coeff and not (letters or trees or ygen is not None):
+        return coeff, None
     if kind == "assoc":
         return coeff, tuple(letters)
     if kind == "dialgebra":
@@ -234,7 +234,9 @@ def _parse_expr(cur, kind, alphabet, mgens):
         cur.next()
     while True:
         coeff, mono = _parse_term(cur, kind, alphabet, mgens)
-        if kind == "ac":
+        if mono is None:  # a zero scalar term
+            pass
+        elif kind == "ac":
             items.append(mono.scale(sign * coeff))
         else:
             items.append((mono, sign * coeff))
@@ -406,25 +408,16 @@ def fmt_acword(t, alphabet):
                         fmt_acword(t[1], alphabet))
 
 
-def _fmt_monomial(m, pfile):
-    if pfile.kind == "assoc":
-        return fmt_word(m, pfile.alphabet)
-    if pfile.kind == "dialgebra":
-        return fmt_diword(m, pfile.alphabet)
-    if pfile.kind == "module":
-        return fmt_mword(m, pfile.alphabet, pfile.mgens)
-    return fmt_acword(m, pfile.alphabet)
-
-
 def fmt_element(e, pfile):
     """Canonical text: descending terms, unit coefficients omitted, signs
     folded into the separators."""
     if not e:
         return "0"
+    fmt = _SPECS[pfile.kind].fmt
     parts = []
     for m, c in e.sorted_terms():
-        body = _fmt_monomial(m, pfile)
-        if pfile.kind == "assoc" and not m:
+        body = fmt(m, pfile)
+        if m == ():
             frag = str(abs(c))
         elif abs(c) == 1:
             frag = body
@@ -467,54 +460,8 @@ def _assoc_system(pfile):
                          DegLexOrder(pfile.alphabet))
 
 
-def _default_bound(pfile):
-    if pfile.kind == "dialgebra":
-        longest = max(len(r.leading_monomial()) for r in pfile.relations)
-    else:
-        longest = max(ac_size(r.leading_monomial())
-                      for r in pfile.relations)
-    return longest + 1
-
-
 def _bool(x):
     return "true" if x else "false"
-
-
-def cmd_check(args):
-    pfile = _load(args.file)
-    kind = pfile.kind
-    lines = ["kind: %s" % kind, "elements: %d" % len(pfile.relations)]
-    if kind == "assoc":
-        rep = is_gsb(_assoc_system(pfile))
-        lines += ["checked: %d" % rep.checked,
-                  "failing: %d" % len(rep.failing)]
-        holds = rep.holds
-    elif kind == "module":
-        rep = module_is_gsb(pfile.relations)
-        lines += ["checked: %d" % rep.checked,
-                  "failing: %d" % len(rep.failing)]
-        holds = rep.holds
-    elif kind == "dialgebra":
-        bound = (args.max_deg if args.max_deg is not None
-                 else _default_bound(pfile))
-        rep = di_gsb_check_bounded(pfile.relations, len(pfile.alphabet),
-                                   bound)
-        lines += ["max_deg: %d" % bound,
-                  "leadings: %s" % _bool(rep.leading_ok),
-                  "counts: %s" % _bool(rep.counts_ok)]
-        holds = rep.holds
-    else:
-        bound = (args.max_deg if args.max_deg is not None
-                 else _default_bound(pfile))
-        rep = ac_gsb_check_bounded(pfile.relations, len(pfile.alphabet),
-                                   bound)
-        lines += ["max_deg: %d" % bound,
-                  "compositions: %s" % _bool(rep.gsb_ok),
-                  "leadings: %s" % _bool(rep.leading_ok),
-                  "counts: %s" % _bool(rep.counts_ok)]
-        holds = rep.holds
-    _emit(lines, _bool(holds))
-    return 0 if holds else 1
 
 
 def cmd_complete(args):
@@ -542,105 +489,132 @@ def cmd_complete(args):
     return 0 if rep.status == "completed" else 1
 
 
-def cmd_nf(args):
-    pfile = _load(args.file)
-    kind = pfile.kind
-    elem = parse_element(args.elem, kind, pfile.alphabet, pfile.mgens)
-    if kind == "assoc":
-        result = normal_form(elem, _assoc_system(pfile))
-    elif kind == "dialgebra":
-        result = di_reduce(elem, pfile.relations)
-    elif kind == "module":
-        result = module_normal_form(elem, pfile.relations)
-    else:
-        result = ac_normal_form(elem, pfile.relations)
-    _emit(["kind: %s" % kind], fmt_element(result, pfile))
-    return 0
+@dataclass(frozen=True)
+class _Kind:
+    """What the subcommands need to know of one kind of structure."""
+
+    fmt: object      # (monomial, pfile) -> text
+    degree: object   # monomial -> degree
+    low: int         # the least degree of a monomial
+    nf: object       # (element, pfile) -> normal form
+    irr: object      # (pfile, max_len) -> irreducible monomials, ascending
+    exact: object    # pfile -> GsbReport, or None for bounded checks only
+    bounded: object  # (pfile, max_deg) -> BoundedReport
 
 
-def _irr_listing(pfile, max_len):
-    kind = pfile.kind
-    n = len(pfile.alphabet)
-    if kind == "assoc":
-        words = irr_words(_assoc_system(pfile), max_len)
-        grouped = {d: [] for d in range(max_len + 1)}
-        for w in words:
-            grouped[len(w)].append(fmt_word(w, pfile.alphabet))
-    elif kind == "dialgebra":
-        words = di_irr(pfile.relations, n, max_len)
-        grouped = {d: [] for d in range(1, max_len + 1)}
-        for w in words:
-            grouped[len(w)].append(fmt_diword(w, pfile.alphabet))
-    elif kind == "module":
-        words = module_irr(pfile.relations, n, len(pfile.mgens), max_len)
-        grouped = {d: [] for d in range(max_len + 1)}
-        for w in words:
-            grouped[len(w.u)].append(fmt_mword(w, pfile.alphabet,
-                                               pfile.mgens))
-    else:
-        words = ac_irr_words(pfile.relations, n, max_len)
-        grouped = {d: [] for d in range(1, max_len + 1)}
-        for w in words:
-            grouped[ac_size(w)].append(fmt_acword(w, pfile.alphabet))
-    return grouped
+_SPECS = {
+    "assoc": _Kind(
+        fmt=lambda m, pf: fmt_word(m, pf.alphabet), degree=len, low=0,
+        nf=lambda e, pf: normal_form(e, _assoc_system(pf)),
+        irr=lambda pf, n: irr_words(_assoc_system(pf), n),
+        exact=lambda pf: is_gsb(_assoc_system(pf)),
+        bounded=lambda pf, d: cd_lemma_check(_assoc_system(pf), d)),
+    "dialgebra": _Kind(
+        fmt=lambda m, pf: fmt_diword(m, pf.alphabet), degree=len, low=1,
+        nf=lambda e, pf: di_reduce(e, pf.relations),
+        irr=lambda pf, n: di_irr(pf.relations, len(pf.alphabet), n),
+        exact=None,
+        bounded=lambda pf, d: di_gsb_check_bounded(
+            pf.relations, len(pf.alphabet), d)),
+    "module": _Kind(
+        fmt=lambda m, pf: fmt_mword(m, pf.alphabet, pf.mgens),
+        degree=lambda mw: len(mw.u), low=0,
+        nf=lambda e, pf: module_normal_form(e, pf.relations),
+        irr=lambda pf, n: module_irr(pf.relations, len(pf.alphabet),
+                                     len(pf.mgens), n),
+        exact=lambda pf: module_is_gsb(pf.relations),
+        bounded=lambda pf, d: module_cd_check(
+            pf.relations, len(pf.alphabet), len(pf.mgens), d)),
+    "ac": _Kind(
+        fmt=lambda m, pf: fmt_acword(m, pf.alphabet), degree=ac_size, low=1,
+        nf=lambda e, pf: ac_normal_form(e, pf.relations),
+        irr=lambda pf, n: ac_irr_words(pf.relations, len(pf.alphabet), n),
+        exact=None,
+        bounded=lambda pf, d: ac_gsb_check_bounded(
+            pf.relations, len(pf.alphabet), d)),
+}
+KINDS = tuple(_SPECS)
 
 
-def cmd_irr(args):
-    pfile = _load(args.file)
-    grouped = _irr_listing(pfile, args.max_len)
-    lines = ["kind: %s" % pfile.kind, "max_len: %d" % args.max_len]
-    if not args.count_only:
-        for d in sorted(grouped):
-            lines.append("len %d: %s" % (d, " ".join(grouped[d])))
-    counts = " ".join(str(len(grouped[d])) for d in sorted(grouped))
-    _emit(lines, counts)
-    return 0
-
-
-def cmd_cdcheck(args):
-    pfile = _load(args.file)
-    kind = pfile.kind
-    lines = ["kind: %s" % kind, "max_deg: %d" % args.max_deg]
-    if kind == "assoc":
-        rep = cd_lemma_check(_assoc_system(pfile), args.max_deg)
-        lines += ["compositions: %s" % _bool(rep.gsb_ok),
-                  "leadings: %s" % _bool(rep.leading_ok),
-                  "counts: %s" % _bool(rep.counts_ok)]
-        table = rep.table
-        holds = rep.gsb_ok and rep.leading_ok and rep.counts_ok
-    elif kind == "module":
-        rep = module_cd_check(pfile.relations, len(pfile.alphabet),
-                              len(pfile.mgens), args.max_deg)
-        lines += ["compositions: %s" % _bool(rep.gsb_ok),
-                  "leadings: %s" % _bool(rep.leading_ok),
-                  "counts: %s" % _bool(rep.counts_ok)]
-        table = rep.table
-        holds = rep.gsb_ok and rep.leading_ok and rep.counts_ok
-    elif kind == "dialgebra":
-        rep = di_gsb_check_bounded(pfile.relations, len(pfile.alphabet),
-                                   args.max_deg)
-        lines += ["leadings: %s" % _bool(rep.leading_ok),
-                  "counts: %s" % _bool(rep.counts_ok)]
-        table = rep.table
-        holds = rep.holds
-    else:
-        rep = ac_gsb_check_bounded(pfile.relations, len(pfile.alphabet),
-                                   args.max_deg)
-        lines += ["compositions: %s" % _bool(rep.gsb_ok),
-                  "leadings: %s" % _bool(rep.leading_ok),
-                  "counts: %s" % _bool(rep.counts_ok)]
-        table = rep.table
-        holds = rep.holds
-    for line in table:
-        d = getattr(line, "degree", getattr(line, "length", None))
-        lines.append("deg %d: irr=%d rank=%d total=%d %s"
-                     % (d, line.irreducible, line.rank, line.total,
-                        "ok" if line.ok else "FAIL"))
+def _verdict(lines, holds):
     _emit(lines, _bool(holds))
     return 0 if holds else 1
 
 
-def _preset_file(args):
+def _report_lines(rep):
+    lines = ["max_deg: %d" % rep.max_deg]
+    if rep.gsb_ok is not None:
+        lines.append("compositions: %s" % _bool(rep.gsb_ok))
+    return lines + ["leadings: %s" % _bool(rep.leading_ok),
+                    "counts: %s" % _bool(rep.counts_ok)]
+
+
+def _check(pfile, head, max_deg):
+    # The exact check where the kind has one, else the bounded one at
+    # max_deg, by default one above the longest leading monomial.
+    spec = _SPECS[pfile.kind]
+    lines = [head, "elements: %d" % len(pfile.relations)]
+    if spec.exact is not None:
+        rep = spec.exact(pfile)
+        return _verdict(lines + ["checked: %d" % rep.checked,
+                                 "failing: %d" % len(rep.failing)],
+                        rep.holds)
+    if max_deg is None:
+        max_deg = 1 + max((spec.degree(r.leading_monomial())
+                           for r in pfile.relations), default=0)
+    rep = spec.bounded(pfile, max_deg)
+    return _verdict(lines + _report_lines(rep), rep.holds)
+
+
+def _cdcheck(pfile, head, max_deg):
+    rep = _SPECS[pfile.kind].bounded(pfile, max_deg)
+    lines = [head] + _report_lines(rep)
+    lines += ["deg %d: irr=%d rank=%d total=%d %s"
+              % (line.degree, line.irreducible, line.rank, line.total,
+                 "ok" if line.ok else "FAIL") for line in rep.table]
+    return _verdict(lines, rep.holds)
+
+
+def _irr(pfile, head, max_len, count_only):
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    spec = _SPECS[pfile.kind]
+    grouped = {d: [] for d in range(spec.low, max_len + 1)}
+    for w in spec.irr(pfile, max_len):
+        grouped[spec.degree(w)].append(spec.fmt(w, pfile))
+    lines = [head, "max_len: %d" % max_len]
+    if not count_only:
+        lines += ["len %d: %s" % (d, " ".join(words))
+                  for d, words in grouped.items()]
+    _emit(lines, " ".join(str(len(words)) for words in grouped.values()))
+    return 0
+
+
+def cmd_check(args):
+    pfile = _load(args.file)
+    return _check(pfile, "kind: %s" % pfile.kind, args.max_deg)
+
+
+def cmd_nf(args):
+    pfile = _load(args.file)
+    elem = parse_element(args.elem, pfile.kind, pfile.alphabet, pfile.mgens)
+    result = _SPECS[pfile.kind].nf(elem, pfile)
+    _emit(["kind: %s" % pfile.kind], fmt_element(result, pfile))
+    return 0
+
+
+def cmd_irr(args):
+    pfile = _load(args.file)
+    return _irr(pfile, "kind: %s" % pfile.kind, args.max_len,
+                args.count_only)
+
+
+def cmd_cdcheck(args):
+    pfile = _load(args.file)
+    return _cdcheck(pfile, "kind: %s" % pfile.kind, args.max_deg)
+
+
+def cmd_catalog(args):
     if args.preset == "chinese":
         system = chinese_gsb(args.rank)
         label = "chinese rank=%d" % args.rank
@@ -650,39 +624,12 @@ def _preset_file(args):
     pfile = PresentationFile(kind="assoc", alphabet=system.order.alphabet,
                              mgens=(), leibniz=None,
                              relations=list(system.elements))
-    return pfile, system, label
-
-
-def cmd_catalog(args):
-    pfile, system, label = _preset_file(args)
+    head = "preset: %s" % label
     if args.cdcheck is not None:
-        rep = cd_lemma_check(system, args.cdcheck)
-        holds = rep.gsb_ok and rep.leading_ok and rep.counts_ok
-        lines = ["preset: %s" % label, "max_deg: %d" % args.cdcheck,
-                 "compositions: %s" % _bool(rep.gsb_ok),
-                 "leadings: %s" % _bool(rep.leading_ok),
-                 "counts: %s" % _bool(rep.counts_ok)]
-        for line in rep.table:
-            lines.append("deg %d: irr=%d rank=%d total=%d %s"
-                         % (line.degree, line.irreducible, line.rank,
-                            line.total, "ok" if line.ok else "FAIL"))
-        _emit(lines, _bool(holds))
-        return 0 if holds else 1
+        return _cdcheck(pfile, head, args.cdcheck)
     if args.irr is not None:
-        grouped = _irr_listing(pfile, args.irr)
-        lines = ["preset: %s" % label, "max_len: %d" % args.irr]
-        if not args.count_only:
-            for d in sorted(grouped):
-                lines.append("len %d: %s" % (d, " ".join(grouped[d])))
-        _emit(lines, " ".join(str(len(grouped[d]))
-                              for d in sorted(grouped)))
-        return 0
-    rep = is_gsb(system)
-    lines = ["preset: %s" % label, "elements: %d" % len(system),
-             "checked: %d" % rep.checked,
-             "failing: %d" % len(rep.failing)]
-    _emit(lines, _bool(rep.holds))
-    return 0 if rep.holds else 1
+        return _irr(pfile, head, args.irr, args.count_only)
+    return _check(pfile, head, None)
 
 
 def build_parser():
@@ -728,8 +675,6 @@ def build_parser():
                    help="generator count for the chinese preset")
     p.add_argument("--nx", type=int, default=1)
     p.add_argument("--ny", type=int, default=1)
-    p.add_argument("--check", action="store_true",
-                   help="closedness check (the default action)")
     p.add_argument("--cdcheck", type=int, default=None, metavar="N")
     p.add_argument("--irr", type=int, default=None, metavar="N")
     p.add_argument("--count-only", action="store_true")

@@ -1,6 +1,7 @@
 """Exact arithmetic core: ordered alphabets, words as rank tuples, the
 degree-lexicographic order, noncommutative polynomials over the rationals,
-and sparse exact Gaussian elimination.
+sparse exact Gaussian elimination, and the bounded three-condition report
+that every structure fills in.
 
 Words are tuples of generator ranks; () is the monoid identity.  All
 coefficients are fractions.Fraction, never floats.
@@ -8,6 +9,7 @@ coefficients are fractions.Fraction, never floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,25 +83,6 @@ class DegLexOrder:
 
     def key(self, w):
         return (len(w), w)
-
-    def cmp(self, u, v):
-        self.alphabet.check_word(u)
-        self.alphabet.check_word(v)
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return -1
-        if ku > kv:
-            return 1
-        return 0
-
-    def sort(self, words):
-        """Words in ascending order (a convenience for reports and tests)."""
-        return sorted(words, key=self.key)
-
-
-def word_cmp(u, v, order):
-    """-1, 0 or 1 as u <, =, > v under the given order."""
-    return order.cmp(u, v)
 
 
 class Terms:
@@ -255,30 +238,6 @@ class Polynomial(Terms):
         return out
 
 
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    """Concatenation product, extended bilinearly."""
-    return p * q
-
-
-def leading(p, order):
-    """(word, coefficient) of the order-greatest monomial of p."""
-    if not p:
-        raise ValueError("zero polynomial has no leading term")
-    for w in p.terms:
-        order.alphabet.check_word(w)
-    w = max(p.terms, key=order.key)
-    return w, p.terms[w]
-
-
-def make_monic(p, order):
-    w, c = leading(p, order)
-    return p.scale(1 / c)
-
-
 class VectorSpan:
     """Row space of sparse exact vectors, built incrementally.
 
@@ -360,44 +319,119 @@ def graded_span(rows, key, degrees):
     return span
 
 
-def row_reduce(rows):
-    """Exact reduced row echelon form over the rationals.
+def check_monic(S, cls):
+    """Raise unless every element of S is a nonzero, monic cls."""
+    for i, s in enumerate(S):
+        if not isinstance(s, cls) or not s:
+            raise ValueError("element %d is not a nonzero %s"
+                             % (i, cls.__name__))
+        if s.leading_coeff() != 1:
+            raise ValueError("element %d is not monic" % i)
 
-    Takes a sequence of equal-length coefficient rows (ints or Fractions),
-    eliminates with deterministic leftmost-nonzero pivots, and returns
-    (reduced_rows, pivot_columns, rank) with zero rows dropped and the
-    surviving rows sorted by pivot column.
+
+def check_bound(max_deg, lead_degrees):
+    """Raise unless max_deg >= 0 and holds every leading monomial, given
+    by its degree; a leading monomial above the bound would leave the
+    compositions of its element unexamined."""
+    if max_deg < 0:
+        raise ValueError("max_deg must be >= 0")
+    for i, d in enumerate(lead_degrees):
+        if d > max_deg:
+            raise ValueError("max_deg %d is below element %d's leading "
+                             "degree %d" % (max_deg, i, d))
+
+
+@dataclass(frozen=True)
+class GsbReport:
+    holds: bool
+    checked: int
+    failing: tuple
+
+
+def composition_report(S, compositions, normal_form):
+    """Reduce every composition (w, result) of every ordered pair of S;
+    the failing ones are those whose result has a nonzero normal form."""
+    failing = []
+    checked = 0
+    for f in S:
+        for g in S:
+            for w, result in compositions(f, g):
+                checked += 1
+                if normal_form(result, S):
+                    failing.append((w, result))
+    return GsbReport(holds=not failing, checked=checked,
+                     failing=tuple(failing))
+
+
+@dataclass(frozen=True)
+class DegreeLine:
+    """Cumulative counts of the monomials of degree <= degree."""
+
+    degree: int
+    irreducible: int
+    rank: int
+    total: int
+    ok: bool
+
+    @property
+    def length(self):
+        """The degree, read as a word length for dialgebras and modules."""
+        return self.degree
+
+
+@dataclass(frozen=True)
+class BoundedReport:
+    """Bounded Composition-Diamond report: (i) the compositions within
+    the bound reduce to zero; (ii) the leading monomials of the bounded
+    ideal have reducible leading words; (iii) at every degree the
+    irreducible count plus the bounded span rank equals the monomial
+    count, cumulatively.  gsb_ok and failing are None when the check
+    examines no compositions; holds and agree range over the conditions
+    examined."""
+
+    max_deg: int
+    gsb_ok: object
+    failing: object
+    leading_ok: bool
+    bad_leadings: tuple
+    counts_ok: bool
+    table: tuple
+
+    def _examined(self):
+        return [ok for ok in (self.gsb_ok, self.leading_ok, self.counts_ok)
+                if ok is not None]
+
+    @property
+    def holds(self):
+        return all(self._examined())
+
+    @property
+    def agree(self):
+        return len(set(self._examined())) == 1
+
+
+def bounded_report(max_deg, failing, bad, ranks, irr_degrees, totals):
+    """Assemble a BoundedReport with one table line per key of ranks.
+
+    failing lists the nonvanishing compositions, or is None when none were
+    examined; bad lists the ideal elements or pivots whose leading word is
+    irreducible; ranks maps each degree up to max_deg, ascending, to the
+    bounded span rank, as graded_span records it; irr_degrees yields the
+    degree of every irreducible monomial up to max_deg; totals(d) counts
+    the monomials of degree exactly d.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], [], 0
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError("dimension mismatch: rows of unequal length")
-    width = widths.pop()
-
-    span = VectorSpan(key=lambda j: -j)  # greatest key = leftmost column
-    for r in rows:
-        span.insert({j: Fraction(v) for j, v in enumerate(r) if v})
-
-    pivots = sorted(span.rows)
-    reduced = {}
-    for p in sorted(pivots, reverse=True):
-        row = dict(span.rows[p])
-        for q in [col for col in list(row) if col != p and col in reduced]:
-            c = row.pop(q)
-            for col, v in reduced[q].items():
-                if col == q:
-                    continue
-                nv = row.get(col, _ZERO) - c * v
-                if nv:
-                    row[col] = nv
-                else:
-                    row.pop(col, None)
-        reduced[p] = row
-
-    dense = []
-    for p in pivots:
-        row = reduced[p]
-        dense.append([row.get(j, _ZERO) for j in range(width)])
-    return dense, pivots, len(pivots)
+    per_degree = Counter(irr_degrees)
+    table = []
+    irr = total = 0
+    for d, rank in ranks.items():
+        total += totals(d)
+        irr += per_degree[d]
+        table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
+                                total=total, ok=(irr + rank == total)))
+    bad = tuple(bad)
+    return BoundedReport(
+        max_deg=max_deg,
+        gsb_ok=None if failing is None else not failing,
+        failing=None if failing is None else tuple(failing),
+        leading_ok=not bad, bad_leadings=bad,
+        counts_ok=all(line.ok for line in table), table=tuple(table))

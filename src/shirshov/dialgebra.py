@@ -9,12 +9,12 @@ is the center.  In printed form the center letter carries an @ mark.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import Polynomial, Terms, VectorSpan, graded_span
+from .core import (Polynomial, Terms, VectorSpan, bounded_report,
+                   check_bound, check_monic, graded_span)
 
 _ZERO = Fraction(0)
 
@@ -43,16 +43,6 @@ def diword_key(u):
     """Sort key for the weight order: length, then center position, then
     the letter sequence."""
     return (len(u.letters), u.center, u.letters)
-
-
-def diword_cmp(u, v):
-    """-1, 0 or 1 as u <, =, > v in the weight order."""
-    ku, kv = diword_key(u), diword_key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
 
 
 class DiPolynomial(Terms):
@@ -127,11 +117,7 @@ class _Entry:
     __slots__ = ("poly", "lead", "flat", "flat_ok", "flat_lead_coeff")
 
     def __init__(self, poly):
-        if not isinstance(poly, DiPolynomial) or not poly:
-            raise ValueError("relations must be nonzero DiPolynomials")
         lead = poly.leading_monomial()
-        if poly.coeff(lead) != 1:
-            raise ValueError("relations must be monic")
         self.poly = poly
         self.lead = lead
         self.flat = _flat(poly)
@@ -142,6 +128,7 @@ class _Entry:
 
 
 def _prep(S):
+    check_monic(S, DiPolynomial)
     return [_Entry(p) for p in S]
 
 
@@ -232,11 +219,6 @@ def di_reduce(p, S):
         p = p - image.scale(p.coeff(m))
 
 
-def di_reducible(m, S):
-    """True when some relation has a compatible occurrence in m."""
-    return any(_occurrences(m, e) for e in _prep(S))
-
-
 def di_irr(S, n_letters, max_len):
     """Diwords of length <= max_len with no compatible occurrence,
     ascending in the weight order."""
@@ -287,35 +269,12 @@ def di_ideal_span(S, n_letters, max_len):
                        range(1, max_len + 1))
 
 
-@dataclass(frozen=True)
-class DiDegreeLine:
-    length: int
-    irreducible: int
-    rank: int
-    total: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class DiCdReport:
-    """Bounded check of the diamond conditions for dialgebras: (ii) every
-    leading diword of the bounded ideal span is reducible, and (iii) the
-    irreducible count plus the span rank matches the diword count, both
-    cumulative per length."""
-
-    max_len: int
-    leading_ok: bool
-    bad_pivots: tuple
-    counts_ok: bool
-    table: tuple
-
-    @property
-    def holds(self):
-        return self.leading_ok and self.counts_ok
-
-
 def di_gsb_check_bounded(S, n_letters, max_len):
-    """Bounded two-condition report for a set of monic relations.
+    """Bounded report of conditions (ii) and (iii) for a set of monic
+    relations: every leading diword of the bounded ideal span is
+    reducible, and the irreducible count plus the span rank matches the
+    diword count, cumulative per length.  Compositions are not examined,
+    so gsb_ok and failing are None.
 
     One span is built at max_len, its rows in ascending ambient length,
     and gives both the pivots and the rank per length; the irreducible
@@ -323,30 +282,13 @@ def di_gsb_check_bounded(S, n_letters, max_len):
     Raises when the bound cannot even hold one relation's leading diword.
     """
     entries = _prep(S)
-    for e in entries:
-        if len(e.lead) > max_len:
-            raise ValueError(
-                "max_len %d is below the leading diword length %d"
-                % (max_len, len(e.lead)))
-
+    check_bound(max_len, [len(e.lead) for e in entries])
     span = di_ideal_span(S, n_letters, max_len)
-    bad = tuple(m for m in span.pivots()
-                if not any(_occurrences(m, e) for e in entries))
-    leading_ok = not bad
-
-    per_length = Counter(len(m) for m in di_irr(S, n_letters, max_len))
-    table = []
-    irr = total = 0
-    for d in range(1, max_len + 1):
-        total += d * n_letters ** d
-        irr += per_length[d]
-        rank = span.ranks[d]
-        table.append(DiDegreeLine(length=d, irreducible=irr, rank=rank,
-                                  total=total, ok=(irr + rank == total)))
-    counts_ok = all(line.ok for line in table)
-    return DiCdReport(max_len=max_len, leading_ok=leading_ok,
-                      bad_pivots=bad, counts_ok=counts_ok,
-                      table=tuple(table))
+    bad = [m for m in span.pivots()
+           if not any(_occurrences(m, e) for e in entries)]
+    return bounded_report(max_len, None, bad, span.ranks,
+                          map(len, di_irr(S, n_letters, max_len)),
+                          lambda d: d * n_letters ** d)
 
 
 @dataclass(frozen=True)

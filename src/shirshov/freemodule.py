@@ -5,11 +5,11 @@ right-justified composition shape drives the basis theory.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Polynomial, Terms, graded_span
+from .core import (Polynomial, Terms, bounded_report, check_bound,
+                   check_monic, composition_report, graded_span)
 from .rewrite import RewriteSystem, find_factor
 
 
@@ -26,16 +26,6 @@ class ModuleWord:
 
 def mword_key(mw):
     return (len(mw.u), mw.u, mw.y)
-
-
-def mword_cmp(w1, w2):
-    """-1, 0 or 1: u-parts by deg-lex, ties by the generator index."""
-    k1, k2 = mword_key(w1), mword_key(w2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
 
 
 class ModuleElement(Terms):
@@ -63,15 +53,6 @@ def act(p, m):
         for mw, cm in m.items():
             acc.append((ModuleWord(a + mw.u, mw.y), ca * cm))
     return ModuleElement(acc)
-
-
-def _check_monic(S):
-    for i, s in enumerate(S):
-        if not isinstance(s, ModuleElement) or not s:
-            raise ValueError("element %d is not a nonzero module element"
-                             % i)
-        if s.leading_coeff() != 1:
-            raise ValueError("element %d is not monic" % i)
 
 
 def module_compositions(f, g):
@@ -118,7 +99,7 @@ def module_reduce_step(m, S):
 
 def module_normal_form(m, S):
     """Fully reduced representative of m modulo S."""
-    _check_monic(S)
+    check_monic(S, ModuleElement)
     while True:
         nxt = module_reduce_step(m, S)
         if nxt is None:
@@ -136,26 +117,10 @@ def module_reducible(mw, S):
     return False
 
 
-@dataclass(frozen=True)
-class ModuleGsbReport:
-    holds: bool
-    checked: int
-    failing: tuple
-
-
 def module_is_gsb(S):
     """Check that every composition of every ordered pair reduces to 0."""
-    _check_monic(S)
-    failing = []
-    checked = 0
-    for f in S:
-        for g in S:
-            for w, result in module_compositions(f, g):
-                checked += 1
-                if module_normal_form(result, S):
-                    failing.append((w, result))
-    return ModuleGsbReport(holds=not failing, checked=checked,
-                           failing=tuple(failing))
+    check_monic(S, ModuleElement)
+    return composition_report(S, module_compositions, module_normal_form)
 
 
 def module_irr(S, nx, ny, max_len):
@@ -193,72 +158,26 @@ def module_ideal_span(S, nx, max_len):
                        range(max_len + 1))
 
 
-@dataclass(frozen=True)
-class ModuleDegreeLine:
-    length: int
-    irreducible: int
-    rank: int
-    total: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ModuleCdReport:
-    """Bounded diamond report: (i) all compositions trivial, (ii) every
-    leading module word of the bounded submodule span is reducible,
-    (iii) irreducible count plus span rank matches the word count,
-    cumulative per u-length."""
-
-    max_len: int
-    gsb_ok: bool
-    failing: tuple
-    leading_ok: bool
-    bad_pivots: tuple
-    counts_ok: bool
-    table: tuple
-
-    @property
-    def agree(self):
-        return self.gsb_ok == self.leading_ok == self.counts_ok
-
-
 def module_cd_check(S, nx, ny, max_len):
-    """Bounded check of the three equivalent conditions.
+    """Bounded report of the three equivalent conditions: (i) all
+    compositions trivial, (ii) every leading module word of the bounded
+    submodule span is reducible, (iii) irreducible count plus span rank
+    matches the word count, cumulative per u-length.
 
     One span is built at max_len, its rows in ascending ambient u-length,
     and gives both the pivots and the rank per u-length; the irreducible
     module words are enumerated once and counted cumulatively.  The bound
     must reach every element's leading u-length, else raises.
     """
-    _check_monic(S)
-    for i, s in enumerate(S):
-        if len(s.leading_monomial().u) > max_len:
-            raise ValueError(
-                "max_len %d is below element %d's leading u-length"
-                % (max_len, i))
-
-    report = module_is_gsb(S)
-
+    check_monic(S, ModuleElement)
+    check_bound(max_len, [len(s.leading_monomial().u) for s in S])
+    failing = module_is_gsb(S).failing
     span = module_ideal_span(S, nx, max_len)
-    bad = tuple(mw for mw in span.pivots()
-                if not module_reducible(mw, S))
-    leading_ok = not bad
-
-    per_length = Counter(len(mw.u) for mw in module_irr(S, nx, ny, max_len))
-    table = []
-    irr = total = 0
-    for d in range(max_len + 1):
-        total += ny * nx ** d
-        irr += per_length[d]
-        rank = span.ranks[d]
-        table.append(ModuleDegreeLine(length=d, irreducible=irr, rank=rank,
-                                      total=total,
-                                      ok=(irr + rank == total)))
-    counts_ok = all(line.ok for line in table)
-    return ModuleCdReport(max_len=max_len, gsb_ok=report.holds,
-                          failing=report.failing, leading_ok=leading_ok,
-                          bad_pivots=bad, counts_ok=counts_ok,
-                          table=tuple(table))
+    bad = [mw for mw in span.pivots() if not module_reducible(mw, S)]
+    words = module_irr(S, nx, ny, max_len)
+    return bounded_report(max_len, failing, bad, span.ranks,
+                          (len(mw.u) for mw in words),
+                          lambda d: ny * nx ** d)
 
 
 def pair_normal_form(m, algebra, S):
@@ -271,7 +190,7 @@ def pair_normal_form(m, algebra, S):
     """
     if not isinstance(algebra, RewriteSystem):
         raise TypeError("algebra side must be a RewriteSystem")
-    _check_monic(S)
+    check_monic(S, ModuleElement)
     while True:
         m2 = module_normal_form(m, S) if S else m
         m2 = _algebra_reduce(m2, algebra)
@@ -322,19 +241,3 @@ def random_module_set(nx, ny, max_udeg, rng, max_elems=3):
             items.append((mw, rng.choice([-2, -1, 1, 2])))
         out.append(ModuleElement(items).monic())
     return out
-
-
-def verma_stub(seed=0):
-    """Randomized small fixture standing in for a Verma-style module
-    presentation; the data is synthetic, not a faithful construction."""
-    import random as _random
-    rng = _random.Random(seed)
-    return random_module_set(2, 2, 3, rng)
-
-
-def sl2_stub(seed=1):
-    """Randomized small fixture standing in for an sl2-style module
-    presentation; the data is synthetic, not a faithful construction."""
-    import random as _random
-    rng = _random.Random(seed)
-    return random_module_set(2, 1, 2, rng)

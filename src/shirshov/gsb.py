@@ -13,7 +13,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Polynomial
+from .core import GsbReport, Polynomial, bounded_report, check_bound
 from .rewrite import (RewriteSystem, find_factor, ideal_span, irr_words,
                       normal_form, reducible)
 
@@ -38,47 +38,11 @@ class Composition:
 
 
 @dataclass(frozen=True)
-class GsbReport:
-    holds: bool
-    checked: int
-    failing: tuple
-
-
-@dataclass(frozen=True)
 class CompletionReport:
     status: str  # completed | degree-capped | element-capped
     basis: RewriteSystem
     added: int
     iterations: int
-
-
-@dataclass(frozen=True)
-class DegreeLine:
-    degree: int
-    irreducible: int
-    rank: int
-    total: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class CdReport:
-    """Bounded diamond check: (i) compositions with |w| <= max_deg reduce
-    to zero; (ii) sampled bounded ideal elements have reducible leading
-    words; (iii) irreducible count plus bounded span rank matches the word
-    count at every degree bound."""
-
-    max_deg: int
-    gsb_ok: bool
-    failing: tuple
-    leading_ok: bool
-    bad_leadings: tuple
-    counts_ok: bool
-    table: tuple
-
-    @property
-    def agree(self):
-        return self.gsb_ok == self.leading_ok == self.counts_ok
 
 
 class BudgetExceeded(RuntimeError):
@@ -342,40 +306,19 @@ def cd_lemma_check(system, max_deg, samples=20, seed=0):
     hold some element's leading word, since the compositions of that
     element would go unexamined.
     """
-    if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
-    for i, lw in enumerate(system.leading_words):
-        if len(lw) > max_deg:
-            raise ValueError(
-                "max_deg %d is below element %d's leading word length %d"
-                % (max_deg, i, len(lw)))
-    comps = [c for c in all_compositions(system) if len(c.w) <= max_deg]
-    failing = tuple(c for c in comps if not is_trivial(c, system))
-    gsb_ok = not failing
+    check_bound(max_deg, map(len, system.leading_words))
+    failing = [c for c in all_compositions(system)
+               if len(c.w) <= max_deg and not is_trivial(c, system)]
 
     rng = random.Random(seed)
     bad = []
     for _ in range(samples):
         f = _sample_ideal_element(rng, system, max_deg)
-        if f is None or not f:
-            continue
-        if not reducible(f.leading_monomial(), system):
+        if f and not reducible(f.leading_monomial(), system):
             bad.append(f)
-    leading_ok = not bad
 
     n = len(system.order.alphabet)
-    ranks = ideal_span(system, max_deg).ranks
-    per_length = Counter(len(w) for w in irr_words(system, max_deg))
-    table = []
-    irr = total = 0
-    for d in range(max_deg + 1):
-        total += n ** d
-        irr += per_length[d]
-        rank = ranks[d]
-        table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
-                                total=total, ok=(irr + rank == total)))
-    counts_ok = all(line.ok for line in table)
-
-    return CdReport(max_deg=max_deg, gsb_ok=gsb_ok, failing=failing,
-                    leading_ok=leading_ok, bad_leadings=tuple(bad),
-                    counts_ok=counts_ok, table=tuple(table))
+    return bounded_report(max_deg, failing, bad,
+                          ideal_span(system, max_deg).ranks,
+                          map(len, irr_words(system, max_deg)),
+                          lambda d: n ** d)

@@ -1,10 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shirshov.cli import (ParseError, fmt_element, fmt_presentation, main,
-                          parse_element, parse_presentation)
+from shirshov.anticomm import AcPolynomial, normal_words
+from shirshov.cli import (KINDS, ParseError, PresentationFile, fmt_element,
+                          fmt_presentation, main, parse_element,
+                          parse_presentation)
 from shirshov.core import Alphabet, Polynomial
+from shirshov.dialgebra import DiPolynomial, Diword
+from shirshov.freemodule import ModuleElement, ModuleWord
 
 CHINESE2 = """\
 # defining relations of the rank-2 presentation
@@ -294,3 +300,81 @@ def test_deeply_nested_relation_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: expression nested too deeply\n"
+
+
+NO_RELATIONS = {
+    "assoc": "kind assoc\ngens x1 x2\n",
+    "dialgebra": "kind dialgebra\ngens x1 x2\n",
+    "module": "kind module\ngens x1 x2\nmgens v\n",
+    "ac": "kind ac\ngens x1 x2\n",
+}
+
+
+@pytest.mark.parametrize("kind", ["dialgebra", "ac"])
+def test_check_without_relations_defaults_to_bound_one(tmp_path, capsys,
+                                                       kind):
+    assert main(["check", write(tmp_path, NO_RELATIONS[kind])]) == 0
+    out = capsys.readouterr().out
+    assert "max_deg: 1\n" in out
+    assert out.endswith("\ntrue\n")
+
+
+@pytest.mark.parametrize("kind", sorted(NO_RELATIONS))
+def test_negative_bounds_are_refused_for_every_kind(tmp_path, capsys, kind):
+    path = write(tmp_path, NO_RELATIONS[kind])
+    assert main(["cdcheck", path, "--max-deg", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_deg must be >= 0\n"
+    assert main(["irr", path, "--max-len", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_len must be >= 0\n"
+
+
+def test_a_zero_normal_form_reads_back(tmp_path, capsys):
+    path = write(tmp_path, AC)
+    assert main(["nf", path, "--elem", "((x2 x1) x1)"]) == 0
+    assert capsys.readouterr().out.endswith("\n0\n")
+    assert main(["nf", path, "--elem", "0"]) == 0
+    assert capsys.readouterr().out.endswith("\n0\n")
+    ab = Alphabet(("x", "y"))
+    for kind in KINDS:
+        assert not parse_element("0", kind, ab, ("v",))
+        assert not parse_element("0*3 - 0", kind, ab, ("v",))
+    with pytest.raises(ParseError):
+        parse_element("0 + 2", "module", ab, ("v",))
+
+
+ALPHABET = Alphabet(("x1", "x2"))
+MGENS = ("v", "w")
+LETTERS = st.lists(st.integers(0, 1), max_size=4).map(tuple)
+MONOMIALS = {
+    "assoc": LETTERS,
+    "dialgebra": LETTERS.filter(bool).flatmap(lambda u: st.builds(
+        Diword, st.just(u), st.integers(0, len(u) - 1))),
+    "module": st.builds(ModuleWord, LETTERS, st.integers(0, 1)),
+    "ac": st.sampled_from(normal_words(2, 5)),
+}
+CONTAINERS = {"assoc": Polynomial, "dialgebra": DiPolynomial,
+              "module": ModuleElement, "ac": AcPolynomial}
+
+
+@st.composite
+def elements(draw):
+    kind = draw(st.sampled_from(KINDS))
+    coeffs = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    terms = draw(st.dictionaries(MONOMIALS[kind], coeffs, max_size=4))
+    return kind, CONTAINERS[kind](terms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(elements())
+@example(("assoc", Polynomial()))
+@example(("dialgebra", DiPolynomial()))
+@example(("module", ModuleElement()))
+@example(("ac", AcPolynomial()))
+def test_printed_elements_parse_back(case):
+    kind, e = case
+    pfile = PresentationFile(kind, ALPHABET, MGENS, None, [])
+    assert parse_element(fmt_element(e, pfile), kind, ALPHABET, MGENS) == e

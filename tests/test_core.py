@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from shirshov.core import (Alphabet, DegLexOrder, Polynomial, Terms,
-                           VectorSpan, deglex_key, row_reduce, word_cmp)
+                           VectorSpan, deglex_key)
 
 
 def test_deglex_sorts_by_length_then_letters():
@@ -31,12 +31,10 @@ def test_alphabet_rejects_duplicates_and_empty():
 
 def test_order_cmp_and_sort():
     order = DegLexOrder(Alphabet(("x", "y")))
-    assert word_cmp((1,), (0, 0), order) == -1
-    assert word_cmp((0, 1), (0, 1), order) == 0
-    assert word_cmp((1, 0), (0, 1), order) == 1
-    assert order.sort([(1, 1), (), (0,)]) == [(), (0,), (1, 1)]
-    with pytest.raises(ValueError):
-        order.cmp((5,), ())
+    assert deglex_key((1,)) < deglex_key((0, 0))
+    assert deglex_key((0, 1)) == deglex_key((0, 1))
+    assert deglex_key((1, 0)) > deglex_key((0, 1))
+    assert order.key((1, 0)) == deglex_key((1, 0))
 
 
 def test_terms_addition_cancels():
@@ -99,13 +97,3 @@ def test_vector_span_detects_dependence():
     assert span.contains({(1,): 7, (0,): 7})
     assert not span.contains({(0, 0): 1})
     assert span.pivots() == [(1,), (0,)]
-
-
-def test_row_reduce_rank_and_pivots():
-    rows = [[1, 1, 0], [0, 2, 0], [1, -1, 0]]
-    reduced, pivots, rank = row_reduce(rows)
-    assert rank == 2
-    assert pivots == [0, 1]
-    assert reduced == [[1, 0, 0], [0, 1, 0]]
-    with pytest.raises(ValueError):
-        row_reduce([[1], [1, 2]])

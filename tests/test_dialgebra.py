@@ -4,7 +4,7 @@ import pytest
 
 from shirshov.dialgebra import (DiPolynomial, Diword, LeibnizAlgebra,
                                 all_diwords, di_gsb_check_bounded, di_irr,
-                                di_left, di_reduce, di_right, diword_cmp,
+                                di_left, di_reduce, di_right, diword_key,
                                 leibniz_check, leibniz_dim2,
                                 leibniz_enveloping, leibniz_i0, pbw_basis)
 
@@ -19,10 +19,10 @@ def test_diword_validation():
 
 
 def test_diword_cmp_length_then_center_then_letters():
-    assert diword_cmp(Diword((0,), 0), Diword((1, 1), 0)) == -1
-    assert diword_cmp(Diword((1, 1), 0), Diword((0, 0), 1)) == -1
-    assert diword_cmp(Diword((0, 1), 1), Diword((0, 0), 1)) == 1
-    assert diword_cmp(Diword((0, 1), 1), Diword((0, 1), 1)) == 0
+    assert diword_key(Diword((0,), 0)) < diword_key(Diword((1, 1), 0))
+    assert diword_key(Diword((1, 1), 0)) < diword_key(Diword((0, 0), 1))
+    assert diword_key(Diword((0, 1), 1)) > diword_key(Diword((0, 0), 1))
+    assert diword_key(Diword((0, 1), 1)) == diword_key(Diword((0, 1), 1))
 
 
 def test_products_place_the_center():

@@ -13,25 +13,24 @@ from itertools import product
 
 import pytest
 
-from shirshov.anticomm import (AcCdReport, AcDegreeLine, AcPolynomial,
-                               _normal_by_degree, _occurrence_paths,
-                               ac_compositions, ac_gsb_check_bounded,
-                               ac_irr_words, ac_key, ac_mul, ac_normal_form,
-                               ac_size, hall_gsb, hall_words, normal_words)
+from shirshov.anticomm import (AcPolynomial, _normal_by_degree,
+                               _occurrence_paths, ac_compositions,
+                               ac_gsb_check_bounded, ac_irr_words, ac_key,
+                               ac_mul, ac_normal_form, ac_size, hall_gsb,
+                               hall_words, normal_words)
 from shirshov.catalog import chinese_gsb
-from shirshov.core import (Alphabet, DegLexOrder, Polynomial, VectorSpan,
-                           deglex_key, graded_span)
-from shirshov.dialgebra import (DiCdReport, DiDegreeLine, DiPolynomial,
-                                _context_image, _occurrences, _prep,
-                                all_diwords, di_gsb_check_bounded, di_irr,
-                                diword_key, leibniz_dim2,
+from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
+                           DegreeLine, Polynomial, VectorSpan, deglex_key,
+                           graded_span)
+from shirshov.dialgebra import (DiPolynomial, _context_image, _occurrences,
+                                _prep, all_diwords, di_gsb_check_bounded,
+                                di_irr, diword_key, leibniz_dim2,
                                 leibniz_enveloping)
-from shirshov.freemodule import (ModuleCdReport, ModuleDegreeLine, act,
-                                 module_cd_check, module_irr,
+from shirshov.freemodule import (act, module_cd_check, module_irr,
                                  module_is_gsb, module_reducible, mword_key,
                                  random_module_set)
-from shirshov.gsb import (CdReport, DegreeLine, _sample_ideal_element,
-                          all_compositions, cd_lemma_check, is_trivial)
+from shirshov.gsb import (_sample_ideal_element, all_compositions,
+                          cd_lemma_check, is_trivial)
 from shirshov.rewrite import (RewriteSystem, ideal_span, irr_words,
                               reducible)
 
@@ -154,8 +153,8 @@ def reference_cd(system, max_deg, samples=20, seed=0):
         lambda d: sum(n ** k for k in range(d + 1)),
         lambda d: len(irr_words(system, d)),
         lambda d: reference_ideal_span(system, d).rank)
-    return CdReport(max_deg, not failing, failing, not bad, tuple(bad),
-                    all(line.ok for line in table), table)
+    return BoundedReport(max_deg, not failing, failing, not bad,
+                         tuple(bad), all(line.ok for line in table), table)
 
 
 def reference_di(S, n, max_len):
@@ -164,12 +163,12 @@ def reference_di(S, n, max_len):
     bad = tuple(m for m in span.pivots()
                 if not any(_occurrences(m, e) for e in entries))
     table = reference_table(
-        DiDegreeLine, range(1, max_len + 1),
+        DegreeLine, range(1, max_len + 1),
         lambda d: sum(k * n ** k for k in range(1, d + 1)),
         lambda d: len(di_irr(S, n, d)),
         lambda d: reference_di_span(S, n, d).rank)
-    return DiCdReport(max_len, not bad, bad,
-                      all(line.ok for line in table), table)
+    return BoundedReport(max_len, None, None, not bad, bad,
+                         all(line.ok for line in table), table)
 
 
 def reference_module(S, nx, ny, max_len):
@@ -177,12 +176,12 @@ def reference_module(S, nx, ny, max_len):
     span = reference_module_span(S, nx, max_len)
     bad = tuple(mw for mw in span.pivots() if not module_reducible(mw, S))
     table = reference_table(
-        ModuleDegreeLine, range(max_len + 1),
+        DegreeLine, range(max_len + 1),
         lambda d: ny * sum(nx ** k for k in range(d + 1)),
         lambda d: len(module_irr(S, nx, ny, d)),
         lambda d: reference_module_span(S, nx, d).rank)
-    return ModuleCdReport(max_len, report.holds, report.failing, not bad,
-                          bad, all(line.ok for line in table), table)
+    return BoundedReport(max_len, report.holds, report.failing, not bad,
+                         bad, all(line.ok for line in table), table)
 
 
 def reference_ac(S, n, max_deg):
@@ -194,12 +193,12 @@ def reference_ac(S, n, max_deg):
     bad = tuple(t for t in span.pivots()
                 if not any(_occurrence_paths(t, lw) for lw in leads))
     table = reference_table(
-        AcDegreeLine, range(1, max_deg + 1),
+        DegreeLine, range(1, max_deg + 1),
         lambda d: sum(len(_normal_by_degree(n, k)) for k in range(1, d + 1)),
         lambda d: len(ac_irr_words(S, n, d)),
         lambda d: reference_ac_span(S, n, d).rank)
-    return AcCdReport(max_deg, not failing, failing, not bad, bad,
-                      all(line.ok for line in table), table)
+    return BoundedReport(max_deg, not failing, failing, not bad, bad,
+                         all(line.ok for line in table), table)
 
 
 # -- inputs -------------------------------------------------------------
