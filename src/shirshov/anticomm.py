@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import (Terms, bounded_report, check_bound, check_monic,
-                   composition_report, graded_span)
+from .core import Structure, Terms
 
 
 def ac_size(t):
@@ -51,14 +50,6 @@ class AcPolynomial(Terms):
     __slots__ = ()
     _key = staticmethod(ac_key)
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def monomial(cls, t, coeff=1):
-        return cls({t: coeff})
-
 
 def _lift(x):
     if isinstance(x, AcPolynomial):
@@ -83,15 +74,21 @@ def ac_mul(u, v):
 
 
 @lru_cache(maxsize=None)
-def _normal_by_degree(n_letters, degree):
+def _normal_by_degree(n_letters, degree, hall=False):
+    # The normal tree-words of one size, ascending; with hall, only the
+    # Hall words among them.
     if degree == 1:
         return tuple(range(n_letters))
     out = []
     for ls in range(1, degree):
-        for left in _normal_by_degree(n_letters, ls):
-            for right in _normal_by_degree(n_letters, degree - ls):
-                if ac_key(left) > ac_key(right):
-                    out.append((left, right))
+        for left in _normal_by_degree(n_letters, ls, hall):
+            for right in _normal_by_degree(n_letters, degree - ls, hall):
+                if ac_key(left) <= ac_key(right):
+                    continue
+                if hall and not isinstance(left, int) and \
+                        ac_key(left[1]) > ac_key(right):
+                    continue
+                out.append((left, right))
     return tuple(sorted(out, key=ac_key))
 
 
@@ -103,23 +100,6 @@ def normal_words(n_letters, max_deg):
     return out
 
 
-@lru_cache(maxsize=None)
-def _hall_by_degree(n_letters, degree):
-    if degree == 1:
-        return tuple(range(n_letters))
-    out = []
-    for ls in range(1, degree):
-        for left in _hall_by_degree(n_letters, ls):
-            for right in _hall_by_degree(n_letters, degree - ls):
-                if ac_key(left) <= ac_key(right):
-                    continue
-                if not isinstance(left, int) and \
-                        ac_key(left[1]) > ac_key(right):
-                    continue
-                out.append((left, right))
-    return tuple(sorted(out, key=ac_key))
-
-
 def hall_words(n_letters, max_deg):
     """Hall tree-words of size <= max_deg, ascending: normal words where
     additionally every left factor [u1 u2] satisfies u2 <= the sibling on
@@ -128,7 +108,7 @@ def hall_words(n_letters, max_deg):
         raise ValueError("max_deg must be >= 1")
     out = []
     for d in range(1, max_deg + 1):
-        out.extend(_hall_by_degree(n_letters, d))
+        out.extend(_normal_by_degree(n_letters, d, True))
     return out
 
 
@@ -195,97 +175,79 @@ def ac_compositions(f, g):
     return out
 
 
-def ac_reducible(t, S):
-    return any(_occurrence_paths(t, s.leading_monomial()) for s in S)
+class AntiCommutative(Structure):
+    """Monic relations in the free anti-commutative algebra on n_letters
+    letters.
 
+    Deterministic strategy: the first relation whose leading word occurs
+    as a subtree, at its preorder-first path.  The degree of a tree-word
+    is its size.
+    """
 
-def ac_reduce_step(p, S):
-    """One deterministic rewrite, or None: greatest reducible monomial,
-    first element with an occurrence, its preorder-first path."""
-    for mono in sorted(p.terms, key=ac_key, reverse=True):
-        for s in S:
-            paths = _occurrence_paths(mono, s.leading_monomial())
+    elem = AcPolynomial
+    low = 1
+    degree = staticmethod(ac_size)
+    compositions = staticmethod(ac_compositions)
+
+    def __init__(self, relations, n_letters=0):
+        super().__init__(relations)
+        self.n = n_letters
+
+    def monomials(self, d):
+        return _normal_by_degree(self.n, d)
+
+    def find(self, t):
+        for i, lw in enumerate(self.leads):
+            paths = _occurrence_paths(t, lw)
             if paths:
-                step = _substitute(mono, paths[0], s)
-                return p - step.scale(p.coeff(mono))
-    return None
+                return i, paths[0]
+        return None
+
+    def image(self, t, occ):
+        i, path = occ
+        return _substitute(t, path, self.relations[i])
+
+    def rows(self, max_deg):
+        """(d, vec) for every nonzero chain product of ambient size
+        d <= max_deg, level by level: a level is yielded in full, and its
+        right products by normal words go to the higher levels, before
+        the next level starts.
+
+        Every ideal element is a combination of multiplication chains
+        applied to a single generator, and anti-commutativity makes
+        one-sided chains span both sides, so right-multiplying by normal
+        words up to the size budget enumerates a spanning set.
+        """
+        levels = {}
+        for s, lw in zip(self.relations, self.leads):
+            if ac_size(lw) <= max_deg:
+                levels.setdefault(ac_size(lw), []).append(s)
+        for ambient in range(1, max_deg + 1):
+            for p in levels.pop(ambient, ()):
+                yield ambient, p.terms
+                for d in range(1, max_deg - ambient + 1):
+                    for m in _normal_by_degree(self.n, d):
+                        prod = ac_mul(p, m)
+                        if prod:
+                            levels.setdefault(ambient + d, []).append(prod)
 
 
 def ac_normal_form(p, S):
     """Fully reduced representative of p modulo monic relations S.
     Substituted monomials are strictly smaller, so this terminates."""
-    check_monic(S, AcPolynomial)
-    while True:
-        nxt = ac_reduce_step(p, S)
-        if nxt is None:
-            return p
-        p = nxt
+    return AntiCommutative(S).normal_form(p)
 
 
 def ac_irr_words(S, n_letters, max_deg):
     """Normal words of size <= max_deg containing no leading word of S as
     a subtree, ascending."""
-    check_monic(S, AcPolynomial)
-    leads = [s.leading_monomial() for s in S]
-    return [t for t in normal_words(n_letters, max_deg)
-            if not any(_occurrence_paths(t, l) for l in leads)]
-
-
-def _ac_rows(S, n_letters, max_deg):
-    # (d, vec) for every nonzero chain product of ambient size d, level by
-    # level: a level is yielded in full, and its right products by normal
-    # words go to the higher levels, before the next level starts.
-    levels = {}
-    for s in S:
-        size = ac_size(s.leading_monomial())
-        if size <= max_deg:
-            levels.setdefault(size, []).append(s)
-    for ambient in range(1, max_deg + 1):
-        for p in levels.pop(ambient, ()):
-            yield ambient, p.terms
-            for d in range(1, max_deg - ambient + 1):
-                for m in _normal_by_degree(n_letters, d):
-                    prod = ac_mul(p, m)
-                    if prod:
-                        levels.setdefault(ambient + d, []).append(prod)
-
-
-def ac_ideal_span(S, n_letters, max_deg):
-    """Bounded row space of the ideal generated by S.
-
-    Every ideal element is a combination of multiplication chains applied
-    to a single generator, and anti-commutativity makes one-sided chains
-    span both sides, so right-multiplying by normal words up to the size
-    budget enumerates a spanning set.  Rows go in by ascending ambient
-    size; ranks[d] is the rank of the span at bound d, for
-    1 <= d <= max_deg.
-    """
-    check_monic(S, AcPolynomial)
-    return graded_span(_ac_rows(S, n_letters, max_deg), ac_key,
-                       range(1, max_deg + 1))
+    return AntiCommutative(S, n_letters).irreducible(max_deg)
 
 
 def ac_gsb_check_bounded(S, n_letters, max_deg):
-    """Bounded three-condition report for a set of monic relations:
-    compositions with ambient size within the bound reduce to zero;
-    leading words of the bounded ideal span are reducible; irreducible
-    plus rank matches the normal-word count, cumulative per degree.
-
-    One span is built at max_deg, its rows in ascending ambient size, and
-    gives both the pivots and the rank per size; the irreducible words are
-    enumerated once and counted cumulatively per size.  Raises when the
-    bound cannot hold some element's leading word.
-    """
-    check_monic(S, AcPolynomial)
-    leads = [s.leading_monomial() for s in S]
-    check_bound(max_deg, [ac_size(lw) for lw in leads])
-    failing = composition_report(S, ac_compositions, ac_normal_form).failing
-    span = ac_ideal_span(S, n_letters, max_deg)
-    bad = [t for t in span.pivots()
-           if not any(_occurrence_paths(t, lw) for lw in leads)]
-    return bounded_report(max_deg, failing, bad, span.ranks,
-                          map(ac_size, ac_irr_words(S, n_letters, max_deg)),
-                          lambda d: len(_normal_by_degree(n_letters, d)))
+    """Bounded three-condition report for a set of monic relations, per
+    size, as Structure.bounded_check gives it."""
+    return AntiCommutative(S, n_letters).bounded_check(max_deg)
 
 
 def ac_flatten(t):

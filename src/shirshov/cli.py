@@ -18,7 +18,7 @@ from fractions import Fraction
 from .anticomm import (AcPolynomial, ac_gsb_check_bounded, ac_irr_words,
                        ac_mul, ac_normal_form, ac_size)
 from .catalog import chinese_gsb, tensor_relations
-from .core import Alphabet, DegLexOrder, Polynomial
+from .core import Alphabet, DegLexOrder, Polynomial, check_bound
 from .dialgebra import (DiPolynomial, Diword, LeibnizAlgebra,
                         di_gsb_check_bounded, di_irr, di_reduce,
                         leibniz_enveloping)
@@ -554,6 +554,8 @@ def _check(pfile, head, max_deg):
     # max_deg, by default one above the longest leading monomial.
     spec = _SPECS[pfile.kind]
     lines = [head, "elements: %d" % len(pfile.relations)]
+    if max_deg is not None:
+        check_bound(max_deg, ())
     if spec.exact is not None:
         rep = spec.exact(pfile)
         return _verdict(lines + ["checked: %d" % rep.checked,
@@ -615,12 +617,27 @@ def cmd_cdcheck(args):
 
 
 def cmd_catalog(args):
-    if args.preset == "chinese":
-        system = chinese_gsb(args.rank)
-        label = "chinese rank=%d" % args.rank
+    chinese = args.preset == "chinese"
+    for unused, msg in (
+            (args.rank is not None and not chinese,
+             "--rank applies to the chinese preset only"),
+            ((args.nx, args.ny) != (None, None) and chinese,
+             "--nx and --ny apply to the tensor preset only"),
+            (args.irr is not None and args.cdcheck is not None,
+             "--irr and --cdcheck exclude each other"),
+            (args.count_only and args.irr is None,
+             "--count-only needs --irr")):
+        if unused:
+            raise ValueError(msg)
+    if chinese:
+        rank = 2 if args.rank is None else args.rank
+        system = chinese_gsb(rank)
+        label = "chinese rank=%d" % rank
     else:
-        system = tensor_relations(args.nx, args.ny)
-        label = "tensor nx=%d ny=%d" % (args.nx, args.ny)
+        nx = 1 if args.nx is None else args.nx
+        ny = 1 if args.ny is None else args.ny
+        system = tensor_relations(nx, ny)
+        label = "tensor nx=%d ny=%d" % (nx, ny)
     pfile = PresentationFile(kind="assoc", alphabet=system.order.alphabet,
                              mgens=(), leibniz=None,
                              relations=list(system.elements))
@@ -671,10 +688,10 @@ def build_parser():
 
     p = sub.add_parser("catalog", help="run a built-in presentation")
     p.add_argument("preset", choices=("chinese", "tensor"))
-    p.add_argument("--rank", type=int, default=2,
+    p.add_argument("--rank", type=int, default=None,
                    help="generator count for the chinese preset")
-    p.add_argument("--nx", type=int, default=1)
-    p.add_argument("--ny", type=int, default=1)
+    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--ny", type=int, default=None)
     p.add_argument("--cdcheck", type=int, default=None, metavar="N")
     p.add_argument("--irr", type=int, default=None, metavar="N")
     p.add_argument("--count-only", action="store_true")

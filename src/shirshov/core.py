@@ -1,7 +1,8 @@
 """Exact arithmetic core: ordered alphabets, words as rank tuples, the
 degree-lexicographic order, noncommutative polynomials over the rationals,
-sparse exact Gaussian elimination, and the bounded three-condition report
-that every structure fills in.
+sparse exact Gaussian elimination, the bounded three-condition report that
+every structure fills in, and the rewriting engine that the dialgebra,
+module and anti-commutative structures share.
 
 Words are tuples of generator ranks; () is the monoid identity.  All
 coefficients are fractions.Fraction, never floats.
@@ -80,9 +81,7 @@ class DegLexOrder:
     """
 
     alphabet: Alphabet
-
-    def key(self, w):
-        return (len(w), w)
+    key = staticmethod(deglex_key)
 
 
 class Terms:
@@ -91,6 +90,14 @@ class Terms:
 
     __slots__ = ("terms",)
     _key = staticmethod(deglex_key)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def monomial(cls, m, coeff=1):
+        return cls({m: coeff})
 
     def __init__(self, items=()):
         if hasattr(items, "items"):
@@ -206,10 +213,6 @@ class Polynomial(Terms):
 
     __slots__ = ()
     _key = staticmethod(deglex_key)
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def monomial(cls, word, coeff=1):
@@ -357,7 +360,7 @@ def composition_report(S, compositions, normal_form):
         for g in S:
             for w, result in compositions(f, g):
                 checked += 1
-                if normal_form(result, S):
+                if normal_form(result):
                     failing.append((w, result))
     return GsbReport(holds=not failing, checked=checked,
                      failing=tuple(failing))
@@ -435,3 +438,79 @@ def bounded_report(max_deg, failing, bad, ranks, irr_degrees, totals):
         failing=None if failing is None else tuple(failing),
         leading_ok=not bad, bad_leadings=bad,
         counts_ok=all(line.ok for line in table), table=tuple(table))
+
+
+def rewrite(p, find, image):
+    """Fixed point of rewriting p by leading monomials.
+
+    find(m) returns an occurrence of a leading monomial in the monomial m,
+    or None; image(m, occ) is the ideal element the occurrence gives, with
+    coefficient 1 at m and smaller monomials elsewhere.  Each pass takes
+    the key-greatest monomial of p with an occurrence and subtracts its
+    coefficient times its image.  A pass replaces a monomial by smaller
+    ones, so the loop ends, and no monomial of the result has an
+    occurrence.
+    """
+    key = type(p)._key
+    while True:
+        for m in sorted(p.terms, key=key, reverse=True):
+            occ = find(m)
+            if occ is not None:
+                break
+        else:
+            return p
+        p = p - image(m, occ).scale(p.terms[m])
+
+
+class Structure:
+    """Monic relations in a free structure, rewritten by `rewrite`.
+
+    A subclass names its element class `elem` and the least degree `low`
+    of a monomial, and supplies degree(m); monomials(d), ascending;
+    find(m), which fixes the strategy and builds no image, and image(m,
+    occ); rows(max_deg), the bounded ideal rows as graded_span takes
+    them; and compositions(f, g), or None when none are examined.
+    """
+
+    elem = Terms
+    low = 0
+    compositions = None
+
+    def __init__(self, relations):
+        self.relations = list(relations)
+        check_monic(self.relations, self.elem)
+        self.leads = [s.leading_monomial() for s in self.relations]
+
+    def normal_form(self, p):
+        return rewrite(p, self.find, self.image)
+
+    def irreducible(self, max_deg):
+        """Monomials of degree <= max_deg with no occurrence, ascending."""
+        return [m for d in range(self.low, max_deg + 1)
+                for m in self.monomials(d) if self.find(m) is None]
+
+    def is_gsb(self):
+        """Every composition of every ordered pair reduces to 0."""
+        return composition_report(self.relations, self.compositions,
+                                  self.normal_form)
+
+    def span(self, max_deg):
+        """One span of the rows up to max_deg; ranks[d] is its rank at
+        bound d, for low <= d <= max_deg."""
+        return graded_span(self.rows(max_deg), self.elem._key,
+                           range(self.low, max_deg + 1))
+
+    def bounded_check(self, max_deg):
+        """Bounded report: the compositions, where examined, reduce to 0;
+        every pivot of the span at max_deg has an occurrence; irreducible
+        count plus span rank matches the monomial count per degree,
+        cumulatively.  Raises when the bound cannot hold some relation's
+        leading monomial."""
+        check_bound(max_deg, map(self.degree, self.leads))
+        failing = None if self.compositions is None else \
+            self.is_gsb().failing
+        span = self.span(max_deg)
+        bad = [m for m in span.pivots() if self.find(m) is None]
+        return bounded_report(max_deg, failing, bad, span.ranks,
+                              map(self.degree, self.irreducible(max_deg)),
+                              lambda d: len(self.monomials(d)))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import (Polynomial, Terms, VectorSpan, bounded_report,
-                   check_bound, check_monic, graded_span)
+from .core import Polynomial, Structure, Terms, VectorSpan
 
 _ZERO = Fraction(0)
 
@@ -50,14 +49,6 @@ class DiPolynomial(Terms):
 
     __slots__ = ()
     _key = staticmethod(diword_key)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def monomial(cls, dw, coeff=1):
-        return cls({dw: coeff})
 
 
 def _di_left(u, v):
@@ -128,8 +119,7 @@ class _Entry:
 
 
 def _prep(S):
-    check_monic(S, DiPolynomial)
-    return [_Entry(p) for p in S]
+    return Dialgebra(S).entries
 
 
 def _occurrences(m, entry):
@@ -175,120 +165,93 @@ def _context_image(entry, a, b, center_inside, ambient_center=None):
     return DiPolynomial(items)
 
 
-def _step_image(m, entry, pos, center_inside):
-    """Image of a * s * b for the occurrence of the entry at pos in m,
-    scaled so the occurrence monomial has coefficient 1."""
-    ls = entry.lead.letters
-    a, b = m.letters[:pos], m.letters[pos + len(ls):]
-    if center_inside:
-        return _context_image(entry, a, b, True)
-    if m.center < pos:
-        q = m.center
-        image = _context_image(entry, a, b, False, lambda n: q)
-    else:
-        r = m.center - pos - len(ls)
-        image = _context_image(entry, a, b, False,
-                               lambda n: len(a) + n + r)
-    return image.scale(1 / entry.flat_lead_coeff)
+class Dialgebra(Structure):
+    """Monic relations in the free dialgebra on n_letters letters.
+
+    Deterministic strategy: the first relation with a compatible
+    occurrence, at its leftmost position.  The degree of a diword is its
+    length.
+    """
+
+    elem = DiPolynomial
+    low = 1
+    degree = staticmethod(len)
+
+    def __init__(self, relations, n_letters=0):
+        super().__init__(relations)
+        self.n = n_letters
+        self.entries = [_Entry(p) for p in self.relations]
+
+    def monomials(self, d):
+        return sorted(all_diwords(self.n, d), key=diword_key)
+
+    def find(self, m):
+        for entry in self.entries:
+            occ = _occurrences(m, entry)
+            if occ:
+                return (entry,) + occ[0]
+        return None
+
+    def image(self, m, occ):
+        # a * s * b, scaled so the occurrence monomial has coefficient 1;
+        # a center in a keeps its position, one in b its distance from the
+        # right end
+        entry, pos, center_inside = occ
+        ls = entry.lead.letters
+        a, b = m.letters[:pos], m.letters[pos + len(ls):]
+        if center_inside:
+            return _context_image(entry, a, b, True)
+        c = m.center
+        at = (lambda n: c) if c < pos else (lambda n: c - len(ls) + n)
+        return _context_image(entry, a, b, False, at).scale(
+            1 / entry.flat_lead_coeff)
+
+    def rows(self, max_len):
+        """(d, vec) for every product a * s * b of ambient length
+        d = |a| + |lead(s)| + |b| <= max_len, over all center placements.
+
+        Ascending in d, then by element, |a|, a and b; per product the
+        center inside the occurrence first, then inside a, then inside b.
+        Products of elements whose center-forgetting image degenerates are
+        included too: they are ideal members even though the reducer
+        cannot use them.
+        """
+        for d in range(1, max_len + 1):
+            for entry in self.entries:
+                room = d - len(entry.lead.letters)
+                if room < 0:
+                    continue
+                for la in range(room + 1):
+                    lb = room - la
+                    for a in product(range(self.n), repeat=la):
+                        for b in product(range(self.n), repeat=lb):
+                            yield d, _context_image(entry, a, b, True).terms
+                            for q in range(la):
+                                yield d, _context_image(
+                                    entry, a, b, False, lambda n: q).terms
+                            for r in range(lb):
+                                yield d, _context_image(
+                                    entry, a, b, False,
+                                    lambda n: la + n + r).terms
 
 
 def di_reduce(p, S):
-    """Fixed point of rewriting p modulo the monic relations S.
-
-    Deterministic strategy: the greatest reducible monomial, the first
-    relation with a compatible occurrence, its leftmost occurrence.
-    Every step replaces a monomial by strictly smaller ones, so the loop
-    terminates; the result has no compatible occurrence left.
-    """
-    entries = _prep(S)
-    while True:
-        target = None
-        for m in sorted(p.terms, key=diword_key, reverse=True):
-            for entry in entries:
-                occ = _occurrences(m, entry)
-                if occ:
-                    pos, inside = occ[0]
-                    target = (m, entry, pos, inside)
-                    break
-            if target:
-                break
-        if target is None:
-            return p
-        m, entry, pos, inside = target
-        image = _step_image(m, entry, pos, inside)
-        p = p - image.scale(p.coeff(m))
+    """Fixed point of rewriting p modulo the monic relations S, by the
+    strategy of Dialgebra; the result has no compatible occurrence."""
+    return Dialgebra(S).normal_form(p)
 
 
 def di_irr(S, n_letters, max_len):
     """Diwords of length <= max_len with no compatible occurrence,
     ascending in the weight order."""
-    entries = _prep(S)
-    out = []
-    for length in range(1, max_len + 1):
-        for m in all_diwords(n_letters, length):
-            if not any(_occurrences(m, e) for e in entries):
-                out.append(m)
-    out.sort(key=diword_key)
-    return out
-
-
-def _di_rows(entries, n_letters, max_len):
-    # (d, vec) for every product a * s * b of ambient length d, ascending
-    # in d, then by element, |a|, a and b; per product the center inside
-    # the occurrence first, then inside a, then inside b.
-    for d in range(1, max_len + 1):
-        for entry in entries:
-            room = d - len(entry.lead.letters)
-            if room < 0:
-                continue
-            for la in range(room + 1):
-                lb = room - la
-                for a in product(range(n_letters), repeat=la):
-                    for b in product(range(n_letters), repeat=lb):
-                        yield d, _context_image(entry, a, b, True).terms
-                        for q in range(la):
-                            yield d, _context_image(
-                                entry, a, b, False, lambda n: q).terms
-                        for r in range(lb):
-                            yield d, _context_image(
-                                entry, a, b, False,
-                                lambda n: la + n + r).terms
-
-
-def di_ideal_span(S, n_letters, max_len):
-    """Row space of every product a * s * b whose ambient length
-    |a| + |lead(s)| + |b| stays within max_len, over all center
-    placements: inside the occurrence, inside a, or inside b.
-
-    Products of elements whose center-forgetting image degenerates are
-    included too; they are ideal members even though the reducer cannot
-    use them.  Rows go in by ascending ambient length; ranks[d] is the
-    rank of the span at bound d, for 1 <= d <= max_len.
-    """
-    return graded_span(_di_rows(_prep(S), n_letters, max_len), diword_key,
-                       range(1, max_len + 1))
+    return Dialgebra(S, n_letters).irreducible(max_len)
 
 
 def di_gsb_check_bounded(S, n_letters, max_len):
-    """Bounded report of conditions (ii) and (iii) for a set of monic
-    relations: every leading diword of the bounded ideal span is
-    reducible, and the irreducible count plus the span rank matches the
-    diword count, cumulative per length.  Compositions are not examined,
-    so gsb_ok and failing are None.
-
-    One span is built at max_len, its rows in ascending ambient length,
-    and gives both the pivots and the rank per length; the irreducible
-    diwords are enumerated once and counted cumulatively per length.
-    Raises when the bound cannot even hold one relation's leading diword.
-    """
-    entries = _prep(S)
-    check_bound(max_len, [len(e.lead) for e in entries])
-    span = di_ideal_span(S, n_letters, max_len)
-    bad = [m for m in span.pivots()
-           if not any(_occurrences(m, e) for e in entries)]
-    return bounded_report(max_len, None, bad, span.ranks,
-                          map(len, di_irr(S, n_letters, max_len)),
-                          lambda d: d * n_letters ** d)
+    """Bounded report of conditions (ii) and (iii) per length, as
+    Structure.bounded_check gives it.  Compositions are not examined, so
+    gsb_ok and failing are None."""
+    return Dialgebra(S, n_letters).bounded_check(max_len)
 
 
 @dataclass(frozen=True)
@@ -326,16 +289,22 @@ class LeibnizAlgebra:
         return out
 
 
+def _add_scaled(acc, vec, c):
+    """acc + c * vec on coordinate dicts, in place, dropping zeros."""
+    for k, v in vec.items():
+        nv = acc.get(k, _ZERO) + c * v
+        if nv:
+            acc[k] = nv
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 def _bracket_vec(L, vec, j):
     """{v, e_j} for a coordinate dict v, by linearity in the left slot."""
     out = {}
     for i, ci in vec.items():
-        for k, c in L.bracket_of(i, j).items():
-            nv = out.get(k, _ZERO) + ci * c
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+        _add_scaled(out, L.bracket_of(i, j), ci)
     return out
 
 
@@ -345,19 +314,9 @@ def leibniz_check(L):
     for x in range(L.dim):
         for y in range(L.dim):
             for z in range(L.dim):
-                acc = dict(_bracket_vec(L, L.bracket_of(x, y), z))
-                for k, c in _bracket_vec(L, L.bracket_of(x, z), y).items():
-                    nv = acc.get(k, _ZERO) - c
-                    if nv:
-                        acc[k] = nv
-                    else:
-                        acc.pop(k, None)
-                for k, c in _bracket_vec(L, L.bracket_of(y, z), x).items():
-                    nv = acc.get(k, _ZERO) - c
-                    if nv:
-                        acc[k] = nv
-                    else:
-                        acc.pop(k, None)
+                acc = _bracket_vec(L, L.bracket_of(x, y), z)
+                _add_scaled(acc, _bracket_vec(L, L.bracket_of(x, z), y), -1)
+                _add_scaled(acc, _bracket_vec(L, L.bracket_of(y, z), x), -1)
                 if acc:
                     return False
     return True
@@ -376,14 +335,8 @@ def leibniz_i0(L):
         span.insert({k: Fraction(c)
                      for k, c in L.bracket_of(i, i).items()})
         for j in range(i + 1, L.dim):
-            acc = dict(L.bracket_of(i, j))
-            for k, c in L.bracket_of(j, i).items():
-                nv = acc.get(k, _ZERO) + c
-                if nv:
-                    acc[k] = nv
-                else:
-                    acc.pop(k, None)
-            span.insert(acc)
+            span.insert(_add_scaled(L.bracket_of(i, j), L.bracket_of(j, i),
+                                    1))
     indices = set()
     for pivot, row in span.rows.items():
         if set(row) != {pivot}:

@@ -6,10 +6,10 @@ right-justified composition shape drives the basis theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
-from .core import (Polynomial, Terms, bounded_report, check_bound,
-                   check_monic, composition_report, graded_span)
+from .core import Polynomial, Structure, Terms, rewrite
 from .rewrite import RewriteSystem, find_factor
 
 
@@ -33,14 +33,6 @@ class ModuleElement(Terms):
 
     __slots__ = ()
     _key = staticmethod(mword_key)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def monomial(cls, mw, coeff=1):
-        return cls({mw: coeff})
 
 
 def act(p, m):
@@ -70,114 +62,90 @@ def module_compositions(f, g):
     return [(lf, f - act(Polynomial.monomial(a), g))]
 
 
-def module_reduce_step(m, S):
-    """One deterministic rewrite, or None when m is irreducible.
+# Cached: a bounded check reads each degree twice, to filter and to count.
+@lru_cache(maxsize=None)
+def _module_words(nx, ny, length):
+    return tuple(ModuleWord(u, y) for u in product(range(nx), repeat=length)
+                 for y in range(ny))
 
-    Greatest reducible monomial first; the applicable leading word is
-    chosen greatest, ties to the earliest element.
+
+class FreeModule(Structure):
+    """Monic relations in the free module on nx letters and ny module
+    generators.
+
+    Deterministic strategy: the greatest leading word that is a suffix,
+    ties to the earliest element.  Suffixes of one word with the same
+    generator differ in length, so the longest leading suffix wins.  The
+    degree of a module word is the length of its u-part.
     """
-    for mono in sorted(m.terms, key=mword_key, reverse=True):
-        best = None
-        for idx, s in enumerate(S):
-            ls = s.leading_monomial()
-            if ls.y != mono.y or len(ls.u) > len(mono.u):
-                continue
-            cut = len(mono.u) - len(ls.u)
-            if mono.u[cut:] != ls.u:
-                continue
-            cand = (mword_key(ls), -idx)
-            if best is None or cand > best[0]:
-                best = (cand, idx, cut)
-        if best is None:
-            continue
-        _, idx, cut = best
-        s = S[idx]
-        step = act(Polynomial.monomial(mono.u[:cut]), s)
-        return m - step.scale(m.coeff(mono))
-    return None
+
+    elem = ModuleElement
+    compositions = staticmethod(module_compositions)
+
+    def __init__(self, relations, nx=0, ny=0):
+        super().__init__(relations)
+        self.nx, self.ny = nx, ny
+        self.index = {}
+        for i, lw in enumerate(self.leads):
+            self.index.setdefault((lw.u, lw.y), i)
+        self.lengths = sorted({len(lw.u) for lw in self.leads},
+                              reverse=True)
+
+    @staticmethod
+    def degree(mw):
+        return len(mw.u)
+
+    def monomials(self, d):
+        return _module_words(self.nx, self.ny, d)
+
+    def find(self, mw):
+        n = len(mw.u)
+        for length in self.lengths:
+            if length <= n:
+                i = self.index.get((mw.u[n - length:], mw.y))
+                if i is not None:
+                    return i, n - length
+        return None
+
+    def image(self, mw, occ):
+        i, cut = occ
+        return act(Polynomial.monomial(mw.u[:cut]), self.relations[i])
+
+    def rows(self, max_len):
+        """(d, vec) for every product a.s with d = |a| + |lead(s) u-part|
+        <= max_len, ascending in d, then by element, then a."""
+        for d in range(max_len + 1):
+            for s, lw in zip(self.relations, self.leads):
+                la = d - len(lw.u)
+                if la < 0:
+                    continue
+                for a in product(range(self.nx), repeat=la):
+                    yield d, act(Polynomial.monomial(a), s).terms
 
 
 def module_normal_form(m, S):
     """Fully reduced representative of m modulo S."""
-    check_monic(S, ModuleElement)
-    while True:
-        nxt = module_reduce_step(m, S)
-        if nxt is None:
-            return m
-        m = nxt
+    return FreeModule(S).normal_form(m)
 
 
 def module_reducible(mw, S):
-    for s in S:
-        ls = s.leading_monomial()
-        if ls.y != mw.y or len(ls.u) > len(mw.u):
-            continue
-        if mw.u[len(mw.u) - len(ls.u):] == ls.u:
-            return True
-    return False
+    return FreeModule(S).find(mw) is not None
 
 
 def module_is_gsb(S):
     """Check that every composition of every ordered pair reduces to 0."""
-    check_monic(S, ModuleElement)
-    return composition_report(S, module_compositions, module_normal_form)
+    return FreeModule(S).is_gsb()
 
 
 def module_irr(S, nx, ny, max_len):
     """Irreducible module words with |u| <= max_len, ascending."""
-    out = []
-    for l in range(max_len + 1):
-        for u in product(range(nx), repeat=l):
-            for y in range(ny):
-                mw = ModuleWord(u, y)
-                if not module_reducible(mw, S):
-                    out.append(mw)
-    out.sort(key=mword_key)
-    return out
-
-
-def _module_rows(S, nx, max_len):
-    # (d, vec) for every product a.s with d = |a| + |lead(s) u-part|,
-    # ascending in d, then by element, then a.
-    for d in range(max_len + 1):
-        for s in S:
-            la = d - len(s.leading_monomial().u)
-            if la < 0:
-                continue
-            for a in product(range(nx), repeat=la):
-                yield d, act(Polynomial.monomial(a), s).terms
-
-
-def module_ideal_span(S, nx, max_len):
-    """Row space of the products a.s with |a| + |lead(s) u-part| bounded.
-
-    Rows go in by ascending ambient u-length; ranks[d] is the rank of the
-    span at bound d, for 0 <= d <= max_len.
-    """
-    return graded_span(_module_rows(S, nx, max_len), mword_key,
-                       range(max_len + 1))
+    return FreeModule(S, nx, ny).irreducible(max_len)
 
 
 def module_cd_check(S, nx, ny, max_len):
-    """Bounded report of the three equivalent conditions: (i) all
-    compositions trivial, (ii) every leading module word of the bounded
-    submodule span is reducible, (iii) irreducible count plus span rank
-    matches the word count, cumulative per u-length.
-
-    One span is built at max_len, its rows in ascending ambient u-length,
-    and gives both the pivots and the rank per u-length; the irreducible
-    module words are enumerated once and counted cumulatively.  The bound
-    must reach every element's leading u-length, else raises.
-    """
-    check_monic(S, ModuleElement)
-    check_bound(max_len, [len(s.leading_monomial().u) for s in S])
-    failing = module_is_gsb(S).failing
-    span = module_ideal_span(S, nx, max_len)
-    bad = [mw for mw in span.pivots() if not module_reducible(mw, S)]
-    words = module_irr(S, nx, ny, max_len)
-    return bounded_report(max_len, failing, bad, span.ranks,
-                          (len(mw.u) for mw in words),
-                          lambda d: ny * nx ** d)
+    """Bounded report of the three equivalent conditions, per u-length,
+    as Structure.bounded_check gives it."""
+    return FreeModule(S, nx, ny).bounded_check(max_len)
 
 
 def pair_normal_form(m, algebra, S):
@@ -185,39 +153,33 @@ def pair_normal_form(m, algebra, S):
     rewrite system acting from the left.
 
     Algebra leading words rewrite anywhere inside u-parts, because any
-    product a * s * b * y lies in the submodule generated by the pair.
-    Convenience layer over the two reducers; alternates to a fixed point.
+    product a * s * b * y lies in the submodule generated by the pair:
+    the first leading word with an occurrence, at its leftmost position.
+    Alternates the two rewritings to a fixed point.
     """
     if not isinstance(algebra, RewriteSystem):
         raise TypeError("algebra side must be a RewriteSystem")
-    check_monic(S, ModuleElement)
+    module = FreeModule(S)
+    leads = algebra.leading_words
+
+    def find(mw):
+        for i, lw in enumerate(leads):
+            pos = find_factor(mw.u, lw)
+            if pos is not None:
+                return i, pos
+        return None
+
+    def image(mw, occ):
+        i, pos = occ
+        a, b = mw.u[:pos], mw.u[pos + len(leads[i]):]
+        return ModuleElement([(ModuleWord(a + t + b, mw.y), c)
+                              for t, c in algebra.elements[i].items()])
+
     while True:
-        m2 = module_normal_form(m, S) if S else m
-        m2 = _algebra_reduce(m2, algebra)
+        m2 = rewrite(module.normal_form(m), find, image)
         if m2 == m:
             return m
         m = m2
-
-
-def _algebra_reduce(m, algebra):
-    while True:
-        hit = None
-        for mono in sorted(m.terms, key=mword_key, reverse=True):
-            for idx, lw in enumerate(algebra.leading_words):
-                pos = find_factor(mono.u, lw)
-                if pos is not None:
-                    hit = (mono, idx, pos)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return m
-        mono, idx, pos = hit
-        s = algebra.elements[idx]
-        lw = algebra.leading_words[idx]
-        a, b = mono.u[:pos], mono.u[pos + len(lw):]
-        items = [(ModuleWord(a + t + b, mono.y), c) for t, c in s.items()]
-        m = m - ModuleElement(items).scale(m.coeff(mono))
 
 
 def random_module_set(nx, ny, max_udeg, rng, max_elems=3):

@@ -284,6 +284,27 @@ def test_catalog_command(capsys):
     assert "counts: true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["tensor", "--rank", "5", "--count-only"],
+     "--rank applies to the chinese preset only"),
+    (["tensor", "--rank", "2"], "--rank applies to the chinese preset only"),
+    (["chinese", "--nx", "3", "--irr", "2", "--cdcheck", "3"],
+     "--nx and --ny apply to the tensor preset only"),
+    (["chinese", "--ny", "1"],
+     "--nx and --ny apply to the tensor preset only"),
+    (["chinese", "--irr", "2", "--cdcheck", "3"],
+     "--irr and --cdcheck exclude each other"),
+    (["tensor", "--count-only"], "--count-only needs --irr"),
+    (["chinese", "--cdcheck", "3", "--count-only"],
+     "--count-only needs --irr"),
+])
+def test_catalog_refuses_options_it_would_ignore(capsys, argv, message):
+    assert main(["catalog"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_dialgebra_file_round_trip(tmp_path, capsys):
     # a bracket file expands to enveloping relations; nf uses them
     code = main(["nf", write(tmp_path, LEIBNIZ), "--elem", "a*@a"])
@@ -322,10 +343,11 @@ def test_check_without_relations_defaults_to_bound_one(tmp_path, capsys,
 @pytest.mark.parametrize("kind", sorted(NO_RELATIONS))
 def test_negative_bounds_are_refused_for_every_kind(tmp_path, capsys, kind):
     path = write(tmp_path, NO_RELATIONS[kind])
-    assert main(["cdcheck", path, "--max-deg", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: max_deg must be >= 0\n"
+    for command in ("cdcheck", "check"):
+        assert main([command, path, "--max-deg", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_deg must be >= 0\n"
     assert main(["irr", path, "--max-len", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

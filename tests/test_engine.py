@@ -1,0 +1,330 @@
+"""The shared rewriting engine against the reducers it replaced.
+
+The references below are the per-structure reduction loops as they were
+before the dialgebra, module and anti-commutative reducers moved onto
+`core.rewrite`: each kind kept its own loop and its own choice of
+relation.  On seeded random elements modulo seeded random relation sets,
+closed or not, the engine must give the same normal form down to the
+last Fraction.  A property test then checks, for every kind, that a
+normal form has no monomial the kind's `find` accepts and that reducing
+it again changes nothing.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shirshov.anticomm import (AcPolynomial, AntiCommutative,
+                               _occurrence_paths, _substitute, ac_key,
+                               ac_normal_form, hall_gsb, normal_words)
+from shirshov.core import (Alphabet, DegLexOrder, Polynomial, check_monic,
+                           rewrite)
+from shirshov.dialgebra import (DiPolynomial, Dialgebra, _context_image,
+                                _occurrences, _prep, all_diwords, di_reduce,
+                                diword_key, leibniz_dim2, leibniz_enveloping)
+from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
+                                 module_normal_form, mword_key,
+                                 pair_normal_form, random_module_set)
+from shirshov.rewrite import RewriteSystem, find_factor
+
+COEFFS = [-2, -1, 1, 2, 3]
+
+
+# -- references: the reducers before the shared engine ------------------
+
+
+def _step_image(m, entry, pos, center_inside):
+    """Image of a * s * b for the occurrence of the entry at pos in m,
+    scaled so the occurrence monomial has coefficient 1."""
+    ls = entry.lead.letters
+    a, b = m.letters[:pos], m.letters[pos + len(ls):]
+    if center_inside:
+        return _context_image(entry, a, b, True)
+    if m.center < pos:
+        q = m.center
+        image = _context_image(entry, a, b, False, lambda n: q)
+    else:
+        r = m.center - pos - len(ls)
+        image = _context_image(entry, a, b, False,
+                               lambda n: len(a) + n + r)
+    return image.scale(1 / entry.flat_lead_coeff)
+
+
+def reference_di_reduce(p, S):
+    """Fixed point of rewriting p modulo the monic relations S.
+
+    Deterministic strategy: the greatest reducible monomial, the first
+    relation with a compatible occurrence, its leftmost occurrence.
+    Every step replaces a monomial by strictly smaller ones, so the loop
+    terminates; the result has no compatible occurrence left.
+    """
+    entries = _prep(S)
+    while True:
+        target = None
+        for m in sorted(p.terms, key=diword_key, reverse=True):
+            for entry in entries:
+                occ = _occurrences(m, entry)
+                if occ:
+                    pos, inside = occ[0]
+                    target = (m, entry, pos, inside)
+                    break
+            if target:
+                break
+        if target is None:
+            return p
+        m, entry, pos, inside = target
+        image = _step_image(m, entry, pos, inside)
+        p = p - image.scale(p.coeff(m))
+
+
+def module_reduce_step(m, S):
+    """One deterministic rewrite, or None when m is irreducible.
+
+    Greatest reducible monomial first; the applicable leading word is
+    chosen greatest, ties to the earliest element.
+    """
+    for mono in sorted(m.terms, key=mword_key, reverse=True):
+        best = None
+        for idx, s in enumerate(S):
+            ls = s.leading_monomial()
+            if ls.y != mono.y or len(ls.u) > len(mono.u):
+                continue
+            cut = len(mono.u) - len(ls.u)
+            if mono.u[cut:] != ls.u:
+                continue
+            cand = (mword_key(ls), -idx)
+            if best is None or cand > best[0]:
+                best = (cand, idx, cut)
+        if best is None:
+            continue
+        _, idx, cut = best
+        s = S[idx]
+        step = act(Polynomial.monomial(mono.u[:cut]), s)
+        return m - step.scale(m.coeff(mono))
+    return None
+
+
+def reference_module_normal_form(m, S):
+    """Fully reduced representative of m modulo S."""
+    check_monic(S, ModuleElement)
+    while True:
+        nxt = module_reduce_step(m, S)
+        if nxt is None:
+            return m
+        m = nxt
+
+
+def ac_reduce_step(p, S):
+    """One deterministic rewrite, or None: greatest reducible monomial,
+    first element with an occurrence, its preorder-first path."""
+    for mono in sorted(p.terms, key=ac_key, reverse=True):
+        for s in S:
+            paths = _occurrence_paths(mono, s.leading_monomial())
+            if paths:
+                step = _substitute(mono, paths[0], s)
+                return p - step.scale(p.coeff(mono))
+    return None
+
+
+def reference_ac_normal_form(p, S):
+    """Fully reduced representative of p modulo monic relations S.
+    Substituted monomials are strictly smaller, so this terminates."""
+    check_monic(S, AcPolynomial)
+    while True:
+        nxt = ac_reduce_step(p, S)
+        if nxt is None:
+            return p
+        p = nxt
+
+
+def reference_pair_normal_form(m, algebra, S):
+    """Normal form modulo a module-side set S and an algebra-side
+    rewrite system acting from the left.
+
+    Algebra leading words rewrite anywhere inside u-parts, because any
+    product a * s * b * y lies in the submodule generated by the pair.
+    Convenience layer over the two reducers; alternates to a fixed point.
+    """
+    if not isinstance(algebra, RewriteSystem):
+        raise TypeError("algebra side must be a RewriteSystem")
+    check_monic(S, ModuleElement)
+    while True:
+        m2 = reference_module_normal_form(m, S) if S else m
+        m2 = _algebra_reduce(m2, algebra)
+        if m2 == m:
+            return m
+        m = m2
+
+
+def _algebra_reduce(m, algebra):
+    while True:
+        hit = None
+        for mono in sorted(m.terms, key=mword_key, reverse=True):
+            for idx, lw in enumerate(algebra.leading_words):
+                pos = find_factor(mono.u, lw)
+                if pos is not None:
+                    hit = (mono, idx, pos)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return m
+        mono, idx, pos = hit
+        s = algebra.elements[idx]
+        lw = algebra.leading_words[idx]
+        a, b = mono.u[:pos], mono.u[pos + len(lw):]
+        items = [(ModuleWord(a + t + b, mono.y), c) for t, c in s.items()]
+        m = m - ModuleElement(items).scale(m.coeff(mono))
+
+
+# -- seeded inputs ------------------------------------------------------
+
+
+DI_POOL = [dw for n in range(1, 4) for dw in all_diwords(2, n)]
+DI_WORDS = [dw for n in range(1, 6) for dw in all_diwords(2, n)]
+AC_POOL = normal_words(2, 4)
+AC_WORDS = normal_words(2, 7)
+
+
+def random_element(rng, cls, pool, max_terms=5):
+    return cls({rng.choice(pool): rng.choice(COEFFS)
+                for _ in range(rng.randint(1, max_terms))})
+
+
+def random_set(rng, cls, pool, max_elems=3):
+    out = []
+    while not out:
+        for _ in range(rng.randint(1, max_elems)):
+            p = random_element(rng, cls, pool, 3)
+            if p:
+                out.append(p.monic())
+    return out
+
+
+def random_module_element(rng, nx, ny, max_len):
+    return ModuleElement({
+        ModuleWord(tuple(rng.randrange(nx)
+                         for _ in range(rng.randint(0, max_len))),
+                   rng.randrange(ny)): rng.choice(COEFFS)
+        for _ in range(rng.randint(1, 5))})
+
+
+def random_assoc(rng, n):
+    elems = []
+    while not elems:
+        for _ in range(rng.randint(1, 2)):
+            p = Polynomial({tuple(rng.randrange(n)
+                                  for _ in range(rng.randint(1, 3))):
+                            rng.choice(COEFFS)
+                            for _ in range(rng.randint(1, 3))})
+            if p:
+                elems.append(p.monic())
+    alphabet = Alphabet(tuple("x%d" % (i + 1) for i in range(n)))
+    return RewriteSystem(tuple(elems), DegLexOrder(alphabet))
+
+
+# -- differential tests -------------------------------------------------
+
+
+def test_dialgebra_normal_forms_match_the_reference():
+    rels = leibniz_enveloping(leibniz_dim2())
+    sets = [rels, rels[1:], rels[:-1], rels[::2]]
+    rng = random.Random(3)
+    sets += [random_set(rng, DiPolynomial, DI_POOL) for _ in range(40)]
+    changed = 0
+    for S in sets:
+        for _ in range(8):
+            p = random_element(rng, DiPolynomial, DI_WORDS)
+            nf = di_reduce(p, S)
+            assert nf == reference_di_reduce(p, S)
+            changed += nf != p
+    assert changed
+
+
+def test_module_normal_forms_match_the_reference():
+    rng = random.Random(4)
+    changed = 0
+    for _ in range(60):
+        S = random_module_set(2, 2, 3, rng)
+        for _ in range(8):
+            m = random_module_element(rng, 2, 2, 5)
+            nf = module_normal_form(m, S)
+            assert nf == reference_module_normal_form(m, S)
+            changed += nf != m
+    assert changed
+
+
+def test_ac_normal_forms_match_the_reference():
+    hall = hall_gsb(2, 6)
+    sets = [hall, hall[3:], hall[::-1]]
+    rng = random.Random(6)
+    sets += [random_set(rng, AcPolynomial, AC_POOL) for _ in range(40)]
+    changed = 0
+    for S in sets:
+        for _ in range(8):
+            p = random_element(rng, AcPolynomial, AC_WORDS)
+            nf = ac_normal_form(p, S)
+            assert nf == reference_ac_normal_form(p, S)
+            changed += nf != p
+    assert changed
+
+
+def test_pair_normal_forms_match_the_reference():
+    rng = random.Random(9)
+    changed = 0
+    for i in range(40):
+        algebra = random_assoc(rng, 2)
+        S = [] if i % 5 == 0 else random_module_set(2, 2, 2, rng)
+        for _ in range(6):
+            m = random_module_element(rng, 2, 2, 5)
+            nf = pair_normal_form(m, algebra, S)
+            assert nf == reference_pair_normal_form(m, algebra, S)
+            changed += nf != m
+    assert changed
+
+
+def test_rewrite_with_nothing_to_find_returns_its_input():
+    p = Polynomial({(0, 1): 2, (): 1})
+    assert rewrite(p, lambda m: None, None) is p
+
+
+# -- normal forms are irreducible and idempotent ------------------------
+
+
+def _terms(monomials, size):
+    return st.dictionaries(monomials, st.sampled_from(COEFFS), min_size=1,
+                           max_size=size)
+
+
+DI_MONOMIALS = st.sampled_from(DI_WORDS)
+AC_MONOMIALS = st.sampled_from(AC_WORDS)
+MODULE_MONOMIALS = st.builds(
+    ModuleWord, st.lists(st.integers(0, 1), max_size=5).map(tuple),
+    st.integers(0, 1))
+KINDS = {
+    "dialgebra": (Dialgebra, DiPolynomial, st.sampled_from(DI_POOL),
+                  DI_MONOMIALS),
+    "module": (FreeModule, ModuleElement, MODULE_MONOMIALS.filter(
+        lambda mw: len(mw.u) <= 3), MODULE_MONOMIALS),
+    "ac": (AntiCommutative, AcPolynomial, st.sampled_from(AC_POOL),
+           AC_MONOMIALS),
+}
+
+
+@st.composite
+def cases(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    structure, cls, rel_monomials, monomials = KINDS[kind]
+    rels = draw(st.lists(_terms(rel_monomials, 3), min_size=1, max_size=3))
+    S = [cls(t).monic() for t in rels]
+    return structure(S), cls(draw(_terms(monomials, 6)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cases())
+def test_normal_forms_are_irreducible_and_idempotent(case):
+    structure, p = case
+    nf = structure.normal_form(p)
+    assert all(structure.find(m) is None for m in nf.terms)
+    assert structure.normal_form(nf) == nf
