@@ -197,7 +197,7 @@ class AntiCommutative(Structure):
         return _normal_by_degree(self.n, d)
 
     def find(self, t):
-        for i, lw in enumerate(self.leads):
+        for i, lw in enumerate(self.leading_words):
             paths = _occurrence_paths(t, lw)
             if paths:
                 return i, paths[0]
@@ -205,7 +205,7 @@ class AntiCommutative(Structure):
 
     def image(self, t, occ):
         i, path = occ
-        return _substitute(t, path, self.relations[i])
+        return _substitute(t, path, self.elements[i])
 
     def rows(self, max_deg):
         """(d, vec) for every nonzero chain product of ambient size
@@ -219,7 +219,7 @@ class AntiCommutative(Structure):
         words up to the size budget enumerates a spanning set.
         """
         levels = {}
-        for s, lw in zip(self.relations, self.leads):
+        for s, lw in zip(self.elements, self.leading_words):
             if ac_size(lw) <= max_deg:
                 levels.setdefault(ac_size(lw), []).append(s)
         for ambient in range(1, max_deg + 1):

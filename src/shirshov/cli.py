@@ -15,17 +15,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .anticomm import (AcPolynomial, ac_gsb_check_bounded, ac_irr_words,
-                       ac_mul, ac_normal_form, ac_size)
+from .anticomm import AcPolynomial, AntiCommutative, ac_mul
 from .catalog import chinese_gsb, tensor_relations
 from .core import Alphabet, DegLexOrder, Polynomial, check_bound
-from .dialgebra import (DiPolynomial, Diword, LeibnizAlgebra,
-                        di_gsb_check_bounded, di_irr, di_reduce,
+from .dialgebra import (DiPolynomial, Dialgebra, Diword, LeibnizAlgebra,
                         leibniz_enveloping)
-from .freemodule import (ModuleElement, ModuleWord, module_cd_check,
-                         module_irr, module_is_gsb, module_normal_form)
-from .gsb import BudgetExceeded, cd_lemma_check, is_gsb, shirshov_complete
-from .rewrite import RewriteSystem, irr_words, normal_form
+from .freemodule import FreeModule, ModuleElement, ModuleWord
+from .gsb import BudgetExceeded, shirshov_complete
+from .rewrite import RewriteSystem
 
 class ParseError(Exception):
     def __init__(self, line, col, msg):
@@ -493,45 +490,29 @@ def cmd_complete(args):
 class _Kind:
     """What the subcommands need to know of one kind of structure."""
 
-    fmt: object      # (monomial, pfile) -> text
-    degree: object   # monomial -> degree
-    low: int         # the least degree of a monomial
-    nf: object       # (element, pfile) -> normal form
-    irr: object      # (pfile, max_len) -> irreducible monomials, ascending
-    exact: object    # pfile -> GsbReport, or None for bounded checks only
-    bounded: object  # (pfile, max_deg) -> BoundedReport
+    fmt: object        # (monomial, pfile) -> text
+    structure: object  # pfile -> core.Structure
+    exact: bool        # check runs is_gsb, not the bounded check
 
 
 _SPECS = {
     "assoc": _Kind(
-        fmt=lambda m, pf: fmt_word(m, pf.alphabet), degree=len, low=0,
-        nf=lambda e, pf: normal_form(e, _assoc_system(pf)),
-        irr=lambda pf, n: irr_words(_assoc_system(pf), n),
-        exact=lambda pf: is_gsb(_assoc_system(pf)),
-        bounded=lambda pf, d: cd_lemma_check(_assoc_system(pf), d)),
+        fmt=lambda m, pf: fmt_word(m, pf.alphabet),
+        structure=_assoc_system, exact=True),
     "dialgebra": _Kind(
-        fmt=lambda m, pf: fmt_diword(m, pf.alphabet), degree=len, low=1,
-        nf=lambda e, pf: di_reduce(e, pf.relations),
-        irr=lambda pf, n: di_irr(pf.relations, len(pf.alphabet), n),
-        exact=None,
-        bounded=lambda pf, d: di_gsb_check_bounded(
-            pf.relations, len(pf.alphabet), d)),
+        fmt=lambda m, pf: fmt_diword(m, pf.alphabet),
+        structure=lambda pf: Dialgebra(pf.relations, len(pf.alphabet)),
+        exact=False),
     "module": _Kind(
         fmt=lambda m, pf: fmt_mword(m, pf.alphabet, pf.mgens),
-        degree=lambda mw: len(mw.u), low=0,
-        nf=lambda e, pf: module_normal_form(e, pf.relations),
-        irr=lambda pf, n: module_irr(pf.relations, len(pf.alphabet),
-                                     len(pf.mgens), n),
-        exact=lambda pf: module_is_gsb(pf.relations),
-        bounded=lambda pf, d: module_cd_check(
-            pf.relations, len(pf.alphabet), len(pf.mgens), d)),
+        structure=lambda pf: FreeModule(pf.relations, len(pf.alphabet),
+                                        len(pf.mgens)),
+        exact=True),
     "ac": _Kind(
-        fmt=lambda m, pf: fmt_acword(m, pf.alphabet), degree=ac_size, low=1,
-        nf=lambda e, pf: ac_normal_form(e, pf.relations),
-        irr=lambda pf, n: ac_irr_words(pf.relations, len(pf.alphabet), n),
-        exact=None,
-        bounded=lambda pf, d: ac_gsb_check_bounded(
-            pf.relations, len(pf.alphabet), d)),
+        fmt=lambda m, pf: fmt_acword(m, pf.alphabet),
+        structure=lambda pf: AntiCommutative(pf.relations,
+                                             len(pf.alphabet)),
+        exact=False),
 }
 KINDS = tuple(_SPECS)
 
@@ -549,27 +530,31 @@ def _report_lines(rep):
                     "counts: %s" % _bool(rep.counts_ok)]
 
 
+def _structure(pfile):
+    return _SPECS[pfile.kind].structure(pfile)
+
+
 def _check(pfile, head, max_deg):
     # The exact check where the kind has one, else the bounded one at
     # max_deg, by default one above the longest leading monomial.
-    spec = _SPECS[pfile.kind]
     lines = [head, "elements: %d" % len(pfile.relations)]
     if max_deg is not None:
         check_bound(max_deg, ())
-    if spec.exact is not None:
-        rep = spec.exact(pfile)
+    structure = _structure(pfile)
+    if _SPECS[pfile.kind].exact:
+        rep = structure.is_gsb()
         return _verdict(lines + ["checked: %d" % rep.checked,
                                  "failing: %d" % len(rep.failing)],
                         rep.holds)
     if max_deg is None:
-        max_deg = 1 + max((spec.degree(r.leading_monomial())
-                           for r in pfile.relations), default=0)
-    rep = spec.bounded(pfile, max_deg)
+        max_deg = 1 + max(map(structure.degree, structure.leading_words),
+                          default=0)
+    rep = structure.bounded_check(max_deg)
     return _verdict(lines + _report_lines(rep), rep.holds)
 
 
 def _cdcheck(pfile, head, max_deg):
-    rep = _SPECS[pfile.kind].bounded(pfile, max_deg)
+    rep = _structure(pfile).bounded_check(max_deg)
     lines = [head] + _report_lines(rep)
     lines += ["deg %d: irr=%d rank=%d total=%d %s"
               % (line.degree, line.irreducible, line.rank, line.total,
@@ -580,10 +565,10 @@ def _cdcheck(pfile, head, max_deg):
 def _irr(pfile, head, max_len, count_only):
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    spec = _SPECS[pfile.kind]
-    grouped = {d: [] for d in range(spec.low, max_len + 1)}
-    for w in spec.irr(pfile, max_len):
-        grouped[spec.degree(w)].append(spec.fmt(w, pfile))
+    structure = _structure(pfile)
+    grouped = {d: [] for d in range(structure.low, max_len + 1)}
+    for w in structure.irreducible(max_len):
+        grouped[structure.degree(w)].append(_SPECS[pfile.kind].fmt(w, pfile))
     lines = [head, "max_len: %d" % max_len]
     if not count_only:
         lines += ["len %d: %s" % (d, " ".join(words))
@@ -600,7 +585,7 @@ def cmd_check(args):
 def cmd_nf(args):
     pfile = _load(args.file)
     elem = parse_element(args.elem, pfile.kind, pfile.alphabet, pfile.mgens)
-    result = _SPECS[pfile.kind].nf(elem, pfile)
+    result = _structure(pfile).normal_form(elem)
     _emit(["kind: %s" % pfile.kind], fmt_element(result, pfile))
     return 0
 

@@ -1,8 +1,9 @@
 """Exact arithmetic core: ordered alphabets, words as rank tuples, the
 degree-lexicographic order, noncommutative polynomials over the rationals,
 sparse exact Gaussian elimination, the bounded three-condition report that
-every structure fills in, and the rewriting engine that the dialgebra,
-module and anti-commutative structures share.
+every structure fills in, and the rewriting engine that all four
+structures share: associative algebras, dialgebras, modules and
+anti-commutative algebras.
 
 Words are tuples of generator ranks; () is the monoid identity.  All
 coefficients are fractions.Fraction, never floats.
@@ -440,36 +441,46 @@ def bounded_report(max_deg, failing, bad, ranks, irr_degrees, totals):
         counts_ok=all(line.ok for line in table), table=tuple(table))
 
 
-def rewrite(p, find, image):
-    """Fixed point of rewriting p by leading monomials.
+def rewrite_step(p, find, image):
+    """One pass of `rewrite`, or None when no monomial of p has an
+    occurrence.
 
     find(m) returns an occurrence of a leading monomial in the monomial m,
     or None; image(m, occ) is the ideal element the occurrence gives, with
-    coefficient 1 at m and smaller monomials elsewhere.  Each pass takes
+    coefficient 1 at m and smaller monomials elsewhere.  The pass takes
     the key-greatest monomial of p with an occurrence and subtracts its
-    coefficient times its image.  A pass replaces a monomial by smaller
-    ones, so the loop ends, and no monomial of the result has an
-    occurrence.
+    coefficient times its image.
     """
-    key = type(p)._key
+    for m in sorted(p.terms, key=type(p)._key, reverse=True):
+        occ = find(m)
+        if occ is not None:
+            return p - image(m, occ).scale(p.terms[m])
+    return None
+
+
+def rewrite(p, find, image):
+    """Fixed point of rewriting p by leading monomials, one
+    `rewrite_step` at a time.  A pass replaces a monomial by smaller ones,
+    so the loop ends, and no monomial of the result has an occurrence.
+    """
     while True:
-        for m in sorted(p.terms, key=key, reverse=True):
-            occ = find(m)
-            if occ is not None:
-                break
-        else:
+        q = rewrite_step(p, find, image)
+        if q is None:
             return p
-        p = p - image(m, occ).scale(p.terms[m])
+        p = q
 
 
 class Structure:
     """Monic relations in a free structure, rewritten by `rewrite`.
 
     A subclass names its element class `elem` and the least degree `low`
-    of a monomial, and supplies degree(m); monomials(d), ascending;
-    find(m), which fixes the strategy and builds no image, and image(m,
-    occ); rows(max_deg), the bounded ideal rows as graded_span takes
-    them; and compositions(f, g), or None when none are examined.
+    of a monomial, and supplies degree(m); monomials(d), an iterable in
+    ascending order; find(m), which fixes the strategy and builds no
+    image, and image(m, occ); rows(max_deg), the bounded ideal rows as
+    graded_span takes them; and compositions(f, g), a list of (ambient
+    monomial, result) pairs, or None when none are examined.  The base
+    class keeps the relations in `elements` and their leading monomials
+    in `leading_words`.
     """
 
     elem = Terms
@@ -477,9 +488,10 @@ class Structure:
     compositions = None
 
     def __init__(self, relations):
-        self.relations = list(relations)
-        check_monic(self.relations, self.elem)
-        self.leads = [s.leading_monomial() for s in self.relations]
+        self.elements = tuple(relations)
+        check_monic(self.elements, self.elem)
+        self.leading_words = tuple(s.leading_monomial()
+                                   for s in self.elements)
 
     def normal_form(self, p):
         return rewrite(p, self.find, self.image)
@@ -491,7 +503,7 @@ class Structure:
 
     def is_gsb(self):
         """Every composition of every ordered pair reduces to 0."""
-        return composition_report(self.relations, self.compositions,
+        return composition_report(self.elements, self.compositions,
                                   self.normal_form)
 
     def span(self, max_deg):
@@ -501,16 +513,22 @@ class Structure:
                            range(self.low, max_deg + 1))
 
     def bounded_check(self, max_deg):
-        """Bounded report: the compositions, where examined, reduce to 0;
-        every pivot of the span at max_deg has an occurrence; irreducible
-        count plus span rank matches the monomial count per degree,
-        cumulatively.  Raises when the bound cannot hold some relation's
-        leading monomial."""
-        check_bound(max_deg, map(self.degree, self.leads))
-        failing = None if self.compositions is None else \
-            self.is_gsb().failing
+        """Bounded report: the compositions whose ambient monomial has
+        degree <= max_deg, where examined, reduce to 0; every pivot of the
+        span at max_deg has an occurrence; irreducible count plus span
+        rank matches the monomial count per degree, cumulatively.  Raises
+        when the bound cannot hold some relation's leading monomial."""
+        check_bound(max_deg, map(self.degree, self.leading_words))
+        failing = None
+        if self.compositions is not None:
+            failing = composition_report(
+                self.elements,
+                lambda f, g: [(w, r) for w, r in self.compositions(f, g)
+                              if self.degree(w) <= max_deg],
+                self.normal_form).failing
         span = self.span(max_deg)
-        bad = [m for m in span.pivots() if self.find(m) is None]
+        bad = sorted((m for m in span.rows if self.find(m) is None),
+                     key=span.key, reverse=True)
         return bounded_report(max_deg, failing, bad, span.ranks,
                               map(self.degree, self.irreducible(max_deg)),
-                              lambda d: len(self.monomials(d)))
+                              lambda d: sum(1 for _ in self.monomials(d)))

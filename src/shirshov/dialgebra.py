@@ -180,7 +180,7 @@ class Dialgebra(Structure):
     def __init__(self, relations, n_letters=0):
         super().__init__(relations)
         self.n = n_letters
-        self.entries = [_Entry(p) for p in self.relations]
+        self.entries = [_Entry(p) for p in self.elements]
 
     def monomials(self, d):
         return sorted(all_diwords(self.n, d), key=diword_key)

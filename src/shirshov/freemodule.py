@@ -86,9 +86,9 @@ class FreeModule(Structure):
         super().__init__(relations)
         self.nx, self.ny = nx, ny
         self.index = {}
-        for i, lw in enumerate(self.leads):
+        for i, lw in enumerate(self.leading_words):
             self.index.setdefault((lw.u, lw.y), i)
-        self.lengths = sorted({len(lw.u) for lw in self.leads},
+        self.lengths = sorted({len(lw.u) for lw in self.leading_words},
                               reverse=True)
 
     @staticmethod
@@ -109,13 +109,13 @@ class FreeModule(Structure):
 
     def image(self, mw, occ):
         i, cut = occ
-        return act(Polynomial.monomial(mw.u[:cut]), self.relations[i])
+        return act(Polynomial.monomial(mw.u[:cut]), self.elements[i])
 
     def rows(self, max_len):
         """(d, vec) for every product a.s with d = |a| + |lead(s) u-part|
         <= max_len, ascending in d, then by element, then a."""
         for d in range(max_len + 1):
-            for s, lw in zip(self.relations, self.leads):
+            for s, lw in zip(self.elements, self.leading_words):
                 la = d - len(lw.u)
                 if la < 0:
                     continue

@@ -1,6 +1,6 @@
-"""Rewriting modulo monic relations in the free associative algebra:
-single reduction steps, normal forms, irreducible-word enumeration, and a
-bounded-degree ideal membership test.
+"""The free associative algebra as a `core.Structure`: monic relations
+over an alphabet, their compositions, reduction steps and normal forms,
+irreducible-word enumeration, and the bounded-degree ideal span.
 
 The reduction strategy is fixed so every run is reproducible: rewrite the
 order-greatest reducible monomial, using the order-greatest applicable
@@ -15,21 +15,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import DegLexOrder, Polynomial, deglex_key, graded_span
+from .core import DegLexOrder, Polynomial, Structure, rewrite_step
 
 
 @dataclass(frozen=True)
-class RewriteSystem:
+class RewriteSystem(Structure):
     """Monic nonzero relations over a shared alphabet and order.
 
     Rewriting with an element replaces its leading word by the negated
     tail, which is strictly smaller, so every reduction terminates.
     lead_index maps each leading word to the first element that has it;
     lead_lengths lists the distinct leading-word lengths, descending.
+    The degree of a word is its length.
     """
 
     elements: tuple
     order: DegLexOrder
+
+    elem = Polynomial
+    degree = staticmethod(len)
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -59,6 +63,40 @@ class RewriteSystem:
     def __len__(self):
         return len(self.elements)
 
+    def find(self, word):
+        """The order-greatest leading word occurring in word, with its
+        leftmost position, or None.  Under the degree-lexicographic order
+        the longest length with a hit wins, then the lexicographically
+        greatest factor."""
+        index = self.lead_index
+        n = len(word)
+        for m in self.lead_lengths:
+            best = None
+            for pos in range(n - m + 1):
+                u = word[pos:pos + m]
+                if u in index and (best is None or u > best):
+                    best, at = u, pos
+            if best is not None:
+                return best, at
+        return None
+
+    def image(self, word, occ):
+        lw, pos = occ
+        return _mul_word_poly(word[:pos], self.elements[self.lead_index[lw]],
+                              word[pos + len(lw):])
+
+    def monomials(self, d):
+        return product(range(len(self.order.alphabet)), repeat=d)
+
+    def irreducible(self, max_deg):
+        return irr_words(self, max_deg)
+
+    def rows(self, max_deg):
+        return ideal_rows(self, max_deg)
+
+    def compositions(self, f, g):
+        return [(c.w, c.result) for c in find_compositions(f, g, self.order)]
+
 
 def find_factor(word, factor, start=0):
     """Index of the first occurrence of factor in word at or after start,
@@ -70,59 +108,110 @@ def find_factor(word, factor, start=0):
     return None
 
 
-def _greatest_lead(word, index, lengths):
-    # The order-greatest leading word occurring in word, with its leftmost
-    # position, or None.  Under the degree-lexicographic order the longest
-    # length with a hit wins, then the lexicographically greatest factor.
-    n = len(word)
-    for m in lengths:
-        best = None
-        for pos in range(n - m + 1):
-            u = word[pos:pos + m]
-            if u in index and (best is None or u > best):
-                best, at = u, pos
-        if best is not None:
-            return best, at
-    return None
+def _mul_word_poly(a, p, b):
+    # t -> a*t*b is one-to-one, so the terms need no merging
+    out = Polynomial.__new__(Polynomial)
+    out.terms = {a + t + b: c for t, c in p.terms.items()}
+    return out
+
+
+@dataclass(frozen=True)
+class Composition:
+    """One overlap or containment of two leading words.
+
+    kind is "intersection" (w = lead(f)*b = a*lead(g) with a proper
+    overlap) or "inclusion" (w = lead(f) = a*lead(g)*b).  result is
+    f*b - a*g resp. f - a*g*b; its leading word, when nonzero, is
+    strictly below w.
+    """
+
+    kind: str
+    w: tuple
+    left: int
+    right: int
+    a: tuple
+    b: tuple
+    result: Polynomial
+
+
+def _overlaps(lf, lg):
+    """(kind, a, b) of every overlap of the leading words lf and lg.
+
+    Intersections pair every proper suffix of lf with an equal proper
+    prefix of lg (w = lf*b = a*lg); the symmetric overlaps belong to the
+    swapped pair.  Inclusions cover every occurrence of lg inside lf
+    (w = lf = a*lg*b), the identity occurrence of a word in itself
+    included.
+    """
+    out = []
+    for k in range(1, min(len(lf), len(lg))):
+        if lf[len(lf) - k:] == lg[:k]:
+            out.append(("intersection", lf[:len(lf) - k], lg[k:]))
+    if len(lg) <= len(lf):
+        pos = find_factor(lf, lg)
+        while pos is not None:
+            out.append(("inclusion", lf[:pos], lf[pos + len(lg):]))
+            pos = find_factor(lf, lg, pos + 1)
+    return out
+
+
+def _composition(kind, f, g, a, b, order, left, right):
+    # Builds f*b - a*g or f - a*g*b and checks that its leading word lies
+    # strictly below the ambient word, which holds whenever the order
+    # agrees with the polynomials' leading terms.
+    if kind == "intersection":
+        w = f.leading_monomial() + b
+        result = _mul_word_poly((), f, b) - _mul_word_poly(a, g, ())
+    else:
+        w = f.leading_monomial()
+        result = f - _mul_word_poly(a, g, b)
+    if result and not order.key(result.leading_monomial()) < order.key(w):
+        raise ValueError(
+            "composition of elements %d and %d does not fall below its "
+            "ambient word %r; the order disagrees with the leading terms"
+            % (left, right, w))
+    return Composition(kind, w, left, right, a, b, result)
+
+
+def find_compositions(f, g, order, left=0, right=1):
+    """All compositions of the ordered pair (f, g), ascending by ambient
+    word.
+
+    Intersections pair every proper suffix of lead(f) with an equal proper
+    prefix of lead(g); the symmetric overlaps belong to the swapped call.
+    Inclusions cover every occurrence of lead(g) inside lead(f) except the
+    identity occurrence of an element in itself, whose result is exactly
+    zero.
+    """
+    out = [_composition(kind, f, g, a, b, order, left, right)
+           for kind, a, b in _overlaps(f.leading_monomial(),
+                                       g.leading_monomial())
+           if not (f == g and kind == "inclusion" and not a and not b)]
+    out.sort(key=lambda c: (order.key(c.w), c.kind, len(c.a), c.a))
+    return out
 
 
 def reducible(word, system):
     """True when some leading word of the system occurs in word."""
-    return _greatest_lead(word, system.lead_index,
-                          system.lead_lengths) is not None
+    return system.find(word) is not None
 
 
 def reduce_step(p, system):
     """One deterministic rewrite of p modulo the system, or None when p is
-    already irreducible.
+    already irreducible: one pass of `core.rewrite` with the system's
+    strategy.
 
     Picks the order-greatest monomial containing some leading word; within
     it the order-greatest applicable leading word (ties to the earliest
     element) at its leftmost occurrence; subtracts c * a * s * b where the
     monomial is a * lead(s) * b with coefficient c.
     """
-    index = system.lead_index
-    lengths = system.lead_lengths
-    for mono in sorted(p.terms, key=system.order.key, reverse=True):
-        hit = _greatest_lead(mono, index, lengths)
-        if hit is None:
-            continue
-        lw, pos = hit
-        s = system.elements[index[lw]]
-        c = p.terms[mono]
-        a, b = mono[:pos], mono[pos + len(lw):]
-        step = Polynomial({a + t + b: c * tc for t, tc in s.terms.items()})
-        return p - step
-    return None
+    return rewrite_step(p, system.find, system.image)
 
 
 def normal_form(p, system):
     """Fully reduced representative of p modulo the system."""
-    while True:
-        q = reduce_step(p, system)
-        if q is None:
-            return p
-        p = q
+    return system.normal_form(p)
 
 
 def _suffix_trie(leading_words):
@@ -170,23 +259,18 @@ def irr_words(system, max_len):
     return out
 
 
-def _all_words(n_letters, length):
-    return product(range(n_letters), repeat=length)
-
-
 def ideal_rows(system, max_deg):
     """(d, vec) for every product a * s * b with ambient degree
     d = |a| + |lead(s)| + |b| <= max_deg, in ascending d; within a degree
     by element, then |a|, then a, then b.  A generator: rows stream."""
-    n = len(system.order.alphabet)
     for d in range(max_deg + 1):
         for s, lw in zip(system.elements, system.leading_words):
             room = d - len(lw)
             if room < 0:
                 continue
             for la in range(room + 1):
-                for a in _all_words(n, la):
-                    for b in _all_words(n, room - la):
+                for a in system.monomials(la):
+                    for b in system.monomials(room - la):
                         yield d, {a + t + b: c for t, c in s.terms.items()}
 
 
@@ -196,8 +280,7 @@ def ideal_span(system, max_deg):
     Rows go in by ascending ambient degree; ranks[d] is the rank of the
     bounded span at bound d, for 0 <= d <= max_deg.
     """
-    return graded_span(ideal_rows(system, max_deg), deglex_key,
-                       range(max_deg + 1))
+    return system.span(max_deg)
 
 
 def membership_oracle(p, system, max_deg):

@@ -27,3 +27,8 @@ def test_cli_output_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out == (GOLDEN / (name + ".out")).read_text()
+
+
+def test_every_golden_output_has_a_case_and_every_case_an_output():
+    outputs = {p.stem for p in GOLDEN.glob("*.out")}
+    assert outputs == set(CASES)

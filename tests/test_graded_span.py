@@ -29,8 +29,7 @@ from shirshov.dialgebra import (DiPolynomial, _context_image, _occurrences,
 from shirshov.freemodule import (act, module_cd_check, module_irr,
                                  module_is_gsb, module_reducible, mword_key,
                                  random_module_set)
-from shirshov.gsb import (_sample_ideal_element, all_compositions,
-                          cd_lemma_check, is_trivial)
+from shirshov.gsb import cd_lemma_check, find_compositions, is_trivial
 from shirshov.rewrite import (RewriteSystem, ideal_span, irr_words,
                               reducible)
 
@@ -138,23 +137,21 @@ def reference_table(line, degrees, total_at, irr_at, rank_at):
 # -- reference reports --------------------------------------------------
 
 
-def reference_cd(system, max_deg, samples=20, seed=0):
-    comps = [c for c in all_compositions(system) if len(c.w) <= max_deg]
-    failing = tuple(c for c in comps if not is_trivial(c, system))
-    rng = random.Random(seed)
-    bad = []
-    for _ in range(samples):
-        f = _sample_ideal_element(rng, system, max_deg)
-        if f and not reducible(f.leading_monomial(), system):
-            bad.append(f)
+def reference_cd(system, max_deg):
+    failing = tuple((c.w, c.result) for f in system.elements
+                    for g in system.elements
+                    for c in find_compositions(f, g, system.order)
+                    if len(c.w) <= max_deg and not is_trivial(c, system))
+    span = reference_ideal_span(system, max_deg)
+    bad = tuple(w for w in span.pivots() if not reducible(w, system))
     n = len(system.order.alphabet)
     table = reference_table(
         DegreeLine, range(max_deg + 1),
         lambda d: sum(n ** k for k in range(d + 1)),
         lambda d: len(irr_words(system, d)),
         lambda d: reference_ideal_span(system, d).rank)
-    return BoundedReport(max_deg, not failing, failing, not bad,
-                         tuple(bad), all(line.ok for line in table), table)
+    return BoundedReport(max_deg, not failing, failing, not bad, bad,
+                         all(line.ok for line in table), table)
 
 
 def reference_di(S, n, max_len):

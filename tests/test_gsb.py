@@ -82,7 +82,7 @@ def test_is_gsb_detects_the_open_overlap():
     assert not rep.holds
     assert rep.checked == 1
     assert len(rep.failing) == 1
-    assert rep.failing[0].w == (X, X, X)
+    assert rep.failing[0][0] == (X, X, X)
 
 
 def test_is_gsb_on_closed_systems():
@@ -167,6 +167,17 @@ def test_cd_check_flags_a_broken_system():
     rep = cd_lemma_check(branching_system(), 3)
     assert not rep.gsb_ok
     assert not rep.counts_ok
+
+
+def test_cd_check_reads_condition_ii_off_every_pivot():
+    # The golden assoc_open.pres at 5: every condition fails, and 11
+    # pivots of the bounded span have irreducible leading words, such as
+    # x*y*x, the leading word of the open intersection x*f - f*x.
+    rep = cd_lemma_check(branching_system(), 5)
+    assert not rep.leading_ok
+    assert len(rep.bad_leadings) == 11
+    assert (X, Y, X) in rep.bad_leadings
+    assert rep.agree
 
 
 def test_cd_check_refuses_a_bound_below_a_leading_word():
