@@ -181,7 +181,8 @@ class AntiCommutative(Structure):
 
     Deterministic strategy: the first relation whose leading word occurs
     as a subtree, at its preorder-first path.  The degree of a tree-word
-    is its size.
+    is its size.  multiply puts a relation into a tree at a path; the
+    bounded rows are chain products, so the kind has no contexts.
     """
 
     elem = AcPolynomial
@@ -200,12 +201,12 @@ class AntiCommutative(Structure):
         for i, lw in enumerate(self.leading_words):
             paths = _occurrence_paths(t, lw)
             if paths:
-                return i, paths[0]
+                return i, (t, paths[0])
         return None
 
-    def image(self, t, occ):
-        i, path = occ
-        return _substitute(t, path, self.elements[i])
+    @staticmethod
+    def multiply(context, s):
+        return _substitute(*context, s)
 
     def rows(self, max_deg):
         """(d, vec) for every nonzero chain product of ambient size

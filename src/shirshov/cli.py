@@ -92,7 +92,6 @@ class PresentationFile:
     kind: str
     alphabet: Alphabet
     mgens: tuple
-    leibniz: object
     relations: list
 
 
@@ -160,7 +159,10 @@ def _parse_term(cur, kind, alphabet, mgens):
         saw_atom = True
         if tkind == "num":
             cur.next()
-            coeff *= Fraction(value)
+            try:
+                coeff *= Fraction(value)
+            except ZeroDivisionError:
+                raise ParseError(cur.lineno, col, "zero denominator") from None
             continue
         if ygen is not None:
             raise ParseError(cur.lineno, col,
@@ -267,8 +269,9 @@ def parse_element(text, kind, alphabet, mgens=(), lineno=1):
 
 
 def parse_presentation(text):
-    """Parse a presentation file into alphabets, optional Leibniz data,
-    and relations; see the module docstring for the grammar."""
+    """Parse a presentation file into its kind, alphabets and relations;
+    bracket lines give the relations of the enveloping dialgebra of a
+    Leibniz algebra."""
     kind = None
     gens = None
     mgens = ()
@@ -362,16 +365,15 @@ def parse_presentation(text):
     if kind == "module" and not mgens:
         raise ParseError(1, 1, "kind module needs an mgens line")
 
-    leibniz = None
     relations = rel_lines
     if saw_bracket:
-        leibniz = LeibnizAlgebra(dim=len(gens), bracket=bracket)
         try:
-            relations = leibniz_enveloping(leibniz)
+            relations = leibniz_enveloping(
+                LeibnizAlgebra(dim=len(gens), bracket=bracket))
         except ValueError as exc:
             raise ParseError(1, 1, str(exc)) from None
     return PresentationFile(kind=kind, alphabet=gens, mgens=mgens,
-                            leibniz=leibniz, relations=relations)
+                            relations=relations)
 
 
 # -- canonical printing --------------------------------------------------
@@ -470,8 +472,7 @@ def cmd_complete(args):
     rep = shirshov_complete(system, max_deg=args.max_deg,
                             max_elems=args.max_elems,
                             budget_seconds=args.budget_seconds)
-    out = PresentationFile(kind="assoc", alphabet=pfile.alphabet,
-                           mgens=(), leibniz=None,
+    out = PresentationFile(kind="assoc", alphabet=pfile.alphabet, mgens=(),
                            relations=list(rep.basis.elements))
     lines = ["kind: assoc",
              "added: %d" % rep.added,
@@ -624,8 +625,7 @@ def cmd_catalog(args):
         system = tensor_relations(nx, ny)
         label = "tensor nx=%d ny=%d" % (nx, ny)
     pfile = PresentationFile(kind="assoc", alphabet=system.order.alphabet,
-                             mgens=(), leibniz=None,
-                             relations=list(system.elements))
+                             mgens=(), relations=list(system.elements))
     head = "preset: %s" % label
     if args.cdcheck is not None:
         return _cdcheck(pfile, head, args.cdcheck)

@@ -18,7 +18,6 @@ from fractions import Fraction
 Word = tuple
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def deglex_key(word):
@@ -475,12 +474,15 @@ class Structure:
 
     A subclass names its element class `elem` and the least degree `low`
     of a monomial, and supplies degree(m); monomials(d), an iterable in
-    ascending order; find(m), which fixes the strategy and builds no
-    image, and image(m, occ); rows(max_deg), the bounded ideal rows as
-    graded_span takes them; and compositions(f, g), a list of (ambient
+    ascending order; find(m), which fixes the strategy and returns
+    (i, context) for an occurrence of element i's leading monomial in m,
+    or None; multiply(context, s), the S-word that puts s into the
+    context; contexts(room), every context that raises the degree by
+    room, in row order; and compositions(f, g), a list of (ambient
     monomial, result) pairs, or None when none are examined.  The base
     class keeps the relations in `elements` and their leading monomials
-    in `leading_words`.
+    in `leading_words`, and derives the rewriting image and the bounded
+    ideal rows from the S-words.
     """
 
     elem = Terms
@@ -492,6 +494,24 @@ class Structure:
         check_monic(self.elements, self.elem)
         self.leading_words = tuple(s.leading_monomial()
                                    for s in self.elements)
+
+    def image(self, m, occ):
+        """The S-word of the occurrence occ = (i, context) of element i
+        in m, scaled to coefficient 1 at m."""
+        i, context = occ
+        p = self.multiply(context, self.elements[i])
+        c = p.terms[m]
+        return p if c == 1 else p.scale(1 / c)
+
+    def rows(self, max_deg):
+        """The bounded ideal rows (d, vec) as graded_span takes them: every
+        S-word of degree d <= max_deg, by d, element and context."""
+        for d in range(self.low, max_deg + 1):
+            for s, lw in zip(self.elements, self.leading_words):
+                room = d - self.degree(lw)
+                if room >= 0:
+                    for context in self.contexts(room):
+                        yield d, self.multiply(context, s).terms
 
     def normal_form(self, p):
         return rewrite(p, self.find, self.image)

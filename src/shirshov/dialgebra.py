@@ -103,9 +103,9 @@ def _flat(p):
 
 
 class _Entry:
-    """Per-element data the reducer and the span builder share."""
+    """A relation, its leading diword and its center-forgetting image."""
 
-    __slots__ = ("poly", "lead", "flat", "flat_ok", "flat_lead_coeff")
+    __slots__ = ("poly", "lead", "flat", "flat_ok")
 
     def __init__(self, poly):
         lead = poly.leading_monomial()
@@ -114,12 +114,6 @@ class _Entry:
         self.flat = _flat(poly)
         self.flat_ok = bool(self.flat) and (
             self.flat.leading_monomial() == lead.letters)
-        self.flat_lead_coeff = (self.flat.coeff(lead.letters)
-                                if self.flat_ok else _ZERO)
-
-
-def _prep(S):
-    return Dialgebra(S).entries
 
 
 def _occurrences(m, entry):
@@ -147,30 +141,15 @@ def _occurrences(m, entry):
     return out
 
 
-def _context_image(entry, a, b, center_inside, ambient_center=None):
-    """The product a * s * b as a DiPolynomial.
-
-    With center_inside the center of each monomial of s survives, shifted
-    by |a|.  Otherwise ambient_center names the center position counted
-    in a (q < |a|) or counted from the right end (|a| + len + r form),
-    passed as a callable on the monomial length."""
-    items = []
-    if center_inside:
-        for t, c in entry.poly.items():
-            items.append((Diword(a + t.letters + b, len(a) + t.center), c))
-    else:
-        for t, c in entry.poly.items():
-            items.append((Diword(a + t.letters + b,
-                                 ambient_center(len(t.letters))), c))
-    return DiPolynomial(items)
-
-
 class Dialgebra(Structure):
     """Monic relations in the free dialgebra on n_letters letters.
 
     Deterministic strategy: the first relation with a compatible
     occurrence, at its leftmost position.  The degree of a diword is its
-    length.
+    length.  A context (a, b, c) puts a relation between the letters a
+    and b; c is None when the center lies inside the relation, else the
+    center's position, counted from the left (c >= 0) or from the right
+    end (c < 0).
     """
 
     elem = DiPolynomial
@@ -186,53 +165,40 @@ class Dialgebra(Structure):
         return sorted(all_diwords(self.n, d), key=diword_key)
 
     def find(self, m):
-        for entry in self.entries:
+        for i, entry in enumerate(self.entries):
             occ = _occurrences(m, entry)
             if occ:
-                return (entry,) + occ[0]
+                pos, inside = occ[0]
+                end = pos + len(entry.lead.letters)
+                c = None if inside else (
+                    m.center if m.center < pos else m.center - len(m))
+                return i, (m.letters[:pos], m.letters[end:], c)
         return None
 
-    def image(self, m, occ):
-        # a * s * b, scaled so the occurrence monomial has coefficient 1;
-        # a center in a keeps its position, one in b its distance from the
-        # right end
-        entry, pos, center_inside = occ
-        ls = entry.lead.letters
-        a, b = m.letters[:pos], m.letters[pos + len(ls):]
-        if center_inside:
-            return _context_image(entry, a, b, True)
-        c = m.center
-        at = (lambda n: c) if c < pos else (lambda n: c - len(ls) + n)
-        return _context_image(entry, a, b, False, at).scale(
-            1 / entry.flat_lead_coeff)
+    @staticmethod
+    def multiply(context, s):
+        """The diwords a * t * b of the monomials t of s; a center outside
+        s is a Python index into the letters and can merge monomials."""
+        a, b, c = context
+        return DiPolynomial([
+            (Diword(a + t.letters + b, len(a) + t.center if c is None
+                    else c % (len(a) + len(t) + len(b))), k)
+            for t, k in s.items()])
 
-    def rows(self, max_len):
-        """(d, vec) for every product a * s * b of ambient length
-        d = |a| + |lead(s)| + |b| <= max_len, over all center placements.
-
-        Ascending in d, then by element, |a|, a and b; per product the
-        center inside the occurrence first, then inside a, then inside b.
-        Products of elements whose center-forgetting image degenerates are
-        included too: they are ideal members even though the reducer
-        cannot use them.
-        """
-        for d in range(1, max_len + 1):
-            for entry in self.entries:
-                room = d - len(entry.lead.letters)
-                if room < 0:
-                    continue
-                for la in range(room + 1):
-                    lb = room - la
-                    for a in product(range(self.n), repeat=la):
-                        for b in product(range(self.n), repeat=lb):
-                            yield d, _context_image(entry, a, b, True).terms
-                            for q in range(la):
-                                yield d, _context_image(
-                                    entry, a, b, False, lambda n: q).terms
-                            for r in range(lb):
-                                yield d, _context_image(
-                                    entry, a, b, False,
-                                    lambda n: la + n + r).terms
+    def contexts(self, room):
+        """(a, b, c) with |a| + |b| = room, by |a|, a and b; the center
+        inside the relation first, then in a, then in b.  Relations the
+        reducer cannot use get contexts too: their S-words are in the
+        ideal."""
+        for la in range(room + 1):
+            lb = room - la
+            for a in product(range(self.n), repeat=la):
+                for b in product(range(self.n), repeat=lb):
+                    yield a, b, None
+                    for q in range(la):
+                        yield a, b, q
+                    for r in range(-lb, 0):
+                        yield a, b, r
 
 
 def di_reduce(p, S):

@@ -1,6 +1,7 @@
 """Free left modules over the free associative algebra with a free basis
 Y: monomials are words u*y, the order compares u-parts first, and a single
-right-justified composition shape drives the basis theory.
+right-justified composition shape drives the basis theory.  The S-word
+of an element s in the context a is the left action a.s.
 """
 
 from __future__ import annotations
@@ -104,23 +105,13 @@ class FreeModule(Structure):
             if length <= n:
                 i = self.index.get((mw.u[n - length:], mw.y))
                 if i is not None:
-                    return i, n - length
+                    return i, mw.u[:n - length]
         return None
 
-    def image(self, mw, occ):
-        i, cut = occ
-        return act(Polynomial.monomial(mw.u[:cut]), self.elements[i])
+    multiply = staticmethod(act)
 
-    def rows(self, max_len):
-        """(d, vec) for every product a.s with d = |a| + |lead(s) u-part|
-        <= max_len, ascending in d, then by element, then a."""
-        for d in range(max_len + 1):
-            for s, lw in zip(self.elements, self.leading_words):
-                la = d - len(lw.u)
-                if la < 0:
-                    continue
-                for a in product(range(self.nx), repeat=la):
-                    yield d, act(Polynomial.monomial(a), s).terms
+    def contexts(self, room):
+        return product(range(self.nx), repeat=room)
 
 
 def module_normal_form(m, S):

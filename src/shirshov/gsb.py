@@ -143,9 +143,9 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
                 "completion exceeded the %.3gs budget" % budget_seconds)
         basis = RewriteSystem(tuple(elems), order)
         leads = basis.leading_words
-        position = {lw: i for i, lw in enumerate(leads)}
+        index = basis.lead_index  # inter-reduced leads are distinct
         for pair in [p for p in overlaps
-                     if p[0] not in position or p[1] not in position]:
+                     if p[0] not in index or p[1] not in index]:
             del overlaps[pair]
         for lf in leads:
             for lg in leads:
@@ -161,7 +161,7 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
 
         pending = []
         for (lf, lg), found in overlaps.items():
-            i, j = position[lf], position[lg]
+            i, j = index[lf], index[lg]
             for kind, a, b in found:
                 w = lf + b if kind == "intersection" else lf
                 pending.append((order.key(w), kind, i, j, len(a), a, b))

@@ -1,6 +1,7 @@
 """The free associative algebra as a `core.Structure`: monic relations
 over an alphabet, their compositions, reduction steps and normal forms,
-irreducible-word enumeration, and the bounded-degree ideal span.
+irreducible-word enumeration, and the bounded-degree ideal span.  The
+S-word of a relation s in the context (a, b) is a*s*b.
 
 The reduction strategy is fixed so every run is reproducible: rewrite the
 order-greatest reducible monomial, using the order-greatest applicable
@@ -16,6 +17,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import DegLexOrder, Polynomial, Structure, rewrite_step
+
+
+def _mul_word_poly(context, p):
+    # a*p*b for the context (a, b); t -> a*t*b is one-to-one, so the
+    # terms need no merging
+    a, b = context
+    out = Polynomial.__new__(Polynomial)
+    out.terms = {a + t + b: c for t, c in p.terms.items()}
+    return out
 
 
 @dataclass(frozen=True)
@@ -64,10 +74,11 @@ class RewriteSystem(Structure):
         return len(self.elements)
 
     def find(self, word):
-        """The order-greatest leading word occurring in word, with its
-        leftmost position, or None.  Under the degree-lexicographic order
-        the longest length with a hit wins, then the lexicographically
-        greatest factor."""
+        """(i, (a, b)) where word = a * lw * b for the order-greatest
+        leading word lw occurring in word, i its first element and a the
+        prefix of its leftmost occurrence, or None.  Under the
+        degree-lexicographic order the longest length with a hit wins,
+        then the lexicographically greatest factor."""
         index = self.lead_index
         n = len(word)
         for m in self.lead_lengths:
@@ -77,22 +88,22 @@ class RewriteSystem(Structure):
                 if u in index and (best is None or u > best):
                     best, at = u, pos
             if best is not None:
-                return best, at
+                return index[best], (word[:at], word[at + m:])
         return None
 
-    def image(self, word, occ):
-        lw, pos = occ
-        return _mul_word_poly(word[:pos], self.elements[self.lead_index[lw]],
-                              word[pos + len(lw):])
+    multiply = staticmethod(_mul_word_poly)
+
+    def contexts(self, room):
+        for la in range(room + 1):
+            for a in self.monomials(la):
+                for b in self.monomials(room - la):
+                    yield a, b
 
     def monomials(self, d):
         return product(range(len(self.order.alphabet)), repeat=d)
 
     def irreducible(self, max_deg):
         return irr_words(self, max_deg)
-
-    def rows(self, max_deg):
-        return ideal_rows(self, max_deg)
 
     def compositions(self, f, g):
         return [(c.w, c.result) for c in find_compositions(f, g, self.order)]
@@ -106,13 +117,6 @@ def find_factor(word, factor, start=0):
         if word[i:i + m] == factor:
             return i
     return None
-
-
-def _mul_word_poly(a, p, b):
-    # t -> a*t*b is one-to-one, so the terms need no merging
-    out = Polynomial.__new__(Polynomial)
-    out.terms = {a + t + b: c for t, c in p.terms.items()}
-    return out
 
 
 @dataclass(frozen=True)
@@ -161,10 +165,10 @@ def _composition(kind, f, g, a, b, order, left, right):
     # agrees with the polynomials' leading terms.
     if kind == "intersection":
         w = f.leading_monomial() + b
-        result = _mul_word_poly((), f, b) - _mul_word_poly(a, g, ())
+        result = _mul_word_poly(((), b), f) - _mul_word_poly((a, ()), g)
     else:
         w = f.leading_monomial()
-        result = f - _mul_word_poly(a, g, b)
+        result = f - _mul_word_poly((a, b), g)
     if result and not order.key(result.leading_monomial()) < order.key(w):
         raise ValueError(
             "composition of elements %d and %d does not fall below its "
@@ -257,21 +261,6 @@ def irr_words(system, max_len):
         out.extend(new)
         frontier = new
     return out
-
-
-def ideal_rows(system, max_deg):
-    """(d, vec) for every product a * s * b with ambient degree
-    d = |a| + |lead(s)| + |b| <= max_deg, in ascending d; within a degree
-    by element, then |a|, then a, then b.  A generator: rows stream."""
-    for d in range(max_deg + 1):
-        for s, lw in zip(system.elements, system.leading_words):
-            room = d - len(lw)
-            if room < 0:
-                continue
-            for la in range(room + 1):
-                for a in system.monomials(la):
-                    for b in system.monomials(room - la):
-                        yield d, {a + t + b: c for t, c in s.terms.items()}
 
 
 def ideal_span(system, max_deg):

@@ -1,3 +1,7 @@
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -368,6 +372,100 @@ def test_a_zero_normal_form_reads_back(tmp_path, capsys):
         parse_element("0 + 2", "module", ab, ("v",))
 
 
+@pytest.mark.parametrize("kind", sorted(NO_RELATIONS))
+def test_a_zero_denominator_is_an_input_error(tmp_path, capsys, kind):
+    text = NO_RELATIONS[kind]
+    path = write(tmp_path, text + "rel 3/0*x1 - x2\n")
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line %d, col 5: zero denominator\n"
+                            % (text.count("\n") + 1))
+    path = write(tmp_path, text)
+    assert main(["nf", path, "--elem", "1/0*x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1, col 1: zero denominator\n"
+
+
+# Token soup: terms of the file's kind, now and then a term of another
+# kind, a stray token or a stray line, so that many files parse and reach
+# the engines.
+ATOMS = {
+    "assoc": ["x1", "x2", "x1*x2", "x2*x2*x1", "1", "1/2"],
+    "dialgebra": ["@x1", "x2*@x1", "@x2*x1*x1", "x1*@x1*x2"],
+    "module": ["[v]", "x1*[w]", "x2*x1*[v]", "x1*x1*[w]"],
+    "ac": ["x1", "(x2 x1)", "((x2 x1) x1)", "x2*(x2 x1)"],
+}
+ANY_ATOM = st.sampled_from(sorted({a for pool in ATOMS.values()
+                                   for a in pool}))
+COEFFS = st.sampled_from([""] * 6 + ["2*", "1/2*", "0*", "3/0*"])
+STRAYS = st.sampled_from(["[", "]", "@", "(", ")", "*", "=", "#", "$", "y",
+                          "rel", "3/0", "0/4"])
+STRAY_LINES = st.sampled_from(["mgens v", "gens x1", "kind ac", "rel",
+                               "bracket x1 x1 = x2", "foo"])
+
+
+def rarely(draw):
+    return draw(st.sampled_from(range(8))) == 7
+
+
+@st.composite
+def soup(draw, kind):
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        atoms = ANY_ATOM if rarely(draw) else st.sampled_from(ATOMS[kind])
+        words += [draw(st.sampled_from("+-")), draw(COEFFS) + draw(atoms)]
+    words = words[draw(st.integers(0, 1)):]
+    if rarely(draw):
+        words.insert(draw(st.integers(0, len(words))), draw(STRAYS))
+    return " ".join(words)
+
+
+@st.composite
+def soup_files(draw):
+    """(presentation text, --elem text, bound) for one kind, or for an
+    unknown one."""
+    kind = draw(st.sampled_from(KINDS * 2 + ("nosuch",)))
+    pool = kind if kind in ATOMS else "assoc"
+    lines = ["kind %s" % kind, "gens x1 x2"]
+    if kind == "module":
+        lines.append("mgens v w")
+    if rarely(draw):
+        lines = lines[1:]
+    bracket = kind == "dialgebra" and draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3))):
+        if rarely(draw):
+            lines.append(draw(STRAY_LINES))
+        elif bracket:
+            lines.append("bracket %s = %s" % (
+                draw(st.sampled_from(["x1 x1", "x1 x2", "x2 x1", "x2 x2"])),
+                draw(soup("assoc"))))
+        else:
+            lines.append("rel " + draw(soup(pool)))
+    return ("\n".join(lines) + "\n", draw(soup(pool)),
+            str(draw(st.integers(-1, 3))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(soup_files())
+def test_every_command_on_token_soup_exits_with_a_contract_code(case):
+    text, elem, bound = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "soup.pres")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["check", path], ["check", path, "--max-deg", bound],
+                     ["nf", path, "--elem=" + elem],
+                     ["irr", path, "--max-len", bound],
+                     ["cdcheck", path, "--max-deg", bound],
+                     ["complete", path, "--max-deg", bound,
+                      "--max-elems", "3", "--budget-seconds", "5"]):
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2, 3)
+
+
 ALPHABET = Alphabet(("x1", "x2"))
 MGENS = ("v", "w")
 LETTERS = st.lists(st.integers(0, 1), max_size=4).map(tuple)
@@ -398,5 +496,5 @@ def elements(draw):
 @example(("ac", AcPolynomial()))
 def test_printed_elements_parse_back(case):
     kind, e = case
-    pfile = PresentationFile(kind, ALPHABET, MGENS, None, [])
+    pfile = PresentationFile(kind, ALPHABET, MGENS, [])
     assert parse_element(fmt_element(e, pfile), kind, ALPHABET, MGENS) == e

@@ -21,8 +21,8 @@ from shirshov.anticomm import (AcPolynomial, AntiCommutative,
                                ac_normal_form, hall_gsb, normal_words)
 from shirshov.core import (Alphabet, DegLexOrder, Polynomial, check_monic,
                            rewrite)
-from shirshov.dialgebra import (DiPolynomial, Dialgebra, _context_image,
-                                _occurrences, _prep, all_diwords, di_reduce,
+from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
+                                _occurrences, all_diwords, di_reduce,
                                 diword_key, leibniz_dim2, leibniz_enveloping)
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
                                  module_normal_form, mword_key,
@@ -33,6 +33,28 @@ COEFFS = [-2, -1, 1, 2, 3]
 
 
 # -- references: the reducers before the shared engine ------------------
+
+
+def _prep(S):
+    return Dialgebra(S).entries
+
+
+def _context_image(entry, a, b, center_inside, ambient_center=None):
+    """The product a * s * b as a DiPolynomial.
+
+    With center_inside the center of each monomial of s survives, shifted
+    by |a|.  Otherwise ambient_center names the center position counted
+    in a (q < |a|) or counted from the right end (|a| + len + r form),
+    passed as a callable on the monomial length."""
+    items = []
+    if center_inside:
+        for t, c in entry.poly.items():
+            items.append((Diword(a + t.letters + b, len(a) + t.center), c))
+    else:
+        for t, c in entry.poly.items():
+            items.append((Diword(a + t.letters + b,
+                                 ambient_center(len(t.letters))), c))
+    return DiPolynomial(items)
 
 
 def _step_image(m, entry, pos, center_inside):
@@ -49,7 +71,7 @@ def _step_image(m, entry, pos, center_inside):
         r = m.center - pos - len(ls)
         image = _context_image(entry, a, b, False,
                                lambda n: len(a) + n + r)
-    return image.scale(1 / entry.flat_lead_coeff)
+    return image.scale(1 / entry.flat.coeff(entry.lead.letters))
 
 
 def reference_di_reduce(p, S):
@@ -355,3 +377,17 @@ def test_what_rewriting_removes_lies_in_the_bounded_ideal_span(case):
                 list(p.terms) + list(structure.leading_words)))
     removed = p - structure.normal_form(p)
     assert structure.span(d).contains(removed.terms)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cases())
+def test_an_image_is_one_at_its_monomial_and_smaller_elsewhere(case):
+    # The contract of core.Structure.image, which rewrite_step relies on.
+    structure, p = case
+    key = type(p)._key
+    for m in p.terms:
+        occ = structure.find(m)
+        if occ is not None:
+            image = structure.image(m, occ)
+            assert image.coeff(m) == 1
+            assert all(key(u) < key(m) for u in image.terms if u != m)

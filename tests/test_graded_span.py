@@ -22,10 +22,10 @@ from shirshov.catalog import chinese_gsb
 from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
                            DegreeLine, Polynomial, VectorSpan, deglex_key,
                            graded_span)
-from shirshov.dialgebra import (DiPolynomial, _context_image, _occurrences,
-                                _prep, all_diwords, di_gsb_check_bounded,
-                                di_irr, diword_key, leibniz_dim2,
-                                leibniz_enveloping)
+from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
+                                _occurrences, all_diwords,
+                                di_gsb_check_bounded, di_irr, diword_key,
+                                leibniz_dim2, leibniz_enveloping)
 from shirshov.freemodule import (act, module_cd_check, module_irr,
                                  module_is_gsb, module_reducible, mword_key,
                                  random_module_set)
@@ -66,6 +66,28 @@ def test_graded_span_refuses_rows_out_of_order_or_above_the_bound():
 
 
 # -- reference spans: one per bound, element first -----------------------
+
+
+def _prep(S):
+    return Dialgebra(S).entries
+
+
+def _context_image(entry, a, b, center_inside, ambient_center=None):
+    """The product a * s * b as a DiPolynomial.
+
+    With center_inside the center of each monomial of s survives, shifted
+    by |a|.  Otherwise ambient_center names the center position counted
+    in a (q < |a|) or counted from the right end (|a| + len + r form),
+    passed as a callable on the monomial length."""
+    items = []
+    if center_inside:
+        for t, c in entry.poly.items():
+            items.append((Diword(a + t.letters + b, len(a) + t.center), c))
+    else:
+        for t, c in entry.poly.items():
+            items.append((Diword(a + t.letters + b,
+                                 ambient_center(len(t.letters))), c))
+    return DiPolynomial(items)
 
 
 def reference_ideal_span(system, max_deg):
