@@ -686,6 +686,14 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-", such as the element
+    # "-x1", as an option; the argument after --elem is always its value
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] == "--elem":
+            argv[i:i + 2] = ["--elem=" + argv[i + 1]]
+        i += 1
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -247,7 +247,7 @@ class VectorSpan:
     Columns are arbitrary hashable keys ordered by `key`; each stored row is
     normalized with coefficient 1 at its pivot, the key-greatest column of
     its support.  The pivot set and rank are canonical invariants of the
-    span, independent of insertion order.  A span built by graded_span
+    span, independent of insertion order.  A span built by Structure.span
     also maps each closed degree to its rank in `ranks`.
     """
 
@@ -294,44 +294,6 @@ class VectorSpan:
         return sorted(self.rows, key=self.key, reverse=True)
 
 
-def graded_span(rows, key, degrees):
-    """One VectorSpan of a graded row source, with the rank per degree.
-
-    rows yields (degree, vec) pairs in ascending degree; each vec is
-    inserted as it arrives, so the source is never held in memory.
-    degrees lists ascending degrees; the returned span's ranks[d] is the
-    rank of the rows of degree <= d, which is the rank of the span those
-    rows alone would build, since rank does not depend on insertion order.
-    Raises on a row of a degree already closed or above the last degree.
-    """
-    degrees = list(degrees)
-    span = VectorSpan(key)
-    closed = 0
-    for deg, vec in rows:
-        if closed and deg <= degrees[closed - 1]:
-            raise ValueError("row of degree %d after degree %d closed"
-                             % (deg, degrees[closed - 1]))
-        while closed < len(degrees) and degrees[closed] < deg:
-            span.ranks[degrees[closed]] = span.rank
-            closed += 1
-        if closed == len(degrees):
-            raise ValueError("row of degree %d above the last degree" % deg)
-        span.insert(vec)
-    for d in degrees[closed:]:
-        span.ranks[d] = span.rank
-    return span
-
-
-def check_monic(S, cls):
-    """Raise unless every element of S is a nonzero, monic cls."""
-    for i, s in enumerate(S):
-        if not isinstance(s, cls) or not s:
-            raise ValueError("element %d is not a nonzero %s"
-                             % (i, cls.__name__))
-        if s.leading_coeff() != 1:
-            raise ValueError("element %d is not monic" % i)
-
-
 def check_bound(max_deg, lead_degrees):
     """Raise unless max_deg >= 0 and holds every leading monomial, given
     by its degree; a leading monomial above the bound would leave the
@@ -349,21 +311,6 @@ class GsbReport:
     holds: bool
     checked: int
     failing: tuple
-
-
-def composition_report(S, compositions, normal_form):
-    """Reduce every composition (w, result) of every ordered pair of S;
-    the failing ones are those whose result has a nonzero normal form."""
-    failing = []
-    checked = 0
-    for f in S:
-        for g in S:
-            for w, result in compositions(f, g):
-                checked += 1
-                if normal_form(result):
-                    failing.append((w, result))
-    return GsbReport(holds=not failing, checked=checked,
-                     failing=tuple(failing))
 
 
 @dataclass(frozen=True)
@@ -413,33 +360,6 @@ class BoundedReport:
         return len(set(self._examined())) == 1
 
 
-def bounded_report(max_deg, failing, bad, ranks, irr_degrees, totals):
-    """Assemble a BoundedReport with one table line per key of ranks.
-
-    failing lists the nonvanishing compositions, or is None when none were
-    examined; bad lists the ideal elements or pivots whose leading word is
-    irreducible; ranks maps each degree up to max_deg, ascending, to the
-    bounded span rank, as graded_span records it; irr_degrees yields the
-    degree of every irreducible monomial up to max_deg; totals(d) counts
-    the monomials of degree exactly d.
-    """
-    per_degree = Counter(irr_degrees)
-    table = []
-    irr = total = 0
-    for d, rank in ranks.items():
-        total += totals(d)
-        irr += per_degree[d]
-        table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
-                                total=total, ok=(irr + rank == total)))
-    bad = tuple(bad)
-    return BoundedReport(
-        max_deg=max_deg,
-        gsb_ok=None if failing is None else not failing,
-        failing=None if failing is None else tuple(failing),
-        leading_ok=not bad, bad_leadings=bad,
-        counts_ok=all(line.ok for line in table), table=tuple(table))
-
-
 def rewrite_step(p, find, image):
     """One pass of `rewrite`, or None when no monomial of p has an
     occurrence.
@@ -480,9 +400,11 @@ class Structure:
     context; contexts(room), every context that raises the degree by
     room, in row order; and compositions(f, g), a list of (ambient
     monomial, result) pairs, or None when none are examined.  The base
-    class keeps the relations in `elements` and their leading monomials
-    in `leading_words`, and derives the rewriting image and the bounded
-    ideal rows from the S-words.
+    class checks that every relation is a nonzero monic `elem`, keeps
+    the relations in `elements` and their leading monomials in
+    `leading_words`, derives the rewriting image and the bounded ideal
+    rows from the S-words, and assembles the composition and bounded
+    reports.
     """
 
     elem = Terms
@@ -491,9 +413,19 @@ class Structure:
 
     def __init__(self, relations):
         self.elements = tuple(relations)
-        check_monic(self.elements, self.elem)
-        self.leading_words = tuple(s.leading_monomial()
-                                   for s in self.elements)
+        leads = []
+        for i, s in enumerate(self.elements):
+            if not isinstance(s, self.elem) or not s:
+                raise ValueError("element %d is not a nonzero %s"
+                                 % (i, self.elem.__name__))
+            lw = s.leading_monomial()
+            if s.terms[lw] != 1:
+                raise ValueError("element %d is not monic" % i)
+            leads.append(lw)
+        self.leading_words = tuple(leads)
+
+    def __len__(self):
+        return len(self.elements)
 
     def image(self, m, occ):
         """The S-word of the occurrence occ = (i, context) of element i
@@ -504,8 +436,9 @@ class Structure:
         return p if c == 1 else p.scale(1 / c)
 
     def rows(self, max_deg):
-        """The bounded ideal rows (d, vec) as graded_span takes them: every
-        S-word of degree d <= max_deg, by d, element and context."""
+        """The bounded ideal rows (d, vec) in ascending d, as `span`
+        inserts them: every S-word of degree d <= max_deg, by d, element
+        and context."""
         for d in range(self.low, max_deg + 1):
             for s, lw in zip(self.elements, self.leading_words):
                 room = d - self.degree(lw)
@@ -521,16 +454,43 @@ class Structure:
         return [m for d in range(self.low, max_deg + 1)
                 for m in self.monomials(d) if self.find(m) is None]
 
+    def _failing(self, max_deg=None):
+        """(checked, failing) over the compositions (w, result) of every
+        ordered pair whose ambient monomial w has degree <= max_deg, all
+        of them when max_deg is None: how many there are, and those whose
+        result has a nonzero normal form."""
+        checked = 0
+        failing = []
+        for f in self.elements:
+            for g in self.elements:
+                for w, result in self.compositions(f, g):
+                    if max_deg is None or self.degree(w) <= max_deg:
+                        checked += 1
+                        if self.normal_form(result):
+                            failing.append((w, result))
+        return checked, tuple(failing)
+
     def is_gsb(self):
         """Every composition of every ordered pair reduces to 0."""
-        return composition_report(self.elements, self.compositions,
-                                  self.normal_form)
+        checked, failing = self._failing()
+        return GsbReport(holds=not failing, checked=checked, failing=failing)
 
     def span(self, max_deg):
         """One span of the rows up to max_deg; ranks[d] is its rank at
-        bound d, for low <= d <= max_deg."""
-        return graded_span(self.rows(max_deg), self.elem._key,
-                           range(self.low, max_deg + 1))
+        bound d, for low <= d <= max_deg, recorded as degree d closes.
+        Rank does not depend on insertion order, so it is the rank of the
+        span the rows of degree <= d alone would build."""
+        span = VectorSpan(self.elem._key)
+        d = self.low
+        for deg, vec in self.rows(max_deg):
+            while d < deg:
+                span.ranks[d] = span.rank
+                d += 1
+            span.insert(vec)
+        while d <= max_deg:
+            span.ranks[d] = span.rank
+            d += 1
+        return span
 
     def bounded_check(self, max_deg):
         """Bounded report: the compositions whose ambient monomial has
@@ -541,14 +501,20 @@ class Structure:
         check_bound(max_deg, map(self.degree, self.leading_words))
         failing = None
         if self.compositions is not None:
-            failing = composition_report(
-                self.elements,
-                lambda f, g: [(w, r) for w, r in self.compositions(f, g)
-                              if self.degree(w) <= max_deg],
-                self.normal_form).failing
+            failing = self._failing(max_deg)[1]
         span = self.span(max_deg)
-        bad = sorted((m for m in span.rows if self.find(m) is None),
-                     key=span.key, reverse=True)
-        return bounded_report(max_deg, failing, bad, span.ranks,
-                              map(self.degree, self.irreducible(max_deg)),
-                              lambda d: sum(1 for _ in self.monomials(d)))
+        bad = tuple(sorted((m for m in span.rows if self.find(m) is None),
+                           key=span.key, reverse=True))
+        per_degree = Counter(map(self.degree, self.irreducible(max_deg)))
+        table = []
+        irr = total = 0
+        for d, rank in span.ranks.items():
+            total += sum(1 for _ in self.monomials(d))
+            irr += per_degree[d]
+            table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
+                                    total=total, ok=(irr + rank == total)))
+        return BoundedReport(
+            max_deg=max_deg,
+            gsb_ok=None if failing is None else not failing,
+            failing=failing, leading_ok=not bad, bad_leadings=bad,
+            counts_ok=all(line.ok for line in table), table=tuple(table))

@@ -28,12 +28,14 @@ def _mul_word_poly(context, p):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class RewriteSystem(Structure):
     """Monic nonzero relations over a shared alphabet and order.
 
     Rewriting with an element replaces its leading word by the negated
-    tail, which is strictly smaller, so every reduction terminates.
+    tail, which is strictly smaller, so every reduction terminates.  A
+    relation may be a constant: its leading word is the empty word, which
+    occurs in every word, so the quotient is trivial.
     lead_index maps each leading word to the first element that has it;
     lead_lengths lists the distinct leading-word lengths, descending.
     The degree of a word is its length.
@@ -46,32 +48,16 @@ class RewriteSystem(Structure):
     degree = staticmethod(len)
 
     def __post_init__(self):
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
-        leads = []
-        for i, p in enumerate(elements):
-            if not isinstance(p, Polynomial) or not p:
-                raise ValueError("element %d is not a nonzero polynomial" % i)
+        super().__init__(self.elements)
+        for p in self.elements:
             for w in p.terms:
                 self.order.alphabet.check_word(w)
-            lw = p.leading_monomial()
-            if p.terms[lw] != 1:
-                raise ValueError("element %d is not monic" % i)
-            if not lw:
-                raise ValueError(
-                    "element %d has the empty word as leading term" % i)
-            leads.append(lw)
-        index = {}
-        for i, lw in enumerate(leads):
-            index.setdefault(lw, i)
-        object.__setattr__(self, "leading_words", tuple(leads))
-        object.__setattr__(self, "lead_index", index)
-        object.__setattr__(self, "lead_lengths",
-                           tuple(sorted({len(lw) for lw in leads},
-                                        reverse=True)))
-
-    def __len__(self):
-        return len(self.elements)
+        self.lead_index = {}
+        for i, lw in enumerate(self.leading_words):
+            self.lead_index.setdefault(lw, i)
+        self.lead_lengths = tuple(sorted({len(lw) for lw in
+                                          self.leading_words},
+                                         reverse=True))
 
     def find(self, word):
         """(i, (a, b)) where word = a * lw * b for the order-greatest
@@ -238,6 +224,8 @@ def irr_words(system, max_len):
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    if () in system.lead_index:  # a factor of every word
+        return []
     trie = _suffix_trie(system.leading_words)
     n = len(system.order.alphabet)
     out = [()]

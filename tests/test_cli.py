@@ -221,6 +221,26 @@ rel x3*x3*x2 - x3*x2*x3
     assert report.strip().endswith("completed")
 
 
+def test_complete_reaches_the_trivial_quotient(tmp_path, capsys):
+    # x*y = 1 and y*x = 2 give 2*x = x*y*x = x, so the ideal holds 1
+    text = "kind assoc\ngens x y\nrel x*y - 1\nrel y*x - 2\n"
+    out_path = str(tmp_path / "trivial.pres")
+    code = main(["complete", write(tmp_path, text), "--max-deg", "4",
+                 "--max-elems", "5", "--out", out_path])
+    assert code == 0
+    report = capsys.readouterr().out
+    assert "elem: 1\n" in report
+    assert report.strip().endswith("completed")
+    with open(out_path) as fh:
+        assert parse_presentation(fh.read()).relations == [Polynomial.one()]
+    assert main(["check", out_path]) == 0
+    assert capsys.readouterr().out.strip().endswith("true")
+    assert main(["irr", out_path, "--max-len", "3", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip().endswith("0 0 0 0")
+    assert main(["cdcheck", out_path, "--max-deg", "3"]) == 0
+    assert capsys.readouterr().out.strip().endswith("true")
+
+
 def test_complete_rejects_other_kinds(tmp_path, capsys):
     code = main(["complete", write(tmp_path, AC), "--max-deg", "4",
                  "--max-elems", "5"])
@@ -247,6 +267,14 @@ def test_nf_command(tmp_path, capsys):
     code = main(["nf", write(tmp_path, AC), "--elem", "((x2 x1) x1)"])
     assert code == 0
     assert capsys.readouterr().out.strip().endswith("\n0")
+
+
+def test_nf_takes_an_element_with_a_leading_minus(tmp_path, capsys):
+    path = write(tmp_path, CHINESE2)
+    assert main(["nf", path, "--elem", "-x1"]) == 0
+    assert capsys.readouterr().out.strip().endswith("\n-x1")
+    assert main(["nf", path, "--elem", "-x2*x1*x1"]) == 0
+    assert capsys.readouterr().out.strip().endswith("\n-x1*x2*x1")
 
 
 def test_irr_command(tmp_path, capsys):

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from shirshov.anticomm import (AcPolynomial, AntiCommutative,
                                _occurrence_paths, _substitute, ac_key,
                                ac_normal_form, hall_gsb, normal_words)
-from shirshov.core import (Alphabet, DegLexOrder, Polynomial, check_monic,
-                           rewrite)
+from shirshov.core import Alphabet, DegLexOrder, Polynomial, rewrite
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
                                 _occurrences, all_diwords, di_reduce,
                                 diword_key, leibniz_dim2, leibniz_enveloping)
@@ -130,7 +129,7 @@ def module_reduce_step(m, S):
 
 def reference_module_normal_form(m, S):
     """Fully reduced representative of m modulo S."""
-    check_monic(S, ModuleElement)
+    FreeModule(S)  # refuses S unless every element is nonzero and monic
     while True:
         nxt = module_reduce_step(m, S)
         if nxt is None:
@@ -153,7 +152,7 @@ def ac_reduce_step(p, S):
 def reference_ac_normal_form(p, S):
     """Fully reduced representative of p modulo monic relations S.
     Substituted monomials are strictly smaller, so this terminates."""
-    check_monic(S, AcPolynomial)
+    AntiCommutative(S)  # refuses S unless every element is nonzero and monic
     while True:
         nxt = ac_reduce_step(p, S)
         if nxt is None:
@@ -171,7 +170,7 @@ def reference_pair_normal_form(m, algebra, S):
     """
     if not isinstance(algebra, RewriteSystem):
         raise TypeError("algebra side must be a RewriteSystem")
-    check_monic(S, ModuleElement)
+    FreeModule(S)  # refuses S unless every element is nonzero and monic
     while True:
         m2 = reference_module_normal_form(m, S) if S else m
         m2 = _algebra_reduce(m2, algebra)

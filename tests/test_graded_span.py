@@ -20,8 +20,7 @@ from shirshov.anticomm import (AcPolynomial, _normal_by_degree,
                                hall_words, normal_words)
 from shirshov.catalog import chinese_gsb
 from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
-                           DegreeLine, Polynomial, VectorSpan, deglex_key,
-                           graded_span)
+                           DegreeLine, Polynomial, VectorSpan, deglex_key)
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
                                 _occurrences, all_diwords,
                                 di_gsb_check_bounded, di_irr, diword_key,
@@ -34,35 +33,26 @@ from shirshov.rewrite import (RewriteSystem, ideal_span, irr_words,
                               reducible)
 
 
-# -- graded_span --------------------------------------------------------
+# -- Structure.span -----------------------------------------------------
 
 
 def test_graded_span_records_the_rank_as_each_degree_closes():
-    rows = [(1, {"a": 1}), (1, {"a": 2}), (3, {"b": 1}), (3, {"c": 1})]
-    span = graded_span(iter(rows), key=str, degrees=range(5))
-    # degree 0 has no rows, degree 2 none of its own, degree 4 none at all
-    assert span.ranks == {0: 0, 1: 1, 2: 1, 3: 3, 4: 3}
+    x = Alphabet(("x",))
+    system = RewriteSystem((Polynomial.monomial((0, 0)),), DegLexOrder(x))
+    span = system.span(4)
+    # degrees 0 and 1 have no rows; from degree 2 on every word x^d is in
+    # the ideal, one new pivot per degree
+    assert span.ranks == {0: 0, 1: 0, 2: 1, 3: 2, 4: 3}
     assert span.rank == 3
-    assert span.pivots() == ["c", "b", "a"]
-
-
-def test_graded_span_counts_rows_below_the_lowest_degree():
-    rows = [(0, {"a": 1}), (2, {"b": 1})]
-    span = graded_span(iter(rows), key=str, degrees=[1, 2])
-    assert span.ranks == {1: 1, 2: 2}
+    assert span.pivots() == [(0, 0, 0, 0), (0, 0, 0), (0, 0)]
 
 
 def test_graded_span_of_an_empty_row_source():
-    span = graded_span(iter(()), key=str, degrees=range(1, 4))
-    assert span.ranks == {1: 0, 2: 0, 3: 0}
+    xy = DegLexOrder(Alphabet(("x", "y")))
+    span = RewriteSystem((), xy).span(3)
+    assert span.ranks == {0: 0, 1: 0, 2: 0, 3: 0}
     assert span.rank == 0
-
-
-def test_graded_span_refuses_rows_out_of_order_or_above_the_bound():
-    with pytest.raises(ValueError):
-        graded_span(iter([(2, {"a": 1}), (1, {"b": 1})]), str, range(3))
-    with pytest.raises(ValueError):
-        graded_span(iter([(3, {"a": 1})]), str, range(3))
+    assert Dialgebra((), 2).span(3).ranks == {1: 0, 2: 0, 3: 0}
 
 
 # -- reference spans: one per bound, element first -----------------------

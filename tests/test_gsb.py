@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shirshov.catalog import chinese_gsb, chinese_relations
 from shirshov.core import Alphabet, DegLexOrder, Polynomial
@@ -221,23 +223,13 @@ def reference_complete(system, max_deg, max_elems):
 
 
 def assert_matches_reference(system, max_deg, max_elems):
-    """Both loops end alike: the same report, or the same ValueError when
-    a composition reduces to a nonzero constant."""
-
-    def outcome(run):
-        try:
-            status, basis, added, iterations = run()
-        except ValueError as exc:
-            return "raised", str(exc)
-        return status, basis.elements, added, iterations
-
-    def incremental():
-        rep = shirshov_complete(system, max_deg=max_deg, max_elems=max_elems)
-        return rep.status, rep.basis, rep.added, rep.iterations
-
-    got = outcome(incremental)
-    assert got == outcome(lambda: reference_complete(system, max_deg,
-                                                     max_elems))
+    """Both loops end with the same report; neither raises, also when a
+    composition reduces to a nonzero constant."""
+    rep = shirshov_complete(system, max_deg=max_deg, max_elems=max_elems)
+    got = rep.status, rep.basis.elements, rep.added, rep.iterations
+    status, basis, added, iterations = reference_complete(system, max_deg,
+                                                          max_elems)
+    assert got == (status, basis.elements, added, iterations)
     return got
 
 
@@ -261,9 +253,25 @@ def random_system(rng):
 def test_completion_matches_reference_on_random_presentations():
     rng = random.Random(20080408)
     statuses = set()
+    trivial = 0
     for _ in range(200):
-        statuses.add(assert_matches_reference(random_system(rng), 6, 15)[0])
+        status, basis, _, _ = assert_matches_reference(random_system(rng), 6,
+                                                       15)
+        statuses.add(status)
+        trivial += basis == (Polynomial.one(),)
     assert {"completed", "degree-capped", "element-capped"} <= statuses
+    assert trivial > 0  # some presentations put a constant in the ideal
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_completed_basis_is_closed(rng):
+    rep = shirshov_complete(random_system(rng), max_deg=6, max_elems=15)
+    if rep.status == "completed":
+        assert is_gsb(rep.basis).holds
+        bound = max(map(len, rep.basis.leading_words)) + 1
+        report = cd_lemma_check(rep.basis, bound)
+        assert report.holds and report.agree
 
 
 def knuth_system(names):

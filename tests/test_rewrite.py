@@ -1,6 +1,7 @@
 import pytest
 
 from shirshov.core import Alphabet, DegLexOrder, Polynomial
+from shirshov.gsb import is_gsb
 from shirshov.rewrite import (RewriteSystem, find_factor, ideal_span,
                               irr_words, membership_oracle, normal_form,
                               reduce_step, reducible)
@@ -19,11 +20,17 @@ def branching_system():
 def test_system_validates_elements():
     with pytest.raises(ValueError):
         RewriteSystem((Polynomial.zero(),), ORDER)
-    with pytest.raises(ValueError):
-        RewriteSystem((Polynomial.one(),), ORDER)
     nonmonic = Polynomial([((X, X), 2), ((Y,), 1)])
     with pytest.raises(ValueError):
         RewriteSystem((nonmonic,), ORDER)
+
+
+def test_a_constant_relation_gives_the_trivial_quotient():
+    S = RewriteSystem((Polynomial.one(),), ORDER)
+    assert irr_words(S, 3) == []
+    for p in (Polynomial.one(), Polynomial([((X, Y, X), 2), ((Y,), -1)])):
+        assert not normal_form(p, S)
+    assert is_gsb(S).holds
 
 
 def test_find_factor():
