@@ -136,59 +136,20 @@ def hall_gsb(n_letters, max_deg):
     return out
 
 
-def _occurrence_paths(tree, target):
-    """Paths (tuples of 0/1) to every subtree equal to target, preorder."""
-    out = []
-
-    def walk(t, path):
-        if t == target:
-            out.append(path)
-        if not isinstance(t, int):
-            walk(t[0], path + (0,))
-            walk(t[1], path + (1,))
-
-    walk(tree, ())
-    return out
-
-
-def _substitute(tree, path, replacement):
-    """Replace the subtree at path by a polynomial and renormalize the
-    ancestors through the signed product."""
-    if not path:
-        return _lift(replacement)
-    left, right = tree
-    if path[0] == 0:
-        return ac_mul(_substitute(left, path[1:], replacement), right)
-    return ac_mul(left, _substitute(right, path[1:], replacement))
-
-
-def ac_compositions(f, g):
-    """Inclusion compositions of the ordered pair: one per occurrence of
-    lead(g) as a subtree of lead(f), each (lead(f), f - substitution).
-    The ambient word is lead(f) itself, a normal word, so every subtree
-    occurrence qualifies; the root occurrence of a self-pair gives an
-    exactly-zero result."""
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    out = []
-    for path in _occurrence_paths(lf, lg):
-        out.append((lf, f - _substitute(lf, path, g)))
-    return out
-
-
 class AntiCommutative(Structure):
     """Monic relations in the free anti-commutative algebra on n_letters
     letters.
 
     Deterministic strategy: the first relation whose leading word occurs
-    as a subtree, at its preorder-first path.  The degree of a tree-word
-    is its size.  multiply puts a relation into a tree at a path; the
-    bounded rows are chain products, so the kind has no contexts.
+    as a subtree, at its preorder-first occurrence.  The degree of a
+    tree-word is its size.  A context is a chain of (side, sibling)
+    pairs from an occurrence up to the root: side 0 puts the sibling on
+    the right of the subtree below it, side 1 on its left.
     """
 
     elem = AcPolynomial
     low = 1
     degree = staticmethod(ac_size)
-    compositions = staticmethod(ac_compositions)
 
     def __init__(self, relations, n_letters=0):
         super().__init__(relations)
@@ -197,40 +158,52 @@ class AntiCommutative(Structure):
     def monomials(self, d):
         return _normal_by_degree(self.n, d)
 
-    def find(self, t):
-        for i, lw in enumerate(self.leading_words):
-            paths = _occurrence_paths(t, lw)
-            if paths:
-                return i, (t, paths[0])
-        return None
+    def occurrences(self, t, j):
+        """The chains of the subtrees of t equal to element j's leading
+        word, in preorder."""
+        lw = self.leading_words[j]
+        stack = [(t, ())]
+        while stack:
+            sub, chain = stack.pop()
+            if sub == lw:
+                yield chain  # a proper subtree is smaller than lw
+            elif not isinstance(sub, int):
+                left, right = sub
+                stack.append((right, ((1, left),) + chain))
+                stack.append((left, ((0, right),) + chain))
 
     @staticmethod
     def multiply(context, s):
-        return _substitute(*context, s)
+        """Renormalize s through the signed product with each sibling of
+        the chain, innermost first."""
+        p = _lift(s)
+        for side, sibling in context:
+            p = ac_mul(p, sibling) if side == 0 else ac_mul(sibling, p)
+        return p
 
-    def rows(self, max_deg):
-        """(d, vec) for every nonzero chain product of ambient size
-        d <= max_deg, level by level: a level is yielded in full, and its
-        right products by normal words go to the higher levels, before
-        the next level starts.
+    def contexts(self, room):
+        """The chains ((0, m1), ..., (0, mk)) of right products by normal
+        words whose sizes sum to room, by the size and rank of m1, then
+        the rest.
 
         Every ideal element is a combination of multiplication chains
-        applied to a single generator, and anti-commutativity makes
-        one-sided chains span both sides, so right-multiplying by normal
-        words up to the size budget enumerates a spanning set.
+        applied to a single relation, and anti-commutativity makes
+        one-sided chains span both sides.
         """
-        levels = {}
-        for s, lw in zip(self.elements, self.leading_words):
-            if ac_size(lw) <= max_deg:
-                levels.setdefault(ac_size(lw), []).append(s)
-        for ambient in range(1, max_deg + 1):
-            for p in levels.pop(ambient, ()):
-                yield ambient, p.terms
-                for d in range(1, max_deg - ambient + 1):
-                    for m in _normal_by_degree(self.n, d):
-                        prod = ac_mul(p, m)
-                        if prod:
-                            levels.setdefault(ambient + d, []).append(prod)
+        if not room:
+            yield ()
+            return
+        for d in range(1, room + 1):
+            for m in _normal_by_degree(self.n, d):
+                for rest in self.contexts(room - d):
+                    yield ((0, m),) + rest
+
+
+def ac_compositions(f, g):
+    """Inclusion compositions of the ordered pair: one per occurrence of
+    lead(g) as a subtree of lead(f), each (lead(f), f - substitution).
+    The root occurrence of a self-pair gives an exactly-zero result."""
+    return AntiCommutative((f, g)).compositions(0, 1)
 
 
 def ac_normal_form(p, S):

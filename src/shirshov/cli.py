@@ -572,7 +572,7 @@ def _irr(pfile, head, max_len, count_only):
         grouped[structure.degree(w)].append(_SPECS[pfile.kind].fmt(w, pfile))
     lines = [head, "max_len: %d" % max_len]
     if not count_only:
-        lines += ["len %d: %s" % (d, " ".join(words))
+        lines += [" ".join(["len %d:" % d] + words)
                   for d, words in grouped.items()]
     _emit(lines, " ".join(str(len(words)) for words in grouped.values()))
     return 0

@@ -394,22 +394,20 @@ class Structure:
 
     A subclass names its element class `elem` and the least degree `low`
     of a monomial, and supplies degree(m); monomials(d), an iterable in
-    ascending order; find(m), which fixes the strategy and returns
-    (i, context) for an occurrence of element i's leading monomial in m,
-    or None; multiply(context, s), the S-word that puts s into the
-    context; contexts(room), every context that raises the degree by
-    room, in row order; and compositions(f, g), a list of (ambient
-    monomial, result) pairs, or None when none are examined.  The base
-    class checks that every relation is a nonzero monic `elem`, keeps
-    the relations in `elements` and their leading monomials in
-    `leading_words`, derives the rewriting image and the bounded ideal
-    rows from the S-words, and assembles the composition and bounded
-    reports.
+    ascending order; occurrences(m, j), every context at which element
+    j's leading monomial occurs in the monomial m, in the kind's order;
+    multiply(context, s), the S-word that puts s into the context; and
+    contexts(room), every context that raises the degree by room, in row
+    order.  It may override `find` and `compositions`, which the base
+    class derives from occurrences.  The base class checks that every
+    relation is a nonzero monic `elem`, keeps the relations in
+    `elements` and their leading monomials in `leading_words`, derives
+    the rewriting image and the bounded ideal rows from the S-words, and
+    assembles the composition and bounded reports.
     """
 
     elem = Terms
     low = 0
-    compositions = None
 
     def __init__(self, relations):
         self.elements = tuple(relations)
@@ -426,6 +424,26 @@ class Structure:
 
     def __len__(self):
         return len(self.elements)
+
+    def find(self, m):
+        """(i, context) for the first element i with an occurrence in m,
+        at its first context, or None.  An override fixes another
+        strategy."""
+        for i in range(len(self)):
+            for context in self.occurrences(m, i):
+                return i, context
+        return None
+
+    def compositions(self, i, j):
+        """The inclusion compositions of the ordered pair (i, j), as
+        (ambient monomial, result) pairs: (leading_words[i], elements[i]
+        - multiply(context, elements[j])) for every context at which
+        leading_words[j] occurs in leading_words[i].  The root occurrence
+        of a self-pair gives an exactly-zero result.  A kind whose
+        compositions are not examined sets compositions = None."""
+        lw, f, g = self.leading_words[i], self.elements[i], self.elements[j]
+        return [(lw, f - self.multiply(context, g))
+                for context in self.occurrences(lw, j)]
 
     def image(self, m, occ):
         """The S-word of the occurrence occ = (i, context) of element i
@@ -461,9 +479,9 @@ class Structure:
         result has a nonzero normal form."""
         checked = 0
         failing = []
-        for f in self.elements:
-            for g in self.elements:
-                for w, result in self.compositions(f, g):
+        for i in range(len(self)):
+            for j in range(len(self)):
+                for w, result in self.compositions(i, j):
                     if max_deg is None or self.degree(w) <= max_deg:
                         checked += 1
                         if self.normal_form(result):

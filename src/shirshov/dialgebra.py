@@ -116,31 +116,6 @@ class _Entry:
             self.flat.leading_monomial() == lead.letters)
 
 
-def _occurrences(m, entry):
-    """(position, center_inside) pairs where the entry's leading diword
-    sits compatibly inside the diword m.
-
-    With the ambient center inside the occurrence, the center offsets
-    must agree and any element applies.  With the center outside, the
-    element acts through its center-forgetting image, which rewrites the
-    occurrence only when that image is nonzero with the same leading
-    word; other elements are skipped here (their products still belong
-    to the ideal and the span builder includes them)."""
-    ls = entry.lead.letters
-    cs = entry.lead.center
-    word, cm = m.letters, m.center
-    out = []
-    for pos in range(len(word) - len(ls) + 1):
-        if word[pos:pos + len(ls)] != ls:
-            continue
-        if pos <= cm < pos + len(ls):
-            if cm - pos == cs:
-                out.append((pos, True))
-        elif entry.flat_ok:
-            out.append((pos, False))
-    return out
-
-
 class Dialgebra(Structure):
     """Monic relations in the free dialgebra on n_letters letters.
 
@@ -155,6 +130,7 @@ class Dialgebra(Structure):
     elem = DiPolynomial
     low = 1
     degree = staticmethod(len)
+    compositions = None
 
     def __init__(self, relations, n_letters=0):
         super().__init__(relations)
@@ -164,16 +140,29 @@ class Dialgebra(Structure):
     def monomials(self, d):
         return sorted(all_diwords(self.n, d), key=diword_key)
 
-    def find(self, m):
-        for i, entry in enumerate(self.entries):
-            occ = _occurrences(m, entry)
-            if occ:
-                pos, inside = occ[0]
-                end = pos + len(entry.lead.letters)
-                c = None if inside else (
-                    m.center if m.center < pos else m.center - len(m))
-                return i, (m.letters[:pos], m.letters[end:], c)
-        return None
+    def occurrences(self, m, j):
+        """The contexts where element j's leading diword sits compatibly
+        inside the diword m, leftmost first.
+
+        With the ambient center inside the occurrence, the center offsets
+        must agree and any element applies.  With the center outside, the
+        element acts through its center-forgetting image, which rewrites
+        the occurrence only when that image is nonzero with the same
+        leading word; other elements are skipped here (their products
+        still belong to the ideal and the span builder includes them)."""
+        entry = self.entries[j]
+        ls, cs = entry.lead.letters, entry.lead.center
+        word, cm = m.letters, m.center
+        for pos in range(len(word) - len(ls) + 1):
+            end = pos + len(ls)
+            if word[pos:end] != ls:
+                continue
+            if pos <= cm < end:
+                if cm - pos == cs:
+                    yield word[:pos], word[end:], None
+            elif entry.flat_ok:
+                yield (word[:pos], word[end:],
+                       cm if cm < pos else cm - len(word))
 
     @staticmethod
     def multiply(context, s):

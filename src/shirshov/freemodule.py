@@ -48,21 +48,6 @@ def act(p, m):
     return ModuleElement(acc)
 
 
-def module_compositions(f, g):
-    """The compositions of the ordered pair (f, g): whenever the leading
-    word of g right-divides the leading word of f (same generator, u-part
-    a suffix), the pair contributes (lead(f), f - a.g).  At most one such
-    witness a exists; the self-pair contributes its exactly-zero result."""
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    if lf.y != lg.y or len(lg.u) > len(lf.u):
-        return []
-    cut = len(lf.u) - len(lg.u)
-    if lf.u[cut:] != lg.u:
-        return []
-    a = lf.u[:cut]
-    return [(lf, f - act(Polynomial.monomial(a), g))]
-
-
 # Cached: a bounded check reads each degree twice, to filter and to count.
 @lru_cache(maxsize=None)
 def _module_words(nx, ny, length):
@@ -81,7 +66,6 @@ class FreeModule(Structure):
     """
 
     elem = ModuleElement
-    compositions = staticmethod(module_compositions)
 
     def __init__(self, relations, nx=0, ny=0):
         super().__init__(relations)
@@ -108,6 +92,14 @@ class FreeModule(Structure):
                     return i, mw.u[:n - length]
         return None
 
+    def occurrences(self, mw, j):
+        """The prefix a with mw = a.lw for element j's leading word lw,
+        when lw is a suffix of mw with the same generator."""
+        lw = self.leading_words[j]
+        cut = len(mw.u) - len(lw.u)
+        if lw.y == mw.y and cut >= 0 and mw.u[cut:] == lw.u:
+            yield mw.u[:cut]
+
     multiply = staticmethod(act)
 
     def contexts(self, room):
@@ -117,6 +109,14 @@ class FreeModule(Structure):
 def module_normal_form(m, S):
     """Fully reduced representative of m modulo S."""
     return FreeModule(S).normal_form(m)
+
+
+def module_compositions(f, g):
+    """The compositions of the ordered pair (f, g): whenever the leading
+    word of g right-divides the leading word of f (same generator, u-part
+    a suffix), the pair contributes (lead(f), f - a.g).  At most one such
+    witness a exists; the self-pair contributes its exactly-zero result."""
+    return FreeModule((f, g)).compositions(0, 1)
 
 
 def module_reducible(mw, S):

@@ -120,7 +120,8 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     A surviving composition whose ambient word is longer than max_deg
     stops the run as degree-capped; needing more than max_elems additions
     stops it as element-capped.  Caps are statuses, not errors.  With
-    status completed the result passes is_gsb exactly.
+    status completed the result passes is_gsb exactly.  A budget must be
+    a number >= 0; a negative or NaN one is refused.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
@@ -128,6 +129,8 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
         raise ValueError("max_elems must be >= 0")
     deadline = None
     if budget_seconds is not None:
+        if not budget_seconds >= 0:  # also refuses NaN
+            raise ValueError("budget_seconds must be >= 0")
         deadline = time.monotonic() + budget_seconds
 
     order = system.order

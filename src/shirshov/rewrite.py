@@ -91,8 +91,9 @@ class RewriteSystem(Structure):
     def irreducible(self, max_deg):
         return irr_words(self, max_deg)
 
-    def compositions(self, f, g):
-        return [(c.w, c.result) for c in find_compositions(f, g, self.order)]
+    def compositions(self, i, j):
+        return [(c.w, c.result) for c in find_compositions(
+            self.elements[i], self.elements[j], self.order, i, j)]
 
 
 def find_factor(word, factor, start=0):

@@ -237,6 +237,8 @@ def test_complete_reaches_the_trivial_quotient(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("true")
     assert main(["irr", out_path, "--max-len", "3", "--count-only"]) == 0
     assert capsys.readouterr().out.strip().endswith("0 0 0 0")
+    assert main(["irr", out_path, "--max-len", "1"]) == 0
+    assert "\nlen 0:\nlen 1:\n" in capsys.readouterr().out
     assert main(["cdcheck", out_path, "--max-deg", "3"]) == 0
     assert capsys.readouterr().out.strip().endswith("true")
 
@@ -253,6 +255,21 @@ def test_complete_budget_exit_code(tmp_path, capsys):
                  "--max-elems", "100000", "--budget-seconds", "1e-9"])
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_complete_refuses_a_negative_or_nan_budget(tmp_path, capsys, budget):
+    code = main(["complete", write(tmp_path, OPEN), "--max-deg", "3",
+                 "--max-elems", "5", "--budget-seconds", budget])
+    assert code == 2
+    assert "budget_seconds must be >= 0" in capsys.readouterr().err
+
+
+def test_complete_takes_a_zero_budget(tmp_path, capsys):
+    code = main(["complete", write(tmp_path, CHINESE2), "--max-deg", "3",
+                 "--max-elems", "5", "--budget-seconds", "0"])
+    assert code in (0, 3)
+    capsys.readouterr()
 
 
 def test_nf_command(tmp_path, capsys):

@@ -8,7 +8,9 @@ closed or not, the engine must give the same normal form down to the
 last Fraction.  Property tests then check, for every kind, that a normal
 form has no monomial the kind's `find` accepts, that reducing it again
 changes nothing, and that what rewriting removed lies in the bounded
-ideal span.
+ideal span.  Last, the compositions and the anti-commutative rows that
+`core.Structure` derives from the occurrences hook are checked against
+the functions they replaced.
 """
 
 import random
@@ -16,17 +18,19 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shirshov.anticomm import (AcPolynomial, AntiCommutative,
-                               _occurrence_paths, _substitute, ac_key,
+from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_key,
                                ac_normal_form, hall_gsb, normal_words)
 from shirshov.core import Alphabet, DegLexOrder, Polynomial, rewrite
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
-                                _occurrences, all_diwords, di_reduce,
-                                diword_key, leibniz_dim2, leibniz_enveloping)
+                                all_diwords, di_reduce, diword_key,
+                                leibniz_dim2, leibniz_enveloping)
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
                                  module_normal_form, mword_key,
                                  pair_normal_form, random_module_set)
 from shirshov.rewrite import RewriteSystem, find_factor
+
+from references import (_occurrence_paths, _occurrences, _substitute,
+                        ac_chain_rows, ac_compositions, module_compositions)
 
 COEFFS = [-2, -1, 1, 2, 3]
 
@@ -390,3 +394,54 @@ def test_an_image_is_one_at_its_monomial_and_smaller_elsewhere(case):
             image = structure.image(m, occ)
             assert image.coeff(m) == 1
             assert all(key(u) < key(m) for u in image.terms if u != m)
+
+
+# -- what core.Structure derives from occurrences ------------------------
+
+
+HALL8 = hall_gsb(2, 8)
+
+
+class ChainRows(AntiCommutative):
+    """The anti-commutative kind with the chain-product rows it had
+    before its contexts became chains."""
+
+    rows = ac_chain_rows
+
+
+@st.composite
+def ac_sets(draw):
+    if draw(st.booleans()):
+        picked = draw(st.sets(st.integers(0, len(HALL8) - 1), min_size=1,
+                              max_size=8))
+        return [HALL8[i] for i in sorted(picked)]
+    rels = draw(st.lists(_terms(st.sampled_from(AC_POOL), 3), min_size=1,
+                         max_size=3))
+    return [AcPolynomial(t).monic() for t in rels]
+
+
+@st.composite
+def composition_cases(draw):
+    if draw(st.booleans()):
+        S = random_module_set(2, 2, 3, random.Random(draw(st.integers())))
+        return FreeModule(S, 2, 2), module_compositions
+    return AntiCommutative(draw(ac_sets()), 2), ac_compositions
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(composition_cases())
+def test_compositions_match_the_functions_they_replaced(case):
+    structure, reference = case
+    S = structure.elements
+    for i in range(len(S)):
+        for j in range(len(S)):
+            assert structure.compositions(i, j) == reference(S[i], S[j])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ac_sets())
+def test_chain_contexts_span_what_the_chain_products_spanned(S):
+    chains, products = AntiCommutative(S, 2), ChainRows(S, 2)
+    assert chains.span(8).ranks == products.span(8).ranks
+    for d in range(1, 9):
+        assert chains.span(d).pivots() == products.span(d).pivots()

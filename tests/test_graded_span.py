@@ -14,7 +14,6 @@ from itertools import product
 import pytest
 
 from shirshov.anticomm import (AcPolynomial, _normal_by_degree,
-                               _occurrence_paths, ac_compositions,
                                ac_gsb_check_bounded, ac_irr_words, ac_key,
                                ac_mul, ac_normal_form, ac_size, hall_gsb,
                                hall_words, normal_words)
@@ -22,15 +21,16 @@ from shirshov.catalog import chinese_gsb
 from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
                            DegreeLine, Polynomial, VectorSpan, deglex_key)
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
-                                _occurrences, all_diwords,
-                                di_gsb_check_bounded, di_irr, diword_key,
-                                leibniz_dim2, leibniz_enveloping)
+                                all_diwords, di_gsb_check_bounded, di_irr,
+                                diword_key, leibniz_dim2, leibniz_enveloping)
 from shirshov.freemodule import (act, module_cd_check, module_irr,
                                  module_is_gsb, module_reducible, mword_key,
                                  random_module_set)
 from shirshov.gsb import cd_lemma_check, find_compositions, is_trivial
 from shirshov.rewrite import (RewriteSystem, ideal_span, irr_words,
                               reducible)
+
+from references import _occurrence_paths, _occurrences, ac_compositions
 
 
 # -- Structure.span -----------------------------------------------------
