@@ -13,11 +13,10 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .anticomm import AcPolynomial, AntiCommutative, ac_mul
 from .catalog import chinese_gsb, tensor_relations
-from .core import Alphabet, DegLexOrder, Polynomial, check_bound
+from .core import Alphabet, DegLexOrder, Polynomial, check_bound, exact_div
 from .dialgebra import (DiPolynomial, Dialgebra, Diword, LeibnizAlgebra,
                         leibniz_enveloping)
 from .freemodule import FreeModule, ModuleElement, ModuleWord
@@ -135,7 +134,7 @@ def _parse_term(cur, kind, alphabet, mgens):
 
     None stands for a term of numerals alone whose product is 0, which
     every kind reads as zero; other bare scalars are associative only."""
-    coeff = Fraction(1)
+    coeff = 1
     letters = []
     center = None
     ygen = None
@@ -159,8 +158,9 @@ def _parse_term(cur, kind, alphabet, mgens):
         saw_atom = True
         if tkind == "num":
             cur.next()
+            num, _, den = value.partition("/")
             try:
-                coeff *= Fraction(value)
+                coeff *= exact_div(int(num), int(den or 1))
             except ZeroDivisionError:
                 raise ParseError(cur.lineno, col, "zero denominator") from None
             continue
@@ -224,11 +224,11 @@ _CONTAINERS = {"assoc": Polynomial, "dialgebra": DiPolynomial,
 
 def _parse_expr(cur, kind, alphabet, mgens):
     items = []
-    sign = Fraction(1)
+    sign = 1
     tok = cur.peek()
     if tok and (tok[0], tok[1]) == ("op", "-"):
         cur.next()
-        sign = Fraction(-1)
+        sign = -1
     elif tok and (tok[0], tok[1]) == ("op", "+"):
         cur.next()
     while True:
@@ -243,9 +243,9 @@ def _parse_expr(cur, kind, alphabet, mgens):
         if tok is None:
             break
         if (tok[0], tok[1]) == ("op", "+"):
-            sign = Fraction(1)
+            sign = 1
         elif (tok[0], tok[1]) == ("op", "-"):
-            sign = Fraction(-1)
+            sign = -1
         else:
             cur.error("expected + or - between terms")
         cur.next()

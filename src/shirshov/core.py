@@ -5,8 +5,10 @@ every structure fills in, and the rewriting engine that all four
 structures share: associative algebras, dialgebras, modules and
 anti-commutative algebras.
 
-Words are tuples of generator ranks; () is the monoid identity.  All
-coefficients are fractions.Fraction, never floats.
+Words are tuples of generator ranks; () is the monoid identity.  A
+coefficient is exact and never a float: an int when its value is integral,
+a fractions.Fraction otherwise.  `exact` brings a value to that form and
+`exact_div` divides two of them, since `1 / c` on an int gives a float.
 """
 
 from __future__ import annotations
@@ -17,7 +19,25 @@ from fractions import Fraction
 
 Word = tuple
 
-_ZERO = Fraction(0)
+
+def exact(c):
+    """The coefficient c as an int when its value is integral, else as a
+    Fraction.  Raises TypeError for a float or anything else that is not
+    an int or a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
+
+
+def exact_div(a, b):
+    """a / b for exact coefficients a and b, as `exact` gives it."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return exact(Fraction(a, b))
 
 
 def deglex_key(word):
@@ -85,8 +105,10 @@ class DegLexOrder:
 
 
 class Terms:
-    """Finite linear combination of monomials with nonzero Fraction
-    coefficients.  Subclasses fix the monomial kind and its order key."""
+    """Finite linear combination of monomials with nonzero exact
+    coefficients (see `exact`): `coeff` and `leading_coeff` may return an
+    int, so a caller divides by one through `exact_div` or `Fraction`.
+    Subclasses fix the monomial kind and its order key."""
 
     __slots__ = ("terms",)
     _key = staticmethod(deglex_key)
@@ -104,9 +126,7 @@ class Terms:
             items = items.items()
         acc = {}
         for m, c in items:
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            c = acc.get(m, _ZERO) + c
+            c = exact(acc.get(m, 0) + c)
             if c:
                 acc[m] = c
             else:
@@ -134,7 +154,7 @@ class Terms:
         return self.terms.items()
 
     def coeff(self, monomial):
-        return self.terms.get(monomial, _ZERO)
+        return self.terms.get(monomial, 0)
 
     # -- linear structure ----------------------------------------------
 
@@ -143,7 +163,7 @@ class Terms:
             return NotImplemented
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            c = acc.get(m, _ZERO) + c
+            c = exact(acc.get(m, 0) + c)
             if c:
                 acc[m] = c
             else:
@@ -157,7 +177,7 @@ class Terms:
             return NotImplemented
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            c = acc.get(m, _ZERO) - c
+            c = exact(acc.get(m, 0) - c)
             if c:
                 acc[m] = c
             else:
@@ -172,10 +192,10 @@ class Terms:
         return out
 
     def scale(self, c):
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
+        c = exact(c)
         out = type(self).__new__(type(self))
-        out.terms = {} if not c else {m: v * c for m, v in self.terms.items()}
+        out.terms = ({m: exact(v * c) for m, v in self.terms.items()}
+                     if c else {})
         return out
 
     def __rmul__(self, c):
@@ -195,7 +215,7 @@ class Terms:
 
     def monic(self):
         """Scaled copy whose leading coefficient is 1."""
-        return self.scale(1 / self.leading_coeff())
+        return self.scale(exact_div(1, self.leading_coeff()))
 
     def sorted_terms(self):
         """(monomial, coefficient) pairs in descending monomial order."""
@@ -231,7 +251,7 @@ class Polynomial(Terms):
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
                 w = u + v
-                c = acc.get(w, _ZERO) + cu * cv
+                c = exact(acc.get(w, 0) + cu * cv)
                 if c:
                     acc[w] = c
                 else:
@@ -242,7 +262,8 @@ class Polynomial(Terms):
 
 
 class VectorSpan:
-    """Row space of sparse exact vectors, built incrementally.
+    """Row space of sparse exact vectors, built incrementally; a vector
+    maps columns to coefficients, which `exact` normalizes.
 
     Columns are arbitrary hashable keys ordered by `key`; each stored row is
     normalized with coefficient 1 at its pivot, the key-greatest column of
@@ -257,7 +278,7 @@ class VectorSpan:
         self.ranks = {}
 
     def _reduce(self, vec):
-        vec = {m: c for m, c in vec.items() if c}
+        vec = {m: c for m, c in zip(vec, map(exact, vec.values())) if c}
         while vec:
             lead = max(vec, key=self.key)
             row = self.rows.get(lead)
@@ -265,7 +286,7 @@ class VectorSpan:
                 return vec, lead
             c = vec[lead]
             for col, rc in row.items():
-                nv = vec.get(col, _ZERO) - c * rc
+                nv = exact(vec.get(col, 0) - c * rc)
                 if nv:
                     vec[col] = nv
                 else:
@@ -278,7 +299,7 @@ class VectorSpan:
         if not red:
             return False
         c = red[lead]
-        self.rows[lead] = {col: v / c for col, v in red.items()}
+        self.rows[lead] = {col: exact_div(v, c) for col, v in red.items()}
         return True
 
     def contains(self, vec):
@@ -451,7 +472,7 @@ class Structure:
         i, context = occ
         p = self.multiply(context, self.elements[i])
         c = p.terms[m]
-        return p if c == 1 else p.scale(1 / c)
+        return p if c == 1 else p.scale(exact_div(1, c))
 
     def rows(self, max_deg):
         """The bounded ideal rows (d, vec) in ascending d, as `span`

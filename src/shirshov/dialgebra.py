@@ -10,12 +10,9 @@ is the center.  In printed form the center letter carries an @ mark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .core import Polynomial, Structure, Terms, VectorSpan
-
-_ZERO = Fraction(0)
+from .core import Polynomial, Structure, Terms, VectorSpan, exact
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,7 @@ class LeibnizAlgebra:
                 if not 0 <= idx < self.dim:
                     raise ValueError("index %d outside basis 0..%d"
                                      % (idx, self.dim - 1))
-            c = Fraction(c)
+            c = exact(c)
             if c:
                 table[(i, j, k)] = c
         object.__setattr__(self, "bracket", table)
@@ -238,7 +235,7 @@ class LeibnizAlgebra:
         """{e_i, e_j} as a coordinate dict."""
         out = {}
         for k in range(self.dim):
-            c = self.bracket.get((i, j, k), _ZERO)
+            c = self.bracket.get((i, j, k), 0)
             if c:
                 out[k] = c
         return out
@@ -247,7 +244,7 @@ class LeibnizAlgebra:
 def _add_scaled(acc, vec, c):
     """acc + c * vec on coordinate dicts, in place, dropping zeros."""
     for k, v in vec.items():
-        nv = acc.get(k, _ZERO) + c * v
+        nv = exact(acc.get(k, 0) + c * v)
         if nv:
             acc[k] = nv
         else:
@@ -287,8 +284,7 @@ def leibniz_i0(L):
     """
     span = VectorSpan(key=lambda k: -k)
     for i in range(L.dim):
-        span.insert({k: Fraction(c)
-                     for k, c in L.bracket_of(i, i).items()})
+        span.insert(L.bracket_of(i, i))
         for j in range(i + 1, L.dim):
             span.insert(_add_scaled(L.bracket_of(i, j), L.bracket_of(j, i),
                                     1))

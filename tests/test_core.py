@@ -1,9 +1,14 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from shirshov.anticomm import AcPolynomial
 from shirshov.core import (Alphabet, DegLexOrder, Polynomial, Terms,
-                           VectorSpan, deglex_key)
+                           VectorSpan, deglex_key, exact, exact_div)
+from shirshov.dialgebra import DiPolynomial, Diword, LeibnizAlgebra
+from shirshov.freemodule import ModuleElement, ModuleWord
+from shirshov.rewrite import RewriteSystem
 
 
 def test_deglex_sorts_by_length_then_letters():
@@ -97,3 +102,46 @@ def test_vector_span_detects_dependence():
     assert span.contains({(1,): 7, (0,): 7})
     assert not span.contains({(0, 0): 1})
     assert span.pivots() == [(1,), (0,)]
+
+
+def test_an_integral_coefficient_is_an_int_and_any_other_a_fraction():
+    x, y = (1,), (0,)
+    m = Polynomial({x: 2, y: -1}).monic()
+    assert m.terms == {x: 1, y: Fraction(-1, 2)}
+    assert type(m.coeff(x)) is int and type(m.coeff(y)) is Fraction
+    p = Polynomial({x: Fraction(4, 2), y: Fraction(1, 2)})
+    assert type(p.coeff(x)) is int
+    assert type((p + p).coeff(y)) is int
+    assert type(p.scale(Fraction(2)).coeff(y)) is int
+    span = VectorSpan(key=deglex_key)
+    span.insert({x: 3, y: 6})
+    assert span.rows[x] == {x: 1, y: 2}
+    assert type(span.rows[x][y]) is int
+    assert type(exact(Fraction(-6, 3))) is int
+    assert exact_div(6, -3) == -2 and type(exact_div(6, -3)) is int
+    assert exact_div(1, 2) == Fraction(1, 2)
+    assert type(exact_div(Fraction(1, 2), Fraction(1, 4))) is int
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, 0.0, "1/2", Decimal(1), None])
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(bad):
+    x = (0,)
+    with pytest.raises(TypeError):
+        exact(bad)
+    with pytest.raises(TypeError):
+        Terms({x: bad})
+    with pytest.raises(TypeError):
+        Polynomial({x: 1}).scale(bad)
+    with pytest.raises(TypeError):
+        VectorSpan(key=deglex_key).insert({x: bad})
+    with pytest.raises(TypeError):
+        RewriteSystem([Polynomial({(0, 0): 1, x: bad})],
+                      DegLexOrder(Alphabet(("x",))))
+    with pytest.raises(TypeError):
+        DiPolynomial({Diword((0, 0), 0): 1, Diword((0,), 0): bad})
+    with pytest.raises(TypeError):
+        ModuleElement({ModuleWord((0,), 0): bad})
+    with pytest.raises(TypeError):
+        AcPolynomial({0: bad})
+    with pytest.raises(TypeError):
+        LeibnizAlgebra(dim=1, bracket={(0, 0, 0): bad})

@@ -5,15 +5,17 @@ before the dialgebra, module and anti-commutative reducers moved onto
 `core.rewrite`: each kind kept its own loop and its own choice of
 relation.  On seeded random elements modulo seeded random relation sets,
 closed or not, the engine must give the same normal form down to the
-last Fraction.  Property tests then check, for every kind, that a normal
-form has no monomial the kind's `find` accepts, that reducing it again
-changes nothing, and that what rewriting removed lies in the bounded
-ideal span.  Last, the compositions and the anti-commutative rows that
-`core.Structure` derives from the occurrences hook are checked against
-the functions they replaced.
+last coefficient.  Property tests then check, for every kind, that a
+normal form has no monomial the kind's `find` accepts, that reducing it
+again changes nothing, that what rewriting removed lies in the bounded
+ideal span, and that every coefficient the engine produces is an int
+when integral and a Fraction otherwise.  Last, the compositions and the
+anti-commutative rows that `core.Structure` derives from the occurrences
+hook are checked against the functions they replaced.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,7 +76,7 @@ def _step_image(m, entry, pos, center_inside):
         r = m.center - pos - len(ls)
         image = _context_image(entry, a, b, False,
                                lambda n: len(a) + n + r)
-    return image.scale(1 / entry.flat.coeff(entry.lead.letters))
+    return image.scale(Fraction(1) / entry.flat.coeff(entry.lead.letters))
 
 
 def reference_di_reduce(p, S):
@@ -318,9 +320,8 @@ def test_rewrite_with_nothing_to_find_returns_its_input():
 # -- normal forms are irreducible and idempotent ------------------------
 
 
-def _terms(monomials, size):
-    return st.dictionaries(monomials, st.sampled_from(COEFFS), min_size=1,
-                           max_size=size)
+def _terms(monomials, size, coeffs=st.sampled_from(COEFFS)):
+    return st.dictionaries(monomials, coeffs, min_size=1, max_size=size)
 
 
 DI_MONOMIALS = st.sampled_from(DI_WORDS)
@@ -352,12 +353,13 @@ KINDS = {
 
 
 @st.composite
-def cases(draw):
+def cases(draw, coeffs=st.sampled_from(COEFFS)):
     kind = draw(st.sampled_from(sorted(KINDS)))
     structure, cls, rel_monomials, monomials = KINDS[kind]
-    rels = draw(st.lists(_terms(rel_monomials, 3), min_size=1, max_size=3))
+    rels = draw(st.lists(_terms(rel_monomials, 3, coeffs), min_size=1,
+                         max_size=3))
     S = [cls(t).monic() for t in rels]
-    return structure(S), cls(draw(_terms(monomials, 6)))
+    return structure(S), cls(draw(_terms(monomials, 6, coeffs)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -394,6 +396,39 @@ def test_an_image_is_one_at_its_monomial_and_smaller_elsewhere(case):
             image = structure.image(m, occ)
             assert image.coeff(m) == 1
             assert all(key(u) < key(m) for u in image.terms if u != m)
+
+
+# -- exact coefficients ---------------------------------------------------
+
+
+# small rationals, integral ones included, some of them as Fractions
+RATIONALS = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+
+def _is_exact(c):
+    """An int, or a Fraction whose value is not integral; never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cases(RATIONALS), RATIONALS)
+def test_a_coefficient_is_an_int_when_integral_and_a_fraction_otherwise(
+        case, c):
+    structure, p = case
+    nf = structure.normal_form(p)
+    made = [p, nf, p + nf, p - nf, p.scale(c), c * p, p.monic()]
+    made += structure.elements
+    made += [structure.image(m, structure.find(m)) for m in p.terms
+             if structure.find(m) is not None]
+    if isinstance(p, Polynomial):
+        made.append(p * nf)
+    for q in made:
+        assert all(map(_is_exact, q.terms.values()))
+    d = max(map(structure.degree,
+                list(p.terms) + list(structure.leading_words)))
+    for row in structure.span(d).rows.values():
+        assert all(map(_is_exact, row.values()))
 
 
 # -- what core.Structure derives from occurrences ------------------------

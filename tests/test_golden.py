@@ -4,7 +4,10 @@
 expected stdout is `tests/golden/<case>.out`.  Arguments naming a file in
 `tests/golden/` are resolved there.  The outputs were captured from the
 implementation that rebuilt the bounded ideal span for every degree, so
-they pin the reports of the graded span to the old ones exactly.
+they pin the reports of the graded span to the old ones exactly.  The
+`*fractional*` cases, whose coefficients are not all integral, were
+captured while every coefficient was still a Fraction, so they pin the
+printing of int and Fraction coefficients to the old output.
 """
 
 import json
