@@ -214,8 +214,10 @@ class Terms:
         return self.terms[self.leading_monomial()]
 
     def monic(self):
-        """Scaled copy whose leading coefficient is 1."""
-        return self.scale(exact_div(1, self.leading_coeff()))
+        """Scaled copy whose leading coefficient is 1; self when it
+        already is, since no code changes an element's terms in place."""
+        c = self.leading_coeff()
+        return self if c == 1 else self.scale(exact_div(1, c))
 
     def sorted_terms(self):
         """(monomial, coefficient) pairs in descending monomial order."""

@@ -10,6 +10,7 @@ is; completion stays specific to this structure.
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -107,21 +108,58 @@ def inter_reduce(system):
     return RewriteSystem(tuple(elems), system.order)
 
 
+def _check_budget(deadline, budget_seconds):
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded(
+            "completion exceeded the %.3gs budget" % budget_seconds)
+
+
+def _push_overlaps(heap, key, lf, lg):
+    # a and b are both empty only for the identity inclusion of an element
+    # in itself, whose result is zero
+    for kind, a, b in _overlaps(lf, lg):
+        if a or b:
+            w = lf + b if kind == "intersection" else lf
+            heapq.heappush(heap, (key(w), kind, key(lf), key(lg), len(a), a,
+                                  b, lf, lg))
+
+
 def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     """Close the system under compositions, bounded by resources.
 
-    Each round inter-reduces the basis and reduces, in ascending order of
-    (ambient word, kind, left, right, |a|, a), the compositions of the
-    current basis until one does not vanish.  The overlaps of a pair depend
-    only on its two leading words, so they are found once, when a leading
-    word enters the basis, and kept until one of the two leaves it; a
-    composition's polynomial is built only when it is reduced.
+    Each round inter-reduces the basis and reduces its pending
+    compositions in ascending order of (ambient word, kind, lead f,
+    lead g, |a|, a) until one does not vanish; that one is added.  The
+    basis is sorted by leading word, so this is the order of (w, kind,
+    left, right, |a|, a) over the current basis.  The overlaps of a pair
+    depend only on its two leading words: when a leading word enters the
+    basis, its overlaps with every leading word, both ways round, go on
+    one heap that lives across rounds.  A composition's polynomial is
+    built only when it is popped.  An entry with a leading word that has
+    left the basis is dropped when popped; the surviving entry goes back
+    on the heap; one that reduces to zero leaves the heap for good.
+
+    Skipping a vanished composition in later rounds changes no result.
+    Take, in some round, a composition at ambient word w whose two leading
+    words have stayed in the basis since it vanished.  By induction over
+    the ambient words, every composition of the current basis below w has
+    reduced to zero this round or is skipped for the same reason, so the
+    basis is closed below w.  By the Composition-Diamond argument
+    restricted to words below w, an ideal element written as a sum of
+    multiples of a*s*b with every a*lead(s)*b < w then has normal form 0.
+    The current composition f'*b - a*g' has such a form: the old f*b - a*g
+    had one, because it reduced to zero; inter-reduction changes f and g
+    only by terms below their leading words; and every element it removed
+    is a combination of the new basis with words at most its leading word.
+    So the first surviving composition, and every result, are those of
+    re-reducing every composition of the basis in every round.
 
     A surviving composition whose ambient word is longer than max_deg
     stops the run as degree-capped; needing more than max_elems additions
     stops it as element-capped.  Caps are statuses, not errors.  With
     status completed the result passes is_gsb exactly.  A budget must be
-    a number >= 0; a negative or NaN one is refused.
+    a number >= 0; a negative or NaN one is refused.  It is checked at the
+    start of every round and before every composition is popped.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
@@ -134,46 +172,41 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
         deadline = time.monotonic() + budget_seconds
 
     order = system.order
+    key = order.key
     elems = _inter_reduce_elements(system.elements, order)
-    overlaps = {}  # (lead f, lead g) -> overlaps, for overlapping pairs
+    # pending compositions as (key(w), kind, key(lf), key(lg), |a|, a, b,
+    # lf, lg): the prefix up to b orders them, lf and lg are its payload
+    heap = []
     known = set()  # the leading words of the previous round's basis
     added = 0
     iterations = 0
     while True:
         iterations += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                "completion exceeded the %.3gs budget" % budget_seconds)
+        _check_budget(deadline, budget_seconds)
         basis = RewriteSystem(tuple(elems), order)
         leads = basis.leading_words
         index = basis.lead_index  # inter-reduced leads are distinct
-        for pair in [p for p in overlaps
-                     if p[0] not in index or p[1] not in index]:
-            del overlaps[pair]
-        for lf in leads:
+        current = set(leads)
+        new = current - known
+        for lf in new:
             for lg in leads:
-                if lf in known and lg in known:
-                    continue
-                # a and b are both empty only for the identity inclusion
-                # of an element in itself, whose result is zero
-                found = [(kind, a, b) for kind, a, b in _overlaps(lf, lg)
-                         if a or b]
-                if found:
-                    overlaps[lf, lg] = found
-        known = set(leads)
+                _push_overlaps(heap, key, lf, lg)
+                if lg not in new:
+                    _push_overlaps(heap, key, lg, lf)
+        known = current
 
-        pending = []
-        for (lf, lg), found in overlaps.items():
-            i, j = index[lf], index[lg]
-            for kind, a, b in found:
-                w = lf + b if kind == "intersection" else lf
-                pending.append((order.key(w), kind, i, j, len(a), a, b))
-        pending.sort()
         obstruction = None
-        for _, kind, i, j, _, a, b in pending:
+        while heap:
+            _check_budget(deadline, budget_seconds)
+            entry = heapq.heappop(heap)
+            _, kind, _, _, _, a, b, lf, lg = entry
+            if lf not in index or lg not in index:
+                continue  # a leading word left the basis
+            i, j = index[lf], index[lg]
             comp = _composition(kind, elems[i], elems[j], a, b, order, i, j)
             h = basis.normal_form(comp.result)
             if h:
+                heapq.heappush(heap, entry)
                 obstruction = (comp, h)
                 break
         if obstruction is None:

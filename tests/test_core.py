@@ -123,6 +123,14 @@ def test_an_integral_coefficient_is_an_int_and_any_other_a_fraction():
     assert type(exact_div(Fraction(1, 2), Fraction(1, 4))) is int
 
 
+def test_monic_returns_an_element_that_is_already_monic():
+    x, y = (1,), (0,)
+    m = Polynomial({x: 1, y: Fraction(-1, 2)})
+    assert m.monic() is m
+    assert m.monic() == m and m.monic().terms == {x: 1, y: Fraction(-1, 2)}
+    assert Polynomial({x: 2, y: -1}).monic().coeff(y) == Fraction(-1, 2)
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, 0.0, "1/2", Decimal(1), None])
 def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(bad):
     x = (0,)

@@ -1,11 +1,16 @@
+import itertools
 import random
+from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shirshov import gsb
 from shirshov.catalog import chinese_gsb, chinese_relations
-from shirshov.core import Alphabet, DegLexOrder, Polynomial
+from shirshov.core import Alphabet, DegLexOrder, Polynomial, Structure
 from shirshov.gsb import (BudgetExceeded, _inter_reduce_elements,
                           all_compositions, cd_lemma_check,
                           find_compositions, inter_reduce, is_gsb,
@@ -156,6 +161,20 @@ def test_completion_budget():
         shirshov_complete(branching_system(), max_deg=0, max_elems=5)
 
 
+def test_completion_budget_is_checked_before_each_composition(monkeypatch):
+    # A closed input finishes in one round, which reduces every composition.
+    # The clock reads 0 for the deadline, 1 at the start of the round and 2
+    # before the first composition, so only the check inside the round trips.
+    assert is_gsb(chinese_gsb(2)).checked > 0
+    ticks = itertools.count()
+    monkeypatch.setattr(gsb, "time", SimpleNamespace(
+        monotonic=lambda: next(ticks)))
+    with pytest.raises(BudgetExceeded):
+        shirshov_complete(chinese_gsb(2), max_deg=6, max_elems=10,
+                          budget_seconds=1.5)
+    assert next(ticks) == 3
+
+
 def test_cd_check_on_a_closed_system():
     rep = cd_lemma_check(chinese_gsb(2), 4)
     assert rep.gsb_ok and rep.leading_ok and rep.counts_ok
@@ -298,3 +317,86 @@ def test_completion_matches_reference_on_plactic_rank_three(names):
     status, _, added, _ = assert_matches_reference(knuth_system(names), 7,
                                                    1000)
     assert status in ("completed", "degree-capped") and added > 0
+
+
+COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def fractional_systems(draw):
+    """1-3 monic relations over 2-4 letters, words of length <= 5 and
+    fractional coefficients; no relation is a constant."""
+    n = draw(st.integers(2, 4))
+    words = st.lists(st.integers(0, n - 1), max_size=5).map(tuple)
+    polys = draw(st.lists(
+        st.dictionaries(words, COEFFS, min_size=2, max_size=3).map(Polynomial)
+        .filter(lambda p: p.leading_monomial()), min_size=1, max_size=3))
+    alphabet = Alphabet(tuple("x%d" % i for i in range(1, n + 1)))
+    return RewriteSystem(tuple(p.monic() for p in polys),
+                         DegLexOrder(alphabet))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fractional_systems(), st.integers(4, 7), st.integers(0, 15))
+def test_completion_matches_reference_on_fractional_presentations(
+        system, max_deg, max_elems):
+    assert_matches_reference(system, max_deg, max_elems)
+
+
+def tableau_counts(k, max_len):
+    """Semistandard tableaux with entries 1..k of each size 0..max_len, by
+    the hook-content formula: the plactic monoid's elements by length."""
+    def partitions(n, largest):
+        if n == 0:
+            yield ()
+        for first in range(min(n, largest), 0, -1):
+            for rest in partitions(n - first, first):
+                yield (first,) + rest
+
+    counts = []
+    for n in range(max_len + 1):
+        total = 0
+        for shape in partitions(n, n):
+            if len(shape) > k:
+                continue
+            num = den = 1
+            for i, row in enumerate(shape):
+                for j in range(row):
+                    below = sum(1 for r in shape[i + 1:] if r > j)
+                    num *= k + j - i
+                    den *= row - j + below
+            total += num // den
+        counts.append(total)
+    return counts
+
+
+@pytest.mark.parametrize("names, expected", [
+    (("x3", "x2", "x1"), ("degree-capped", 109, 110, 117)),
+    (("x1", "x2", "x3"), ("completed", 3, 4, 11)),
+])
+def test_plactic_rank_three_to_degree_ten(names, expected):
+    rep = shirshov_complete(knuth_system(names), max_deg=10, max_elems=1000)
+    assert (rep.status, rep.added, rep.iterations, len(rep.basis)) \
+        == expected
+    counts = tableau_counts(3, 10)
+    assert counts == [1, 3, 9, 19, 39, 69, 119, 189, 294, 434, 630]
+    by_length = Counter(map(len, rep.basis.irreducible(10)))
+    assert [by_length[n] for n in range(11)] == counts
+
+
+def test_completion_does_not_reduce_a_vanished_composition_again(
+        monkeypatch):
+    # Re-reducing every composition of the basis in every round takes 9,737
+    # normal forms here; reducing each only until it vanishes takes 511.
+    calls = []
+    normal_form = Structure.normal_form
+
+    def counted(self, p):
+        calls.append(p)
+        return normal_form(self, p)
+
+    monkeypatch.setattr(Structure, "normal_form", counted)
+    rep = shirshov_complete(knuth_system(("x3", "x2", "x1")), max_deg=8,
+                            max_elems=1000)
+    assert (rep.status, rep.added) == ("degree-capped", 62)
+    assert len(calls) <= 1000
