@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Structure, Terms
+from .core import Structure, Terms, check_letters
 
 
 def ac_size(t):
@@ -151,9 +151,12 @@ class AntiCommutative(Structure):
     low = 1
     degree = staticmethod(ac_size)
 
-    def __init__(self, relations, n_letters=0):
+    def __init__(self, relations, n_letters):
         super().__init__(relations)
         self.n = n_letters
+        for p in self.elements:
+            for t in p.terms:
+                check_letters(ac_flatten(t), n_letters)
 
     def monomials(self, d):
         return _normal_by_degree(self.n, d)
@@ -199,25 +202,7 @@ class AntiCommutative(Structure):
                     yield ((0, m),) + rest
 
 
-def ac_compositions(f, g):
-    """Inclusion compositions of the ordered pair: one per occurrence of
-    lead(g) as a subtree of lead(f), each (lead(f), f - substitution).
-    The root occurrence of a self-pair gives an exactly-zero result."""
-    return AntiCommutative((f, g)).compositions(0, 1)
-
-
-def ac_normal_form(p, S):
-    """Fully reduced representative of p modulo monic relations S.
-    Substituted monomials are strictly smaller, so this terminates."""
-    return AntiCommutative(S).normal_form(p)
-
-
-def ac_irr_words(S, n_letters, max_deg):
-    """Normal words of size <= max_deg containing no leading word of S as
-    a subtree, ascending."""
-    return AntiCommutative(S, n_letters).irreducible(max_deg)
-
-
+# perfbench imports it
 def ac_gsb_check_bounded(S, n_letters, max_deg):
     """Bounded three-condition report for a set of monic relations, per
     size, as Structure.bounded_check gives it."""

@@ -84,12 +84,14 @@ class Alphabet:
         """Build a word from generator names, e.g. ab.word('x', 'y')."""
         return tuple(self.rank(n) for n in names)
 
-    def check_word(self, w):
-        n = len(self.names)
-        for letter in w:
-            if not (isinstance(letter, int) and 0 <= letter < n):
-                raise ValueError(
-                    "letter %r outside alphabet of size %d" % (letter, n))
+
+def check_letters(letters, n, what="letter"):
+    """Raise unless every letter is an int rank below n; what names a
+    letter in the message."""
+    for letter in letters:
+        if not (isinstance(letter, int) and 0 <= letter < n):
+            raise ValueError(
+                "%s %r outside alphabet of size %d" % (what, letter, n))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Polynomial, Structure, Terms, VectorSpan, exact
+from .core import (Polynomial, Structure, Terms, VectorSpan, check_letters,
+                   exact)
 
 
 @dataclass(frozen=True)
@@ -94,25 +95,6 @@ def all_diwords(n_letters, length):
     return out
 
 
-def _flat(p):
-    """Center-forgetting image in the free associative algebra."""
-    return Polynomial([(dw.letters, c) for dw, c in p.items()])
-
-
-class _Entry:
-    """A relation, its leading diword and its center-forgetting image."""
-
-    __slots__ = ("poly", "lead", "flat", "flat_ok")
-
-    def __init__(self, poly):
-        lead = poly.leading_monomial()
-        self.poly = poly
-        self.lead = lead
-        self.flat = _flat(poly)
-        self.flat_ok = bool(self.flat) and (
-            self.flat.leading_monomial() == lead.letters)
-
-
 class Dialgebra(Structure):
     """Monic relations in the free dialgebra on n_letters letters.
 
@@ -129,10 +111,18 @@ class Dialgebra(Structure):
     degree = staticmethod(len)
     compositions = None
 
-    def __init__(self, relations, n_letters=0):
+    def __init__(self, relations, n_letters):
         super().__init__(relations)
         self.n = n_letters
-        self.entries = [_Entry(p) for p in self.elements]
+        # whether the center-forgetting image of a relation keeps its
+        # leading word, so that the relation rewrites around the center
+        self.flat_ok = []
+        for p, lw in zip(self.elements, self.leading_words):
+            for m in p.terms:
+                check_letters(m.letters, n_letters)
+            flat = Polynomial([(m.letters, c) for m, c in p.items()])
+            self.flat_ok.append(
+                bool(flat) and flat.leading_monomial() == lw.letters)
 
     def monomials(self, d):
         return sorted(all_diwords(self.n, d), key=diword_key)
@@ -147,8 +137,7 @@ class Dialgebra(Structure):
         the occurrence only when that image is nonzero with the same
         leading word; other elements are skipped here (their products
         still belong to the ideal and the span builder includes them)."""
-        entry = self.entries[j]
-        ls, cs = entry.lead.letters, entry.lead.center
+        ls, cs = self.leading_words[j].letters, self.leading_words[j].center
         word, cm = m.letters, m.center
         for pos in range(len(word) - len(ls) + 1):
             end = pos + len(ls)
@@ -157,7 +146,7 @@ class Dialgebra(Structure):
             if pos <= cm < end:
                 if cm - pos == cs:
                     yield word[:pos], word[end:], None
-            elif entry.flat_ok:
+            elif self.flat_ok[j]:
                 yield (word[:pos], word[end:],
                        cm if cm < pos else cm - len(word))
 
@@ -187,18 +176,14 @@ class Dialgebra(Structure):
                         yield a, b, r
 
 
-def di_reduce(p, S):
-    """Fixed point of rewriting p modulo the monic relations S, by the
-    strategy of Dialgebra; the result has no compatible occurrence."""
-    return Dialgebra(S).normal_form(p)
-
-
+# perfbench imports it
 def di_irr(S, n_letters, max_len):
     """Diwords of length <= max_len with no compatible occurrence,
     ascending in the weight order."""
     return Dialgebra(S, n_letters).irreducible(max_len)
 
 
+# perfbench imports it
 def di_gsb_check_bounded(S, n_letters, max_len):
     """Bounded report of conditions (ii) and (iii) per length, as
     Structure.bounded_check gives it.  Compositions are not examined, so

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .core import Polynomial, Structure, Terms, rewrite
+from .core import Polynomial, Structure, Terms, check_letters, rewrite
 from .rewrite import RewriteSystem, find_factor
 
 
@@ -67,9 +67,13 @@ class FreeModule(Structure):
 
     elem = ModuleElement
 
-    def __init__(self, relations, nx=0, ny=0):
+    def __init__(self, relations, nx, ny):
         super().__init__(relations)
         self.nx, self.ny = nx, ny
+        for p in self.elements:
+            for mw in p.terms:
+                check_letters(mw.u, nx)
+                check_letters((mw.y,), ny, "module generator")
         self.index = {}
         for i, lw in enumerate(self.leading_words):
             self.index.setdefault((lw.u, lw.y), i)
@@ -106,33 +110,13 @@ class FreeModule(Structure):
         return product(range(self.nx), repeat=room)
 
 
-def module_normal_form(m, S):
-    """Fully reduced representative of m modulo S."""
-    return FreeModule(S).normal_form(m)
-
-
-def module_compositions(f, g):
-    """The compositions of the ordered pair (f, g): whenever the leading
-    word of g right-divides the leading word of f (same generator, u-part
-    a suffix), the pair contributes (lead(f), f - a.g).  At most one such
-    witness a exists; the self-pair contributes its exactly-zero result."""
-    return FreeModule((f, g)).compositions(0, 1)
-
-
-def module_reducible(mw, S):
-    return FreeModule(S).find(mw) is not None
-
-
-def module_is_gsb(S):
-    """Check that every composition of every ordered pair reduces to 0."""
-    return FreeModule(S).is_gsb()
-
-
+# perfbench imports it
 def module_irr(S, nx, ny, max_len):
     """Irreducible module words with |u| <= max_len, ascending."""
     return FreeModule(S, nx, ny).irreducible(max_len)
 
 
+# perfbench imports it
 def module_cd_check(S, nx, ny, max_len):
     """Bounded report of the three equivalent conditions, per u-length,
     as Structure.bounded_check gives it."""
@@ -150,7 +134,10 @@ def pair_normal_form(m, algebra, S):
     """
     if not isinstance(algebra, RewriteSystem):
         raise TypeError("algebra side must be a RewriteSystem")
-    module = FreeModule(S)
+    # FreeModule refuses an S that is not made of module elements
+    ny = 1 + max((mw.y for p in (*S, m) if isinstance(p, ModuleElement)
+                  for mw in p.terms), default=0)
+    module = FreeModule(S, len(algebra.order.alphabet), ny)
     leads = algebra.leading_words
 
     def find(mw):

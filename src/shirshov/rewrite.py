@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import DegLexOrder, Polynomial, Structure, rewrite_step
+from .core import DegLexOrder, Polynomial, Structure, check_letters
 
 
 def _mul_word_poly(context, p):
@@ -49,9 +49,10 @@ class RewriteSystem(Structure):
 
     def __post_init__(self):
         super().__init__(self.elements)
+        n = len(self.order.alphabet)
         for p in self.elements:
             for w in p.terms:
-                self.order.alphabet.check_word(w)
+                check_letters(w, n)
         self.lead_index = {}
         for i, lw in enumerate(self.leading_words):
             self.lead_index.setdefault(lw, i)
@@ -182,24 +183,7 @@ def find_compositions(f, g, order, left=0, right=1):
     return out
 
 
-def reducible(word, system):
-    """True when some leading word of the system occurs in word."""
-    return system.find(word) is not None
-
-
-def reduce_step(p, system):
-    """One deterministic rewrite of p modulo the system, or None when p is
-    already irreducible: one pass of `core.rewrite` with the system's
-    strategy.
-
-    Picks the order-greatest monomial containing some leading word; within
-    it the order-greatest applicable leading word (ties to the earliest
-    element) at its leftmost occurrence; subtracts c * a * s * b where the
-    monomial is a * lead(s) * b with coefficient c.
-    """
-    return rewrite_step(p, system.find, system.image)
-
-
+# perfbench imports it
 def normal_form(p, system):
     """Fully reduced representative of p modulo the system."""
     return system.normal_form(p)
@@ -252,15 +236,6 @@ def irr_words(system, max_len):
     return out
 
 
-def ideal_span(system, max_deg):
-    """Bounded row space of the two-sided ideal of the system.
-
-    Rows go in by ascending ambient degree; ranks[d] is the rank of the
-    bounded span at bound d, for 0 <= d <= max_deg.
-    """
-    return system.span(max_deg)
-
-
 def membership_oracle(p, system, max_deg):
     """Exact membership of p in the bounded span of products a * s * b.
 
@@ -274,5 +249,4 @@ def membership_oracle(p, system, max_deg):
     if len(p.leading_monomial()) > max_deg:
         raise ValueError(
             "max_deg %d is below the degree of p's largest monomial" % max_deg)
-    span = ideal_span(system, max_deg)
-    return span.contains(p.terms)
+    return system.span(max_deg).contains(p.terms)

@@ -3,8 +3,8 @@
 kept verbatim so the reference tests do not depend on `src/`: the
 subtree paths and substitution of the anti-commutative kind, its
 chain-product rows, the inclusion compositions of the anti-commutative
-algebra and of the free module, and the compatible occurrences of a
-dialgebra relation.
+algebra and of the free module, and the prepared relations of a
+dialgebra with their compatible occurrences.
 """
 
 from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
@@ -89,6 +89,30 @@ def module_compositions(f, g):
         return []
     a = lf.u[:cut]
     return [(lf, f - act(Polynomial.monomial(a), g))]
+
+
+def _flat(p):
+    """Center-forgetting image in the free associative algebra."""
+    return Polynomial([(dw.letters, c) for dw, c in p.items()])
+
+
+class _Entry:
+    """A relation, its leading diword and its center-forgetting image."""
+
+    __slots__ = ("poly", "lead", "flat", "flat_ok")
+
+    def __init__(self, poly):
+        lead = poly.leading_monomial()
+        self.poly = poly
+        self.lead = lead
+        self.flat = _flat(poly)
+        self.flat_ok = bool(self.flat) and (
+            self.flat.leading_monomial() == lead.letters)
+
+
+def _prep(S):
+    """One entry per dialgebra relation."""
+    return [_Entry(p) for p in S]
 
 
 def _occurrences(m, entry):

@@ -1,11 +1,11 @@
 import pytest
 
 from conftest import witt
-from shirshov.anticomm import (AcPolynomial, ac_compositions, ac_flatten,
-                               ac_gsb_check_bounded, ac_irr_words, ac_key,
-                               ac_mul, ac_normal_form, ac_size, hall_gsb,
-                               hall_words, is_ls_word, is_normal_acword,
-                               ls_bracketing, ls_words, normal_words)
+from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_flatten,
+                               ac_gsb_check_bounded, ac_key, ac_mul,
+                               ac_size, hall_gsb, hall_words, is_ls_word,
+                               is_normal_acword, ls_bracketing, ls_words,
+                               normal_words)
 
 X1, X2 = 0, 1
 
@@ -81,29 +81,29 @@ def test_hall_gsb_element_count():
 
 def test_ac_compositions_include_the_root():
     g = AcPolynomial({(X2, X1): 1})
-    (w, zero), = ac_compositions(g, g)
+    (w, zero), = AntiCommutative((g, g), 2).compositions(0, 1)
     assert w == (X2, X1)
     assert not zero
     f = AcPolynomial({((X2, X1), X2): 1})
-    comps = ac_compositions(f, g)
+    comps = AntiCommutative((f, g), 2).compositions(0, 1)
     assert len(comps) == 1
     assert comps[0][0] == ((X2, X1), X2)
     assert not comps[0][1]
 
 
 def test_ac_normal_form():
-    S = [AcPolynomial({((X2, X1), X1): 1})]
+    S = AntiCommutative([AcPolynomial({((X2, X1), X1): 1})], 2)
     p = AcPolynomial({(((X2, X1), X1), X2): 1, (X2, X1): 3})
-    nf = ac_normal_form(p, S)
+    nf = S.normal_form(p)
     assert nf == AcPolynomial({(X2, X1): 3})
-    assert ac_normal_form(nf, S) == nf
+    assert S.normal_form(nf) == nf
 
 
 def test_ac_normal_form_renormalizes_substitutions():
     # rewriting inside a bigger tree goes through the signed product again
-    S = [AcPolynomial({((X2, X1), X2): 1, (X2, X1): -1})]
+    S = AntiCommutative([AcPolynomial({((X2, X1), X2): 1, (X2, X1): -1})], 2)
     p = AcPolynomial({(((X2, X1), X2), X1): 1})
-    nf = ac_normal_form(p, S)
+    nf = S.normal_form(p)
     assert nf == AcPolynomial({((X2, X1), X1): 1})
 
 
@@ -134,7 +134,14 @@ def test_bounded_check_flags_an_open_pair():
 
 def test_irr_equals_hall():
     S = hall_gsb(2, 5)
-    assert ac_irr_words(S, 2, 5) == hall_words(2, 5)
+    assert AntiCommutative(S, 2).irreducible(5) == hall_words(2, 5)
+
+
+def test_a_relation_outside_the_alphabet_is_refused():
+    with pytest.raises(ValueError, match="letter 2 outside alphabet"):
+        AntiCommutative(hall_gsb(3, 4), 2)
+    with pytest.raises(TypeError):
+        AntiCommutative(hall_gsb(2, 4))
 
 
 def test_is_ls_word():

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from shirshov.dialgebra import (DiPolynomial, Diword, LeibnizAlgebra,
-                                all_diwords, di_gsb_check_bounded, di_irr,
-                                di_left, di_reduce, di_right, diword_key,
+from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
+                                LeibnizAlgebra, all_diwords,
+                                di_gsb_check_bounded, di_irr, di_left,
+                                di_right, diword_key,
                                 leibniz_check, leibniz_dim2,
                                 leibniz_enveloping, leibniz_i0, pbw_basis)
 
@@ -88,16 +89,16 @@ def test_reduce_rewrites_a_square():
     S = leibniz_enveloping(L)
     # {e1, e1} = e0: the relation turns x2 -| @x2 into @x2 |- x2 - @x1
     p = DiPolynomial.monomial(Diword((1, 1), 1))
-    nf = di_reduce(p, S)
+    nf = Dialgebra(S, 2).normal_form(p)
     assert nf == DiPolynomial([(Diword((1, 1), 0), 1),
                                (Diword((0,), 0), -1)])
-    assert di_reduce(nf, S) == nf
+    assert Dialgebra(S, 2).normal_form(nf) == nf
 
 
 def test_reduce_is_linear_over_scalars():
     S = leibniz_enveloping(leibniz_dim2())
     p = DiPolynomial.monomial(Diword((1, 1), 1), Fraction(3, 2))
-    nf = di_reduce(p, S)
+    nf = Dialgebra(S, 2).normal_form(p)
     assert nf.coeff(Diword((1, 1), 0)) == Fraction(3, 2)
 
 
@@ -107,6 +108,14 @@ def test_irr_matches_pbw():
     for d in (1, 2, 3):
         assert di_irr(S, 2, d) == pbw_basis(L, d)
     assert len(pbw_basis(L, 3)) == 6
+
+
+def test_a_relation_outside_the_alphabet_is_refused():
+    S = [DiPolynomial({Diword((0, 2), 1): 1})]
+    with pytest.raises(ValueError, match="letter 2 outside alphabet"):
+        Dialgebra(S, 2)
+    with pytest.raises(TypeError):
+        Dialgebra(leibniz_enveloping(leibniz_dim2()))
 
 
 def test_bounded_check_table():

@@ -21,27 +21,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_key,
-                               ac_normal_form, hall_gsb, normal_words)
+                               hall_gsb, normal_words)
 from shirshov.core import Alphabet, DegLexOrder, Polynomial, rewrite
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
-                                all_diwords, di_reduce, diword_key,
+                                all_diwords, diword_key,
                                 leibniz_dim2, leibniz_enveloping)
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
-                                 module_normal_form, mword_key,
-                                 pair_normal_form, random_module_set)
+                                 mword_key, pair_normal_form,
+                                 random_module_set)
 from shirshov.rewrite import RewriteSystem, find_factor
 
-from references import (_occurrence_paths, _occurrences, _substitute,
+from references import (_occurrence_paths, _occurrences, _prep, _substitute,
                         ac_chain_rows, ac_compositions, module_compositions)
 
 COEFFS = [-2, -1, 1, 2, 3]
 
 
 # -- references: the reducers before the shared engine ------------------
-
-
-def _prep(S):
-    return Dialgebra(S).entries
 
 
 def _context_image(entry, a, b, center_inside, ambient_center=None):
@@ -135,7 +131,7 @@ def module_reduce_step(m, S):
 
 def reference_module_normal_form(m, S):
     """Fully reduced representative of m modulo S."""
-    FreeModule(S)  # refuses S unless every element is nonzero and monic
+    FreeModule(S, 2, 2)  # refuses S unless every element is nonzero and monic
     while True:
         nxt = module_reduce_step(m, S)
         if nxt is None:
@@ -158,7 +154,8 @@ def ac_reduce_step(p, S):
 def reference_ac_normal_form(p, S):
     """Fully reduced representative of p modulo monic relations S.
     Substituted monomials are strictly smaller, so this terminates."""
-    AntiCommutative(S)  # refuses S unless every element is nonzero and monic
+    # refuses S unless every element is nonzero and monic
+    AntiCommutative(S, 2)
     while True:
         nxt = ac_reduce_step(p, S)
         if nxt is None:
@@ -176,7 +173,7 @@ def reference_pair_normal_form(m, algebra, S):
     """
     if not isinstance(algebra, RewriteSystem):
         raise TypeError("algebra side must be a RewriteSystem")
-    FreeModule(S)  # refuses S unless every element is nonzero and monic
+    FreeModule(S, 2, 2)  # refuses S unless every element is nonzero and monic
     while True:
         m2 = reference_module_normal_form(m, S) if S else m
         m2 = _algebra_reduce(m2, algebra)
@@ -264,7 +261,7 @@ def test_dialgebra_normal_forms_match_the_reference():
     for S in sets:
         for _ in range(8):
             p = random_element(rng, DiPolynomial, DI_WORDS)
-            nf = di_reduce(p, S)
+            nf = Dialgebra(S, 2).normal_form(p)
             assert nf == reference_di_reduce(p, S)
             changed += nf != p
     assert changed
@@ -277,7 +274,7 @@ def test_module_normal_forms_match_the_reference():
         S = random_module_set(2, 2, 3, rng)
         for _ in range(8):
             m = random_module_element(rng, 2, 2, 5)
-            nf = module_normal_form(m, S)
+            nf = FreeModule(S, 2, 2).normal_form(m)
             assert nf == reference_module_normal_form(m, S)
             changed += nf != m
     assert changed
@@ -292,7 +289,7 @@ def test_ac_normal_forms_match_the_reference():
     for S in sets:
         for _ in range(8):
             p = random_element(rng, AcPolynomial, AC_WORDS)
-            nf = ac_normal_form(p, S)
+            nf = AntiCommutative(S, 2).normal_form(p)
             assert nf == reference_ac_normal_form(p, S)
             changed += nf != p
     assert changed

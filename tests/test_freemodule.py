@@ -4,12 +4,9 @@ from fractions import Fraction
 import pytest
 
 from shirshov.core import Alphabet, DegLexOrder, Polynomial
-from shirshov.freemodule import (ModuleElement, ModuleWord, act,
-                                 module_cd_check, module_compositions,
-                                 module_irr, module_is_gsb,
-                                 module_normal_form, module_reducible,
-                                 mword_key, pair_normal_form,
-                                 random_module_set)
+from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
+                                 module_cd_check, module_irr, mword_key,
+                                 pair_normal_form, random_module_set)
 from shirshov.rewrite import RewriteSystem
 
 
@@ -44,45 +41,45 @@ def test_act_prepends_words():
 
 def test_compositions_need_suffix_and_same_generator():
     f, g = simple_set()
-    assert module_compositions(f, g) == []
+    assert FreeModule((f, g), 2, 2).compositions(0, 1) == []
     h = mono((0,), 0)
-    comps = module_compositions(f, h)
+    comps = FreeModule((f, h), 2, 1).compositions(0, 1)
     assert len(comps) == 1
     w, result = comps[0]
     assert w == ModuleWord((0, 0), 0)
     assert result == -mono((1,), 0)
     # self-pair closes trivially
-    (w, zero), = module_compositions(f, f)
+    (w, zero), = FreeModule((f, f), 2, 1).compositions(0, 1)
     assert w == ModuleWord((0, 0), 0)
     assert not zero
 
 
 def test_is_gsb():
-    rep = module_is_gsb(simple_set())
+    rep = FreeModule(simple_set(), 2, 2).is_gsb()
     assert rep.holds
     assert rep.checked == 2
     f, _ = simple_set()
     broken = [f, mono((0,), 0)]
-    rep = module_is_gsb(broken)
+    rep = FreeModule(broken, 2, 1).is_gsb()
     assert not rep.holds
     assert rep.failing
 
 
 def test_normal_form():
-    S = simple_set()
+    S = FreeModule(simple_set(), 2, 2)
     m = mono((1, 0, 0), 0, Fraction(2)) + mono((1, 0), 1, 3)
-    nf = module_normal_form(m, S)
+    nf = S.normal_form(m)
     assert nf == mono((1, 1), 0, 2)
-    assert module_normal_form(nf, S) == nf
-    assert not module_normal_form(mono((1, 0), 1), S)
+    assert S.normal_form(nf) == nf
+    assert not S.normal_form(mono((1, 0), 1))
 
 
 def test_reducible_uses_suffixes():
-    S = simple_set()
-    assert module_reducible(ModuleWord((1, 0, 0), 0), S)
-    assert not module_reducible(ModuleWord((0, 0, 1), 0), S)
-    assert module_reducible(ModuleWord((1, 0), 1), S)
-    assert not module_reducible(ModuleWord((1,), 1), S)
+    S = FreeModule(simple_set(), 2, 2)
+    assert S.find(ModuleWord((1, 0, 0), 0)) is not None
+    assert S.find(ModuleWord((0, 0, 1), 0)) is None
+    assert S.find(ModuleWord((1, 0), 1)) is not None
+    assert S.find(ModuleWord((1,), 1)) is None
 
 
 def test_irr_counts():
@@ -92,7 +89,7 @@ def test_irr_counts():
     for w in words:
         counts[len(w.u)] = counts.get(len(w.u), 0) + 1
     assert [counts.get(d, 0) for d in range(4)] == [2, 3, 5, 10]
-    assert all(not module_reducible(w, S) for w in words)
+    assert all(FreeModule(S, 2, 2).find(w) is None for w in words)
 
 
 def test_cd_check_table():
@@ -115,6 +112,15 @@ def test_cd_check_catches_a_gap():
 def test_cd_check_rejects_small_bound():
     with pytest.raises(ValueError):
         module_cd_check(simple_set(), 2, 2, 1)
+
+
+def test_a_relation_outside_the_sizes_is_refused():
+    for S in ([ModuleElement({ModuleWord((3,), 0): 1})],
+              [ModuleElement({ModuleWord((0,), 5): 1})]):
+        with pytest.raises(ValueError, match="outside alphabet of size"):
+            FreeModule(S, 2, 1)
+    with pytest.raises(TypeError):
+        FreeModule(simple_set())
 
 
 def test_pair_normal_form():

@@ -13,9 +13,9 @@ from itertools import product
 
 import pytest
 
-from shirshov.anticomm import (AcPolynomial, _normal_by_degree,
-                               ac_gsb_check_bounded, ac_irr_words, ac_key,
-                               ac_mul, ac_normal_form, ac_size, hall_gsb,
+from shirshov.anticomm import (AcPolynomial, AntiCommutative,
+                               _normal_by_degree, ac_gsb_check_bounded,
+                               ac_key, ac_mul, ac_size, hall_gsb,
                                hall_words, normal_words)
 from shirshov.catalog import chinese_gsb
 from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
@@ -23,14 +23,13 @@ from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
                                 all_diwords, di_gsb_check_bounded, di_irr,
                                 diword_key, leibniz_dim2, leibniz_enveloping)
-from shirshov.freemodule import (act, module_cd_check, module_irr,
-                                 module_is_gsb, module_reducible, mword_key,
-                                 random_module_set)
-from shirshov.gsb import cd_lemma_check, find_compositions, is_trivial
-from shirshov.rewrite import (RewriteSystem, ideal_span, irr_words,
-                              reducible)
+from shirshov.freemodule import (FreeModule, act, module_cd_check,
+                                 module_irr, mword_key, random_module_set)
+from shirshov.gsb import cd_lemma_check, find_compositions
+from shirshov.rewrite import RewriteSystem, irr_words
 
-from references import _occurrence_paths, _occurrences, ac_compositions
+from references import (_occurrence_paths, _occurrences, _prep,
+                        ac_compositions)
 
 
 # -- Structure.span -----------------------------------------------------
@@ -56,10 +55,6 @@ def test_graded_span_of_an_empty_row_source():
 
 
 # -- reference spans: one per bound, element first -----------------------
-
-
-def _prep(S):
-    return Dialgebra(S).entries
 
 
 def _context_image(entry, a, b, center_inside, ambient_center=None):
@@ -153,9 +148,9 @@ def reference_cd(system, max_deg):
     failing = tuple((c.w, c.result) for f in system.elements
                     for g in system.elements
                     for c in find_compositions(f, g, system.order)
-                    if len(c.w) <= max_deg and not is_trivial(c, system))
+                    if len(c.w) <= max_deg and system.normal_form(c.result))
     span = reference_ideal_span(system, max_deg)
-    bad = tuple(w for w in span.pivots() if not reducible(w, system))
+    bad = tuple(w for w in span.pivots() if system.find(w) is None)
     n = len(system.order.alphabet)
     table = reference_table(
         DegreeLine, range(max_deg + 1),
@@ -181,9 +176,10 @@ def reference_di(S, n, max_len):
 
 
 def reference_module(S, nx, ny, max_len):
-    report = module_is_gsb(S)
+    report = FreeModule(S, nx, ny).is_gsb()
     span = reference_module_span(S, nx, max_len)
-    bad = tuple(mw for mw in span.pivots() if not module_reducible(mw, S))
+    bad = tuple(mw for mw in span.pivots()
+                if FreeModule(S, nx, ny).find(mw) is None)
     table = reference_table(
         DegreeLine, range(max_len + 1),
         lambda d: ny * sum(nx ** k for k in range(d + 1)),
@@ -196,7 +192,7 @@ def reference_module(S, nx, ny, max_len):
 def reference_ac(S, n, max_deg):
     failing = tuple((w, r) for f in S for g in S
                     for w, r in ac_compositions(f, g)
-                    if ac_normal_form(r, S))
+                    if AntiCommutative(S, n).normal_form(r))
     span = reference_ac_span(S, n, max_deg)
     leads = [s.leading_monomial() for s in S]
     bad = tuple(t for t in span.pivots()
@@ -204,7 +200,7 @@ def reference_ac(S, n, max_deg):
     table = reference_table(
         DegreeLine, range(1, max_deg + 1),
         lambda d: sum(len(_normal_by_degree(n, k)) for k in range(1, d + 1)),
-        lambda d: len(ac_irr_words(S, n, d)),
+        lambda d: len(AntiCommutative(S, n).irreducible(d)),
         lambda d: reference_ac_span(S, n, d).rank)
     return BoundedReport(max_deg, not failing, failing, not bad, bad,
                          all(line.ok for line in table), table)
@@ -318,7 +314,7 @@ def test_ac_report_matches_reference():
 
 def test_ideal_span_ranks_match_one_span_per_bound():
     system = chinese_gsb(2)
-    span = ideal_span(system, 6)
+    span = system.span(6)
     assert span.ranks == {d: reference_ideal_span(system, d).rank
                           for d in range(7)}
     assert span.pivots() == reference_ideal_span(system, 6).pivots()

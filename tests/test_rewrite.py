@@ -1,10 +1,9 @@
 import pytest
 
-from shirshov.core import Alphabet, DegLexOrder, Polynomial
+from shirshov.core import Alphabet, DegLexOrder, Polynomial, rewrite_step
 from shirshov.gsb import is_gsb
-from shirshov.rewrite import (RewriteSystem, find_factor, ideal_span,
-                              irr_words, membership_oracle, normal_form,
-                              reduce_step, reducible)
+from shirshov.rewrite import (RewriteSystem, find_factor, irr_words,
+                              membership_oracle, normal_form)
 
 AB = Alphabet(("y", "x"))
 ORDER = DegLexOrder(AB)
@@ -42,22 +41,22 @@ def test_find_factor():
 
 def test_reducible():
     S = branching_system()
-    assert reducible((Y, X, X, Y), S)
-    assert not reducible((X, Y, X), S)
+    assert S.find((Y, X, X, Y)) is not None
+    assert S.find((X, Y, X)) is None
 
 
 def test_reduce_step_rewrites_greatest_monomial_first():
     S = branching_system()
     p = Polynomial([((X, X), 1), ((Y, Y), 5)])
-    q = reduce_step(p, S)
+    q = rewrite_step(p, S.find, S.image)
     assert q == Polynomial([((Y, X), 1), ((Y, Y), 5)])
-    assert reduce_step(q, S) is None
+    assert rewrite_step(q, S.find, S.image) is None
 
 
 def test_reduce_step_uses_leftmost_occurrence():
     S = branching_system()
     p = Polynomial.monomial((X, X, X))
-    q = reduce_step(p, S)
+    q = rewrite_step(p, S.find, S.image)
     # leftmost xx -> yx gives yxx, not xyx
     assert q == Polynomial.monomial((Y, X, X))
 
@@ -76,7 +75,7 @@ def test_reduce_step_prefers_greater_leading_word():
     f = Polynomial([((X, X), 1), ((Y,), -1)])
     g = Polynomial([((X, X, X), 1), ((Y, Y), -1)])
     S = RewriteSystem((f, g), ORDER)
-    q = reduce_step(Polynomial.monomial((X, X, X)), S)
+    q = rewrite_step(Polynomial.monomial((X, X, X)), S.find, S.image)
     assert q == Polynomial.monomial((Y, Y))
 
 
@@ -84,9 +83,10 @@ def test_reduce_step_duplicate_leading_words_use_the_earliest():
     f = Polynomial([((X, X), 1), ((Y,), -1)])
     g = Polynomial([((X, X), 1), ((Y, Y), -1)])
     p = Polynomial.monomial((Y, X, X))
-    assert reduce_step(p, RewriteSystem((f, g), ORDER)) == \
-        Polynomial.monomial((Y, Y))
-    assert reduce_step(p, RewriteSystem((g, f), ORDER)) == \
+    S = RewriteSystem((f, g), ORDER)
+    assert rewrite_step(p, S.find, S.image) == Polynomial.monomial((Y, Y))
+    S = RewriteSystem((g, f), ORDER)
+    assert rewrite_step(p, S.find, S.image) == \
         Polynomial.monomial((Y, Y, Y))
 
 
@@ -96,10 +96,10 @@ def test_reduce_step_equal_length_leads_in_one_monomial():
     f = Polynomial([((Y, X), 1), ((Y,), -1)])
     g = Polynomial([((X, Y), 1), ((X,), -1)])
     S = RewriteSystem((f, g), ORDER)
-    assert reduce_step(Polynomial.monomial((Y, X, Y)), S) == \
-        Polynomial.monomial((Y, X))
-    assert reduce_step(Polynomial.monomial((X, Y, X, Y)), S) == \
-        Polynomial.monomial((X, X, Y))
+    assert rewrite_step(Polynomial.monomial((Y, X, Y)), S.find,
+                        S.image) == Polynomial.monomial((Y, X))
+    assert rewrite_step(Polynomial.monomial((X, Y, X, Y)), S.find,
+                        S.image) == Polynomial.monomial((X, X, Y))
 
 
 def test_irr_words_ascending_and_complete():
@@ -111,12 +111,12 @@ def test_irr_words_ascending_and_complete():
     # irreducible = words without xx as a factor (Fibonacci-style count)
     assert [sum(1 for w in words if len(w) == d) for d in range(4)] == [
         1, 2, 3, 5]
-    assert all(not reducible(w, S) for w in words)
+    assert all(S.find(w) is None for w in words)
 
 
 def test_ideal_span_sees_the_unresolved_overlap():
     S = branching_system()
-    span = ideal_span(S, 3)
+    span = S.span(3)
     # the system is not closed: the self-overlap of xx puts xyx - yxx in
     # the ideal, so xyx appears as a pivot beyond the reducible words
     assert span.rank == 5
