@@ -130,10 +130,11 @@ def _parse_ac_tree(cur, alphabet):
 
 
 def _parse_term(cur, kind, alphabet, mgens):
-    """One product term; returns (coefficient, monomial or None).
+    """One product term; returns its (monomial, coefficient) pairs.
 
-    None stands for a term of numerals alone whose product is 0, which
-    every kind reads as zero; other bare scalars are associative only."""
+    A term of numerals alone whose product is 0 has none, which every
+    kind reads as zero; other bare scalars are associative only.  An ac
+    term gives the pairs of its renormalised tree product."""
     coeff = 1
     letters = []
     center = None
@@ -197,29 +198,25 @@ def _parse_term(cur, kind, alphabet, mgens):
         cur.error("expected a term")
 
     if not coeff and not (letters or trees or ygen is not None):
-        return coeff, None
+        return []
     if kind == "assoc":
-        return coeff, tuple(letters)
+        return [(tuple(letters), coeff)]
     if kind == "dialgebra":
         if not letters:
             cur.error("a dialgebra term needs letters")
         if center is None:
             cur.error("mark the center letter with @")
-        return coeff, Diword(tuple(letters), center)
+        return [(Diword(tuple(letters), center), coeff)]
     if kind == "module":
         if ygen is None:
             cur.error("a module term ends with [generator]")
-        return coeff, ModuleWord(tuple(letters), ygen)
+        return [(ModuleWord(tuple(letters), ygen), coeff)]
     if not trees:
         cur.error("an ac term needs a tree or a letter")
     acc = _ac_renorm(trees[0])
     for t in trees[1:]:
         acc = ac_mul(acc, _ac_renorm(t))
-    return coeff, acc
-
-
-_CONTAINERS = {"assoc": Polynomial, "dialgebra": DiPolynomial,
-               "module": ModuleElement}
+    return acc.scale(coeff).items()
 
 
 def _parse_expr(cur, kind, alphabet, mgens):
@@ -232,13 +229,8 @@ def _parse_expr(cur, kind, alphabet, mgens):
     elif tok and (tok[0], tok[1]) == ("op", "+"):
         cur.next()
     while True:
-        coeff, mono = _parse_term(cur, kind, alphabet, mgens)
-        if mono is None:  # a zero scalar term
-            pass
-        elif kind == "ac":
-            items.append(mono.scale(sign * coeff))
-        else:
-            items.append((mono, sign * coeff))
+        items += [(m, sign * c)
+                  for m, c in _parse_term(cur, kind, alphabet, mgens)]
         tok = cur.peek()
         if tok is None:
             break
@@ -249,12 +241,7 @@ def _parse_expr(cur, kind, alphabet, mgens):
         else:
             cur.error("expected + or - between terms")
         cur.next()
-    if kind == "ac":
-        total = AcPolynomial()
-        for p in items:
-            total = total + p
-        return total
-    return _CONTAINERS[kind](items)
+    return _SPECS[kind].elem(items)
 
 
 def parse_element(text, kind, alphabet, mgens=(), lineno=1):
@@ -268,6 +255,21 @@ def parse_element(text, kind, alphabet, mgens=(), lineno=1):
     return out
 
 
+def _names(cur, directive, what):
+    """The names after a gens or mgens directive: at least one, and no
+    name twice."""
+    names = []
+    while cur.peek() is not None:
+        tok = cur.next("name", "a %s name" % what)
+        if tok[1] in names:
+            raise ParseError(cur.lineno, tok[2],
+                             "duplicate %s name %r" % (what, tok[1]))
+        names.append(tok[1])
+    if not names:
+        cur.error("%s needs at least one name" % directive)
+    return tuple(names)
+
+
 def parse_presentation(text):
     """Parse a presentation file into its kind, alphabets and relations;
     bracket lines give the relations of the enveloping dialgebra of a
@@ -276,7 +278,7 @@ def parse_presentation(text):
     gens = None
     mgens = ()
     bracket = {}
-    saw_bracket = False
+    bracket_pairs = set()
     rel_lines = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -297,22 +299,14 @@ def parse_presentation(text):
         elif word == "gens":
             if gens is not None:
                 raise ParseError(lineno, head[2], "duplicate gens line")
-            names = []
-            while cur.peek() is not None:
-                names.append(cur.next("name", "a generator name")[1])
-            if not names:
-                cur.error("gens needs at least one name")
-            gens = Alphabet(tuple(names))
+            gens = Alphabet(_names(cur, word, "generator"))
         elif word == "mgens":
             if kind != "module":
                 raise ParseError(lineno, head[2],
                                  "mgens lines belong to kind module")
-            names = []
-            while cur.peek() is not None:
-                names.append(cur.next("name", "a module generator name")[1])
-            if not names:
-                cur.error("mgens needs at least one name")
-            mgens = tuple(names)
+            if mgens:
+                raise ParseError(lineno, head[2], "duplicate mgens line")
+            mgens = _names(cur, word, "module generator")
         elif word == "bracket":
             if kind != "dialgebra":
                 raise ParseError(lineno, head[2],
@@ -322,12 +316,15 @@ def parse_presentation(text):
             if rel_lines:
                 raise ParseError(lineno, head[2],
                                  "bracket and rel lines cannot be mixed")
-            saw_bracket = True
             ti = cur.next("name", "a generator name")
             tj = cur.next("name", "a generator name")
             cur.next(("op", "="), "=")
             i = _rank(cur, gens, ti[1], ti[2])
             j = _rank(cur, gens, tj[1], tj[2])
+            if (i, j) in bracket_pairs:
+                raise ParseError(lineno, ti[2], "duplicate bracket line for "
+                                 "%s %s" % (ti[1], tj[1]))
+            bracket_pairs.add((i, j))
             combo = _parse_expr(cur, "assoc", gens, ())
             if cur.peek() is not None:
                 cur.error("trailing input after the bracket value")
@@ -342,7 +339,7 @@ def parse_presentation(text):
                 raise ParseError(lineno, head[2], "kind must come first")
             if gens is None:
                 raise ParseError(lineno, head[2], "gens must come first")
-            if saw_bracket:
+            if bracket_pairs:
                 raise ParseError(lineno, head[2],
                                  "bracket and rel lines cannot be mixed")
             if kind == "module" and not mgens:
@@ -366,7 +363,7 @@ def parse_presentation(text):
         raise ParseError(1, 1, "kind module needs an mgens line")
 
     relations = rel_lines
-    if saw_bracket:
+    if bracket_pairs:
         try:
             relations = leibniz_enveloping(
                 LeibnizAlgebra(dim=len(gens), bracket=bracket))
@@ -491,6 +488,7 @@ def cmd_complete(args):
 class _Kind:
     """What the subcommands need to know of one kind of structure."""
 
+    elem: type         # (monomial, coeff) pairs -> element
     fmt: object        # (monomial, pfile) -> text
     structure: object  # pfile -> core.Structure
     exact: bool        # check runs is_gsb, not the bounded check
@@ -498,18 +496,22 @@ class _Kind:
 
 _SPECS = {
     "assoc": _Kind(
+        elem=Polynomial,
         fmt=lambda m, pf: fmt_word(m, pf.alphabet),
         structure=_assoc_system, exact=True),
     "dialgebra": _Kind(
+        elem=DiPolynomial,
         fmt=lambda m, pf: fmt_diword(m, pf.alphabet),
         structure=lambda pf: Dialgebra(pf.relations, len(pf.alphabet)),
         exact=False),
     "module": _Kind(
+        elem=ModuleElement,
         fmt=lambda m, pf: fmt_mword(m, pf.alphabet, pf.mgens),
         structure=lambda pf: FreeModule(pf.relations, len(pf.alphabet),
                                         len(pf.mgens)),
         exact=True),
     "ac": _Kind(
+        elem=AcPolynomial,
         fmt=lambda m, pf: fmt_acword(m, pf.alphabet),
         structure=lambda pf: AntiCommutative(pf.relations,
                                              len(pf.alphabet)),

@@ -9,6 +9,8 @@ Words are tuples of generator ranks; () is the monoid identity.  A
 coefficient is exact and never a float: an int when its value is integral,
 a fractions.Fraction otherwise.  `exact` brings a value to that form and
 `exact_div` divides two of them, since `1 / c` on an int gives a float.
+`add_scaled` is the one kernel every linear combination goes through: it
+keeps each sum in that form and drops a coefficient that reaches 0.
 """
 
 from __future__ import annotations
@@ -38,6 +40,22 @@ def exact_div(a, b):
     if type(a) is int and type(b) is int and not a % b:
         return a // b
     return exact(Fraction(a, b))
+
+
+def add_scaled(acc, items, c=1):
+    """Add c * v into the dict acc for every (m, v) in items, keeping each
+    sum as `exact` gives it and dropping a key whose sum is 0; returns
+    acc.  c is an exact coefficient."""
+    one = c == 1
+    for m, v in items:
+        v = acc.get(m, 0) + (v if one else c * v)
+        if type(v) is not int:  # an int sum is exact already
+            v = exact(v)
+        if v:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
+    return acc
 
 
 def deglex_key(word):
@@ -126,14 +144,14 @@ class Terms:
     def __init__(self, items=()):
         if hasattr(items, "items"):
             items = items.items()
-        acc = {}
-        for m, c in items:
-            c = exact(acc.get(m, 0) + c)
-            if c:
-                acc[m] = c
-            else:
-                acc.pop(m, None)
-        self.terms = acc
+        self.terms = add_scaled({}, items)
+
+    @classmethod
+    def _of(cls, terms):
+        # wraps a dict that already keeps the coefficient rule
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- container basics ----------------------------------------------
 
@@ -161,44 +179,24 @@ class Terms:
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            c = exact(acc.get(m, 0) + c)
-            if c:
-                acc[m] = c
-            else:
-                del acc[m]
-        out = type(self).__new__(type(self))
-        out.terms = acc
-        return out
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, c):
+        """self + c * other in one pass."""
         if type(other) is not type(self):
             return NotImplemented
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            c = exact(acc.get(m, 0) - c)
-            if c:
-                acc[m] = c
-            else:
-                del acc[m]
-        out = type(self).__new__(type(self))
-        out.terms = acc
-        return out
+        return self._of(add_scaled(dict(self.terms), other.terms.items(), c))
 
     def __neg__(self):
-        out = type(self).__new__(type(self))
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return self._of({m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
         c = exact(c)
-        out = type(self).__new__(type(self))
-        out.terms = ({m: exact(v * c) for m, v in self.terms.items()}
-                     if c else {})
-        return out
+        return self._of({m: exact(v * c) for m, v in self.terms.items()}
+                        if c else {})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -251,18 +249,9 @@ class Polynomial(Terms):
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = u + v
-                c = exact(acc.get(w, 0) + cu * cv)
-                if c:
-                    acc[w] = c
-                else:
-                    del acc[w]
-        out = Polynomial.__new__(Polynomial)
-        out.terms = acc
-        return out
+        return Polynomial._of(add_scaled({}, [
+            (u + v, cu * cv) for u, cu in self.terms.items()
+            for v, cv in other.terms.items()]))
 
 
 class VectorSpan:
@@ -288,13 +277,7 @@ class VectorSpan:
             row = self.rows.get(lead)
             if row is None:
                 return vec, lead
-            c = vec[lead]
-            for col, rc in row.items():
-                nv = exact(vec.get(col, 0) - c * rc)
-                if nv:
-                    vec[col] = nv
-                else:
-                    vec.pop(col, None)
+            add_scaled(vec, row.items(), -vec[lead])
         return vec, None
 
     def insert(self, vec):
@@ -393,12 +376,12 @@ def rewrite_step(p, find, image):
     or None; image(m, occ) is the ideal element the occurrence gives, with
     coefficient 1 at m and smaller monomials elsewhere.  The pass takes
     the key-greatest monomial of p with an occurrence and subtracts its
-    coefficient times its image.
+    coefficient times its image, in one pass over the image's terms.
     """
     for m in sorted(p.terms, key=type(p)._key, reverse=True):
         occ = find(m)
         if occ is not None:
-            return p - image(m, occ).scale(p.terms[m])
+            return p._plus(image(m, occ), -p.terms[m])
     return None
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import (Polynomial, Structure, Terms, VectorSpan, check_letters,
-                   exact)
+from .core import (Polynomial, Structure, Terms, VectorSpan, add_scaled,
+                   check_letters)
 
 
 @dataclass(frozen=True)
@@ -205,44 +205,26 @@ class LeibnizAlgebra:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        table = {}
-        for (i, j, k), c in dict(self.bracket).items():
+        bracket = dict(self.bracket)
+        for i, j, k in bracket:
             for idx in (i, j, k):
                 if not 0 <= idx < self.dim:
                     raise ValueError("index %d outside basis 0..%d"
                                      % (idx, self.dim - 1))
-            c = exact(c)
-            if c:
-                table[(i, j, k)] = c
-        object.__setattr__(self, "bracket", table)
+        object.__setattr__(self, "bracket", add_scaled({}, bracket.items()))
 
     def bracket_of(self, i, j):
         """{e_i, e_j} as a coordinate dict."""
-        out = {}
-        for k in range(self.dim):
-            c = self.bracket.get((i, j, k), 0)
-            if c:
-                out[k] = c
-        return out
+        return {k: self.bracket[i, j, k] for k in range(self.dim)
+                if (i, j, k) in self.bracket}
 
 
-def _add_scaled(acc, vec, c):
-    """acc + c * vec on coordinate dicts, in place, dropping zeros."""
-    for k, v in vec.items():
-        nv = exact(acc.get(k, 0) + c * v)
-        if nv:
-            acc[k] = nv
-        else:
-            acc.pop(k, None)
-    return acc
-
-
-def _bracket_vec(L, vec, j):
-    """{v, e_j} for a coordinate dict v, by linearity in the left slot."""
-    out = {}
+def _bracket_vec(L, vec, j, acc, c=1):
+    """acc + c * {v, e_j} for a coordinate dict v, in place, by linearity
+    in the left slot."""
     for i, ci in vec.items():
-        _add_scaled(out, L.bracket_of(i, j), ci)
-    return out
+        add_scaled(acc, L.bracket_of(i, j).items(), c * ci)
+    return acc
 
 
 def leibniz_check(L):
@@ -251,9 +233,9 @@ def leibniz_check(L):
     for x in range(L.dim):
         for y in range(L.dim):
             for z in range(L.dim):
-                acc = _bracket_vec(L, L.bracket_of(x, y), z)
-                _add_scaled(acc, _bracket_vec(L, L.bracket_of(x, z), y), -1)
-                _add_scaled(acc, _bracket_vec(L, L.bracket_of(y, z), x), -1)
+                acc = _bracket_vec(L, L.bracket_of(x, y), z, {})
+                _bracket_vec(L, L.bracket_of(x, z), y, acc, -1)
+                _bracket_vec(L, L.bracket_of(y, z), x, acc, -1)
                 if acc:
                     return False
     return True
@@ -271,8 +253,8 @@ def leibniz_i0(L):
     for i in range(L.dim):
         span.insert(L.bracket_of(i, i))
         for j in range(i + 1, L.dim):
-            span.insert(_add_scaled(L.bracket_of(i, j), L.bracket_of(j, i),
-                                    1))
+            span.insert(add_scaled(L.bracket_of(i, j),
+                                   L.bracket_of(j, i).items()))
     indices = set()
     for pivot, row in span.rows.items():
         if set(row) != {pivot}:

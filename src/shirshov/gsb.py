@@ -77,13 +77,12 @@ def _inter_reduce_elements(elements, order):
         lengths = {len(lw) for lw in own}
         for i in range(len(elems)):
             # An element no other leading word occurs in is its own normal
-            # form modulo the rest; skip building that system.
+            # form modulo the rest; skip building that system.  Any other
+            # changes: its greatest monomial with an occurrence goes away.
             if not _reducible_by_others(elems[i], own[i], leads, lengths):
                 continue
             others = elems[:i] + elems[i + 1:]
             nf = RewriteSystem(tuple(others), order).normal_form(elems[i])
-            if nf == elems[i]:
-                continue
             changed = True
             if nf:
                 elems[i] = nf.monic()

@@ -23,9 +23,7 @@ def _mul_word_poly(context, p):
     # a*p*b for the context (a, b); t -> a*t*b is one-to-one, so the
     # terms need no merging
     a, b = context
-    out = Polynomial.__new__(Polynomial)
-    out.terms = {a + t + b: c for t, c in p.terms.items()}
-    return out
+    return Polynomial._of({a + t + b: c for t, c in p.terms.items()})
 
 
 @dataclass

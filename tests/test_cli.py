@@ -123,7 +123,7 @@ def test_parse_errors_report_position():
         raise AssertionError("expected a ParseError")
 
 
-def test_file_level_errors():
+def test_file_level_errors(tmp_path, capsys):
     for text in (
             "gens x\nrel x\n",                      # missing kind
             "kind assoc\nkind assoc\ngens x\n",     # duplicate kind
@@ -138,6 +138,25 @@ def test_file_level_errors():
     ):
         with pytest.raises(ParseError):
             parse_presentation(text)
+    # a repeated name or line is refused where it is, and exits 2
+    brackets = "kind dialgebra\ngens e0 e1 e2 e3\nbracket e1 e2 = e0\n"
+    for text, line, col, msg in (
+            (brackets + "bracket e2 e1 = -e3\nbracket e1 e2 = e3\n", 5, 9,
+             "duplicate bracket line for e1 e2"),
+            (brackets + "bracket e1 e2 = 2*e0\n", 4, 9,
+             "duplicate bracket line for e1 e2"),
+            ("kind assoc\ngens x y x\n", 2, 10, "duplicate generator name"),
+            ("kind module\ngens x\nmgens v v\n", 3, 9,
+             "duplicate module generator name"),
+            ("kind module\ngens x\nmgens v\nmgens w\n", 4, 1,
+             "duplicate mgens line"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert msg in str(err.value)
+        assert main(["check", write(tmp_path, text)]) == 2
+        assert msg in capsys.readouterr().err
 
 
 def test_check_exit_codes(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from shirshov.anticomm import AcPolynomial
 from shirshov.core import (Alphabet, DegLexOrder, Polynomial, Terms,
-                           VectorSpan, deglex_key, exact, exact_div)
+                           VectorSpan, add_scaled, deglex_key, exact,
+                           exact_div)
 from shirshov.dialgebra import DiPolynomial, Diword, LeibnizAlgebra
 from shirshov.freemodule import ModuleElement, ModuleWord
 from shirshov.rewrite import RewriteSystem
@@ -121,6 +122,11 @@ def test_an_integral_coefficient_is_an_int_and_any_other_a_fraction():
     assert exact_div(6, -3) == -2 and type(exact_div(6, -3)) is int
     assert exact_div(1, 2) == Fraction(1, 2)
     assert type(exact_div(Fraction(1, 2), Fraction(1, 4))) is int
+    acc = {x: 1, y: Fraction(1, 2)}
+    assert add_scaled(acc, [(y, Fraction(1, 4)), (x, 1), ((), 0)], -2) is acc
+    assert acc == {x: -1} and type(acc[x]) is int
+    total = add_scaled({}, [(x, Fraction(3, 2)), (x, Fraction(1, 2))])
+    assert total == {x: 2} and type(total[x]) is int
 
 
 def test_monic_returns_an_element_that_is_already_monic():

@@ -9,9 +9,10 @@ last coefficient.  Property tests then check, for every kind, that a
 normal form has no monomial the kind's `find` accepts, that reducing it
 again changes nothing, that what rewriting removed lies in the bounded
 ideal span, and that every coefficient the engine produces is an int
-when integral and a Fraction otherwise.  Last, the compositions and the
-anti-commutative rows that `core.Structure` derives from the occurrences
-hook are checked against the functions they replaced.
+when integral and a Fraction otherwise and equals what plain Fraction
+arithmetic gives.  Last, the compositions and the anti-commutative rows
+that `core.Structure` derives from the occurrences hook are checked
+against the functions they replaced.
 """
 
 import random
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 
 from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_key,
                                hall_gsb, normal_words)
-from shirshov.core import Alphabet, DegLexOrder, Polynomial, rewrite
+from shirshov.core import (Alphabet, DegLexOrder, Polynomial, add_scaled,
+                           rewrite, rewrite_step)
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
                                 all_diwords, diword_key,
                                 leibniz_dim2, leibniz_enveloping)
@@ -408,20 +410,73 @@ def _is_exact(c):
     return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
+def _reference_sum(p, q, c):
+    """p + c * q as a dict of Fractions without zeros."""
+    out = {}
+    for terms, k in ((p.terms, 1), (q.terms, c)):
+        for m, v in terms.items():
+            out[m] = out.get(m, Fraction(0)) + Fraction(k) * Fraction(v)
+    return {m: v for m, v in out.items() if v}
+
+
+def _reference_product(p, q):
+    out = {}
+    for u, cu in p.terms.items():
+        for v, cv in q.terms.items():
+            out[u + v] = out.get(u + v, Fraction(0)) + Fraction(cu) * cv
+    return {m: v for m, v in out.items() if v}
+
+
+def _two_step(p, find, image):
+    """rewrite_step as a scaled copy of the image, then a subtraction."""
+    for m in sorted(p.terms, key=type(p)._key, reverse=True):
+        occ = find(m)
+        if occ is not None:
+            return p - image(m, occ).scale(p.terms[m])
+    return None
+
+
+@st.composite
+def overlapping(draw, p, extra):
+    """An element of p's class that cancels some terms of p exactly and
+    shares or adds others, with int and Fraction coefficients."""
+    monomials = list(p.terms) + list(extra)
+    terms = draw(st.dictionaries(st.sampled_from(monomials), RATIONALS,
+                                 max_size=6))
+    for m in draw(st.sets(st.sampled_from(list(p.terms)))):
+        terms[m] = -p.terms[m]
+    return type(p)(terms)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(cases(RATIONALS), RATIONALS)
+@given(cases(RATIONALS), RATIONALS, st.data())
 def test_a_coefficient_is_an_int_when_integral_and_a_fraction_otherwise(
-        case, c):
+        case, c, data):
+    # Every sum and product goes through core.add_scaled; each one is
+    # checked against plain Fraction arithmetic.
     structure, p = case
     nf = structure.normal_form(p)
-    made = [p, nf, p + nf, p - nf, p.scale(c), c * p, p.monic()]
+    q = data.draw(overlapping(p, nf.terms))
+    assert (p + q).terms == _reference_sum(p, q, 1)
+    assert (p - q).terms == _reference_sum(p, q, -1)
+    assert (p + c * q).terms == _reference_sum(p, q, c)
+    assert add_scaled(dict(p.terms), q.items(), c) == _reference_sum(p, q, c)
+    made = [p, q, nf, p + nf, p - nf, p + q, p - q, p + c * q, p.scale(c),
+            c * p, p.monic()]
     made += structure.elements
     made += [structure.image(m, structure.find(m)) for m in p.terms
              if structure.find(m) is not None]
     if isinstance(p, Polynomial):
-        made.append(p * nf)
-    for q in made:
-        assert all(map(_is_exact, q.terms.values()))
+        assert (p * q).terms == _reference_product(p, q)
+        made += [p * nf, p * q]
+    for r in made:
+        assert all(map(_is_exact, r.terms.values()))
+    # one rewrite pass equals the scaled copy subtracted, along the chain
+    r = p
+    while r is not None:
+        step = rewrite_step(r, structure.find, structure.image)
+        assert step == _two_step(r, structure.find, structure.image)
+        r = step
     d = max(map(structure.degree,
                 list(p.terms) + list(structure.leading_words)))
     for row in structure.span(d).rows.values():
