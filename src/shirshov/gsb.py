@@ -15,8 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .rewrite import (RewriteSystem, _composition, _overlaps,
-                      find_compositions)
+from .rewrite import RewriteSystem, _composition, find_compositions
 
 
 @dataclass(frozen=True)
@@ -64,33 +63,70 @@ def _reducible_by_others(p, own, leads, lengths):
     return False
 
 
-def _inter_reduce_elements(elements, order):
-    elems = []
-    for p in elements:
-        if p:
-            elems.append(p.monic())
-    changed = True
-    while changed:
-        changed = False
-        own = [p.leading_monomial() for p in elems]
-        leads = Counter(own)
-        lengths = {len(lw) for lw in own}
-        for i in range(len(elems)):
-            # An element no other leading word occurs in is its own normal
-            # form modulo the rest; skip building that system.  Any other
-            # changes: its greatest monomial with an occurrence goes away.
-            if not _reducible_by_others(elems[i], own[i], leads, lengths):
-                continue
-            others = elems[:i] + elems[i + 1:]
-            nf = RewriteSystem(tuple(others), order).normal_form(elems[i])
-            changed = True
-            if nf:
-                elems[i] = nf.monic()
-            else:
-                del elems[i]
-            break
-    elems.sort(key=lambda p: order.key(p.leading_monomial()))
-    return elems
+def _containing(elems, own, u):
+    # positions of the live elements with a monomial that has u as a
+    # factor; no monomial is longer than its leading word own[i]
+    m = len(u)
+    return [i for i, p in enumerate(elems) if p is not None
+            and len(own[i]) >= m and any(
+                w[k:k + m] == u for w in p.terms
+                for k in range(len(w) - m + 1))]
+
+
+def _inter_reduce_elements(system, h=None):
+    """The system inter-reduced, its elements sorted by leading word; with
+    a nonzero h, the system must be inter-reduced already, and h is added
+    at the end of its list.
+
+    Each step takes the first element, in list order, with a monomial
+    that contains the leading word of another element, reduces it modulo
+    all the others, and puts the monic result in its place, or deletes it
+    when the result is zero; steps repeat until no element is reducible.
+    Only an element with a monomial that contains a leading word new to
+    the list can have become reducible: lead(h) at the start, then the
+    new leading word of each rewritten element.  So only those elements
+    are tested, in list order, which finds the same first reducible
+    element as testing every one.  Without h every element is tested at
+    the start.  The elements are built from the system's checked words,
+    so the result is not validated again.
+    """
+    elems = list(system.elements)
+    own = list(system.leading_words)
+    if h is None:
+        todo = list(range(len(elems)))
+    else:
+        h = h.monic()
+        elems.append(h)
+        own.append(h.leading_monomial())
+        todo = _containing(elems, own, own[-1])
+    leads = Counter(own)
+    lengths = {len(lw) for lw in leads}
+    heapq.heapify(todo)
+    while todo:
+        i = heapq.heappop(todo)
+        p = elems[i]
+        if p is None or not _reducible_by_others(p, own[i], leads, lengths):
+            continue
+        rest = [k for k, q in enumerate(elems) if q is not None and k != i]
+        nf = system._derived(tuple(elems[k] for k in rest),
+                             tuple(own[k] for k in rest)).normal_form(p)
+        leads[own[i]] -= 1
+        if not leads[own[i]]:
+            del leads[own[i]]
+        if nf:
+            elems[i] = nf.monic()
+            own[i] = lw = nf.leading_monomial()
+            leads[lw] += 1
+            for k in _containing(elems, own, lw):
+                heapq.heappush(todo, k)
+        else:
+            elems[i] = None
+        lengths = {len(lw) for lw in leads}
+    key = system.order.key
+    live = sorted((k for k, p in enumerate(elems) if p is not None),
+                  key=lambda k: key(own[k]))
+    return system._derived(tuple(elems[k] for k in live),
+                           tuple(own[k] for k in live))
 
 
 def inter_reduce(system):
@@ -100,8 +136,7 @@ def inter_reduce(system):
     Each removed or rewritten element stays expressible through the others
     (witnessed by the reduction steps), so the ideal is unchanged.
     """
-    elems = _inter_reduce_elements(system.elements, system.order)
-    return RewriteSystem(tuple(elems), system.order)
+    return _inter_reduce_elements(system)
 
 
 def _check_budget(deadline, budget_seconds):
@@ -110,23 +145,52 @@ def _check_budget(deadline, budget_seconds):
             "completion exceeded the %.3gs budget" % budget_seconds)
 
 
-def _push_overlaps(heap, key, lf, lg):
-    # a and b are both empty only for the identity inclusion of an element
-    # in itself, whose result is zero
-    for kind, a, b in _overlaps(lf, lg):
-        if a or b:
-            w = lf + b if kind == "intersection" else lf
-            heapq.heappush(heap, (key(w), kind, key(lf), key(lg), len(a), a,
-                                  b, lf, lg))
+class _OverlapIndex:
+    """The intersections of a changing set of words, found through maps
+    from each proper prefix and each proper suffix to the words that have
+    it, instead of by testing every pair."""
+
+    def __init__(self):
+        self.prefixes = {}
+        self.suffixes = {}
+
+    def add(self, lw):
+        """Index lw; returns (lf, lg, a, b) with lf*b = a*lg for every
+        intersection of lw with an indexed word, lw itself included, both
+        ways round: a proper suffix of lf equal to a proper prefix of lg."""
+        n = len(lw)
+        for k in range(1, n):
+            self.prefixes.setdefault(lw[:k], set()).add(lw)
+            self.suffixes.setdefault(lw[n - k:], set()).add(lw)
+        out = []
+        for k in range(1, n):
+            for lg in self.prefixes.get(lw[n - k:], ()):
+                out.append((lw, lg, lw[:n - k], lg[k:]))
+            for lf in self.suffixes.get(lw[:k], ()):
+                if lf != lw:  # the pair (lw, lw) came from the loop above
+                    out.append((lf, lw, lf[:len(lf) - k], lw[k:]))
+        return out
+
+    def remove(self, lw):
+        n = len(lw)
+        for k in range(1, n):
+            for table, part in ((self.prefixes, lw[:k]),
+                                (self.suffixes, lw[n - k:])):
+                words = table[part]
+                words.discard(lw)
+                if not words:
+                    del table[part]
 
 
 def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     """Close the system under compositions, bounded by resources.
 
-    Each round inter-reduces the basis and reduces its pending
-    compositions in ascending order of (ambient word, kind, lead f,
-    lead g, |a|, a) until one does not vanish; that one is added.  The
-    basis is sorted by leading word, so this is the order of (w, kind,
+    Each round reduces the pending compositions of the inter-reduced
+    basis in ascending order of (ambient word, kind, lead f, lead g, |a|,
+    a) until one does not vanish; its normal form h modulo the basis is
+    added, and `_inter_reduce_elements` inter-reduces the basis with h,
+    testing only the elements that a new leading word can make reducible.
+    The basis is sorted by leading word, so this is the order of (w, kind,
     left, right, |a|, a) over the current basis.  The overlaps of a pair
     depend only on its two leading words: when a leading word enters the
     basis, its overlaps with every leading word, both ways round, go on
@@ -134,6 +198,13 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     built only when it is popped.  An entry with a leading word that has
     left the basis is dropped when popped; the surviving entry goes back
     on the heap; one that reduces to zero leaves the heap for good.
+
+    Only intersections reach the heap, and `_OverlapIndex` finds them
+    from the proper prefixes and suffixes of the leading words.  An
+    inclusion needs one leading word inside another.  In an inter-reduced
+    basis no leading word contains another, distinct one, since the
+    element with the longer one would be reducible, and a word contains
+    itself only as the identity inclusion, whose result is zero.
 
     Skipping a vanished composition in later rounds changes no result.
     Take, in some round, a composition at ambient word w whose two leading
@@ -155,7 +226,10 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     stops it as element-capped.  Caps are statuses, not errors.  With
     status completed the result passes is_gsb exactly.  A budget must be
     a number >= 0; a negative or NaN one is refused.  It is checked at the
-    start of every round and before every composition is popped.
+    start of every round and before every composition is popped, not
+    during inter-reduction.  The input system is validated when it is
+    built; every later basis is built from its words and is not validated
+    again.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
@@ -169,27 +243,26 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
 
     order = system.order
     key = order.key
-    elems = _inter_reduce_elements(system.elements, order)
+    basis = _inter_reduce_elements(system)
     # pending compositions as (key(w), kind, key(lf), key(lg), |a|, a, b,
     # lf, lg): the prefix up to b orders them, lf and lg are its payload
     heap = []
+    overlaps = _OverlapIndex()
     known = set()  # the leading words of the previous round's basis
     added = 0
     iterations = 0
     while True:
         iterations += 1
         _check_budget(deadline, budget_seconds)
-        basis = RewriteSystem(tuple(elems), order)
-        leads = basis.leading_words
+        elems = basis.elements
         index = basis.lead_index  # inter-reduced leads are distinct
-        current = set(leads)
-        new = current - known
-        for lf in new:
-            for lg in leads:
-                _push_overlaps(heap, key, lf, lg)
-                if lg not in new:
-                    _push_overlaps(heap, key, lg, lf)
-        known = current
+        for lw in known - index.keys():
+            overlaps.remove(lw)
+        for lw in index.keys() - known:
+            for lf, lg, a, b in overlaps.add(lw):
+                heapq.heappush(heap, (key(lf + b), "intersection", key(lf),
+                                      key(lg), len(a), a, b, lf, lg))
+        known = set(index)
 
         obstruction = None
         while heap:
@@ -215,7 +288,7 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
         if added >= max_elems:
             status = "element-capped"
             break
-        elems = _inter_reduce_elements(elems + [h.monic()], order)
+        basis = _inter_reduce_elements(basis, h)
         added += 1
     return CompletionReport(status=status, basis=basis, added=added,
                             iterations=iterations)

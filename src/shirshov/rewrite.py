@@ -13,6 +13,7 @@ index instead of searching the monomial once per element.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import product
 
@@ -51,12 +52,25 @@ class RewriteSystem(Structure):
         for p in self.elements:
             for w in p.terms:
                 check_letters(w, n)
+        self._index()
+
+    def _index(self):
         self.lead_index = {}
         for i, lw in enumerate(self.leading_words):
             self.lead_index.setdefault(lw, i)
         self.lead_lengths = tuple(sorted({len(lw) for lw in
                                           self.leading_words},
                                          reverse=True))
+
+    def _derived(self, elements, leading_words):
+        """A system over the same order with other elements, which the
+        caller built from words of this system through exact arithmetic:
+        each is nonzero and monic, and leading_words lists their leading
+        words.  Nothing is checked again; only the index is rebuilt."""
+        out = copy.copy(self)
+        out.elements, out.leading_words = elements, leading_words
+        out._index()
+        return out
 
     def find(self, word):
         """(i, (a, b)) where word = a * lw * b for the order-greatest

@@ -4,12 +4,17 @@ kept verbatim so the reference tests do not depend on `src/`: the
 subtree paths and substitution of the anti-commutative kind, its
 chain-product rows, the inclusion compositions of the anti-commutative
 algebra and of the free module, and the prepared relations of a
-dialgebra with their compatible occurrences.
+dialgebra with their compatible occurrences.  The inter-reduction of
+the completion before it became incremental is kept the same way, as the
+oracle of the differential completion tests.
 """
+
+from collections import Counter
 
 from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
 from shirshov.core import Polynomial
 from shirshov.freemodule import act
+from shirshov.rewrite import RewriteSystem
 
 
 def _occurrence_paths(tree, target):
@@ -138,3 +143,45 @@ def _occurrences(m, entry):
         elif entry.flat_ok:
             out.append((pos, False))
     return out
+
+
+def _reducible_by_others(p, own, leads, lengths):
+    # Whether some monomial of p contains the leading word of an element
+    # other than p itself; leads counts the leading words of all elements.
+    for w in p.terms:
+        n = len(w)
+        for m in lengths:
+            for pos in range(n - m + 1):
+                u = w[pos:pos + m]
+                if u in leads and (u != own or leads[u] > 1):
+                    return True
+    return False
+
+
+def _inter_reduce_elements(elements, order):
+    elems = []
+    for p in elements:
+        if p:
+            elems.append(p.monic())
+    changed = True
+    while changed:
+        changed = False
+        own = [p.leading_monomial() for p in elems]
+        leads = Counter(own)
+        lengths = {len(lw) for lw in own}
+        for i in range(len(elems)):
+            # An element no other leading word occurs in is its own normal
+            # form modulo the rest; skip building that system.  Any other
+            # changes: its greatest monomial with an occurrence goes away.
+            if not _reducible_by_others(elems[i], own[i], leads, lengths):
+                continue
+            others = elems[:i] + elems[i + 1:]
+            nf = RewriteSystem(tuple(others), order).normal_form(elems[i])
+            changed = True
+            if nf:
+                elems[i] = nf.monic()
+            else:
+                del elems[i]
+            break
+    elems.sort(key=lambda p: order.key(p.leading_monomial()))
+    return elems

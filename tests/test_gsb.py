@@ -12,10 +12,12 @@ from shirshov import gsb
 from shirshov.catalog import chinese_gsb, chinese_relations
 from shirshov.core import Alphabet, DegLexOrder, Polynomial, Structure
 from shirshov.gsb import (BudgetExceeded, _inter_reduce_elements,
-                          all_compositions, cd_lemma_check,
+                          _OverlapIndex, all_compositions, cd_lemma_check,
                           find_compositions, inter_reduce, is_gsb,
                           shirshov_complete)
-from shirshov.rewrite import RewriteSystem, normal_form
+from shirshov.rewrite import RewriteSystem, _overlaps, normal_form
+
+from references import _inter_reduce_elements as reference_inter_reduce
 
 AB = Alphabet(("y", "x"))
 ORDER = DegLexOrder(AB)
@@ -217,9 +219,10 @@ def test_cd_check_refuses_a_bound_below_a_leading_word():
 
 def reference_complete(system, max_deg, max_elems):
     """Completion that recomputes and re-reduces every composition of the
-    current basis in every round; (status, basis, added, iterations)."""
+    current basis in every round and inter-reduces every element against
+    every other; (status, basis, added, iterations)."""
     order = system.order
-    elems = _inter_reduce_elements(system.elements, order)
+    elems = reference_inter_reduce(system.elements, order)
     added = 0
     iterations = 0
     while True:
@@ -238,7 +241,7 @@ def reference_complete(system, max_deg, max_elems):
             return "degree-capped", basis, added, iterations
         if added >= max_elems:
             return "element-capped", basis, added, iterations
-        elems = _inter_reduce_elements(elems + [h.monic()], order)
+        elems = reference_inter_reduce(elems + [h.monic()], order)
         added += 1
 
 
@@ -295,16 +298,18 @@ def test_a_completed_basis_is_closed(rng):
 
 
 def knuth_system(names):
-    # z x y = x z y for x <= y < z, y z x = y x z for x < y <= z
+    # over x1..xk, ranked as names lists them: z x y = x z y for
+    # x <= y < z, y z x = y x z for x < y <= z
     alphabet = Alphabet(names)
-    r = {v: alphabet.rank("x%d" % v) for v in (1, 2, 3)}
+    k = len(names)
+    r = {v: alphabet.rank("x%d" % v) for v in range(1, k + 1)}
     elems = []
-    for x in (1, 2, 3):
-        for y in range(x, 4):
-            for z in range(y + 1, 4):
+    for x in range(1, k + 1):
+        for y in range(x, k + 1):
+            for z in range(y + 1, k + 1):
                 elems.append(((z, x, y), (x, z, y)))
-        for y in range(x + 1, 4):
-            for z in range(y, 4):
+        for y in range(x + 1, k + 1):
+            for z in range(y, k + 1):
                 elems.append(((y, z, x), (y, x, z)))
     return RewriteSystem(
         tuple(Polynomial({tuple(r[v] for v in u): 1,
@@ -342,6 +347,76 @@ def fractional_systems(draw):
 def test_completion_matches_reference_on_fractional_presentations(
         system, max_deg, max_elems):
     assert_matches_reference(system, max_deg, max_elems)
+
+
+@st.composite
+def inter_reduce_inputs(draw):
+    """A fractional system as `fractional_systems` draws it, in any order
+    with up to two more relations: one over the leading word of a drawn
+    relation with a shorter tail, and the constant 1; and a nonzero
+    polynomial h over the same letters."""
+    system = draw(fractional_systems())
+    n = len(system.order.alphabet)
+    words = st.lists(st.integers(0, n - 1), max_size=5).map(tuple)
+    elems = list(system.elements)
+    if draw(st.booleans()):
+        lw = draw(st.sampled_from(system.leading_words))
+        tail = draw(st.lists(st.integers(0, n - 1), max_size=len(lw) - 1))
+        elems.append(Polynomial({lw: 1, tuple(tail): draw(COEFFS)}))
+    if draw(st.booleans()):
+        elems.append(Polynomial.one())
+    h = draw(st.dictionaries(words, COEFFS, min_size=1, max_size=3)
+             .map(Polynomial))
+    return (RewriteSystem(tuple(draw(st.permutations(elems))), system.order),
+            h)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(inter_reduce_inputs())
+def test_inter_reduce_matches_the_reference(case):
+    # Without h every element is tested; with h only those that a new
+    # leading word can make reducible, which must not change the result.
+    system, h = case
+    order = system.order
+    reduced = inter_reduce(system)
+    assert reduced.elements \
+        == tuple(reference_inter_reduce(system.elements, order))
+    assert _inter_reduce_elements(reduced, h).elements == tuple(
+        reference_inter_reduce(reduced.elements + (h,), order))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6)
+                .map(tuple), min_size=1, max_size=8),
+       st.data())
+def test_overlap_index_finds_every_intersection(words, data):
+    # The leading words of an inter-reduced set of monomials: no one is a
+    # factor of another.
+    leads = inter_reduce(RewriteSystem(
+        tuple(map(Polynomial.monomial, words)),
+        DegLexOrder(Alphabet(("x1", "x2", "x3"))))).leading_words
+    index = _OverlapIndex()
+    got = Counter()
+    for lw in leads:
+        got.update(index.add(lw))
+    want = Counter()
+    for lf in leads:
+        for lg in leads:
+            for kind, a, b in _overlaps(lf, lg):
+                if kind == "intersection":
+                    want[lf, lg, a, b] += 1
+                else:  # only the identity inclusion
+                    assert (lf, a, b) == (lg, (), ())
+    assert got == want
+    gone = data.draw(st.sets(st.sampled_from(leads)))
+    for lw in gone:
+        index.remove(lw)
+    fresh = _OverlapIndex()
+    for lw in leads:
+        if lw not in gone:
+            fresh.add(lw)
+    assert (index.prefixes, index.suffixes) \
+        == (fresh.prefixes, fresh.suffixes)
 
 
 def tableau_counts(k, max_len):
@@ -383,6 +458,17 @@ def test_plactic_rank_three_to_degree_ten(names, expected):
     assert counts == [1, 3, 9, 19, 39, 69, 119, 189, 294, 434, 630]
     by_length = Counter(map(len, rep.basis.irreducible(10)))
     assert [by_length[n] for n in range(11)] == counts
+
+
+def test_plactic_rank_four_to_degree_eight():
+    rep = shirshov_complete(knuth_system(("x4", "x3", "x2", "x1")),
+                            max_deg=8, max_elems=1000)
+    assert (rep.status, rep.added, rep.iterations, len(rep.basis)) \
+        == ("degree-capped", 311, 312, 331)
+    counts = tableau_counts(4, 8)
+    assert counts == [1, 4, 16, 44, 116, 260, 560, 1100, 2090]
+    by_length = Counter(map(len, rep.basis.irreducible(8)))
+    assert [by_length[n] for n in range(9)] == counts
 
 
 def test_completion_does_not_reduce_a_vanished_composition_again(
