@@ -141,10 +141,12 @@ class AntiCommutative(Structure):
     letters.
 
     Deterministic strategy: the first relation whose leading word occurs
-    as a subtree, at its preorder-first occurrence.  The degree of a
-    tree-word is its size.  A context is a chain of (side, sibling)
-    pairs from an occurrence up to the root: side 0 puts the sibling on
-    the right of the subtree below it, side 1 on its left.
+    as a subtree, at its preorder-first occurrence.  `find` keeps it
+    through an index from each leading word to its first relation, read
+    once per subtree.  The degree of a tree-word is its size.  A context
+    is a chain of (side, sibling) pairs from an occurrence up to the
+    root: side 0 puts the sibling on the right of the subtree below it,
+    side 1 on its left.
     """
 
     elem = AcPolynomial
@@ -157,9 +159,31 @@ class AntiCommutative(Structure):
         for p in self.elements:
             for t in p.terms:
                 check_letters(ac_flatten(t), n_letters)
+        self.index = {}
+        for i, lw in enumerate(self.leading_words):
+            self.index.setdefault(lw, i)
 
     def monomials(self, d):
         return _normal_by_degree(self.n, d)
+
+    def find(self, t):
+        """(i, chain) for the first relation i whose leading word is a
+        subtree of t, at its preorder-first chain, or None.  The walk
+        visits every subtree in preorder, also inside a match, since a
+        smaller leading word of an earlier relation may sit there."""
+        index = self.index
+        best = None
+        stack = [(t, ())]
+        while stack:
+            sub, chain = stack.pop()
+            i = index.get(sub)
+            if i is not None and (best is None or i < best[0]):
+                best = i, chain
+            if not isinstance(sub, int):
+                left, right = sub
+                stack.append((right, ((1, left),) + chain))
+                stack.append((left, ((0, right),) + chain))
+        return best
 
     def occurrences(self, t, j):
         """The chains of the subtrees of t equal to element j's leading

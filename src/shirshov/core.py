@@ -258,48 +258,88 @@ class VectorSpan:
     """Row space of sparse exact vectors, built incrementally; a vector
     maps columns to coefficients, which `exact` normalizes.
 
-    Columns are arbitrary hashable keys ordered by `key`; each stored row is
-    normalized with coefficient 1 at its pivot, the key-greatest column of
-    its support.  The pivot set and rank are canonical invariants of the
+    Columns are arbitrary hashable values ordered by `key`; each stored row
+    is normalized with coefficient 1 at its pivot, the key-greatest column
+    of its support.  The pivot set and rank are canonical invariants of the
     span, independent of insertion order.  A span built by Structure.span
     also maps each closed degree to its rank in `ranks`.
+
+    Elimination runs in key space.  Each column of a vector is mapped to
+    its key once, as the vector enters; rows are stored as {key:
+    coefficient}, and each step takes its pivot as the greatest key, so
+    hashing, equality and order compare keys only.  The one precondition
+    is that `key` is injective on the columns, so that a key stands for
+    its column; `deglex_key`, `diword_key`, `mword_key`, `ac_key` and the
+    `-k` of `leibniz_i0` are.  A table maps the key of every column of a
+    stored row back to the column, and the rows share its key objects.
+    `pivots()` and `rows` read columns through it; `rows` is a view, a
+    new dict from each pivot column to its row in insertion order, whose
+    changes do not reach the span.
     """
 
     def __init__(self, key):
         self.key = key
-        self.rows = {}
         self.ranks = {}
+        self._rows = {}
+        self._keys = {}  # key -> the equal key object the rows share
+        self._columns = {}  # key -> column
 
-    def _reduce(self, vec):
-        vec = {m: c for m, c in zip(vec, map(exact, vec.values())) if c}
-        while vec:
-            lead = max(vec, key=self.key)
-            row = self.rows.get(lead)
+    def _reduce(self, kvec):
+        # Reduces kvec in place by the stored rows; returns its pivot key,
+        # or None once it is zero.
+        rows = self._rows
+        while kvec:
+            lead = max(kvec)
+            row = rows.get(lead)
             if row is None:
-                return vec, lead
-            add_scaled(vec, row.items(), -vec[lead])
-        return vec, None
+                return lead
+            add_scaled(kvec, row.items(), -kvec[lead])
+        return None
 
     def insert(self, vec):
         """Add a vector; returns True when it enlarged the span."""
-        red, lead = self._reduce(vec)
-        if not red:
+        key, shared, columns = self.key, self._keys, self._columns
+        kvec = {}
+        for m, c in vec.items():
+            if type(c) is not int:
+                c = exact(c)
+            if c:
+                k = key(m)
+                known = shared.get(k)
+                if known is None:
+                    # a column no stored row has cannot cancel, so it
+                    # ends up in the row this vector stores
+                    shared[k] = known = k
+                    columns[k] = m
+                kvec[known] = c
+        lead = self._reduce(kvec)
+        if lead is None:
             return False
-        c = red[lead]
-        self.rows[lead] = {col: exact_div(v, c) for col, v in red.items()}
+        c = kvec[lead]
+        self._rows[lead] = kvec if c == 1 else {
+            k: exact_div(v, c) for k, v in kvec.items()}
         return True
 
     def contains(self, vec):
-        red, _ = self._reduce(vec)
-        return not red
+        key = self.key
+        return self._reduce({key(m): c for m, c in
+                             zip(vec, map(exact, vec.values())) if c}) is None
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """{pivot column: {column: coefficient}}, in insertion order."""
+        column = self._columns
+        return {column[p]: {column[k]: v for k, v in row.items()}
+                for p, row in self._rows.items()}
 
     def pivots(self):
         """Pivot columns, key-descending."""
-        return sorted(self.rows, key=self.key, reverse=True)
+        column = self._columns
+        return [column[p] for p in sorted(self._rows, reverse=True)]
 
 
 def check_bound(max_deg, lead_degrees):
@@ -529,8 +569,7 @@ class Structure:
         if self.compositions is not None:
             failing = self._failing(max_deg)[1]
         span = self.span(max_deg)
-        bad = tuple(sorted((m for m in span.rows if self.find(m) is None),
-                           key=span.key, reverse=True))
+        bad = tuple(m for m in span.pivots() if self.find(m) is None)
         per_degree = Counter(map(self.degree, self.irreducible(max_deg)))
         table = []
         irr = total = 0

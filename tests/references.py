@@ -6,13 +6,16 @@ chain-product rows, the inclusion compositions of the anti-commutative
 algebra and of the free module, and the prepared relations of a
 dialgebra with their compatible occurrences.  The inter-reduction of
 the completion before it became incremental is kept the same way, as the
-oracle of the differential completion tests.
+oracle of the differential completion tests.  So are the sparse elimination that
+compared columns through their key on every step, before it ran in key
+space, and the anti-commutative `find` that walked the tree once per
+relation, before it read a leading-word index.
 """
 
 from collections import Counter
 
 from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
-from shirshov.core import Polynomial
+from shirshov.core import Polynomial, add_scaled, exact, exact_div
 from shirshov.freemodule import act
 from shirshov.rewrite import RewriteSystem
 
@@ -185,3 +188,74 @@ def _inter_reduce_elements(elements, order):
             break
     elems.sort(key=lambda p: order.key(p.leading_monomial()))
     return elems
+
+
+class VectorSpan:
+    """Row space of sparse exact vectors, built incrementally; a vector
+    maps columns to coefficients, which `exact` normalizes.
+
+    Columns are arbitrary hashable keys ordered by `key`; each stored row is
+    normalized with coefficient 1 at its pivot, the key-greatest column of
+    its support.  The pivot set and rank are canonical invariants of the
+    span, independent of insertion order.  A span built by Structure.span
+    also maps each closed degree to its rank in `ranks`.
+    """
+
+    def __init__(self, key):
+        self.key = key
+        self.rows = {}
+        self.ranks = {}
+
+    def _reduce(self, vec):
+        vec = {m: c for m, c in zip(vec, map(exact, vec.values())) if c}
+        while vec:
+            lead = max(vec, key=self.key)
+            row = self.rows.get(lead)
+            if row is None:
+                return vec, lead
+            add_scaled(vec, row.items(), -vec[lead])
+        return vec, None
+
+    def insert(self, vec):
+        """Add a vector; returns True when it enlarged the span."""
+        red, lead = self._reduce(vec)
+        if not red:
+            return False
+        c = red[lead]
+        self.rows[lead] = {col: exact_div(v, c) for col, v in red.items()}
+        return True
+
+    def contains(self, vec):
+        red, _ = self._reduce(vec)
+        return not red
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def pivots(self):
+        """Pivot columns, key-descending."""
+        return sorted(self.rows, key=self.key, reverse=True)
+
+
+def ac_occurrences(t, lw):
+    """The chains of the subtrees of t equal to the leading word lw, in
+    preorder."""
+    stack = [(t, ())]
+    while stack:
+        sub, chain = stack.pop()
+        if sub == lw:
+            yield chain  # a proper subtree is smaller than lw
+        elif not isinstance(sub, int):
+            left, right = sub
+            stack.append((right, ((1, left),) + chain))
+            stack.append((left, ((0, right),) + chain))
+
+
+def ac_find(leading_words, m):
+    """(i, context) for the first element i with an occurrence in m,
+    at its first context, or None."""
+    for i in range(len(leading_words)):
+        for context in ac_occurrences(m, leading_words[i]):
+            return i, context
+    return None

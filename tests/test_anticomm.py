@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import witt
 from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_flatten,
@@ -6,6 +8,8 @@ from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_flatten,
                                ac_size, hall_gsb, hall_words, is_ls_word,
                                is_normal_acword, ls_bracketing, ls_words,
                                normal_words)
+
+from references import ac_find
 
 X1, X2 = 0, 1
 
@@ -182,3 +186,32 @@ def test_bounded_check_refuses_a_bound_below_a_leading_size():
     largest = max(ac_size(s.leading_monomial()) for s in S)
     with pytest.raises(ValueError):
         ac_gsb_check_bounded(S, 2, largest - 1)
+
+
+# Leading words of size <= 3 nest in one another and in the trees, and a
+# short pool repeats them across the relations.
+LEADS = normal_words(2, 3)
+TREES = normal_words(2, 6)
+
+
+@st.composite
+def find_cases(draw):
+    """Relations whose leading words repeat and nest, each with a smaller
+    tail when there is one, and a tree where several of them occur."""
+    relations = []
+    for lw in draw(st.lists(st.sampled_from(LEADS), min_size=1,
+                            max_size=6)):
+        smaller = [t for t in LEADS if ac_key(t) < ac_key(lw)]
+        terms = {lw: 1}
+        if smaller and draw(st.booleans()):
+            terms[draw(st.sampled_from(smaller))] = draw(
+                st.sampled_from([-2, -1, 3]))
+        relations.append(AcPolynomial(terms))
+    return AntiCommutative(relations, 2), draw(st.sampled_from(TREES))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(find_cases())
+def test_indexed_find_matches_the_occurrence_walk(case):
+    structure, t = case
+    assert structure.find(t) == ac_find(structure.leading_words, t)

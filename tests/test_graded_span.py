@@ -5,14 +5,20 @@ per degree off it, and enumerates the irreducible words once.  The
 references below keep the old construction: a separate span per degree,
 built element first (the anti-commutative one through a FIFO queue), and
 the irreducible words enumerated again at every degree.  The whole report
-must come out equal, down to the last Fraction.
+must come out equal, down to the last Fraction.  The elimination itself,
+which runs over order keys, is compared the same way with the one that
+compared columns through their keys.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shirshov import core
 from shirshov.anticomm import (AcPolynomial, AntiCommutative,
                                _normal_by_degree, ac_gsb_check_bounded,
                                ac_key, ac_mul, ac_size, hall_gsb,
@@ -23,11 +29,13 @@ from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
                                 all_diwords, di_gsb_check_bounded, di_irr,
                                 diword_key, leibniz_dim2, leibniz_enveloping)
-from shirshov.freemodule import (FreeModule, act, module_cd_check,
-                                 module_irr, mword_key, random_module_set)
+from shirshov.freemodule import (FreeModule, ModuleWord, act,
+                                 module_cd_check, module_irr, mword_key,
+                                 random_module_set)
 from shirshov.gsb import cd_lemma_check, find_compositions
 from shirshov.rewrite import RewriteSystem, irr_words
 
+from references import VectorSpan as ReferenceSpan
 from references import (_occurrence_paths, _occurrences, _prep,
                         ac_compositions)
 
@@ -52,6 +60,91 @@ def test_graded_span_of_an_empty_row_source():
     assert span.ranks == {0: 0, 1: 0, 2: 0, 3: 0}
     assert span.rank == 0
     assert Dialgebra((), 2).span(3).ranks == {1: 0, 2: 0, 3: 0}
+
+
+# -- elimination in key space against elimination through keys ---------
+
+
+# Columns of every kind with the key that orders them; `-k` orders the
+# basis indices of leibniz_i0.
+COLUMNS = [
+    (deglex_key, st.lists(st.integers(0, 2), max_size=3).map(tuple)),
+    (diword_key, st.sampled_from(all_diwords(2, 1) + all_diwords(2, 2)
+                                 + all_diwords(2, 3))),
+    (mword_key, st.builds(ModuleWord, st.lists(st.integers(0, 1),
+                                                max_size=3).map(tuple),
+                          st.integers(0, 1))),
+    (ac_key, st.sampled_from(normal_words(2, 4))),
+    (lambda k: -k, st.integers(0, 9)),
+]
+SPAN_COEFFS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2),
+                               Fraction(-2, 3), Fraction(4, 2),
+                               Fraction(0)])
+
+
+def _typed(vec):
+    return [(m, c, type(c)) for m, c in vec.items()]
+
+
+@st.composite
+def span_inputs(draw):
+    """A column kind with its key, and sparse vectors over it to insert,
+    then to test for membership."""
+    key, columns = draw(st.sampled_from(COLUMNS))
+    vecs = st.lists(st.dictionaries(columns, SPAN_COEFFS, max_size=5),
+                    max_size=12)
+    return key, draw(vecs), draw(vecs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(span_inputs())
+def test_span_in_key_space_matches_the_reference(case):
+    key, inserts, queries = case
+    span, ref = VectorSpan(key), ReferenceSpan(key)
+    for vec in inserts:
+        assert span.insert(vec) == ref.insert(vec)
+    assert span.rank == ref.rank
+    assert span.pivots() == ref.pivots()
+    assert [(p, _typed(row)) for p, row in span.rows.items()] \
+        == [(p, _typed(row)) for p, row in ref.rows.items()]
+    for vec in inserts + queries:
+        assert span.contains(vec) == ref.contains(vec)
+
+
+def _graded_cases():
+    rels = leibniz_enveloping(leibniz_dim2())
+    cases = [(Dialgebra(S, 2), d) for S, d in
+             [(rels, 6), (rels[1:], 5), (rels[:-1], 5)]]
+    rng = random.Random(5)
+    for _ in range(10):
+        S = random_di(rng)
+        cases.append((Dialgebra(S, 2),
+                      max(len(s.leading_monomial()) for s in S) + 1))
+    rng = random.Random(2)
+    cases += [(FreeModule(random_module_set(2, 2, 3, rng), 2, 2), 7)
+              for _ in range(10)]
+    hall6 = hall_gsb(2, 6)
+    cases.append((AntiCommutative(hall_gsb(2, 8), 2), 8))
+    cases += [(AntiCommutative(hall6[:i] + hall6[i + 1:], 2), 6)
+              for i in (0, 4, 9)]
+    rng = random.Random(8)
+    for _ in range(10):
+        S = random_ac(rng)
+        cases.append((AntiCommutative(S, 2), max(
+            ac_size(s.leading_monomial()) for s in S) + rng.randint(0, 1)))
+    return cases
+
+
+def test_graded_spans_match_the_reference_elimination(monkeypatch):
+    cases = [(structure, bound, structure.span(bound))
+             for structure, bound in _graded_cases()]
+    monkeypatch.setattr(core, "VectorSpan", ReferenceSpan)
+    for structure, bound, span in cases:
+        ref = structure.span(bound)
+        assert type(ref) is ReferenceSpan
+        assert span.ranks == ref.ranks
+        assert span.pivots() == ref.pivots()
+        assert span.rows == ref.rows
 
 
 # -- reference spans: one per bound, element first -----------------------

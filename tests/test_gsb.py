@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shirshov import gsb
@@ -371,8 +371,22 @@ def inter_reduce_inputs(draw):
             h)
 
 
+def order_sensitive_system():
+    """Three relations over x1 < x2 whose inter-reduction depends on the
+    order in which the reducible elements are rewritten: x1*x2*x2 + 1 and
+    x2*x1*x2 + x1 both contain the leading word of x1*x2 - 2*x2 + 1, and
+    rewriting the last element before the second gives another basis."""
+    x1, x2 = 0, 1
+    return RewriteSystem((
+        Polynomial({(x1, x2): 1, (x2,): -2, (): 1}),
+        Polynomial({(x1, x2, x2): 1, (): 1}),
+        Polynomial({(x2, x1, x2): 1, (x1,): 1})),
+        DegLexOrder(Alphabet(("x1", "x2"))))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(inter_reduce_inputs())
+@example((order_sensitive_system(), Polynomial.monomial((1, 1, 1))))
 def test_inter_reduce_matches_the_reference(case):
     # Without h every element is tested; with h only those that a new
     # leading word can make reducible, which must not change the result.
