@@ -141,12 +141,11 @@ class AntiCommutative(Structure):
     letters.
 
     Deterministic strategy: the first relation whose leading word occurs
-    as a subtree, at its preorder-first occurrence.  `find` keeps it
-    through an index from each leading word to its first relation, read
-    once per subtree.  The degree of a tree-word is its size.  A context
-    is a chain of (side, sibling) pairs from an occurrence up to the
-    root: side 0 puts the sibling on the right of the subtree below it,
-    side 1 on its left.
+    as a subtree, at its preorder-first occurrence.  `find` keeps it by
+    reading `lead_index` once per subtree.  The degree of a tree-word is
+    its size.  A context is a chain of (side, sibling) pairs from an
+    occurrence up to the root: side 0 puts the sibling on the right of
+    the subtree below it, side 1 on its left.
     """
 
     elem = AcPolynomial
@@ -159,9 +158,6 @@ class AntiCommutative(Structure):
         for p in self.elements:
             for t in p.terms:
                 check_letters(ac_flatten(t), n_letters)
-        self.index = {}
-        for i, lw in enumerate(self.leading_words):
-            self.index.setdefault(lw, i)
 
     def monomials(self, d):
         return _normal_by_degree(self.n, d)
@@ -171,7 +167,7 @@ class AntiCommutative(Structure):
         subtree of t, at its preorder-first chain, or None.  The walk
         visits every subtree in preorder, also inside a match, since a
         smaller leading word of an earlier relation may sit there."""
-        index = self.index
+        index = self.lead_index
         best = None
         stack = [(t, ())]
         while stack:

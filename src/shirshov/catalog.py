@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Alphabet, DegLexOrder, Polynomial
+from .core import Alphabet, DegLexOrder, Polynomial, deglex_key
 from .rewrite import RewriteSystem, irr_words
 
 
@@ -76,8 +76,6 @@ def chinese_gsb(k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    alphabet = chinese_alphabet(k)
-    order = DegLexOrder(alphabet)
     elems = []
     for i in range(k):
         for j in range(i):
@@ -88,8 +86,8 @@ def chinese_gsb(k):
                 elems.append(Polynomial({(i, t, j): 1, (j, i, t): -1}))
                 elems.append(Polynomial({(i, j, i, t): 1,
                                          (i, t, i, j): -1}))
-    elems.sort(key=lambda p: order.key(p.leading_monomial()))
-    return RewriteSystem(tuple(elems), order)
+    elems.sort(key=lambda p: deglex_key(p.leading_monomial()))
+    return RewriteSystem(tuple(elems), DegLexOrder(chinese_alphabet(k)))
 
 
 def is_staircase(u, k):

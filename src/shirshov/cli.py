@@ -220,6 +220,8 @@ def _parse_term(cur, kind, alphabet, mgens):
 
 
 def _parse_expr(cur, kind, alphabet, mgens):
+    # reads to the end of the line: a term followed by anything but + or -
+    # is an error
     items = []
     sign = 1
     tok = cur.peek()
@@ -249,10 +251,7 @@ def parse_element(text, kind, alphabet, mgens=(), lineno=1):
     cur = _Cursor(_tokenize(text, lineno), lineno)
     if not cur.tokens:
         cur.error("expected an expression")
-    out = _parse_expr(cur, kind, alphabet, mgens)
-    if cur.peek() is not None:
-        cur.error("trailing input after the expression")
-    return out
+    return _parse_expr(cur, kind, alphabet, mgens)
 
 
 def _names(cur, directive, what):
@@ -326,8 +325,6 @@ def parse_presentation(text):
                                  "%s %s" % (ti[1], tj[1]))
             bracket_pairs.add((i, j))
             combo = _parse_expr(cur, "assoc", gens, ())
-            if cur.peek() is not None:
-                cur.error("trailing input after the bracket value")
             for w, c in combo.items():
                 if len(w) != 1:
                     raise ParseError(lineno, head[2],
@@ -346,8 +343,6 @@ def parse_presentation(text):
                 raise ParseError(lineno, head[2],
                                  "mgens must come before module relations")
             elem = _parse_expr(cur, kind, gens, mgens)
-            if cur.peek() is not None:
-                cur.error("trailing input after the relation")
             if not elem:
                 raise ParseError(lineno, head[2], "the relation is zero")
             rel_lines.append(elem.monic())
@@ -550,8 +545,7 @@ def _check(pfile, head, max_deg):
                                  "failing: %d" % len(rep.failing)],
                         rep.holds)
     if max_deg is None:
-        max_deg = 1 + max(map(structure.degree, structure.leading_words),
-                          default=0)
+        max_deg = 1 + max(structure.lead_degrees, default=0)
     rep = structure.bounded_check(max_deg)
     return _verdict(lines + _report_lines(rep), rep.holds)
 

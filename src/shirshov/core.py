@@ -451,7 +451,10 @@ class Structure:
     relation is a nonzero monic `elem`, keeps the relations in
     `elements` and their leading monomials in `leading_words`, derives
     the rewriting image and the bounded ideal rows from the S-words, and
-    assembles the composition and bounded reports.
+    assembles the composition and bounded reports.  It indexes the
+    leading monomials once, for the kinds' `find` to read: `lead_index`
+    maps each to the first element that has it, and `lead_degrees` lists
+    their distinct degrees, descending.
     """
 
     elem = Terms
@@ -469,6 +472,14 @@ class Structure:
                 raise ValueError("element %d is not monic" % i)
             leads.append(lw)
         self.leading_words = tuple(leads)
+        self._index()
+
+    def _index(self):
+        self.lead_index = {}
+        for i, lw in enumerate(self.leading_words):
+            self.lead_index.setdefault(lw, i)
+        self.lead_degrees = sorted({self.degree(lw) for lw in
+                                    self.leading_words}, reverse=True)
 
     def __len__(self):
         return len(self.elements)

@@ -74,11 +74,9 @@ class FreeModule(Structure):
             for mw in p.terms:
                 check_letters(mw.u, nx)
                 check_letters((mw.y,), ny, "module generator")
-        self.index = {}
-        for i, lw in enumerate(self.leading_words):
-            self.index.setdefault((lw.u, lw.y), i)
-        self.lengths = sorted({len(lw.u) for lw in self.leading_words},
-                              reverse=True)
+        # keyed by (u, y): a probe keyed by ModuleWord would build a
+        # dataclass on every probe
+        self._uy_index = {(lw.u, lw.y): i for lw, i in self.lead_index.items()}
 
     @staticmethod
     def degree(mw):
@@ -89,9 +87,9 @@ class FreeModule(Structure):
 
     def find(self, mw):
         n = len(mw.u)
-        for length in self.lengths:
+        for length in self.lead_degrees:
             if length <= n:
-                i = self.index.get((mw.u[n - length:], mw.y))
+                i = self._uy_index.get((mw.u[n - length:], mw.y))
                 if i is not None:
                     return i, mw.u[:n - length]
         return None

@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+from .core import deglex_key
 from .rewrite import RewriteSystem, _composition, find_compositions
 
 
@@ -33,12 +34,11 @@ class BudgetExceeded(RuntimeError):
 # perfbench imports it, and its traced pass patches it
 def all_compositions(system):
     """Compositions over all ordered element pairs, ascending by (w, ...)."""
-    order = system.order
     out = []
     for i, f in enumerate(system.elements):
         for j, g in enumerate(system.elements):
-            out.extend(find_compositions(f, g, order, left=i, right=j))
-    out.sort(key=lambda c: (order.key(c.w), c.kind, c.left, c.right,
+            out.extend(find_compositions(f, g, left=i, right=j))
+    out.sort(key=lambda c: (deglex_key(c.w), c.kind, c.left, c.right,
                             len(c.a), c.a))
     return out
 
@@ -122,9 +122,8 @@ def _inter_reduce_elements(system, h=None):
         else:
             elems[i] = None
         lengths = {len(lw) for lw in leads}
-    key = system.order.key
     live = sorted((k for k, p in enumerate(elems) if p is not None),
-                  key=lambda k: key(own[k]))
+                  key=lambda k: deglex_key(own[k]))
     return system._derived(tuple(elems[k] for k in live),
                            tuple(own[k] for k in live))
 
@@ -241,8 +240,7 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
             raise ValueError("budget_seconds must be >= 0")
         deadline = time.monotonic() + budget_seconds
 
-    order = system.order
-    key = order.key
+    key = deglex_key
     basis = _inter_reduce_elements(system)
     # pending compositions as (key(w), kind, key(lf), key(lg), |a|, a, b,
     # lf, lg): the prefix up to b orders them, lf and lg are its payload
@@ -272,7 +270,7 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
             if lf not in index or lg not in index:
                 continue  # a leading word left the basis
             i, j = index[lf], index[lg]
-            comp = _composition(kind, elems[i], elems[j], a, b, order, i, j)
+            comp = _composition(kind, elems[i], elems[j], a, b, i, j)
             h = basis.normal_form(comp.result)
             if h:
                 heapq.heappush(heap, entry)

@@ -6,9 +6,10 @@ S-word of a relation s in the context (a, b) is a*s*b.
 The reduction strategy is fixed so every run is reproducible: rewrite the
 order-greatest reducible monomial, using the order-greatest applicable
 leading word (ties broken by element position) at its leftmost occurrence.
-A system indexes its leading words by value, so the strategy is realised
-by probing the factors of a monomial, longest length first, against that
-index instead of searching the monomial once per element.
+`find` realises the strategy by probing the factors of a monomial,
+longest length first, against the index of leading words that
+`core.Structure` builds, instead of searching the monomial once per
+element.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import copy
 from dataclasses import dataclass
 from itertools import product
 
-from .core import DegLexOrder, Polynomial, Structure, check_letters
+from .core import (DegLexOrder, Polynomial, Structure, check_letters,
+                   deglex_key)
 
 
 def _mul_word_poly(context, p):
@@ -34,10 +36,13 @@ class RewriteSystem(Structure):
     Rewriting with an element replaces its leading word by the negated
     tail, which is strictly smaller, so every reduction terminates.  A
     relation may be a constant: its leading word is the empty word, which
-    occurs in every word, so the quotient is trivial.
-    lead_index maps each leading word to the first element that has it;
-    lead_lengths lists the distinct leading-word lengths, descending.
-    The degree of a word is its length.
+    occurs in every word, so the quotient is trivial.  The degree of a
+    word is its length.
+
+    Polynomial fixes the leading terms by the degree-lexicographic order,
+    so that is the one order a system is built over: an order with
+    another key is refused here, which covers find, normal_form,
+    irr_words and the compositions.
     """
 
     elements: tuple
@@ -47,20 +52,14 @@ class RewriteSystem(Structure):
     degree = staticmethod(len)
 
     def __post_init__(self):
+        if self.order.key is not Polynomial._key:
+            raise ValueError("the order disagrees with the leading terms, "
+                             "which Polynomial picks by deg-lex")
         super().__init__(self.elements)
         n = len(self.order.alphabet)
         for p in self.elements:
             for w in p.terms:
                 check_letters(w, n)
-        self._index()
-
-    def _index(self):
-        self.lead_index = {}
-        for i, lw in enumerate(self.leading_words):
-            self.lead_index.setdefault(lw, i)
-        self.lead_lengths = tuple(sorted({len(lw) for lw in
-                                          self.leading_words},
-                                         reverse=True))
 
     def _derived(self, elements, leading_words):
         """A system over the same order with other elements, which the
@@ -80,7 +79,7 @@ class RewriteSystem(Structure):
         then the lexicographically greatest factor."""
         index = self.lead_index
         n = len(word)
-        for m in self.lead_lengths:
+        for m in self.lead_degrees:
             best = None
             for pos in range(n - m + 1):
                 u = word[pos:pos + m]
@@ -106,7 +105,7 @@ class RewriteSystem(Structure):
 
     def compositions(self, i, j):
         return [(c.w, c.result) for c in find_compositions(
-            self.elements[i], self.elements[j], self.order, i, j)]
+            self.elements[i], self.elements[j], left=i, right=j)]
 
 
 def find_factor(word, factor, start=0):
@@ -159,27 +158,24 @@ def _overlaps(lf, lg):
     return out
 
 
-def _composition(kind, f, g, a, b, order, left, right):
-    # Builds f*b - a*g or f - a*g*b and checks that its leading word lies
-    # strictly below the ambient word, which holds whenever the order
-    # agrees with the polynomials' leading terms.
+def _composition(kind, f, g, a, b, left, right):
+    # Builds f*b - a*g or f - a*g*b.  Its leading word lies strictly
+    # below the ambient word w: both terms lead with w, which cancels, and
+    # deg-lex is a monomial order, so every other word of a*g*b or f*b is
+    # below w.
     if kind == "intersection":
         w = f.leading_monomial() + b
         result = _mul_word_poly(((), b), f) - _mul_word_poly((a, ()), g)
     else:
         w = f.leading_monomial()
         result = f - _mul_word_poly((a, b), g)
-    if result and not order.key(result.leading_monomial()) < order.key(w):
-        raise ValueError(
-            "composition of elements %d and %d does not fall below its "
-            "ambient word %r; the order disagrees with the leading terms"
-            % (left, right, w))
     return Composition(kind, w, left, right, a, b, result)
 
 
-def find_compositions(f, g, order, left=0, right=1):
-    """All compositions of the ordered pair (f, g), ascending by ambient
-    word.
+def find_compositions(f, g, *, left=0, right=1):
+    """All compositions of the ordered pair (f, g) of monic polynomials,
+    ascending by ambient word under deg-lex, the order of their leading
+    terms; left and right label f and g in each Composition.
 
     Intersections pair every proper suffix of lead(f) with an equal proper
     prefix of lead(g); the symmetric overlaps belong to the swapped call.
@@ -187,11 +183,11 @@ def find_compositions(f, g, order, left=0, right=1):
     identity occurrence of an element in itself, whose result is exactly
     zero.
     """
-    out = [_composition(kind, f, g, a, b, order, left, right)
+    out = [_composition(kind, f, g, a, b, left, right)
            for kind, a, b in _overlaps(f.leading_monomial(),
                                        g.leading_monomial())
            if not (f == g and kind == "inclusion" and not a and not b)]
-    out.sort(key=lambda c: (order.key(c.w), c.kind, len(c.a), c.a))
+    out.sort(key=lambda c: (deglex_key(c.w), c.kind, len(c.a), c.a))
     return out
 
 
@@ -201,47 +197,32 @@ def normal_form(p, system):
     return system.normal_form(p)
 
 
-def _suffix_trie(leading_words):
-    # Trie over reversed leading words; walking a word backwards from its
-    # last letter detects any leading word ending there.
-    trie = {}
-    for lw in leading_words:
-        node = trie
-        for letter in reversed(lw):
-            node = node.setdefault(letter, {})
-        node[None] = True
-    return trie
-
-
 def irr_words(system, max_len):
     """All words of length <= max_len containing no leading word, ascending.
 
     Breadth-first: a word is kept iff its parent was kept and no leading
-    word is a suffix of it, which the reversed trie checks in one walk.
+    word is a suffix of it.  The suffixes probed against the system's
+    lead_index are those of its leading degrees, shortest first.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    if () in system.lead_index:  # a factor of every word
+    index = system.lead_index
+    if () in index:  # a factor of every word
         return []
-    trie = _suffix_trie(system.leading_words)
+    degrees = system.lead_degrees[::-1]
     n = len(system.order.alphabet)
     out = [()]
     frontier = [()]
-    for _ in range(max_len):
+    for length in range(1, max_len + 1):
+        probes = [m for m in degrees if m <= length]
         new = []
         for w in frontier:
             for letter in range(n):
                 u = w + (letter,)
-                node = trie
-                hit = False
-                for ch in reversed(u):
-                    node = node.get(ch)
-                    if node is None:
+                for m in probes:
+                    if u[-m:] in index:
                         break
-                    if None in node:
-                        hit = True
-                        break
-                if not hit:
+                else:
                     new.append(u)
         out.extend(new)
         frontier = new

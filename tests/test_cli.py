@@ -373,6 +373,57 @@ def test_catalog_refuses_options_it_would_ignore(capsys, argv, message):
     assert captured.err == "error: %s\n" % message
 
 
+# Every refusal of the parser and of the commands' own bounds that no
+# other test reaches, with the exact message the CLI prints for it.
+REFUSALS = [
+    ("gens x\n", "line 1, col 1: missing kind line"),
+    ("kind assoc\n", "line 1, col 1: missing gens line"),
+    ("kind module\ngens x\n",
+     "line 1, col 1: kind module needs an mgens line"),
+    ("kind assoc\ngens x\ngens y\n", "line 3, col 1: duplicate gens line"),
+    ("kind module\ngens x\nmgens\n",
+     "line 3, col 6: mgens needs at least one name"),
+    ("kind\n", "line 1, col 5: expected one of ('assoc', 'dialgebra', "
+                "'module', 'ac') at end of line"),
+    ("1 x\n", "line 1, col 1: expected a directive, found '1'"),
+    ("kind dialgebra\nbracket a a = a\n",
+     "line 2, col 1: gens must come first"),
+    ("kind dialgebra\ngens a\nbracket a a = a*a\n",
+     "line 3, col 1: bracket values are linear in the generators"),
+    ("kind dialgebra\ngens a\nbracket a a = 0\nrel @a\n",
+     "line 4, col 1: bracket and rel lines cannot be mixed"),
+    ("kind dialgebra\ngens a b\nbracket a b = a\nbracket b a = b\n",
+     "line 1, col 1: structure constants violate the Leibniz identity"),
+    ("kind assoc\ngens x\nrel x + \n", "line 3, col 8: expected a term"),
+    ("kind dialgebra\ngens a\nrel 2\n",
+     "line 3, col 6: a dialgebra term needs letters"),
+    ("kind ac\ngens x\nrel (x *)\n", "line 3, col 8: expected a letter or ("),
+    ("kind ac\ngens x\nrel (x\n",
+     "line 3, col 7: expected a letter or a parenthesized pair"),
+    ("kind ac\ngens x\nrel (x z)\n", "line 3, col 8: unknown generator 'z'"),
+    (["catalog", "chinese", "--rank", "0"], "k must be >= 1"),
+    (["catalog", "tensor", "--ny", "0"],
+     "both alphabets need at least one generator"),
+    (["complete", CHINESE2, "--max-deg", "4", "--max-elems", "-1"],
+     "max_elems must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("case,message", REFUSALS)
+def test_every_refusal_exits_2_with_its_message(tmp_path, capsys, case,
+                                                  message):
+    # a case is a file for check, or an argv whose presentation text, if
+    # any, is written to a file first
+    if isinstance(case, str):
+        argv = ["check", write(tmp_path, case)]
+    else:
+        argv = [write(tmp_path, a) if "\n" in a else a for a in case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_dialgebra_file_round_trip(tmp_path, capsys):
     # a bracket file expands to enveloping relations; nf uses them
     code = main(["nf", write(tmp_path, LEIBNIZ), "--elem", "a*@a"])

@@ -240,7 +240,7 @@ def reference_table(line, degrees, total_at, irr_at, rank_at):
 def reference_cd(system, max_deg):
     failing = tuple((c.w, c.result) for f in system.elements
                     for g in system.elements
-                    for c in find_compositions(f, g, system.order)
+                    for c in find_compositions(f, g)
                     if len(c.w) <= max_deg and system.normal_form(c.result))
     span = reference_ideal_span(system, max_deg)
     bad = tuple(w for w in span.pivots() if system.find(w) is None)

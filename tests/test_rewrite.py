@@ -1,6 +1,11 @@
-import pytest
+from itertools import product
 
-from shirshov.core import Alphabet, DegLexOrder, Polynomial, rewrite_step
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shirshov.core import (Alphabet, DegLexOrder, Polynomial, deglex_key,
+                           rewrite_step)
 from shirshov.gsb import is_gsb
 from shirshov.rewrite import (RewriteSystem, find_factor, irr_words,
                               membership_oracle, normal_form)
@@ -135,3 +140,46 @@ def test_membership_oracle():
     assert not membership_oracle(x * y - y * x, S, 4)
     with pytest.raises(ValueError):
         membership_oracle(f, S, 1)
+
+
+# -- irr_words against the definition ------------------------------------
+
+
+@st.composite
+def systems(draw):
+    """A system over 2 or 3 letters with 1 to 4 monic relations whose
+    leading words have lengths 0 to 4; a leading word may repeat, and the
+    lengths may leave gaps."""
+    n = draw(st.integers(2, 3))
+    word = st.lists(st.integers(0, n - 1), max_size=4).map(tuple)
+    elems = []
+    for _ in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(word, min_size=1, max_size=3, unique=True))
+        if elems and draw(st.booleans()):
+            # the leading word of an earlier relation, with a new tail
+            lead = draw(st.sampled_from(elems)).leading_monomial()
+            words = [lead] + [w for w in words
+                              if deglex_key(w) < deglex_key(lead)]
+        elems.append(Polynomial([(w, draw(st.sampled_from([-2, -1, 1, 2])))
+                                 for w in words]).monic())
+    alphabet = Alphabet(tuple("x%d" % i for i in range(n)))
+    return RewriteSystem(tuple(elems), DegLexOrder(alphabet))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(systems(), st.data())
+def test_irr_words_are_the_words_find_leaves(system, data):
+    n = len(system.order.alphabet)
+    for L in range(7):
+        assert irr_words(system, L) == [
+            w for d in range(L + 1) for w in product(range(n), repeat=d)
+            if system.find(w) is None]
+    # a derived system indexes its leading words as a fresh one does
+    keep = data.draw(st.lists(st.sampled_from(range(len(system))),
+                              unique=True).map(sorted))
+    elems = tuple(system.elements[k] for k in keep)
+    derived = system._derived(elems, tuple(system.leading_words[k]
+                                           for k in keep))
+    fresh = RewriteSystem(elems, system.order)
+    assert derived.lead_index == fresh.lead_index
+    assert derived.lead_degrees == fresh.lead_degrees
