@@ -1,5 +1,7 @@
 """Command-line front end: a small presentation file format, subcommands
-binding every engine, and deterministic plain-text reports.
+binding every engine, and deterministic plain-text reports.  Only `core`
+is imported up front; the engines come through the package's lazy public
+names, so a command loads only the engine it runs.
 
 Report layout: a `format: 1` line, then `key: value` diagnostics, and the
 bare result on the last line.  Exit codes: 0 when the checked property
@@ -14,14 +16,11 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .anticomm import AcPolynomial, AntiCommutative, ac_mul
-from .catalog import chinese_gsb, tensor_relations
-from .core import Alphabet, DegLexOrder, Polynomial, check_bound, exact_div
-from .dialgebra import (DiPolynomial, Dialgebra, Diword, LeibnizAlgebra,
-                        leibniz_enveloping)
-from .freemodule import FreeModule, ModuleElement, ModuleWord
-from .gsb import BudgetExceeded, shirshov_complete
-from .rewrite import RewriteSystem
+from .core import (Alphabet, BudgetExceeded, DegLexOrder, Polynomial,
+                   check_bound, exact_div)
+
+_lib = sys.modules[__package__]
+
 
 class ParseError(Exception):
     def __init__(self, line, col, msg):
@@ -105,8 +104,8 @@ def _rank(cur, alphabet, name, col):
 def _ac_renorm(tree):
     """Rewrite a raw parsed tree into normal-word form, signs included."""
     if isinstance(tree, int):
-        return AcPolynomial({tree: 1})
-    return ac_mul(_ac_renorm(tree[0]), _ac_renorm(tree[1]))
+        return _lib.AcPolynomial({tree: 1})
+    return _lib.ac_mul(_ac_renorm(tree[0]), _ac_renorm(tree[1]))
 
 
 def _parse_ac_tree(cur, alphabet):
@@ -206,16 +205,16 @@ def _parse_term(cur, kind, alphabet, mgens):
             cur.error("a dialgebra term needs letters")
         if center is None:
             cur.error("mark the center letter with @")
-        return [(Diword(tuple(letters), center), coeff)]
+        return [(_lib.Diword(tuple(letters), center), coeff)]
     if kind == "module":
         if ygen is None:
             cur.error("a module term ends with [generator]")
-        return [(ModuleWord(tuple(letters), ygen), coeff)]
+        return [(_lib.ModuleWord(tuple(letters), ygen), coeff)]
     if not trees:
         cur.error("an ac term needs a tree or a letter")
     acc = _ac_renorm(trees[0])
     for t in trees[1:]:
-        acc = ac_mul(acc, _ac_renorm(t))
+        acc = _lib.ac_mul(acc, _ac_renorm(t))
     return acc.scale(coeff).items()
 
 
@@ -360,8 +359,8 @@ def parse_presentation(text):
     relations = rel_lines
     if bracket_pairs:
         try:
-            relations = leibniz_enveloping(
-                LeibnizAlgebra(dim=len(gens), bracket=bracket))
+            relations = _lib.leibniz_enveloping(
+                _lib.LeibnizAlgebra(dim=len(gens), bracket=bracket))
         except ValueError as exc:
             raise ParseError(1, 1, str(exc)) from None
     return PresentationFile(kind=kind, alphabet=gens, mgens=mgens,
@@ -447,8 +446,8 @@ def _load(path):
 
 
 def _assoc_system(pfile):
-    return RewriteSystem(tuple(pfile.relations),
-                         DegLexOrder(pfile.alphabet))
+    return _lib.RewriteSystem(tuple(pfile.relations),
+                              DegLexOrder(pfile.alphabet))
 
 
 def _bool(x):
@@ -461,9 +460,9 @@ def cmd_complete(args):
         print("error: complete supports kind assoc only", file=sys.stderr)
         return 2
     system = _assoc_system(pfile)
-    rep = shirshov_complete(system, max_deg=args.max_deg,
-                            max_elems=args.max_elems,
-                            budget_seconds=args.budget_seconds)
+    rep = _lib.shirshov_complete(system, max_deg=args.max_deg,
+                                 max_elems=args.max_elems,
+                                 budget_seconds=args.budget_seconds)
     out = PresentationFile(kind="assoc", alphabet=pfile.alphabet, mgens=(),
                            relations=list(rep.basis.elements))
     lines = ["kind: assoc",
@@ -483,7 +482,7 @@ def cmd_complete(args):
 class _Kind:
     """What the subcommands need to know of one kind of structure."""
 
-    elem: type         # (monomial, coeff) pairs -> element
+    elem: object       # (monomial, coeff) pairs -> element
     fmt: object        # (monomial, pfile) -> text
     structure: object  # pfile -> core.Structure
     exact: bool        # check runs is_gsb, not the bounded check
@@ -495,21 +494,21 @@ _SPECS = {
         fmt=lambda m, pf: fmt_word(m, pf.alphabet),
         structure=_assoc_system, exact=True),
     "dialgebra": _Kind(
-        elem=DiPolynomial,
+        elem=lambda items: _lib.DiPolynomial(items),
         fmt=lambda m, pf: fmt_diword(m, pf.alphabet),
-        structure=lambda pf: Dialgebra(pf.relations, len(pf.alphabet)),
+        structure=lambda pf: _lib.Dialgebra(pf.relations, len(pf.alphabet)),
         exact=False),
     "module": _Kind(
-        elem=ModuleElement,
+        elem=lambda items: _lib.ModuleElement(items),
         fmt=lambda m, pf: fmt_mword(m, pf.alphabet, pf.mgens),
-        structure=lambda pf: FreeModule(pf.relations, len(pf.alphabet),
-                                        len(pf.mgens)),
+        structure=lambda pf: _lib.FreeModule(pf.relations, len(pf.alphabet),
+                                             len(pf.mgens)),
         exact=True),
     "ac": _Kind(
-        elem=AcPolynomial,
+        elem=lambda items: _lib.AcPolynomial(items),
         fmt=lambda m, pf: fmt_acword(m, pf.alphabet),
-        structure=lambda pf: AntiCommutative(pf.relations,
-                                             len(pf.alphabet)),
+        structure=lambda pf: _lib.AntiCommutative(pf.relations,
+                                                  len(pf.alphabet)),
         exact=False),
 }
 KINDS = tuple(_SPECS)
@@ -563,6 +562,8 @@ def _irr(pfile, head, max_len, count_only):
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     structure = _structure(pfile)
+    if max_len < structure.low:
+        raise ValueError("max_len must be >= %d" % structure.low)
     grouped = {d: [] for d in range(structure.low, max_len + 1)}
     for w in structure.irreducible(max_len):
         grouped[structure.degree(w)].append(_SPECS[pfile.kind].fmt(w, pfile))
@@ -613,12 +614,12 @@ def cmd_catalog(args):
             raise ValueError(msg)
     if chinese:
         rank = 2 if args.rank is None else args.rank
-        system = chinese_gsb(rank)
+        system = _lib.chinese_gsb(rank)
         label = "chinese rank=%d" % rank
     else:
         nx = 1 if args.nx is None else args.nx
         ny = 1 if args.ny is None else args.ny
-        system = tensor_relations(nx, ny)
+        system = _lib.tensor_relations(nx, ny)
         label = "tensor nx=%d ny=%d" % (nx, ny)
     pfile = PresentationFile(kind="assoc", alphabet=system.order.alphabet,
                              mgens=(), relations=list(system.elements))

@@ -342,6 +342,10 @@ class VectorSpan:
         return [column[p] for p in sorted(self._rows, reverse=True)]
 
 
+class BudgetExceeded(RuntimeError):
+    """Raised by shirshov_complete when the wall-clock budget runs out."""
+
+
 def check_bound(max_deg, lead_degrees):
     """Raise unless max_deg >= 0 and holds every leading monomial, given
     by its degree; a leading monomial above the bound would leave the

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import deglex_key
+from .core import BudgetExceeded, deglex_key
 from .rewrite import RewriteSystem, _composition, find_compositions
 
 
@@ -25,10 +25,6 @@ class CompletionReport:
     basis: RewriteSystem
     added: int
     iterations: int
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised by shirshov_complete when the wall-clock budget runs out."""
 
 
 # perfbench imports it, and its traced pass patches it

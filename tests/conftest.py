@@ -1,4 +1,19 @@
-"""Shared counting helpers used by several test modules."""
+"""Shared helpers used by several test modules: counting, and the
+environment of a fresh Python process that imports the package from
+`src/`."""
+
+import os
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def src_env():
+    """os.environ with `src/` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def _moebius(n):

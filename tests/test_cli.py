@@ -1,10 +1,14 @@
 import io
 import os
+import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from conftest import src_env
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -473,6 +477,24 @@ def test_negative_bounds_are_refused_for_every_kind(tmp_path, capsys, kind):
     assert captured.err == "error: max_len must be >= 0\n"
 
 
+@pytest.mark.parametrize("kind", sorted(NO_RELATIONS))
+def test_irr_refuses_a_length_below_the_shortest_word(tmp_path, capsys,
+                                                      kind):
+    # dialgebra and ac words have at least one letter, so their tables
+    # start at length 1; max_len 0 would print an empty result line
+    code = main(["irr", write(tmp_path, NO_RELATIONS[kind]), "--max-len",
+                 "0"])
+    captured = capsys.readouterr()
+    if kind in ("dialgebra", "ac"):
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: max_len must be >= 1\n"
+    else:
+        assert code == 0
+        assert captured.out.endswith("\nmax_len: 0\nlen 0: %s\n1\n"
+                                     % ("1" if kind == "assoc" else "[v]"))
+
+
 def test_a_zero_normal_form_reads_back(tmp_path, capsys):
     path = write(tmp_path, AC)
     assert main(["nf", path, "--elem", "((x2 x1) x1)"]) == 0
@@ -613,3 +635,46 @@ def test_printed_elements_parse_back(case):
     kind, e = case
     pfile = PresentationFile(kind, ALPHABET, MGENS, [])
     assert parse_element(fmt_element(e, pfile), kind, ALPHABET, MGENS) == e
+
+
+# Each command loads core and cli, then only the engine its kind runs: the
+# package resolves its public names on first use.
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+KIND_FILES = {
+    "assoc": ("chinese2.pres", "x2*x2*x1*x1 + 3*x2*x1*x1 - x1",
+              {"rewrite"}),
+    "dialgebra": ("di_fractional.pres", "e1*e1*@e0", {"dialgebra"}),
+    "module": ("module_closed.pres", "x2*x2*x2*[v1] - 3*x2*[v1]",
+               {"freemodule", "rewrite"}),
+    "ac": ("hall6.pres", "(((x2 x1) x2) x1)", {"anticomm"}),
+}
+LOADS = [(["-c", "import shirshov"], set()),
+         (["-m", "shirshov", "--help"], {"core", "cli"}),
+         (["-m", "shirshov", "catalog", "chinese", "--rank", "3"],
+          {"core", "cli", "rewrite", "catalog"}),
+         (["-m", "shirshov", "complete", "complete_small.pres",
+           "--max-deg", "6", "--max-elems", "10"],
+          {"core", "cli", "rewrite", "gsb"})]
+LOADS += [(["-m", "shirshov", *argv], {"core", "cli"} | engine)
+          for path, elem, engine in KIND_FILES.values()
+          for argv in (["check", path, "--max-deg", "6"],
+                       ["nf", path, "--elem", elem],
+                       ["irr", path, "--max-len", "3"],
+                       ["cdcheck", path, "--max-deg", "6"])]
+
+
+def loaded_submodules(args):
+    """The shirshov.* modules a fresh `python -v ARGS` process loads, read
+    from the import lines that -v writes to stderr."""
+    proc = subprocess.run([sys.executable, "-v", *args], cwd=GOLDEN,
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr[-2000:]
+    return set(re.findall(r"^import 'shirshov\.(\w+)'", proc.stderr,
+                          re.MULTILINE))
+
+
+@pytest.mark.parametrize("args, expected", LOADS,
+                         ids=[" ".join(a) for a, _ in LOADS])
+def test_a_command_loads_only_the_engine_it_runs(args, expected):
+    assert loaded_submodules(args) == expected

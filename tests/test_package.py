@@ -1,0 +1,73 @@
+"""The package's public names: a fixed set, each resolved on first use to
+the object its defining module holds."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+from conftest import src_env
+
+import shirshov
+from shirshov import core, gsb
+
+EXPORTS = sorted("""
+AcPolynomial AntiCommutative ac_gsb_check_bounded ac_key ac_mul hall_gsb
+hall_words is_ls_word ls_bracketing ls_words normal_words
+Presentation chinese_gsb chinese_relations congruence_classes is_staircase
+staircase_equals_irr tensor_relations
+Alphabet DegLexOrder Polynomial Terms VectorSpan deglex_key
+Dialgebra DiPolynomial Diword LeibnizAlgebra di_gsb_check_bounded di_irr
+di_left di_right diword_key leibniz_check leibniz_dim2 leibniz_enveloping
+pbw_basis
+FreeModule ModuleElement ModuleWord act module_cd_check mword_key
+BudgetExceeded cd_lemma_check find_compositions inter_reduce is_gsb
+shirshov_complete
+RewriteSystem irr_words membership_oracle normal_form
+""".split())
+
+
+def test_all_is_the_pinned_export_list():
+    assert len(EXPORTS) == 53
+    assert sorted(shirshov.__all__) == EXPORTS
+    assert len(set(shirshov.__all__)) == len(shirshov.__all__)
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_each_name_is_the_object_of_its_defining_module(name):
+    obj = getattr(shirshov, name)
+    assert obj.__module__.startswith("shirshov.")
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from shirshov import *", namespace)
+    assert set(EXPORTS) <= set(namespace)
+    assert all(namespace[n] is getattr(shirshov, n) for n in EXPORTS)
+
+
+def test_dir_lists_every_name_before_any_is_used():
+    # in a fresh process, where no name has been resolved yet
+    out = subprocess.run(
+        [sys.executable, "-c", "import shirshov; print(*dir(shirshov))"],
+        env=src_env(), capture_output=True, text=True, check=True,
+        timeout=60).stdout.split()
+    assert set(EXPORTS) <= set(out)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        shirshov.no_such_name
+    assert not hasattr(shirshov, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from shirshov import no_such_name", {})
+
+
+def test_version():
+    assert shirshov.__version__ == "0.1.0"
+
+
+def test_budget_exceeded_is_one_class():
+    assert shirshov.BudgetExceeded is core.BudgetExceeded
+    assert gsb.BudgetExceeded is core.BudgetExceeded
