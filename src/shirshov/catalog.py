@@ -5,35 +5,33 @@ that recounts normal forms without touching the rewriting machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .core import Alphabet, DegLexOrder, Polynomial, deglex_key
 from .rewrite import RewriteSystem, irr_words
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "alphabet relations kind")):
     """An alphabet with defining relations.
 
     kind "semigroup" requires every relation to be a difference of two
     words (coefficients 1 and -1), so both sides name monoid elements.
     """
 
-    alphabet: Alphabet
-    relations: tuple
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations", tuple(self.relations))
-        if self.kind not in ("semigroup", "algebra"):
+    def __new__(cls, alphabet, relations, kind):
+        relations = tuple(relations)
+        if kind not in ("semigroup", "algebra"):
             raise ValueError("kind must be semigroup or algebra")
-        if self.kind == "semigroup":
-            for r in self.relations:
+        if kind == "semigroup":
+            for r in relations:
                 coeffs = sorted(r.terms.values())
                 if coeffs != [-1, 1]:
                     raise ValueError(
                         "semigroup relations must be word differences")
+        return super().__new__(cls, alphabet, relations, kind)
 
 
 def chinese_alphabet(k):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (Alphabet, BudgetExceeded, DegLexOrder, Polynomial,
                    check_bound, exact_div)
@@ -85,12 +85,8 @@ class _Cursor:
         raise ParseError(self.lineno, col, msg)
 
 
-@dataclass
-class PresentationFile:
-    kind: str
-    alphabet: Alphabet
-    mgens: tuple
-    relations: list
+PresentationFile = namedtuple("PresentationFile",
+                              "kind alphabet mgens relations")
 
 
 def _rank(cur, alphabet, name, col):
@@ -478,14 +474,11 @@ def cmd_complete(args):
     return 0 if rep.status == "completed" else 1
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """What the subcommands need to know of one kind of structure."""
-
-    elem: object       # (monomial, coeff) pairs -> element
-    fmt: object        # (monomial, pfile) -> text
-    structure: object  # pfile -> core.Structure
-    exact: bool        # check runs is_gsb, not the bounded check
+# What the subcommands need to know of one kind of structure: elem maps
+# (monomial, coeff) pairs to an element, fmt (monomial, pfile) to text and
+# structure a pfile to its core.Structure; exact is True when check runs
+# is_gsb, not the bounded check.
+_Kind = namedtuple("_Kind", "elem fmt structure exact")
 
 
 _SPECS = {

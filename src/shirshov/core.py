@@ -15,8 +15,7 @@ keeps each sum in that form and drops a coefficient that reaches 0.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 Word = tuple
@@ -63,31 +62,29 @@ def deglex_key(word):
     return (len(word), word)
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered generator names; position in the listing is the rank.
+class Alphabet(tuple):
+    """The tuple of the generator names; position in it is the rank.
 
     Ranks run 0..n-1 with the first listed name smallest.
     """
 
-    names: tuple
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
-        if not names:
+    def __new__(cls, names):
+        self = super().__new__(cls, names)
+        if not self:
             raise ValueError("alphabet needs at least one generator")
         index = {}
-        for i, n in enumerate(names):
+        for i, n in enumerate(self):
             if not n or not isinstance(n, str):
                 raise ValueError("generator names must be nonempty strings")
             if n in index:
                 raise ValueError("duplicate generator name %r" % (n,))
             index[n] = i
-        object.__setattr__(self, "_index", index)
+        self._index = index
+        return self
 
-    def __len__(self):
-        return len(self.names)
+    @property
+    def names(self):
+        return tuple(self)
 
     def rank(self, name):
         try:
@@ -96,7 +93,7 @@ class Alphabet:
             raise ValueError("unknown generator %r" % (name,)) from None
 
     def name(self, rank):
-        return self.names[rank]
+        return self[rank]
 
     def word(self, *names):
         """Build a word from generator names, e.g. ab.word('x', 'y')."""
@@ -112,15 +109,14 @@ def check_letters(letters, n, what="letter"):
                 "%s %r outside alphabet of size %d" % (what, letter, n))
 
 
-@dataclass(frozen=True)
-class DegLexOrder:
+class DegLexOrder(namedtuple("DegLexOrder", "alphabet")):
     """Degree-lexicographic word order over a fixed alphabet.
 
     Shorter words come first; equal lengths compare letterwise by rank.
     This is a monomial well order: u > v implies aub > avb.
     """
 
-    alphabet: Alphabet
+    __slots__ = ()
     key = staticmethod(deglex_key)
 
 
@@ -358,22 +354,14 @@ def check_bound(max_deg, lead_degrees):
                              "degree %d" % (max_deg, i, d))
 
 
-@dataclass(frozen=True)
-class GsbReport:
-    holds: bool
-    checked: int
-    failing: tuple
+GsbReport = namedtuple("GsbReport", "holds checked failing")
 
 
-@dataclass(frozen=True)
-class DegreeLine:
+class DegreeLine(namedtuple("DegreeLine",
+                            "degree irreducible rank total ok")):
     """Cumulative counts of the monomials of degree <= degree."""
 
-    degree: int
-    irreducible: int
-    rank: int
-    total: int
-    ok: bool
+    __slots__ = ()
 
     @property
     def length(self):
@@ -381,8 +369,8 @@ class DegreeLine:
         return self.degree
 
 
-@dataclass(frozen=True)
-class BoundedReport:
+class BoundedReport(namedtuple("BoundedReport", "max_deg gsb_ok failing "
+                                "leading_ok bad_leadings counts_ok table")):
     """Bounded Composition-Diamond report: (i) the compositions within
     the bound reduce to zero; (ii) the leading monomials of the bounded
     ideal have reducible leading words; (iii) at every degree the
@@ -391,13 +379,7 @@ class BoundedReport:
     examines no compositions; holds and agree range over the conditions
     examined."""
 
-    max_deg: int
-    gsb_ok: object
-    failing: object
-    leading_ok: bool
-    bad_leadings: tuple
-    counts_ok: bool
-    table: tuple
+    __slots__ = ()
 
     def _examined(self):
         return [ok for ok in (self.gsb_ok, self.leading_ok, self.counts_ok)

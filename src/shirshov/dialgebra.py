@@ -9,28 +9,27 @@ is the center.  In printed form the center letter carries an @ mark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .core import (Polynomial, Structure, Terms, VectorSpan, add_scaled,
                    check_letters)
 
 
-@dataclass(frozen=True)
-class Diword:
-    """Letter ranks plus the position of the center letter."""
+class Diword(namedtuple("Diword", "letters center")):
+    """Letter ranks plus the position of the center letter.  Its length
+    is the number of letters, so _make and _replace do not apply."""
 
-    letters: tuple
-    center: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+    def __new__(cls, letters, center):
+        letters = tuple(letters)
         if not letters:
             raise ValueError("diword needs at least one letter")
-        if not 0 <= self.center < len(letters):
+        if not 0 <= center < len(letters):
             raise ValueError("center %d outside word of length %d"
-                             % (self.center, len(letters)))
+                             % (center, len(letters)))
+        return super().__new__(cls, letters, center)
 
     def __len__(self):
         return len(self.letters)
@@ -191,27 +190,25 @@ def di_gsb_check_bounded(S, n_letters, max_len):
     return Dialgebra(S, n_letters).bounded_check(max_len)
 
 
-@dataclass(frozen=True)
-class LeibnizAlgebra:
+class LeibnizAlgebra(namedtuple("LeibnizAlgebra", "dim bracket")):
     """Finite-dimensional Leibniz algebra by structure constants.
 
     bracket maps (i, j, k) to the coefficient of e_k in {e_i, e_j};
     absent keys are zero.  dim counts basis elements, indexed from 0.
     """
 
-    dim: int
-    bracket: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __new__(cls, dim, bracket):
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        bracket = dict(self.bracket)
+        bracket = dict(bracket)
         for i, j, k in bracket:
             for idx in (i, j, k):
-                if not 0 <= idx < self.dim:
+                if not 0 <= idx < dim:
                     raise ValueError("index %d outside basis 0..%d"
-                                     % (idx, self.dim - 1))
-        object.__setattr__(self, "bracket", add_scaled({}, bracket.items()))
+                                     % (idx, dim - 1))
+        return super().__new__(cls, dim, add_scaled({}, bracket.items()))
 
     def bracket_of(self, i, j):
         """{e_i, e_j} as a coordinate dict."""

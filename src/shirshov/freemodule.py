@@ -6,7 +6,7 @@ of an element s in the context a is the left action a.s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -14,15 +14,13 @@ from .core import Polynomial, Structure, Terms, check_letters, rewrite
 from .rewrite import RewriteSystem, find_factor
 
 
-@dataclass(frozen=True)
-class ModuleWord:
+class ModuleWord(namedtuple("ModuleWord", "u y")):
     """A word u over X followed by one module generator index y."""
 
-    u: tuple
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
+    def __new__(cls, u, y):
+        return super().__new__(cls, tuple(u), y)
 
 
 def mword_key(mw):
@@ -61,8 +59,10 @@ class FreeModule(Structure):
 
     Deterministic strategy: the greatest leading word that is a suffix,
     ties to the earliest element.  Suffixes of one word with the same
-    generator differ in length, so the longest leading suffix wins.  The
-    degree of a module word is the length of its u-part.
+    generator differ in length, so the longest leading suffix wins.  A
+    module word hashes and compares as the tuple (u, y), so `find` probes
+    `lead_index` with (suffix, y) and builds no ModuleWord.  The degree of
+    a module word is the length of its u-part.
     """
 
     elem = ModuleElement
@@ -74,9 +74,6 @@ class FreeModule(Structure):
             for mw in p.terms:
                 check_letters(mw.u, nx)
                 check_letters((mw.y,), ny, "module generator")
-        # keyed by (u, y): a probe keyed by ModuleWord would build a
-        # dataclass on every probe
-        self._uy_index = {(lw.u, lw.y): i for lw, i in self.lead_index.items()}
 
     @staticmethod
     def degree(mw):
@@ -89,7 +86,7 @@ class FreeModule(Structure):
         n = len(mw.u)
         for length in self.lead_degrees:
             if length <= n:
-                i = self._uy_index.get((mw.u[n - length:], mw.y))
+                i = self.lead_index.get((mw.u[n - length:], mw.y))
                 if i is not None:
                     return i, mw.u[:n - length]
         return None

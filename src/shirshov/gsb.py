@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .core import BudgetExceeded, deglex_key
-from .rewrite import RewriteSystem, _composition, find_compositions
+from .rewrite import _composition, find_compositions
 
 
-@dataclass(frozen=True)
-class CompletionReport:
-    status: str  # completed | degree-capped | element-capped
-    basis: RewriteSystem
-    added: int
-    iterations: int
+# status is completed, degree-capped or element-capped
+CompletionReport = namedtuple("CompletionReport",
+                              "status basis added iterations")
 
 
 # perfbench imports it, and its traced pass patches it

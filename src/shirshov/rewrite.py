@@ -15,11 +15,10 @@ element.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
-from .core import (DegLexOrder, Polynomial, Structure, check_letters,
-                   deglex_key)
+from .core import Polynomial, Structure, check_letters, deglex_key
 
 
 def _mul_word_poly(context, p):
@@ -29,7 +28,6 @@ def _mul_word_poly(context, p):
     return Polynomial._of({a + t + b: c for t, c in p.terms.items()})
 
 
-@dataclass
 class RewriteSystem(Structure):
     """Monic nonzero relations over a shared alphabet and order.
 
@@ -42,24 +40,30 @@ class RewriteSystem(Structure):
     Polynomial fixes the leading terms by the degree-lexicographic order,
     so that is the one order a system is built over: an order with
     another key is refused here, which covers find, normal_form,
-    irr_words and the compositions.
+    irr_words and the compositions.  Two systems are equal when their
+    elements and orders are; a system is mutable, so it has no hash.
     """
-
-    elements: tuple
-    order: DegLexOrder
 
     elem = Polynomial
     degree = staticmethod(len)
 
-    def __post_init__(self):
-        if self.order.key is not Polynomial._key:
+    def __init__(self, elements, order):
+        if order.key is not Polynomial._key:
             raise ValueError("the order disagrees with the leading terms, "
                              "which Polynomial picks by deg-lex")
-        super().__init__(self.elements)
-        n = len(self.order.alphabet)
+        self.order = order
+        super().__init__(elements)
+        n = len(order.alphabet)
         for p in self.elements:
             for w in p.terms:
                 check_letters(w, n)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.elements, self.order) == (other.elements, other.order)
+
+    __hash__ = None
 
     def _derived(self, elements, leading_words):
         """A system over the same order with other elements, which the
@@ -118,8 +122,8 @@ def find_factor(word, factor, start=0):
     return None
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(namedtuple("Composition",
+                             "kind w left right a b result")):
     """One overlap or containment of two leading words.
 
     kind is "intersection" (w = lead(f)*b = a*lead(g) with a proper
@@ -128,13 +132,7 @@ class Composition:
     strictly below w.
     """
 
-    kind: str
-    w: tuple
-    left: int
-    right: int
-    a: tuple
-    b: tuple
-    result: Polynomial
+    __slots__ = ()
 
 
 def _overlaps(lf, lg):

@@ -62,7 +62,8 @@ def test_congruence_class_counts_match_irreducibles():
 def test_congruence_classes_rejects_algebra_presentations():
     ab = Alphabet(("x", "y"))
     trinomial = Polynomial([((1, 0), 1), ((0, 1), -1), ((0,), 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^semigroup relations must be "
+                                         "word differences$"):
         Presentation(ab, (trinomial,), "semigroup")
     P = Presentation(ab, (trinomial,), "algebra")
     with pytest.raises(ValueError):

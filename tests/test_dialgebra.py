@@ -13,9 +13,11 @@ from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
 def test_diword_validation():
     w = Diword((0, 1, 0), 1)
     assert len(w) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^center 2 outside word of "
+                                         "length 2$"):
         Diword((0, 1), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^diword needs at least one "
+                                         "letter$"):
         Diword((), 0)
 
 
@@ -64,6 +66,11 @@ def test_leibniz_check():
     assert leibniz_check(leibniz_dim2())
     assert leibniz_check(LeibnizAlgebra(dim=1, bracket={}))
     assert not leibniz_check(LeibnizAlgebra(dim=1, bracket={(0, 0, 0): 1}))
+
+
+def test_leibniz_algebra_refuses_an_index_outside_its_basis():
+    with pytest.raises(ValueError, match=r"^index 2 outside basis 0\.\.1$"):
+        LeibnizAlgebra(dim=2, bracket={(0, 2, 1): 1})
 
 
 def test_leibniz_i0():

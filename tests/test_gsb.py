@@ -487,6 +487,18 @@ def test_plactic_rank_four_to_degree_eight():
     assert [by_length[n] for n in range(9)] == counts
 
 
+def test_systems_and_completion_reports_are_equal_by_value():
+    first, second = (shirshov_complete(knuth_system(("x3", "x2", "x1")),
+                                       max_deg=6, max_elems=1000)
+                     for _ in range(2))
+    assert first.basis is not second.basis
+    assert first == second
+    assert chinese_gsb(3) == chinese_gsb(3)
+    assert chinese_gsb(3) != chinese_gsb(2)
+    with pytest.raises(TypeError):
+        hash(chinese_gsb(3))
+
+
 def test_completion_does_not_reduce_a_vanished_composition_again(
         monkeypatch):
     # Re-reducing every composition of the basis in every round takes 9,737
