@@ -7,9 +7,8 @@ normal when every internal node has left > right.  Products carry signs
 so that every element is a combination of normal trees.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
+from itertools import combinations, product
 
 from .core import Structure, Terms, check_letters
 
@@ -21,19 +20,13 @@ def ac_size(t):
     return ac_size(t[0]) + ac_size(t[1])
 
 
-def _size_key(t):
-    # (ac_size(t), ac_key(t)) in one pass over the tree.
-    if isinstance(t, int):
-        return 1, (1, t)
-    ls, lk = _size_key(t[0])
-    rs, rk = _size_key(t[1])
-    return ls + rs, (ls + rs, lk, rk)
-
-
 def ac_key(t):
     """Sort key for the recursive order: size first, then (left, right)
     lexicographically, leaves by rank."""
-    return _size_key(t)[1]
+    if isinstance(t, int):
+        return 1, t
+    lk, rk = ac_key(t[0]), ac_key(t[1])
+    return lk[0] + rk[0], lk, rk
 
 
 def is_normal_acword(t):
@@ -118,21 +111,17 @@ def hall_gsb(n_letters, max_deg):
     w).  Each relation is monic with leading word [[uv]w]."""
     pool = hall_words(n_letters, max_deg)
     sizes = [ac_size(u) for u in pool]
-    # The pool ascends in ac_key, so indices order triples like the keys.
-    triples = []
-    for iu in range(len(pool)):
-        for iv in range(iu):
-            for iw in range(iv):
-                total = sizes[iu] + sizes[iv] + sizes[iw]
-                if total <= max_deg:
-                    triples.append((total, iu, iv, iw))
-    triples.sort()
+    # The pool ascends in ac_key, so the index triples iw < iv < iu give
+    # u > v > w and order them like the keys.
+    triples = sorted(
+        (total, iu, iv, iw)
+        for iw, iv, iu in combinations(range(len(pool)), 3)
+        if (total := sizes[iu] + sizes[iv] + sizes[iw]) <= max_deg)
     out = []
     for _, iu, iv, iw in triples:
         u, v, w = pool[iu], pool[iv], pool[iw]
-        rel = (ac_mul(ac_mul(u, v), w) - ac_mul(ac_mul(u, w), v)
-               - ac_mul(u, ac_mul(v, w)))
-        out.append(rel)
+        out.append(ac_mul(ac_mul(u, v), w) - ac_mul(ac_mul(u, w), v)
+                   - ac_mul(u, ac_mul(v, w)))
     return out
 
 
@@ -249,18 +238,7 @@ def ls_words(n_letters, n):
     """All such words of length n over ranks 0..n_letters-1, ascending."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    stack = [()]
-    while stack:
-        w = stack.pop()
-        if len(w) == n:
-            if is_ls_word(w):
-                out.append(w)
-            continue
-        for letter in range(n_letters):
-            stack.append(w + (letter,))
-    out.sort()
-    return out
+    return [w for w in product(range(n_letters), repeat=n) if is_ls_word(w)]
 
 
 def ls_bracketing(u):

@@ -3,8 +3,6 @@ the tensor-product commutation set, plus a brute-force congruence oracle
 that recounts normal forms without touching the rewriting machinery.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import product
 
@@ -40,23 +38,14 @@ def chinese_alphabet(k):
 
 def chinese_relations(k):
     """The defining relations cba - bca and cba - cab over c >= b >= a,
-    identities dropped and duplicates removed."""
+    identities dropped.  No relation comes twice: distinct triples give
+    distinct leading words cba, and for one triple bca = cab only when
+    c = b = a, where both are identities."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rels = []
-    seen = set()
-    for c in range(k):
-        for b in range(c + 1):
-            for a in range(b + 1):
-                cba = (c, b, a)
-                for other in ((b, c, a), (c, a, b)):
-                    if other == cba:
-                        continue
-                    key = (cba, other)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    rels.append(Polynomial({cba: 1, other: -1}))
+    rels = [Polynomial({(c, b, a): 1, other: -1})
+            for c in range(k) for b in range(c + 1) for a in range(b + 1)
+            for other in ((b, c, a), (c, a, b)) if other != (c, b, a)]
     return Presentation(alphabet=chinese_alphabet(k),
                         relations=tuple(rels), kind="semigroup")
 

@@ -9,8 +9,6 @@ holds or the run succeeded, 1 when a property is false or completion was
 capped, 2 on parse or input errors, 3 when a resource budget ran out.
 """
 
-from __future__ import annotations
-
 import argparse
 import re
 import sys

@@ -13,8 +13,6 @@ a fractions.Fraction otherwise.  `exact` brings a value to that form and
 keeps each sum in that form and drops a coefficient that reaches 0.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from fractions import Fraction
 

@@ -7,10 +7,8 @@ center letter; it stands for x(-m) |- ... |- x0 -| ... -| x(k) where x0
 is the center.  In printed form the center letter carries an @ mark.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .core import (Polynomial, Structure, Terms, VectorSpan, add_scaled,
                    check_letters)
@@ -48,14 +46,6 @@ class DiPolynomial(Terms):
     _key = staticmethod(diword_key)
 
 
-def _di_left(u, v):
-    return Diword(u.letters + v.letters, len(u.letters) + v.center)
-
-
-def _di_right(u, v):
-    return Diword(u.letters + v.letters, u.center)
-
-
 def _lift(x):
     if isinstance(x, Diword):
         return DiPolynomial({x: 1})
@@ -64,25 +54,26 @@ def _lift(x):
     raise TypeError("expected Diword or DiPolynomial, got %r" % (x,))
 
 
+def _di_product(u, v, center_right):
+    if isinstance(u, Diword) and isinstance(v, Diword):
+        return Diword(u.letters + v.letters, len(u.letters) + v.center
+                      if center_right else u.center)
+    p, q = _lift(u), _lift(v)
+    return DiPolynomial([(_di_product(a, b, center_right), ca * cb)
+                         for a, ca in p.items() for b, cb in q.items()])
+
+
 def di_left(u, v):
     """The product u |- v: letters concatenate, the center comes from the
     right factor.  Diword arguments give a Diword; polynomials extend
     bilinearly."""
-    if isinstance(u, Diword) and isinstance(v, Diword):
-        return _di_left(u, v)
-    p, q = _lift(u), _lift(v)
-    return DiPolynomial([(_di_left(a, b), ca * cb)
-                         for a, ca in p.items() for b, cb in q.items()])
+    return _di_product(u, v, True)
 
 
 def di_right(u, v):
     """The product u -| v: letters concatenate, the center comes from the
     left factor."""
-    if isinstance(u, Diword) and isinstance(v, Diword):
-        return _di_right(u, v)
-    p, q = _lift(u), _lift(v)
-    return DiPolynomial([(_di_right(a, b), ca * cb)
-                         for a, ca in p.items() for b, cb in q.items()])
+    return _di_product(u, v, False)
 
 
 def all_diwords(n_letters, length):
@@ -267,14 +258,10 @@ def leibniz_dim2():
     return LeibnizAlgebra(dim=2, bracket={(1, 1, 0): 1})
 
 
-def _bracket_poly(L, i, j, tail, center_shift):
-    """{e_i, e_j} embedded as diwords (k,) + tail with the given center."""
-    return [(Diword((k,) + tail, center_shift), c)
-            for k, c in L.bracket_of(i, j).items()]
-
-
 def leibniz_enveloping(L):
-    """Defining relations of the enveloping dialgebra of L.
+    """Defining relations of the enveloping dialgebra of L, built with
+    the products di_left (|-) and di_right (-|) from the basis diwords
+    e_k.
 
     Emits, in order: f(j, i) = e_j |- e_i - e_i -| e_j + {e_i, e_j} for
     all pairs; f(j, i) |- e_t for j > i; e_i0 |- e_t for i0 in the
@@ -285,39 +272,21 @@ def leibniz_enveloping(L):
         raise ValueError("structure constants violate the Leibniz identity")
     i0 = sorted(leibniz_i0(L))
     n = L.dim
-    rels = []
-
-    for j in range(n):
-        for i in range(n):
-            items = [(Diword((j, i), 1), 1), (Diword((i, j), 0), -1)]
-            items += _bracket_poly(L, i, j, (), 0)
-            rels.append(DiPolynomial(items))
-
-    for j in range(n):
-        for i in range(j):
-            for t in range(n):
-                items = [(Diword((j, i, t), 2), 1),
-                         (Diword((i, j, t), 2), -1)]
-                items += _bracket_poly(L, i, j, (t,), 1)
-                rels.append(DiPolynomial(items))
-
-    for i in i0:
-        for t in range(n):
-            rels.append(DiPolynomial({Diword((i, t), 1): 1}))
-
-    for t in range(n):
-        for j in range(n):
-            for i in range(j):
-                items = [(Diword((t, j, i), 0), 1),
-                         (Diword((t, i, j), 0), -1)]
-                items += [(Diword((t, k), 0), c)
-                          for k, c in L.bracket_of(i, j).items()]
-                rels.append(DiPolynomial(items))
-
-    for t in range(n):
-        for i in i0:
-            rels.append(DiPolynomial({Diword((t, i), 0): 1}))
-
+    e = [Diword((k,), 0) for k in range(n)]
+    f = {(j, i): DiPolynomial([(di_left(e[j], e[i]), 1),
+                               (di_right(e[i], e[j]), -1)]
+                              + [(e[k], c)
+                                 for k, c in L.bracket_of(i, j).items()])
+         for j in range(n) for i in range(n)}
+    rels = list(f.values())
+    rels += [di_left(f[j, i], e[t])
+             for j in range(n) for i in range(j) for t in range(n)]
+    rels += [DiPolynomial.monomial(di_left(e[i], e[t]))
+             for i in i0 for t in range(n)]
+    rels += [di_right(e[t], f[j, i])
+             for t in range(n) for j in range(n) for i in range(j)]
+    rels += [DiPolynomial.monomial(di_right(e[t], e[i]))
+             for t in range(n) for i in i0]
     return rels
 
 
@@ -332,14 +301,7 @@ def pbw_basis(L, max_len):
         return []
     excluded = leibniz_i0(L)
     tail_pool = [i for i in range(L.dim) if i not in excluded]
-    out = []
-    for j in range(L.dim):
-        tails = [()]
-        for _ in range(max_len - 1):
-            tails = [t + (i,) for t in tails
-                     for i in tail_pool if not t or i >= t[-1]]
-            for t in tails:
-                out.append(Diword((j,) + t, 0))
-        out.append(Diword((j,), 0))
-    out.sort(key=diword_key)
-    return out
+    # by length, then letters: the tails of one length come in lex order
+    return [Diword((j,) + tail, 0) for k in range(max_len)
+            for j in range(L.dim)
+            for tail in combinations_with_replacement(tail_pool, k)]

@@ -4,8 +4,6 @@ right-justified composition shape drives the basis theory.  The S-word
 of an element s in the context a is the left action a.s.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
@@ -159,10 +157,12 @@ def random_module_set(nx, ny, max_udeg, rng, max_elems=3):
     """Monic random module elements for randomized suites: up to
     max_elems elements, each a combination of one to three distinct
     module words with u-length <= max_udeg and coefficients in
-    -2..2 \\ {0}, scaled monic."""
+    -2..2 \\ {0}, scaled monic.  An element never asks for more terms
+    than there are distinct module words."""
+    n_words = ny * sum(nx ** l for l in range(max_udeg + 1))
     out = []
     for _ in range(rng.randint(1, max_elems)):
-        n_terms = rng.randint(1, 3)
+        n_terms = min(rng.randint(1, 3), n_words)
         seen = set()
         items = []
         while len(items) < n_terms:

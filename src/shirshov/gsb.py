@@ -8,8 +8,6 @@ The checks are those of `core.Structure`, which `rewrite.RewriteSystem`
 is; completion stays specific to this structure.
 """
 
-from __future__ import annotations
-
 import heapq
 import time
 from collections import Counter, namedtuple

@@ -12,8 +12,6 @@ longest length first, against the index of leading words that
 element.
 """
 
-from __future__ import annotations
-
 import copy
 from collections import namedtuple
 from itertools import product

@@ -9,13 +9,17 @@ the completion before it became incremental is kept the same way, as the
 oracle of the differential completion tests.  So are the sparse elimination that
 compared columns through their key on every step, before it ran in key
 space, and the anti-commutative `find` that walked the tree once per
-relation, before it read a leading-word index.
+relation, before it read a leading-word index.  The enveloping dialgebra
+of a Leibniz algebra is kept as it was written with hand-placed centers,
+before it was built from the products |- and -|.
 """
 
 from collections import Counter
 
 from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
 from shirshov.core import Polynomial, add_scaled, exact, exact_div
+from shirshov.dialgebra import (DiPolynomial, Diword, leibniz_check,
+                                leibniz_i0)
 from shirshov.freemodule import act
 from shirshov.rewrite import RewriteSystem
 
@@ -259,3 +263,57 @@ def ac_find(leading_words, m):
         for context in ac_occurrences(m, leading_words[i]):
             return i, context
     return None
+
+
+def _bracket_poly(L, i, j, tail, center_shift):
+    """{e_i, e_j} embedded as diwords (k,) + tail with the given center."""
+    return [(Diword((k,) + tail, center_shift), c)
+            for k, c in L.bracket_of(i, j).items()]
+
+
+def leibniz_enveloping(L):
+    """Defining relations of the enveloping dialgebra of L.
+
+    Emits, in order: f(j, i) = e_j |- e_i - e_i -| e_j + {e_i, e_j} for
+    all pairs; f(j, i) |- e_t for j > i; e_i0 |- e_t for i0 in the
+    squares span; e_t -| f(j, i) for j > i; e_t -| e_i0.  Raises when the
+    bracket violates the Leibniz identity.
+    """
+    if not leibniz_check(L):
+        raise ValueError("structure constants violate the Leibniz identity")
+    i0 = sorted(leibniz_i0(L))
+    n = L.dim
+    rels = []
+
+    for j in range(n):
+        for i in range(n):
+            items = [(Diword((j, i), 1), 1), (Diword((i, j), 0), -1)]
+            items += _bracket_poly(L, i, j, (), 0)
+            rels.append(DiPolynomial(items))
+
+    for j in range(n):
+        for i in range(j):
+            for t in range(n):
+                items = [(Diword((j, i, t), 2), 1),
+                         (Diword((i, j, t), 2), -1)]
+                items += _bracket_poly(L, i, j, (t,), 1)
+                rels.append(DiPolynomial(items))
+
+    for i in i0:
+        for t in range(n):
+            rels.append(DiPolynomial({Diword((i, t), 1): 1}))
+
+    for t in range(n):
+        for j in range(n):
+            for i in range(j):
+                items = [(Diword((t, j, i), 0), 1),
+                         (Diword((t, i, j), 0), -1)]
+                items += [(Diword((t, k), 0), c)
+                          for k, c in L.bracket_of(i, j).items()]
+                rels.append(DiPolynomial(items))
+
+    for t in range(n):
+        for i in i0:
+            rels.append(DiPolynomial({Diword((t, i), 0): 1}))
+
+    return rels

@@ -83,6 +83,24 @@ def test_hall_gsb_element_count():
     assert len(hall_gsb(2, 6)) == 10
 
 
+def test_hall_gsb_leading_words_are_the_hall_triples_in_order():
+    for n_letters, max_deg in ((2, 7), (3, 5)):
+        pool = hall_words(n_letters, max_deg)
+        triples = [(ac_size(u) + ac_size(v) + ac_size(w),
+                    ac_key(u), ac_key(v), ac_key(w))
+                   for u in pool for v in pool if ac_key(u) > ac_key(v)
+                   for w in pool if ac_key(v) > ac_key(w)
+                   and ac_size(u) + ac_size(v) + ac_size(w) <= max_deg]
+        S = hall_gsb(n_letters, max_deg)
+        keys = []
+        for rel in S:
+            assert rel.leading_coeff() == 1
+            (u, v), w = rel.leading_monomial()
+            keys.append((ac_size(u) + ac_size(v) + ac_size(w),
+                         ac_key(u), ac_key(v), ac_key(w)))
+        assert keys == sorted(triples)
+
+
 def test_ac_compositions_include_the_root():
     g = AcPolynomial({(X2, X1): 1})
     (w, zero), = AntiCommutative((g, g), 2).compositions(0, 1)
@@ -161,8 +179,12 @@ def test_is_ls_word():
 
 def test_ls_words_counts_match_witt():
     assert ls_words(2, 2) == [(X2, X1)]
-    assert [len(ls_words(2, n)) for n in range(1, 8)] == [
-        witt(2, n) for n in range(1, 8)]
+    for k in (1, 2, 3):
+        for n in range(1, 8):
+            words = ls_words(k, n)
+            assert all(a < b for a, b in zip(words, words[1:]))
+            assert all(is_ls_word(w) for w in words)
+            assert len(words) == witt(k, n)
     with pytest.raises(ValueError):
         ls_words(2, 0)
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from shirshov.catalog import (Presentation, chinese_gsb, chinese_relations,
@@ -18,6 +20,12 @@ def test_chinese_relations_counts():
         (w1, c1), (w2, c2) = r.sorted_terms()
         assert {c1, c2} == {1, -1}
         assert len(w1) == len(w2) == 3
+    for k in range(1, 6):
+        rels = chinese_relations(k).relations
+        # two per triple c >= b >= a, less one identity for each c = b
+        # and for each b = a, which leaves c = b = a with none
+        assert len(rels) == 2 * comb(k + 2, 3) - 2 * comb(k + 1, 2)
+        assert len({frozenset(r.items()) for r in rels}) == len(rels)
 
 
 def test_chinese_gsb_counts():

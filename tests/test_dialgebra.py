@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,6 +9,15 @@ from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 di_right, diword_key,
                                 leibniz_check, leibniz_dim2,
                                 leibniz_enveloping, leibniz_i0, pbw_basis)
+
+from references import leibniz_enveloping as reference_enveloping
+
+# {e1, e2} = e0 = -{e2, e1} and {e2, e2} = e0, as in
+# tests/golden/leibniz3.pres
+LEIBNIZ3 = LeibnizAlgebra(dim=3, bracket={(1, 2, 0): 1, (2, 1, 0): -1,
+                                          (2, 2, 0): 1})
+ALGEBRAS = [leibniz_dim2(), LeibnizAlgebra(dim=2, bracket={}), LEIBNIZ3,
+            LeibnizAlgebra(dim=2, bracket={(1, 1, 0): Fraction(3, 2)})]
 
 
 def test_diword_validation():
@@ -44,6 +54,18 @@ def test_products_are_bilinear():
     assert out == DiPolynomial([(Diword((0, 1), 1), 2),
                                 (Diword((0, 0), 1), -1)])
     assert di_right(p, u).coeff(Diword((1, 0), 0)) == 2
+
+
+def test_products_of_diwords_are_diwords_and_refuse_other_arguments():
+    u, v = Diword((0,), 0), Diword((1, 0), 1)
+    for product in (di_left, di_right):
+        assert type(product(u, v)) is Diword
+        with pytest.raises(TypeError, match=r"^expected Diword or "
+                                            r"DiPolynomial, got 3$"):
+            product(u, 3)
+        with pytest.raises(TypeError, match=r"^expected Diword or "
+                                            r"DiPolynomial, got \(0,\)$"):
+            product((0,), v)
 
 
 def test_five_laws_on_a_sample():
@@ -89,6 +111,25 @@ def test_enveloping_rejects_non_leibniz():
 def test_enveloping_relation_count():
     S = leibniz_enveloping(leibniz_dim2())
     assert len(S) == 12
+
+
+@pytest.mark.parametrize("L", ALGEBRAS)
+def test_enveloping_matches_the_hand_written_relations(L):
+    def terms(rels):
+        # every term in its order, with the type of its coefficient
+        return [[(m, c, type(c)) for m, c in p.items()] for p in rels]
+
+    assert terms(leibniz_enveloping(L)) == terms(reference_enveloping(L))
+
+
+@pytest.mark.parametrize("L", ALGEBRAS)
+def test_pbw_basis_ascends_with_one_word_per_nondecreasing_tail(L):
+    p = L.dim - len(leibniz_i0(L))
+    for max_len in range(7):
+        keys = [diword_key(u) for u in pbw_basis(L, max_len)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == L.dim * sum(comb(p + k - 1, k)
+                                        for k in range(max_len))
 
 
 def test_reduce_rewrites_a_square():

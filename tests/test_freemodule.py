@@ -133,6 +133,13 @@ def test_pair_normal_form():
     assert out == mono((0, 1), 0)
 
 
+def test_random_set_over_a_single_module_word_returns():
+    # one letter, one generator, u-length 0: [v] is the only module word
+    S = random_module_set(1, 1, 0, random.Random(0), max_elems=5)
+    assert S
+    assert all(elem == mono((), 0) for elem in S)
+
+
 def test_random_sets_are_deterministic():
     a = random_module_set(2, 2, 3, random.Random(11))
     b = random_module_set(2, 2, 3, random.Random(11))
