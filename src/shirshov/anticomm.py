@@ -170,6 +170,24 @@ class AntiCommutative(Structure):
                 stack.append((left, ((0, right),) + chain))
         return best
 
+    def pairs(self):
+        """The ordered pairs (i, j), ascending, where lw_j is a subtree
+        of lw_i, from one walk of each lw_i; every other pair has no
+        composition."""
+        owners = {}
+        for j, lw in enumerate(self.leading_words):
+            owners.setdefault(lw, []).append(j)
+        for i, lw in enumerate(self.leading_words):
+            found = set()
+            stack = [lw]
+            while stack:
+                sub = stack.pop()
+                found.update(owners.get(sub, ()))
+                if not isinstance(sub, int):
+                    stack.extend(sub)
+            for j in sorted(found):
+                yield i, j
+
     def occurrences(self, t, j):
         """The chains of the subtrees of t equal to element j's leading
         word, in preorder."""

@@ -430,8 +430,10 @@ class Structure:
     j's leading monomial occurs in the monomial m, in the kind's order;
     multiply(context, s), the S-word that puts s into the context; and
     contexts(room), every context that raises the degree by room, in row
-    order.  It may override `find` and `compositions`, which the base
-    class derives from occurrences.  The base class checks that every
+    order, which only `rows` reads.  It may override `find` and `compositions`, which the base
+    class derives from occurrences, `pairs`, which may leave out pairs
+    without compositions, and `rows`, which may leave out S-words that
+    the rows it keeps span.  The base class checks that every
     relation is a nonzero monic `elem`, keeps the relations in
     `elements` and their leading monomials in `leading_words`, derives
     the rewriting image and the bounded ideal rows from the S-words, and
@@ -499,7 +501,8 @@ class Structure:
     def rows(self, max_deg):
         """The bounded ideal rows (d, vec) in ascending d, as `span`
         inserts them: every S-word of degree d <= max_deg, by d, element
-        and context."""
+        and context.  An override may leave out an S-word of degree d
+        that the rows it keeps of degree <= d span."""
         for d in range(self.low, max_deg + 1):
             for s, lw in zip(self.elements, self.leading_words):
                 room = d - self.degree(lw)
@@ -515,6 +518,13 @@ class Structure:
         return [m for d in range(self.low, max_deg + 1)
                 for m in self.monomials(d) if self.find(m) is None]
 
+    def pairs(self):
+        """The ordered pairs (i, j) of elements whose compositions
+        `_failing` examines, ascending: every pair.  An override may
+        leave out pairs that have no composition."""
+        n = len(self)
+        return ((i, j) for i in range(n) for j in range(n))
+
     def _failing(self, max_deg=None):
         """(checked, failing) over the compositions (w, result) of every
         ordered pair whose ambient monomial w has degree <= max_deg, all
@@ -522,13 +532,12 @@ class Structure:
         result has a nonzero normal form."""
         checked = 0
         failing = []
-        for i in range(len(self)):
-            for j in range(len(self)):
-                for w, result in self.compositions(i, j):
-                    if max_deg is None or self.degree(w) <= max_deg:
-                        checked += 1
-                        if self.normal_form(result):
-                            failing.append((w, result))
+        for i, j in self.pairs():
+            for w, result in self.compositions(i, j):
+                if max_deg is None or self.degree(w) <= max_deg:
+                    checked += 1
+                    if self.normal_form(result):
+                        failing.append((w, result))
         return checked, tuple(failing)
 
     def is_gsb(self):
@@ -537,10 +546,11 @@ class Structure:
         return GsbReport(holds=not failing, checked=checked, failing=failing)
 
     def span(self, max_deg):
-        """One span of the rows up to max_deg; ranks[d] is its rank at
-        bound d, for low <= d <= max_deg, recorded as degree d closes.
-        Rank does not depend on insertion order, so it is the rank of the
-        span the rows of degree <= d alone would build."""
+        """One span of `rows(max_deg)`, the S-words of degree <=
+        max_deg; ranks[d] is its rank at bound d, for low <= d <= max_deg,
+        recorded as degree d closes.  Rank does not depend on insertion
+        order, and the rows of degree <= d span every S-word of degree
+        <= d, so ranks[d] is the rank of the span those S-words build."""
         span = VectorSpan(self.elem._key)
         d = self.low
         for deg, vec in self.rows(max_deg):
@@ -564,8 +574,12 @@ class Structure:
         if self.compositions is not None:
             failing = self._failing(max_deg)[1]
         span = self.span(max_deg)
-        bad = tuple(m for m in span.pivots() if self.find(m) is None)
-        per_degree = Counter(map(self.degree, self.irreducible(max_deg)))
+        irreducible = self.irreducible(max_deg)
+        # a pivot has degree <= max_deg, so it has no occurrence exactly
+        # when it is among the irreducible monomials
+        irr_set = set(irreducible)
+        bad = tuple(m for m in span.pivots() if m in irr_set)
+        per_degree = Counter(map(self.degree, irreducible))
         table = []
         irr = total = 0
         for d, rank in span.ranks.items():

@@ -93,17 +93,72 @@ class RewriteSystem(Structure):
 
     multiply = staticmethod(_mul_word_poly)
 
-    def contexts(self, room):
-        for la in range(room + 1):
-            for a in self.monomials(la):
-                for b in self.monomials(room - la):
-                    yield a, b
+    def rows(self, max_deg):
+        """The S-words a*s*b of degree d <= max_deg whose left factor a
+        is () or irreducible, by d, element, |a|, a and b; with a
+        constant relation, only a = ().
+
+        For every d, those of degree <= d span every S-word of degree d,
+        so the span, its rank at each degree and its pivots are those of
+        all S-words, even for non-homogeneous and constant relations.  The proof goes
+        by induction on (w, |a|), where w = a*lw_i*b is the leading word
+        of the S-word a*s_i*b of degree d = |w|.  When a = a1*lw_j*a2 is
+        reducible, write s_i = lw_i + r_i and s_j = lw_j + r_j:
+
+            a*s_i*b = a1*s_j*(a2*lw_i*b)
+                      + a1*s_j*(a2*u*b), u over the words of r_i,
+                      - (a1*v*a2)*s_i*b, v over the words of r_j,
+
+        with the coefficients of r_i and r_j.  The first S-word has the
+        leading word w and the shorter left factor a1.  Every other one
+        has a leading word below w, since u < lw_i, v < lw_j and deg-lex
+        is a monomial order, and so a degree <= d.  A constant relation
+        has the leading word (), which occurs in every nonempty a.
+        """
+        if not self.elements:
+            return
+        top = max(max_deg - self.lead_degrees[-1], 0)
+        left = [[()]] + [[] for _ in range(top)]
+        for a in irr_words(self, top):
+            if a:
+                left[len(a)].append(a)
+        for d in range(max_deg + 1):
+            for s, lw in zip(self.elements, self.leading_words):
+                room = d - len(lw)
+                for la in range(room + 1):
+                    for a in left[la]:
+                        for b in self.monomials(room - la):
+                            yield d, _mul_word_poly((a, b), s).terms
 
     def monomials(self, d):
         return product(range(len(self.order.alphabet)), repeat=d)
 
     def irreducible(self, max_deg):
         return irr_words(self, max_deg)
+
+    def pairs(self):
+        """The ordered pairs (i, j), ascending, whose leading words
+        overlap: a proper suffix of lw_i is a proper prefix of lw_j, or
+        lw_j is a factor of lw_i.  Every other pair has no composition.
+        """
+        leads = self.leading_words
+        heads = {}  # each leading word and each proper prefix -> elements
+        for j, lw in enumerate(leads):
+            heads.setdefault(lw, []).append(j)
+            for k in range(1, len(lw)):
+                heads.setdefault(lw[:k], []).append(j)
+        for i, lw in enumerate(leads):
+            n = len(lw)
+            found = set()
+            for p in range(n + 1):
+                for q in range(p, n + 1):
+                    for j in heads.get(lw[p:q], ()):
+                        # lw_j is lw[p:q], or lw[p:] is a proper suffix
+                        # and a prefix of lw_j
+                        if len(leads[j]) == q - p or 0 < p < q == n:
+                            found.add(j)
+            for j in sorted(found):
+                yield i, j
 
     def compositions(self, i, j):
         return [(c.w, c.result) for c in find_compositions(

@@ -11,13 +11,17 @@ compared columns through their key on every step, before it ran in key
 space, and the anti-commutative `find` that walked the tree once per
 relation, before it read a leading-word index.  The enveloping dialgebra
 of a Leibniz algebra is kept as it was written with hand-placed centers,
-before it was built from the products |- and -|.
+before it was built from the products |- and -|.  Last, the associative
+bounded check before it left out rows and pairs: `Structure.rows` with
+every context of `RewriteSystem.contexts`, `_failing` over every ordered
+pair, and `bounded_check` calling `find` on every pivot.
 """
 
 from collections import Counter
 
 from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
-from shirshov.core import Polynomial, add_scaled, exact, exact_div
+from shirshov.core import (BoundedReport, DegreeLine, Polynomial,
+                           add_scaled, check_bound, exact, exact_div)
 from shirshov.dialgebra import (DiPolynomial, Diword, leibniz_check,
                                 leibniz_i0)
 from shirshov.freemodule import act
@@ -317,3 +321,75 @@ def leibniz_enveloping(L):
             rels.append(DiPolynomial({Diword((t, i), 0): 1}))
 
     return rels
+
+
+def all_context_rows(self, max_deg):
+    """The bounded ideal rows (d, vec) in ascending d, as `span`
+    inserts them: every S-word of degree d <= max_deg, by d, element
+    and context."""
+    for d in range(self.low, max_deg + 1):
+        for s, lw in zip(self.elements, self.leading_words):
+            room = d - self.degree(lw)
+            if room >= 0:
+                for context in _all_contexts(self, room):
+                    yield d, self.multiply(context, s).terms
+
+
+def _all_contexts(self, room):
+    for la in range(room + 1):
+        for a in self.monomials(la):
+            for b in self.monomials(room - la):
+                yield a, b
+
+
+def all_pairs_failing(self, max_deg=None):
+    """(checked, failing) over the compositions (w, result) of every
+    ordered pair whose ambient monomial w has degree <= max_deg, all
+    of them when max_deg is None: how many there are, and those whose
+    result has a nonzero normal form."""
+    checked = 0
+    failing = []
+    for i in range(len(self)):
+        for j in range(len(self)):
+            for w, result in self.compositions(i, j):
+                if max_deg is None or self.degree(w) <= max_deg:
+                    checked += 1
+                    if self.normal_form(result):
+                        failing.append((w, result))
+    return checked, tuple(failing)
+
+
+def find_bounded_check(self, max_deg):
+    """Bounded report: the compositions whose ambient monomial has
+    degree <= max_deg, where examined, reduce to 0; every pivot of the
+    span at max_deg has an occurrence; irreducible count plus span
+    rank matches the monomial count per degree, cumulatively.  Raises
+    when the bound cannot hold some relation's leading monomial."""
+    check_bound(max_deg, map(self.degree, self.leading_words))
+    failing = None
+    if self.compositions is not None:
+        failing = self._failing(max_deg)[1]
+    span = self.span(max_deg)
+    bad = tuple(m for m in span.pivots() if self.find(m) is None)
+    per_degree = Counter(map(self.degree, self.irreducible(max_deg)))
+    table = []
+    irr = total = 0
+    for d, rank in span.ranks.items():
+        total += sum(1 for _ in self.monomials(d))
+        irr += per_degree[d]
+        table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
+                                total=total, ok=(irr + rank == total)))
+    return BoundedReport(
+        max_deg=max_deg,
+        gsb_ok=None if failing is None else not failing,
+        failing=failing, leading_ok=not bad, bad_leadings=bad,
+        counts_ok=all(line.ok for line in table), table=tuple(table))
+
+
+class EveryRowAndPair(RewriteSystem):
+    """A `RewriteSystem` that checks the bounded conditions as it did
+    before it left out rows and pairs."""
+
+    rows = all_context_rows
+    _failing = all_pairs_failing
+    bounded_check = find_bounded_check

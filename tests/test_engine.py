@@ -520,9 +520,16 @@ def composition_cases(draw):
 def test_compositions_match_the_functions_they_replaced(case):
     structure, reference = case
     S = structure.elements
+    with_compositions = set()
     for i in range(len(S)):
         for j in range(len(S)):
             assert structure.compositions(i, j) == reference(S[i], S[j])
+            if reference(S[i], S[j]):
+                with_compositions.add((i, j))
+    # `_failing` visits only the pairs of the hook
+    pairs = list(structure.pairs())
+    assert pairs == sorted(set(pairs))
+    assert with_compositions <= set(pairs)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

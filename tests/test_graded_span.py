@@ -7,7 +7,9 @@ built element first (the anti-commutative one through a FIFO queue), and
 the irreducible words enumerated again at every degree.  The whole report
 must come out equal, down to the last Fraction.  The elimination itself,
 which runs over order keys, is compared the same way with the one that
-compared columns through their keys.
+compared columns through their keys, and the associative check, which
+leaves out rows and pairs that cannot change its answer, with the one
+that inserted every S-word and visited every pair.
 """
 
 import random
@@ -36,8 +38,8 @@ from shirshov.gsb import cd_lemma_check, find_compositions
 from shirshov.rewrite import RewriteSystem, irr_words
 
 from references import VectorSpan as ReferenceSpan
-from references import (_occurrence_paths, _occurrences, _prep,
-                        ac_compositions)
+from references import (EveryRowAndPair, _occurrence_paths, _occurrences,
+                        _prep, ac_compositions)
 
 
 # -- Structure.span -----------------------------------------------------
@@ -411,6 +413,68 @@ def test_ideal_span_ranks_match_one_span_per_bound():
     assert span.ranks == {d: reference_ideal_span(system, d).rank
                           for d in range(7)}
     assert span.pivots() == reference_ideal_span(system, 6).pivots()
+
+
+# -- rows and pairs that cannot change the answer ------------------------
+
+
+@st.composite
+def assoc_systems(draw):
+    """A system over 1-3 letters whose relations may be fractional,
+    non-homogeneous or constant, and a bound from its longest leading
+    degree up to 3 above it."""
+    n = draw(st.integers(1, 3))
+    words = st.lists(st.integers(0, n - 1), max_size=3).map(tuple)
+    rels = draw(st.lists(st.dictionaries(words, SPAN_COEFFS.filter(bool),
+                                         min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    alphabet = Alphabet(tuple("x%d" % (i + 1) for i in range(n)))
+    system = RewriteSystem(tuple(Polynomial(t).monic() for t in rels),
+                           DegLexOrder(alphabet))
+    longest = max(map(len, system.leading_words))
+    return system, longest + draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(assoc_systems())
+def test_assoc_checks_without_the_left_out_rows_and_pairs_agree(case):
+    # The oracle inserts every S-word, visits every ordered pair and
+    # calls find on every pivot.
+    system, bound = case
+    oracle = EveryRowAndPair(system.elements, system.order)
+    span, ref = system.span(bound), oracle.span(bound)
+    assert span.ranks == ref.ranks
+    assert span.pivots() == ref.pivots()
+    assert system.bounded_check(bound) == oracle.bounded_check(bound)
+    assert system.is_gsb() == oracle.is_gsb()
+
+
+def _counting(calls, method):
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+    return counted
+
+
+def test_the_checks_insert_and_visit_only_what_can_change_them(monkeypatch):
+    inserted = []
+    monkeypatch.setattr(VectorSpan, "insert",
+                        _counting(inserted, VectorSpan.insert))
+    span = chinese_gsb(3).span(8)
+    # every S-word: 16,587 rows
+    assert (len(inserted), span.rank) == (12945, 9099)
+
+    visited = []
+    for kind in (RewriteSystem, AntiCommutative):
+        monkeypatch.setattr(kind, "compositions",
+                            _counting(visited, kind.compositions))
+    report = chinese_gsb(6).is_gsb()
+    # every ordered pair: 8,100
+    assert (len(visited), report.checked, report.holds) == (840, 770, True)
+    del visited[:]
+    report = AntiCommutative(hall_gsb(2, 8), 2).is_gsb()
+    # every ordered pair: 3,364
+    assert (len(visited), report.holds) == (64, True)
 
 
 # -- the anti-commutative key and Hall relations --------------------------
