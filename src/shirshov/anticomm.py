@@ -129,12 +129,11 @@ class AntiCommutative(Structure):
     """Monic relations in the free anti-commutative algebra on n_letters
     letters.
 
-    Deterministic strategy: the first relation whose leading word occurs
-    as a subtree, at its preorder-first occurrence.  `find` keeps it by
-    reading `lead_index` once per subtree.  The degree of a tree-word is
-    its size.  A context is a chain of (side, sibling) pairs from an
-    occurrence up to the root: side 0 puts the sibling on the right of
-    the subtree below it, side 1 on its left.
+    Strategy of the derived `find`: the first relation whose leading
+    word is a subtree, at its preorder-first occurrence.  The degree of
+    a tree-word is its size.  A context is a chain of (side, sibling)
+    pairs from a subtree up to the root: side 0 puts the sibling on the
+    right of the subtree below it, side 1 on its left.
     """
 
     elem = AcPolynomial
@@ -151,53 +150,15 @@ class AntiCommutative(Structure):
     def monomials(self, d):
         return _normal_by_degree(self.n, d)
 
-    def find(self, t):
-        """(i, chain) for the first relation i whose leading word is a
-        subtree of t, at its preorder-first chain, or None.  The walk
-        visits every subtree in preorder, also inside a match, since a
-        smaller leading word of an earlier relation may sit there."""
-        index = self.lead_index
-        best = None
+    @staticmethod
+    def parts(t):
+        """Every subtree of t with its chain, in preorder."""
         stack = [(t, ())]
         while stack:
-            sub, chain = stack.pop()
-            i = index.get(sub)
-            if i is not None and (best is None or i < best[0]):
-                best = i, chain
+            part = stack.pop()
+            yield part
+            sub, chain = part
             if not isinstance(sub, int):
-                left, right = sub
-                stack.append((right, ((1, left),) + chain))
-                stack.append((left, ((0, right),) + chain))
-        return best
-
-    def pairs(self):
-        """The ordered pairs (i, j), ascending, where lw_j is a subtree
-        of lw_i, from one walk of each lw_i; every other pair has no
-        composition."""
-        owners = {}
-        for j, lw in enumerate(self.leading_words):
-            owners.setdefault(lw, []).append(j)
-        for i, lw in enumerate(self.leading_words):
-            found = set()
-            stack = [lw]
-            while stack:
-                sub = stack.pop()
-                found.update(owners.get(sub, ()))
-                if not isinstance(sub, int):
-                    stack.extend(sub)
-            for j in sorted(found):
-                yield i, j
-
-    def occurrences(self, t, j):
-        """The chains of the subtrees of t equal to element j's leading
-        word, in preorder."""
-        lw = self.leading_words[j]
-        stack = [(t, ())]
-        while stack:
-            sub, chain = stack.pop()
-            if sub == lw:
-                yield chain  # a proper subtree is smaller than lw
-            elif not isinstance(sub, int):
                 left, right = sub
                 stack.append((right, ((1, left),) + chain))
                 stack.append((left, ((0, right),) + chain))

@@ -426,21 +426,20 @@ class Structure:
 
     A subclass names its element class `elem` and the least degree `low`
     of a monomial, and supplies degree(m); monomials(d), an iterable in
-    ascending order; occurrences(m, j), every context at which element
-    j's leading monomial occurs in the monomial m, in the kind's order;
-    multiply(context, s), the S-word that puts s into the context; and
-    contexts(room), every context that raises the degree by room, in row
-    order, which only `rows` reads.  It may override `find` and `compositions`, which the base
-    class derives from occurrences, `pairs`, which may leave out pairs
-    without compositions, and `rows`, which may leave out S-words that
-    the rows it keeps span.  The base class checks that every
-    relation is a nonzero monic `elem`, keeps the relations in
-    `elements` and their leading monomials in `leading_words`, derives
-    the rewriting image and the bounded ideal rows from the S-words, and
-    assembles the composition and bounded reports.  It indexes the
-    leading monomials once, for the kinds' `find` to read: `lead_index`
-    maps each to the first element that has it, and `lead_degrees` lists
-    their distinct degrees, descending.
+    ascending order; parts(m), every (part, context) of the monomial m
+    where a relation may apply, in the kind's order; multiply(context,
+    s), the S-word that puts s into the context; and contexts(room),
+    every context that raises the degree by room, in row order, which
+    only `rows` reads.  keys(j), the parts at which element j applies,
+    defaults to its leading monomial.  The base class checks that every
+    relation is a nonzero monic `elem`, keeps the relations in `elements`
+    and their leading monomials in `leading_words`, and indexes the keys
+    once: `lead_index` maps each to its first element, and `lead_degrees`
+    lists the distinct leading degrees, descending.  From parts and keys
+    it derives `find`, `occurrences`, `compositions` and `pairs`; from
+    the S-words, the rewriting image and the bounded ideal rows.  A kind
+    may override `find` for another strategy, `compositions`, `pairs`
+    and `rows`, which may leave out S-words that the rows it keeps span.
     """
 
     elem = Terms
@@ -460,10 +459,15 @@ class Structure:
         self.leading_words = tuple(leads)
         self._index()
 
+    def keys(self, j):
+        """The parts at which element j applies."""
+        return (self.leading_words[j],)
+
     def _index(self):
         self.lead_index = {}
-        for i, lw in enumerate(self.leading_words):
-            self.lead_index.setdefault(lw, i)
+        for j in range(len(self.leading_words)):
+            for key in self.keys(j):
+                self.lead_index.setdefault(key, j)
         self.lead_degrees = sorted({self.degree(lw) for lw in
                                     self.leading_words}, reverse=True)
 
@@ -471,19 +475,27 @@ class Structure:
         return len(self.elements)
 
     def find(self, m):
-        """(i, context) for the first element i with an occurrence in m,
-        at its first context, or None.  An override fixes another
-        strategy."""
-        for i in range(len(self)):
-            for context in self.occurrences(m, i):
-                return i, context
-        return None
+        """(i, context) for the least element i with a key among the
+        parts of m, at its first such part, or None."""
+        index = self.lead_index
+        best = None
+        for part, context in self.parts(m):
+            i = index.get(part)
+            if i is not None and (best is None or i < best[0]):
+                best = i, context
+        return best
+
+    def occurrences(self, m, j):
+        """The contexts of the parts of m that are keys of element j, in
+        the kind's order."""
+        keys = self.keys(j)
+        return [context for part, context in self.parts(m) if part in keys]
 
     def compositions(self, i, j):
         """The inclusion compositions of the ordered pair (i, j), as
         (ambient monomial, result) pairs: (leading_words[i], elements[i]
-        - multiply(context, elements[j])) for every context at which
-        leading_words[j] occurs in leading_words[i].  The root occurrence
+        - multiply(context, elements[j])) for every context of
+        occurrences(leading_words[i], j).  The root occurrence
         of a self-pair gives an exactly-zero result.  A kind whose
         compositions are not examined sets compositions = None."""
         lw, f, g = self.leading_words[i], self.elements[i], self.elements[j]
@@ -519,11 +531,19 @@ class Structure:
                 for m in self.monomials(d) if self.find(m) is None]
 
     def pairs(self):
-        """The ordered pairs (i, j) of elements whose compositions
-        `_failing` examines, ascending: every pair.  An override may
-        leave out pairs that have no composition."""
-        n = len(self)
-        return ((i, j) for i in range(n) for j in range(n))
+        """The ordered pairs (i, j), ascending, where a key of element j
+        is a part of leading_words[i]; every other pair has no
+        composition.  `_failing` examines these."""
+        owners = {}
+        for j in range(len(self)):
+            for key in self.keys(j):
+                owners.setdefault(key, []).append(j)
+        for i, lw in enumerate(self.leading_words):
+            found = set()
+            for part, _ in self.parts(lw):
+                found.update(owners.get(part, ()))
+            for j in sorted(found):
+                yield i, j
 
     def _failing(self, max_deg=None):
         """(checked, failing) over the compositions (w, result) of every

@@ -88,8 +88,12 @@ def all_diwords(n_letters, length):
 class Dialgebra(Structure):
     """Monic relations in the free dialgebra on n_letters letters.
 
-    Deterministic strategy: the first relation with a compatible
-    occurrence, at its leftmost position.  The degree of a diword is its
+    Strategy of the derived `find`: the first relation with a
+    compatible occurrence, at its leftmost factor.  A factor that holds
+    the center takes a relation with the same center offset; any other
+    takes, by `keys`, the relations whose center-forgetting image keeps
+    the leading letters (`flat_ok`).  The products of the others still
+    belong to the ideal and its rows.  The degree of a diword is its
     length.  A context (a, b, c) puts a relation between the letters a
     and b; c is None when the center lies inside the relation, else the
     center's position, counted from the left (c >= 0) or from the right
@@ -104,41 +108,43 @@ class Dialgebra(Structure):
     def __init__(self, relations, n_letters):
         super().__init__(relations)
         self.n = n_letters
-        # whether the center-forgetting image of a relation keeps its
-        # leading word, so that the relation rewrites around the center
-        self.flat_ok = []
-        for p, lw in zip(self.elements, self.leading_words):
+        for p in self.elements:
             for m in p.terms:
                 check_letters(m.letters, n_letters)
+
+    def _index(self):
+        # `keys` reads whether the center-forgetting image of a relation
+        # keeps its leading word, so it is set before the index
+        self.flat_ok = []
+        for p, lw in zip(self.elements, self.leading_words):
             flat = Polynomial([(m.letters, c) for m, c in p.items()])
             self.flat_ok.append(
                 bool(flat) and flat.leading_monomial() == lw.letters)
+        super()._index()
 
     def monomials(self, d):
         return sorted(all_diwords(self.n, d), key=diword_key)
 
-    def occurrences(self, m, j):
-        """The contexts where element j's leading diword sits compatibly
-        inside the diword m, leftmost first.
+    def keys(self, j):
+        lw = self.leading_words[j]
+        return (lw, lw.letters) if self.flat_ok[j] else (lw,)
 
-        With the ambient center inside the occurrence, the center offsets
-        must agree and any element applies.  With the center outside, the
-        element acts through its center-forgetting image, which rewrites
-        the occurrence only when that image is nonzero with the same
-        leading word; other elements are skipped here (their products
-        still belong to the ideal and the span builder includes them)."""
-        ls, cs = self.leading_words[j].letters, self.leading_words[j].center
+    def parts(self, m):
+        """The factors of m of the leading degrees, leftmost first: one
+        that holds the center as (letters, offset), which equals its
+        Diword, with the context (a, b, None); any other as its letters,
+        with the context (a, b, c)."""
         word, cm = m.letters, m.center
-        for pos in range(len(word) - len(ls) + 1):
-            end = pos + len(ls)
-            if word[pos:end] != ls:
-                continue
-            if pos <= cm < end:
-                if cm - pos == cs:
-                    yield word[:pos], word[end:], None
-            elif self.flat_ok[j]:
-                yield (word[:pos], word[end:],
-                       cm if cm < pos else cm - len(word))
+        n = len(word)
+        for pos in range(n):
+            a = word[:pos]
+            for length in self.lead_degrees:
+                end = pos + length
+                if pos <= cm < end <= n:
+                    yield (word[pos:end], cm - pos), (a, word[end:], None)
+                elif end <= n:
+                    c = cm if cm < pos else cm - n
+                    yield word[pos:end], (a, word[end:], c)
 
     @staticmethod
     def multiply(context, s):

@@ -55,12 +55,12 @@ class FreeModule(Structure):
     """Monic relations in the free module on nx letters and ny module
     generators.
 
-    Deterministic strategy: the greatest leading word that is a suffix,
-    ties to the earliest element.  Suffixes of one word with the same
-    generator differ in length, so the longest leading suffix wins.  A
-    module word hashes and compares as the tuple (u, y), so `find` probes
-    `lead_index` with (suffix, y) and builds no ModuleWord.  The degree of
-    a module word is the length of its u-part.
+    Deterministic strategy, which `find` overrides: the greatest leading
+    word that is a suffix, ties to the earliest element; so the longest
+    suffix in `lead_index` wins.  A module word hashes and compares as
+    the tuple (u, y), so a part is that plain tuple, which `find` probes
+    without building a ModuleWord.  The degree of a module word is the
+    length of its u-part.
     """
 
     elem = ModuleElement
@@ -80,6 +80,11 @@ class FreeModule(Structure):
     def monomials(self, d):
         return _module_words(self.nx, self.ny, d)
 
+    def parts(self, mw):
+        """Every suffix (u, y) of mw with its prefix, longest first."""
+        for cut in range(len(mw.u) + 1):
+            yield (mw.u[cut:], mw.y), mw.u[:cut]
+
     def find(self, mw):
         n = len(mw.u)
         for length in self.lead_degrees:
@@ -88,14 +93,6 @@ class FreeModule(Structure):
                 if i is not None:
                     return i, mw.u[:n - length]
         return None
-
-    def occurrences(self, mw, j):
-        """The prefix a with mw = a.lw for element j's leading word lw,
-        when lw is a suffix of mw with the same generator."""
-        lw = self.leading_words[j]
-        cut = len(mw.u) - len(lw.u)
-        if lw.y == mw.y and cut >= 0 and mw.u[cut:] == lw.u:
-            yield mw.u[:cut]
 
     multiply = staticmethod(act)
 
