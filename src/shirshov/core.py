@@ -13,6 +13,7 @@ a fractions.Fraction otherwise.  `exact` brings a value to that form and
 keeps each sum in that form and drops a coefficient that reaches 0.
 """
 
+from bisect import insort
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -392,33 +393,40 @@ class BoundedReport(namedtuple("BoundedReport", "max_deg gsb_ok failing "
         return len(set(self._examined())) == 1
 
 
-def rewrite_step(p, find, image):
-    """One pass of `rewrite`, or None when no monomial of p has an
-    occurrence.
+def rewrite(p, find, image):
+    """Normal form of p: rewrite its key-greatest monomial with an
+    occurrence until none is left.
 
     find(m) returns an occurrence of a leading monomial in the monomial m,
     or None; image(m, occ) is the ideal element the occurrence gives, with
-    coefficient 1 at m and smaller monomials elsewhere.  The pass takes
-    the key-greatest monomial of p with an occurrence and subtracts its
-    coefficient times its image, in one pass over the image's terms.
+    coefficient 1 at m and smaller monomials elsewhere.  A step subtracts
+    the coefficient of m times its image, which changes only monomials
+    below m.  So the monomials are settled once each, greatest first: an
+    irreducible one keeps its coefficient for good, and a reducible one is
+    rewritten, the image's new monomials joining the pending ones below
+    it.  Returns p itself when nothing was rewritten.
     """
-    for m in sorted(p.terms, key=type(p)._key, reverse=True):
+    key = type(p)._key
+    terms = p.terms
+    pending = sorted((key(m), m) for m in terms)  # ascending
+    while pending:
+        m = pending.pop()[1]
+        c = terms.get(m)
+        if c is None:  # cancelled by an earlier step
+            continue
         occ = find(m)
-        if occ is not None:
-            return p._plus(image(m, occ), -p.terms[m])
-    return None
-
-
-def rewrite(p, find, image):
-    """Fixed point of rewriting p by leading monomials, one
-    `rewrite_step` at a time.  A pass replaces a monomial by smaller ones,
-    so the loop ends, and no monomial of the result has an occurrence.
-    """
-    while True:
-        q = rewrite_step(p, find, image)
-        if q is None:
-            return p
-        p = q
+        if occ is None:
+            continue
+        if terms is p.terms:
+            terms = dict(terms)
+        img = image(m, occ).terms
+        for u in img:
+            if u not in terms:
+                # pending already if an earlier step cancelled it; its
+                # second copy then finds it gone or is probed again
+                insort(pending, (key(u), u))
+        add_scaled(terms, img.items(), -c)
+    return p if terms is p.terms else p._of(terms)
 
 
 class Structure:
@@ -430,16 +438,17 @@ class Structure:
     where a relation may apply, in the kind's order; multiply(context,
     s), the S-word that puts s into the context; and contexts(room),
     every context that raises the degree by room, in row order, which
-    only `rows` reads.  keys(j), the parts at which element j applies,
-    defaults to its leading monomial.  The base class checks that every
+    only the base `rows` reads.  keys(j), the parts at which element j
+    applies, defaults to its leading monomial.  The base class checks that every
     relation is a nonzero monic `elem`, keeps the relations in `elements`
     and their leading monomials in `leading_words`, and indexes the keys
     once: `lead_index` maps each to its first element, and `lead_degrees`
     lists the distinct leading degrees, descending.  From parts and keys
     it derives `find`, `occurrences`, `compositions` and `pairs`; from
     the S-words, the rewriting image and the bounded ideal rows.  A kind
-    may override `find` for another strategy, `compositions`, `pairs`
-    and `rows`, which may leave out S-words that the rows it keeps span.
+    may override `find` for another strategy, `compositions`, `pairs`,
+    `irreducible` and `rows`, which may leave out S-words that the rows
+    it keeps span.
     """
 
     elem = Terms
@@ -526,9 +535,12 @@ class Structure:
         return rewrite(p, self.find, self.image)
 
     def irreducible(self, max_deg):
-        """Monomials of degree <= max_deg with no occurrence, ascending."""
+        """Monomials of degree <= max_deg with no occurrence, ascending;
+        the walk over a monomial's parts stops at the first key."""
+        index = self.lead_index
         return [m for d in range(self.low, max_deg + 1)
-                for m in self.monomials(d) if self.find(m) is None]
+                for m in self.monomials(d)
+                if not any(part in index for part, _ in self.parts(m))]
 
     def pairs(self):
         """The ordered pairs (i, j), ascending, where a key of element j

@@ -115,15 +115,20 @@ class Dialgebra(Structure):
     def _index(self):
         # `keys` reads whether the center-forgetting image of a relation
         # keeps its leading word, so it is set before the index
-        self.flat_ok = []
-        for p, lw in zip(self.elements, self.leading_words):
-            flat = Polynomial([(m.letters, c) for m, c in p.items()])
-            self.flat_ok.append(
-                bool(flat) and flat.leading_monomial() == lw.letters)
+        self.flats = [Polynomial([(m.letters, c) for m, c in p.items()])
+                      for p in self.elements]
+        self.flat_ok = [bool(flat) and flat.leading_monomial() == lw.letters
+                        for flat, lw in zip(self.flats,
+                                            self.leading_words)]
         super()._index()
 
     def monomials(self, d):
-        return sorted(all_diwords(self.n, d), key=diword_key)
+        """The diwords of length d in key order: by center, then by
+        letters."""
+        new = tuple.__new__
+        for center in range(d):
+            for letters in product(range(self.n), repeat=d):
+                yield new(Diword, (letters, center))
 
     def keys(self, j):
         lw = self.leading_words[j]
@@ -148,28 +153,107 @@ class Dialgebra(Structure):
 
     @staticmethod
     def multiply(context, s):
-        """The diwords a * t * b of the monomials t of s; a center outside
-        s is a Python index into the letters and can merge monomials."""
+        """The diwords a * t * b of the monomials t of s.  A center inside
+        s keeps its offset, so the terms map one to one; a center outside
+        s is a Python index into the letters and can merge terms."""
         a, b, c = context
-        return DiPolynomial([
-            (Diword(a + t.letters + b, len(a) + t.center if c is None
-                    else c % (len(a) + len(t) + len(b))), k)
-            for t, k in s.items()])
+        new = tuple.__new__
+        if c is None:
+            la = len(a)
+            return DiPolynomial._of({
+                new(Diword, (a + t.letters + b, la + t.center)): k
+                for t, k in s.terms.items()})
+        room = len(a) + len(b)
+        return DiPolynomial._of(add_scaled({}, [
+            (new(Diword, (a + t.letters + b, c % (room + len(t.letters)))),
+             k) for t, k in s.terms.items()]))
 
-    def contexts(self, room):
-        """(a, b, c) with |a| + |b| = room, by |a|, a and b; the center
-        inside the relation first, then in a, then in b.  Relations the
-        reducer cannot use get contexts too: their S-words are in the
-        ideal."""
-        for la in range(room + 1):
-            lb = room - la
-            for a in product(range(self.n), repeat=la):
-                for b in product(range(self.n), repeat=lb):
-                    yield a, b, None
-                    for q in range(la):
-                        yield a, b, q
-                    for r in range(-lb, 0):
-                        yield a, b, r
+    def rows(self, max_deg):
+        """The S-words a * s * b of length d <= max_deg, by d, element,
+        |a|, a and b: the center inside s, then in a, then in b.  Every
+        S-word with the center inside s is kept.  One with the center at
+        c outside s is kept only when the center-forgetting image flat(s)
+        is nonzero and the letters strictly between the center and s,
+        a[c+1:] for c >= 0 or b[:len(b)+c] for c < 0, have no factor
+        lw_j.letters of a relation s_j with flat_ok: none of the keys at
+        which the reducer rewrites with the center outside.  Relations the
+        reducer cannot use get rows too: their S-words are in the ideal.
+
+        For every d, the rows kept of length <= d span every S-word of
+        length d, so the span, its rank at each length and its pivots are
+        those of all S-words.  Take s = s_i, c >= 0, and write a = L*x,
+        where L ends at the center.  Every monomial of the S-word has its
+        center at c, so its letters decide it: the S-word is
+        phi(x*flat(s_i)*b), where phi(y) is the diword L*y centered at c.
+        phi is linear and keeps the deg-lex order of words, so the S-word
+        is 0 when flat(s_i) is, and otherwise its leading diword is
+        w = phi(x*v*b), with v the leading word of flat(s_i).  The proof
+        goes by induction on (w, |x|), with L held fixed.  Let x =
+        x1*g*x2, where g = lw_j.letters for a relation s_j with flat_ok,
+        so that flat(s_j) = k*g + r_j with k != 0 and r_j below g:
+
+            phi(x*flat(s_i)*b) = 1/k * phi(x1*flat(s_j)*x2*u*b), u over
+                                 the words of flat(s_i),
+                               - 1/k * phi(x1*z*x2*flat(s_i)*b), z over
+                                 the words of r_j,
+
+        with the coefficients of flat(s_i) and r_j.  A term of the first
+        sum is the S-word of s_j at (L*x1, x2*u*b, c): its factor x1 is
+        shorter than x, and its leading diword is w for u = v and below
+        w otherwise.  A term of the second sum is the S-word of s_i at
+        (L*x1*z*x2, b, c), whose leading diword is below w, since z < g
+        and deg-lex is a monomial order.  None is longer than d, since
+        |g| = |lw_j|, no word of r_j is longer than g and no word of
+        flat(s_i) is longer than lw_i.  For c < 0 the sides swap: b =
+        x*R, where R starts at the center, and the S-word is
+        phi(a*flat(s_i)*x).  The argument needs |g| = |lw_j|.  Take for g
+        the leading word of an image shorter than its relation's leading
+        diword, and the first sum holds S-words longer than d; leaving
+        out the rows such a g would leave out changes the span of some
+        sets.
+        """
+        if not self.elements:
+            return
+        n = self.n
+        top = max(max_deg - self.lead_degrees[-1], 0)
+        keys = {lw.letters for lw, ok in zip(self.leading_words,
+                                              self.flat_ok) if ok}
+        words = [list(product(range(n), repeat=length))
+                 for length in range(top + 1)]
+        # the words of length <= top with no key as a factor; a word is
+        # clean when both its longest factors are and it is no key
+        clean = {()}
+        for level in words[1:]:
+            clean.update(w for w in level if w[1:] in clean
+                         and w[:-1] in clean and w not in keys)
+        left = {a: [q for q in range(len(a)) if a[q + 1:] in clean]
+                for level in words for a in level}
+        right = {b: [r for r in range(-len(b), 0) if b[:len(b) + r] in clean]
+                 for level in words for b in level}
+        # each relation as its length, its terms and its image's terms
+        terms = [(len(lw), [(t.letters, t.center, k) for t, k in s.items()],
+                  [(x, len(x), k) for x, k in flat.items()])
+                 for s, lw, flat in zip(self.elements, self.leading_words,
+                                        self.flats)]
+        new = tuple.__new__
+        for d in range(1, max_deg + 1):
+            for length, inside, outside in terms:
+                room = d - length
+                for la in range(room + 1):
+                    lb = room - la
+                    for a in words[la]:
+                        for b in words[lb]:
+                            yield d, {new(Diword, (a + t + b, la + c)): k
+                                      for t, c, k in inside}
+                            if not outside:
+                                continue
+                            for q in left[a]:
+                                yield d, {new(Diword, (a + x + b, q)): k
+                                          for x, _, k in outside}
+                            for r in right[b]:
+                                yield d, {new(Diword, (a + x + b,
+                                                       la + lx + lb + r)): k
+                                          for x, lx, k in outside}
 
 
 # perfbench imports it

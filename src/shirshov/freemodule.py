@@ -94,10 +94,32 @@ class FreeModule(Structure):
                     return i, mw.u[:n - length]
         return None
 
-    multiply = staticmethod(act)
+    @staticmethod
+    def multiply(a, s):
+        """The S-word a.s; u -> a*u is one to one, so the terms need no
+        merging."""
+        new = tuple.__new__
+        return ModuleElement._of({new(ModuleWord, (a + mw.u, mw.y)): c
+                                  for mw, c in s.terms.items()})
 
     def contexts(self, room):
         return product(range(self.nx), repeat=room)
+
+    def irreducible(self, max_deg):
+        """Module words with |u| <= max_deg that no leading word ends,
+        ascending, grown a degree at a time: u.y is irreducible exactly
+        when (u[1:], y) is and u.y is no key.  monomials(d) lists the
+        words by u, then y, so x*u.y sits x * len(monomials(d - 1))
+        places after the place of u.y in monomials(d - 1)."""
+        index = self.lead_index
+        out, words, kept = [], (), ()
+        for d in range(max_deg + 1):
+            step, words = len(words), self.monomials(d)
+            grown = (range(len(words)) if not d else
+                     (x * step + j for x in range(self.nx) for j in kept))
+            kept = [i for i in grown if words[i] not in index]
+            out += [words[i] for i in kept]
+        return out
 
 
 # perfbench imports it

@@ -14,16 +14,21 @@ of a Leibniz algebra is kept as it was written with hand-placed centers,
 before it was built from the products |- and -|.  Last, the associative
 bounded check before it left out rows and pairs: `Structure.rows` with
 every context of `RewriteSystem.contexts`, `_failing` over every ordered
-pair, and `bounded_check` calling `find` on every pivot.
+pair, and `bounded_check` calling `find` on every pivot.  The
+dialgebra span before it left out center-outside rows is kept as its
+`contexts`, `multiply` and the rows `Structure` built from them; the
+rewriting loop before it settled each monomial once is kept as
+`rewrite_step` and the loop over it.
 """
 
 from collections import Counter
+from itertools import product
 
 from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
 from shirshov.core import (BoundedReport, DegreeLine, Polynomial,
                            add_scaled, check_bound, exact, exact_div)
-from shirshov.dialgebra import (DiPolynomial, Diword, leibniz_check,
-                                leibniz_i0)
+from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
+                                leibniz_check, leibniz_i0)
 from shirshov.freemodule import act
 from shirshov.rewrite import RewriteSystem
 
@@ -393,3 +398,77 @@ class EveryRowAndPair(RewriteSystem):
     rows = all_context_rows
     _failing = all_pairs_failing
     bounded_check = find_bounded_check
+
+
+def rewrite_step(p, find, image):
+    """One pass of `rewrite`, or None when no monomial of p has an
+    occurrence.
+
+    find(m) returns an occurrence of a leading monomial in the monomial m,
+    or None; image(m, occ) is the ideal element the occurrence gives, with
+    coefficient 1 at m and smaller monomials elsewhere.  The pass takes
+    the key-greatest monomial of p with an occurrence and subtracts its
+    coefficient times its image, in one pass over the image's terms.
+    """
+    for m in sorted(p.terms, key=type(p)._key, reverse=True):
+        occ = find(m)
+        if occ is not None:
+            return p._plus(image(m, occ), -p.terms[m])
+    return None
+
+
+def rewrite(p, find, image):
+    """Fixed point of rewriting p by leading monomials, one
+    `rewrite_step` at a time.  A pass replaces a monomial by smaller ones,
+    so the loop ends, and no monomial of the result has an occurrence.
+    """
+    while True:
+        q = rewrite_step(p, find, image)
+        if q is None:
+            return p
+        p = q
+
+
+def structure_rows(self, max_deg):
+    """The bounded ideal rows (d, vec) in ascending d, as `span`
+    inserts them: every S-word of degree d <= max_deg, by d, element
+    and context.  An override may leave out an S-word of degree d
+    that the rows it keeps of degree <= d span."""
+    for d in range(self.low, max_deg + 1):
+        for s, lw in zip(self.elements, self.leading_words):
+            room = d - self.degree(lw)
+            if room >= 0:
+                for context in self.contexts(room):
+                    yield d, self.multiply(context, s).terms
+
+
+class EveryDialgebraRow(Dialgebra):
+    """A `Dialgebra` whose span takes every S-word, as it did before it
+    left out center-outside rows."""
+
+    rows = structure_rows
+
+    @staticmethod
+    def multiply(context, s):
+        """The diwords a * t * b of the monomials t of s; a center outside
+        s is a Python index into the letters and can merge monomials."""
+        a, b, c = context
+        return DiPolynomial([
+            (Diword(a + t.letters + b, len(a) + t.center if c is None
+                    else c % (len(a) + len(t) + len(b))), k)
+            for t, k in s.items()])
+
+    def contexts(self, room):
+        """(a, b, c) with |a| + |b| = room, by |a|, a and b; the center
+        inside the relation first, then in a, then in b.  Relations the
+        reducer cannot use get contexts too: their S-words are in the
+        ideal."""
+        for la in range(room + 1):
+            lb = room - la
+            for a in product(range(self.n), repeat=la):
+                for b in product(range(self.n), repeat=lb):
+                    yield a, b, None
+                    for q in range(la):
+                        yield a, b, q
+                    for r in range(-lb, 0):
+                        yield a, b, r

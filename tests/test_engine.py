@@ -13,9 +13,10 @@ normal form has no monomial the kind's `find` accepts, that reducing it
 again changes nothing, that what rewriting removed lies in the bounded
 ideal span, and that every coefficient the engine produces is an int
 when integral and a Fraction otherwise and equals what plain Fraction
-arithmetic gives.  Last, the compositions, their pairs and the
-anti-commutative rows that `core.Structure` derives are checked against
-the functions they replaced.
+arithmetic gives, and that `core.rewrite` gives what the loop of single
+rewrite passes it replaced gives.  Last, the compositions, their pairs
+and the anti-commutative rows that `core.Structure` derives are checked
+against the functions they replaced.
 """
 
 import random
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_key,
                                hall_gsb, normal_words)
 from shirshov.core import (Alphabet, DegLexOrder, Polynomial, add_scaled,
-                           rewrite, rewrite_step)
+                           rewrite)
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
                                 all_diwords, diword_key,
                                 leibniz_dim2, leibniz_enveloping)
@@ -38,7 +39,8 @@ from shirshov.rewrite import RewriteSystem, find_factor
 
 from references import (_occurrence_paths, _occurrences, _prep, _substitute,
                         ac_chain_rows, ac_compositions, ac_find,
-                        ac_occurrences, module_compositions)
+                        ac_occurrences, module_compositions, rewrite_step)
+from references import rewrite as step_loop
 
 COEFFS = [-2, -1, 1, 2, 3]
 
@@ -590,6 +592,20 @@ def test_a_coefficient_is_an_int_when_integral_and_a_fraction_otherwise(
                 list(p.terms) + list(structure.leading_words)))
     for row in structure.span(d).rows.values():
         assert all(map(_is_exact, row.values()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cases(RATIONALS))
+@example(CONSTANT)
+def test_rewrite_settles_each_monomial_as_the_step_loop_does(case):
+    # The loop re-sorted p and probed it from the top on every pass.
+    structure, p = case
+    nf = structure.normal_form(p)
+    ref = step_loop(p, structure.find, structure.image)
+    assert nf.sorted_terms() == ref.sorted_terms()
+    assert [type(c) for _, c in nf.sorted_terms()] == \
+        [type(c) for _, c in ref.sorted_terms()]
+    assert (nf is p) == (ref is p)
 
 
 # -- what core.Structure derives from parts ------------------------------

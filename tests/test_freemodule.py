@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shirshov.core import Alphabet, DegLexOrder, Polynomial
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
@@ -146,3 +148,15 @@ def test_random_sets_are_deterministic():
     assert a == b
     for elem in a:
         assert elem.leading_coeff() == 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 3),
+       st.integers(0, 5), st.randoms(use_true_random=False))
+def test_irreducible_words_are_those_find_leaves(nx, ny, max_udeg, bound,
+                                                 rng):
+    # grown a degree at a time, against find on every module word
+    S = FreeModule(random_module_set(nx, ny, max_udeg, rng, 4), nx, ny)
+    assert S.irreducible(bound) == [
+        mw for d in range(bound + 1) for mw in S.monomials(d)
+        if S.find(mw) is None]

@@ -9,7 +9,9 @@ must come out equal, down to the last Fraction.  The elimination itself,
 which runs over order keys, is compared the same way with the one that
 compared columns through their keys, and the associative check, which
 leaves out rows and pairs that cannot change its answer, with the one
-that inserted every S-word and visited every pair.
+that inserted every S-word and visited every pair.  So is the dialgebra
+span, which leaves out center-outside rows, with the one that inserted
+every S-word.
 """
 
 import random
@@ -17,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shirshov import core
@@ -29,8 +31,9 @@ from shirshov.catalog import chinese_gsb
 from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
                            DegreeLine, Polynomial, VectorSpan, deglex_key)
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
-                                all_diwords, di_gsb_check_bounded, di_irr,
-                                diword_key, leibniz_dim2, leibniz_enveloping)
+                                LeibnizAlgebra, all_diwords,
+                                di_gsb_check_bounded, di_irr, diword_key,
+                                leibniz_dim2, leibniz_enveloping)
 from shirshov.freemodule import (FreeModule, ModuleWord, act,
                                  module_cd_check, module_irr, mword_key,
                                  random_module_set)
@@ -38,8 +41,9 @@ from shirshov.gsb import cd_lemma_check, find_compositions
 from shirshov.rewrite import RewriteSystem, irr_words
 
 from references import VectorSpan as ReferenceSpan
-from references import (EveryRowAndPair, _occurrence_paths, _occurrences,
-                        _prep, ac_compositions)
+from references import (EveryDialgebraRow, EveryRowAndPair,
+                        _occurrence_paths, _occurrences, _prep,
+                        ac_compositions)
 
 
 # -- Structure.span -----------------------------------------------------
@@ -449,6 +453,65 @@ def test_assoc_checks_without_the_left_out_rows_and_pairs_agree(case):
     assert system.is_gsb() == oracle.is_gsb()
 
 
+@st.composite
+def dialgebra_sets(draw):
+    """Relations over 1-3 letters whose terms are diwords of length 1-3,
+    fractional and non-homogeneous, and a bound from the longest leading
+    length up to 2 above it.  A relation may hold one letter sequence at
+    two centers, so that its center-forgetting image loses its leading
+    letters or its length, or vanishes."""
+    n = draw(st.integers(1, 3))
+    pool = [dw for length in range(1, 4 if n < 3 else 3)
+            for dw in all_diwords(n, length)]
+    coeffs = SPAN_COEFFS.filter(bool)
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(st.sampled_from(pool), coeffs,
+                                     max_size=3))
+        if draw(st.booleans()):
+            dw = draw(st.sampled_from([dw for dw in pool if len(dw) > 1]))
+            k = draw(coeffs)
+            terms[dw] = k
+            terms[Diword(dw.letters, draw(st.sampled_from(
+                [c for c in range(len(dw)) if c != dw.center])))] = -k
+        p = DiPolynomial(terms)
+        if p:
+            rels.append(p.monic())
+    if not rels:
+        rels.append(DiPolynomial({pool[-1]: 1}))
+    longest = max(len(s.leading_monomial()) for s in rels)
+    return Dialgebra(rels, n), longest + draw(st.integers(0, 2))
+
+
+def _di(n, *relations):
+    return Dialgebra([DiPolynomial({Diword(*m): c for m, c in terms})
+                      for terms in relations], n)
+
+
+# The image of the first relation is x1, shorter than its leading diword,
+# so x1 between the center and a relation does not make a row redundant.
+SHORTER_IMAGE = (_di(2, [(((1, 1), 1), 1), (((1, 1), 0), -1),
+                         (((1,), 0), Fraction(1, 2))],
+                     [(((1, 0, 1), 1), 1), (((0, 1), 1), Fraction(-1, 4)),
+                      (((0, 1), 0), Fraction(1, 4))],
+                     [(((0, 0), 1), 1)]), 5)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dialgebra_sets())
+@example(SHORTER_IMAGE)
+@example((Dialgebra(leibniz_enveloping(LeibnizAlgebra(
+    dim=3, bracket={(1, 2, 0): 1, (2, 1, 0): -1, (2, 2, 0): 1})), 3), 4))
+def test_dialgebra_checks_without_the_left_out_rows_agree(case):
+    # The oracle inserts every S-word, built by the old multiply.
+    structure, bound = case
+    oracle = EveryDialgebraRow(structure.elements, structure.n)
+    span, ref = structure.span(bound), oracle.span(bound)
+    assert span.ranks == ref.ranks
+    assert span.pivots() == ref.pivots()
+    assert structure.bounded_check(bound) == oracle.bounded_check(bound)
+
+
 def _counting(calls, method):
     def counted(self, *args):
         calls.append(args)
@@ -463,6 +526,11 @@ def test_the_checks_insert_and_visit_only_what_can_change_them(monkeypatch):
     span = chinese_gsb(3).span(8)
     # every S-word: 16,587 rows
     assert (len(inserted), span.rank) == (12945, 9099)
+    envelope = Dialgebra(leibniz_enveloping(leibniz_dim2()), 2)
+    del inserted[:]
+    span = envelope.span(6)
+    # every S-word: 5,276 rows
+    assert (len(inserted), span.rank) == (4168, 630)
 
     visited = []
     for kind in (RewriteSystem, AntiCommutative):
