@@ -20,7 +20,7 @@ from .core import (Alphabet, BudgetExceeded, DegLexOrder, Polynomial,
 _lib = sys.modules[__package__]
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, line, col, msg):
         super().__init__("line %d, col %d: %s" % (line, col, msg))
         self.line = line
@@ -686,9 +686,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -10,7 +10,7 @@ is; completion stays specific to this structure.
 
 import heapq
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .core import BudgetExceeded, deglex_key
 from .rewrite import _composition, find_compositions
@@ -40,19 +40,6 @@ def is_gsb(system):
     return system.is_gsb()
 
 
-def _reducible_by_others(p, own, leads, lengths):
-    # Whether some monomial of p contains the leading word of an element
-    # other than p itself; leads counts the leading words of all elements.
-    for w in p.terms:
-        n = len(w)
-        for m in lengths:
-            for pos in range(n - m + 1):
-                u = w[pos:pos + m]
-                if u in leads and (u != own or leads[u] > 1):
-                    return True
-    return False
-
-
 def _containing(elems, own, u):
     # positions of the live elements with a monomial that has u as a
     # factor; no monomial is longer than its leading word own[i]
@@ -68,17 +55,29 @@ def _inter_reduce_elements(system, h=None):
     a nonzero h, the system must be inter-reduced already, and h is added
     at the end of its list.
 
-    Each step takes the first element, in list order, with a monomial
-    that contains the leading word of another element, reduces it modulo
-    all the others, and puts the monic result in its place, or deletes it
-    when the result is zero; steps repeat until no element is reducible.
-    Only an element with a monomial that contains a leading word new to
-    the list can have become reducible: lead(h) at the start, then the
-    new leading word of each rewritten element.  So only those elements
-    are tested, in list order, which finds the same first reducible
-    element as testing every one.  Without h every element is tested at
-    the start.  The elements are built from the system's checked words,
-    so the result is not validated again.
+    Each step takes the first candidate, in list order, and reduces it
+    modulo all the other elements.  The reducer returns its input when it
+    rewrote nothing: then the candidate is irreducible by the others and
+    stays.  Otherwise the monic result takes its place, or it is deleted
+    when the result is zero.  Steps repeat until no candidate is left.
+    Without h every element is a candidate at the start.  Every element
+    that is reducible by the others stays a candidate until it is
+    reduced, so the first reducible element is the one reduced, as when
+    every element is tested:
+
+    - Only a leading word new to the list can make an element reducible,
+      so the other elements with a monomial that contains one become
+      candidates: those that contain lead(h) at the start, and those that
+      contain the new leading word of a rewritten element.
+    - h itself is a candidate at the start only when the system reduces
+      it.  Otherwise only a leading word that enters later and that h
+      contains can make h reducible, and that word makes h a candidate.
+    - A rewritten element is not a candidate again for its own new
+      leading word: its normal form modulo the others is irreducible by
+      them.
+
+    The elements are built from the system's checked words, so the result
+    is not validated again.
     """
     elems = list(system.elements)
     own = list(system.leading_words)
@@ -86,32 +85,30 @@ def _inter_reduce_elements(system, h=None):
         todo = list(range(len(elems)))
     else:
         h = h.monic()
+        todo = _containing(elems, own, h.leading_monomial())
+        if system.normal_form(h) is not h:
+            todo.append(len(elems))
         elems.append(h)
         own.append(h.leading_monomial())
-        todo = _containing(elems, own, own[-1])
-    leads = Counter(own)
-    lengths = {len(lw) for lw in leads}
     heapq.heapify(todo)
     while todo:
         i = heapq.heappop(todo)
         p = elems[i]
-        if p is None or not _reducible_by_others(p, own[i], leads, lengths):
+        if p is None:
             continue
         rest = [k for k, q in enumerate(elems) if q is not None and k != i]
         nf = system._derived(tuple(elems[k] for k in rest),
                              tuple(own[k] for k in rest)).normal_form(p)
-        leads[own[i]] -= 1
-        if not leads[own[i]]:
-            del leads[own[i]]
+        if nf is p:
+            continue
         if nf:
             elems[i] = nf.monic()
             own[i] = lw = nf.leading_monomial()
-            leads[lw] += 1
             for k in _containing(elems, own, lw):
-                heapq.heappush(todo, k)
+                if k != i:
+                    heapq.heappush(todo, k)
         else:
             elems[i] = None
-        lengths = {len(lw) for lw in leads}
     live = sorted((k for k, p in enumerate(elems) if p is not None),
                   key=lambda k: deglex_key(own[k]))
     return system._derived(tuple(elems[k] for k in live),
@@ -178,7 +175,8 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     basis in ascending order of (ambient word, kind, lead f, lead g, |a|,
     a) until one does not vanish; its normal form h modulo the basis is
     added, and `_inter_reduce_elements` inter-reduces the basis with h,
-    testing only the elements that a new leading word can make reducible.
+    reducing modulo the others only the elements that contain a new
+    leading word.
     The basis is sorted by leading word, so this is the order of (w, kind,
     left, right, |a|, a) over the current basis.  The overlaps of a pair
     depend only on its two leading words: when a leading word enters the

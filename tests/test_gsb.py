@@ -386,12 +386,22 @@ def order_sensitive_system():
         DegLexOrder(Alphabet(("x1", "x2"))))
 
 
+def one_letter(terms):
+    return RewriteSystem((Polynomial(terms),), DegLexOrder(Alphabet(("x1",))))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(inter_reduce_inputs())
 @example((order_sensitive_system(), Polynomial.monomial((1, 1, 1))))
+# h = x1^3 is reducible at the start: (x1^2,)
+@example((one_letter({(0, 0): 1}), Polynomial.monomial((0, 0, 0))))
+# h = 3*x1^2 + x1 is irreducible at the start, but x1^4 reduces modulo h
+# to -1/27*x1, whose leading word then makes h reducible: (x1,)
+@example((one_letter({(0, 0, 0, 0): 1}), Polynomial({(0, 0): 3, (0,): 1})))
 def test_inter_reduce_matches_the_reference(case):
-    # Without h every element is tested; with h only those that a new
-    # leading word can make reducible, which must not change the result.
+    # Without h every element is a candidate; with h only those that a
+    # new leading word can make reducible, which must not change the
+    # result.
     system, h = case
     order = system.order
     reduced = inter_reduce(system)
