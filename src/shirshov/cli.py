@@ -13,6 +13,7 @@ import argparse
 import re
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .core import (Alphabet, BudgetExceeded, DegLexOrder, Polynomial,
                    check_bound, exact_div)
@@ -72,6 +73,15 @@ class _Cursor:
         self.i += 1
         return tok
 
+    def accept(self, op):
+        """Consume the next token when it is the operator op; returns
+        whether it was."""
+        tok = self.peek()
+        if tok is None or tok[:2] != ("op", op):
+            return False
+        self.i += 1
+        return True
+
     def _end_col(self):
         if self.tokens:
             return self.tokens[-1][2] + len(self.tokens[-1][1])
@@ -106,136 +116,115 @@ def _parse_ac_tree(cur, alphabet):
     tok = cur.peek()
     if tok is None:
         cur.error("expected a letter or a parenthesized pair")
-    kind, value, col = tok
-    if kind == "name":
+    if tok[0] == "name":
         cur.next()
-        return _rank(cur, alphabet, value, col)
-    if (kind, value) == ("op", "("):
+        return _rank(cur, alphabet, tok[1], tok[2])
+    if not cur.accept("("):
+        cur.error("expected a letter or (")
+    left = _parse_ac_tree(cur, alphabet)
+    right = _parse_ac_tree(cur, alphabet)
+    if not cur.accept(")"):
+        cur.error("expected )")
+    return (left, right)
+
+
+def _parse_factor(cur, kind, alphabet, mgens, term, after_star):
+    """Read one factor into term: a numeral into its coefficient, an ac
+    tree into its trees, and a letter, an @-marked center letter or a
+    module generator [y] into its monomial; only a numeral may follow the
+    module generator."""
+    tok = cur.peek()
+    if tok is None or (after_star and tok[:2] == ("op", "*")):
+        cur.error("expected a factor after *" if after_star
+                  else "expected a term")
+    tkind, value, col = tok
+    if tkind == "num":
         cur.next()
-        left = _parse_ac_tree(cur, alphabet)
-        right = _parse_ac_tree(cur, alphabet)
-        closing = cur.peek()
-        if closing is None or (closing[0], closing[1]) != ("op", ")"):
-            cur.error("expected )")
+        num, _, den = value.partition("/")
+        try:
+            term.coeff *= exact_div(int(num), int(den or 1))
+        except ZeroDivisionError:
+            raise ParseError(cur.lineno, col, "zero denominator") from None
+    elif term.ygen is not None:
+        raise ParseError(cur.lineno, col,
+                         "nothing may follow the module generator")
+    elif kind == "ac":
+        term.trees.append(_parse_ac_tree(cur, alphabet))
+    elif tkind == "name":
         cur.next()
-        return (left, right)
-    cur.error("expected a letter or (")
+        term.letters.append(_rank(cur, alphabet, value, col))
+    elif kind == "dialgebra" and cur.accept("@"):
+        ntok = cur.next("name", "a generator after @")
+        if term.center is not None:
+            raise ParseError(cur.lineno, ntok[2],
+                             "a diword has exactly one center")
+        term.center = len(term.letters)
+        term.letters.append(_rank(cur, alphabet, ntok[1], ntok[2]))
+    elif kind == "module" and cur.accept("["):
+        ntok = cur.next("name", "a module generator")
+        if ntok[1] not in mgens:
+            raise ParseError(cur.lineno, ntok[2],
+                             "unknown module generator %r" % ntok[1])
+        cur.next(("op", "]"), "]")
+        term.ygen = mgens.index(ntok[1])
+    else:
+        cur.error("expected a factor")
 
 
 def _parse_term(cur, kind, alphabet, mgens):
-    """One product term; returns its (monomial, coefficient) pairs.
+    """One product term, factor {* factor}; returns its (monomial,
+    coefficient) pairs.
 
     A term of numerals alone whose product is 0 has none, which every
     kind reads as zero; other bare scalars are associative only.  An ac
     term gives the pairs of its renormalised tree product."""
-    coeff = 1
-    letters = []
-    center = None
-    ygen = None
-    trees = []
-    saw_atom = False
-    while True:
-        tok = cur.peek()
-        if tok is None:
-            break
-        tkind, value, col = tok
-        if saw_atom:
-            if (tkind, value) != ("op", "*"):
-                break
-            cur.next()
-            tok = cur.peek()
-            if tok is None:
-                cur.error("expected a factor after *")
-            tkind, value, col = tok
-            if (tkind, value) == ("op", "*"):
-                cur.error("expected a factor after *")
-        saw_atom = True
-        if tkind == "num":
-            cur.next()
-            num, _, den = value.partition("/")
-            try:
-                coeff *= exact_div(int(num), int(den or 1))
-            except ZeroDivisionError:
-                raise ParseError(cur.lineno, col, "zero denominator") from None
-            continue
-        if ygen is not None:
-            raise ParseError(cur.lineno, col,
-                             "nothing may follow the module generator")
-        if kind == "ac":
-            trees.append(_parse_ac_tree(cur, alphabet))
-            continue
-        if tkind == "name":
-            cur.next()
-            letters.append(_rank(cur, alphabet, value, col))
-            continue
-        if (tkind, value) == ("op", "@") and kind == "dialgebra":
-            cur.next()
-            ntok = cur.next("name", "a generator after @")
-            if center is not None:
-                raise ParseError(cur.lineno, ntok[2],
-                                 "a diword has exactly one center")
-            center = len(letters)
-            letters.append(_rank(cur, alphabet, ntok[1], ntok[2]))
-            continue
-        if (tkind, value) == ("op", "[") and kind == "module":
-            cur.next()
-            ntok = cur.next("name", "a module generator")
-            if ntok[1] not in mgens:
-                raise ParseError(cur.lineno, ntok[2],
-                                 "unknown module generator %r" % ntok[1])
-            cur.next(("op", "]"), "]")
-            ygen = mgens.index(ntok[1])
-            continue
-        cur.error("expected a factor")
-    if not saw_atom:
-        cur.error("expected a term")
+    term = SimpleNamespace(coeff=1, letters=[], trees=[], center=None,
+                           ygen=None)
+    _parse_factor(cur, kind, alphabet, mgens, term, False)
+    while cur.accept("*"):
+        _parse_factor(cur, kind, alphabet, mgens, term, True)
 
-    if not coeff and not (letters or trees or ygen is not None):
+    letters = tuple(term.letters)
+    if not term.coeff and not (letters or term.trees or term.ygen is not None):
         return []
     if kind == "assoc":
-        return [(tuple(letters), coeff)]
+        return [(letters, term.coeff)]
     if kind == "dialgebra":
         if not letters:
             cur.error("a dialgebra term needs letters")
-        if center is None:
+        if term.center is None:
             cur.error("mark the center letter with @")
-        return [(_lib.Diword(tuple(letters), center), coeff)]
+        return [(_lib.Diword(letters, term.center), term.coeff)]
     if kind == "module":
-        if ygen is None:
+        if term.ygen is None:
             cur.error("a module term ends with [generator]")
-        return [(_lib.ModuleWord(tuple(letters), ygen), coeff)]
-    if not trees:
+        return [(_lib.ModuleWord(letters, term.ygen), term.coeff)]
+    if not term.trees:
         cur.error("an ac term needs a tree or a letter")
-    acc = _ac_renorm(trees[0])
-    for t in trees[1:]:
+    acc = _ac_renorm(term.trees[0])
+    for t in term.trees[1:]:
         acc = _lib.ac_mul(acc, _ac_renorm(t))
-    return acc.scale(coeff).items()
+    return acc.scale(term.coeff).items()
 
 
 def _parse_expr(cur, kind, alphabet, mgens):
-    # reads to the end of the line: a term followed by anything but + or -
-    # is an error
+    """expr := [+|-] term {(+|-) term}, to the end of the line: a term
+    followed by anything but + or - is an error."""
     items = []
     sign = 1
-    tok = cur.peek()
-    if tok and (tok[0], tok[1]) == ("op", "-"):
-        cur.next()
+    if not cur.accept("+") and cur.accept("-"):
         sign = -1
-    elif tok and (tok[0], tok[1]) == ("op", "+"):
-        cur.next()
     while True:
         items += [(m, sign * c)
                   for m, c in _parse_term(cur, kind, alphabet, mgens)]
-        tok = cur.peek()
-        if tok is None:
+        if cur.peek() is None:
             break
-        if (tok[0], tok[1]) == ("op", "+"):
+        if cur.accept("+"):
             sign = 1
-        elif (tok[0], tok[1]) == ("op", "-"):
+        elif cur.accept("-"):
             sign = -1
         else:
             cur.error("expected + or - between terms")
-        cur.next()
     return _SPECS[kind].elem(items)
 
 
@@ -425,6 +414,8 @@ def fmt_presentation(pfile):
 
 
 # -- subcommands ----------------------------------------------------------
+# Each runs on a presentation from a file or a catalog preset and returns
+# its report as (lines, result, exit code); main prints it.
 
 
 def _emit(lines, result):
@@ -434,11 +425,6 @@ def _emit(lines, result):
     print(result)
 
 
-def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
-
-
 def _assoc_system(pfile):
     return _lib.RewriteSystem(tuple(pfile.relations),
                               DegLexOrder(pfile.alphabet))
@@ -446,30 +432,6 @@ def _assoc_system(pfile):
 
 def _bool(x):
     return "true" if x else "false"
-
-
-def cmd_complete(args):
-    pfile = _load(args.file)
-    if pfile.kind != "assoc":
-        print("error: complete supports kind assoc only", file=sys.stderr)
-        return 2
-    system = _assoc_system(pfile)
-    rep = _lib.shirshov_complete(system, max_deg=args.max_deg,
-                                 max_elems=args.max_elems,
-                                 budget_seconds=args.budget_seconds)
-    out = PresentationFile(kind="assoc", alphabet=pfile.alphabet, mgens=(),
-                           relations=list(rep.basis.elements))
-    lines = ["kind: assoc",
-             "added: %d" % rep.added,
-             "iterations: %d" % rep.iterations,
-             "elements: %d" % len(rep.basis)]
-    lines += ["elem: %s" % fmt_element(e, out) for e in rep.basis.elements]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(fmt_presentation(out))
-        lines.append("wrote: %s" % args.out)
-    _emit(lines, rep.status)
-    return 0 if rep.status == "completed" else 1
 
 
 # What the subcommands need to know of one kind of structure: elem maps
@@ -506,8 +468,7 @@ KINDS = tuple(_SPECS)
 
 
 def _verdict(lines, holds):
-    _emit(lines, _bool(holds))
-    return 0 if holds else 1
+    return lines, _bool(holds), 0 if holds else 1
 
 
 def _report_lines(rep):
@@ -562,35 +523,37 @@ def _irr(pfile, head, max_len, count_only):
     if not count_only:
         lines += [" ".join(["len %d:" % d] + words)
                   for d, words in grouped.items()]
-    _emit(lines, " ".join(str(len(words)) for words in grouped.values()))
-    return 0
+    return lines, " ".join(str(len(words)) for words in grouped.values()), 0
 
 
-def cmd_check(args):
-    pfile = _load(args.file)
-    return _check(pfile, "kind: %s" % pfile.kind, args.max_deg)
+def _nf(pfile, head, text):
+    elem = parse_element(text, pfile.kind, pfile.alphabet, pfile.mgens)
+    return [head], fmt_element(_structure(pfile).normal_form(elem), pfile), 0
 
 
-def cmd_nf(args):
-    pfile = _load(args.file)
-    elem = parse_element(args.elem, pfile.kind, pfile.alphabet, pfile.mgens)
-    result = _structure(pfile).normal_form(elem)
-    _emit(["kind: %s" % pfile.kind], fmt_element(result, pfile))
-    return 0
+def _complete(pfile, head, args):
+    if pfile.kind != "assoc":
+        raise ValueError("complete supports kind assoc only")
+    rep = _lib.shirshov_complete(_assoc_system(pfile), max_deg=args.max_deg,
+                                 max_elems=args.max_elems,
+                                 budget_seconds=args.budget_seconds)
+    out = pfile._replace(relations=list(rep.basis.elements))
+    lines = [head,
+             "added: %d" % rep.added,
+             "iterations: %d" % rep.iterations,
+             "elements: %d" % len(rep.basis)]
+    lines += ["elem: %s" % fmt_element(e, out) for e in rep.basis.elements]
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(fmt_presentation(out))
+        lines.append("wrote: %s" % args.out)
+    return lines, rep.status, 0 if rep.status == "completed" else 1
 
 
-def cmd_irr(args):
-    pfile = _load(args.file)
-    return _irr(pfile, "kind: %s" % pfile.kind, args.max_len,
-                args.count_only)
-
-
-def cmd_cdcheck(args):
-    pfile = _load(args.file)
-    return _cdcheck(pfile, "kind: %s" % pfile.kind, args.max_deg)
-
-
-def cmd_catalog(args):
+def _preset(args):
+    """The catalog preset the options name, as a presentation, with the
+    head line of its report; refuses an option the preset or the action
+    would ignore."""
     chinese = args.preset == "chinese"
     for unused, msg in (
             (args.rank is not None and not chinese,
@@ -614,7 +577,10 @@ def cmd_catalog(args):
         label = "tensor nx=%d ny=%d" % (nx, ny)
     pfile = PresentationFile(kind="assoc", alphabet=system.order.alphabet,
                              mgens=(), relations=list(system.elements))
-    head = "preset: %s" % label
+    return pfile, "preset: %s" % label
+
+
+def _catalog(pfile, head, args):
     if args.cdcheck is not None:
         return _cdcheck(pfile, head, args.cdcheck)
     if args.irr is not None:
@@ -632,7 +598,8 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--max-deg", type=int, default=None,
                    help="bound for the structures with bounded checks")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(run=lambda pfile, head, args:
+                   _check(pfile, head, args.max_deg))
 
     p = sub.add_parser("complete", help="run the completion procedure")
     p.add_argument("file")
@@ -641,23 +608,26 @@ def build_parser():
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--out", default=None,
                    help="write the resulting basis as a presentation file")
-    p.set_defaults(func=cmd_complete)
+    p.set_defaults(run=_complete)
 
     p = sub.add_parser("nf", help="normal form of an element")
     p.add_argument("file")
     p.add_argument("--elem", required=True)
-    p.set_defaults(func=cmd_nf)
+    p.set_defaults(run=lambda pfile, head, args:
+                   _nf(pfile, head, args.elem))
 
     p = sub.add_parser("irr", help="irreducible words per length")
     p.add_argument("file")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    p.set_defaults(func=cmd_irr)
+    p.set_defaults(run=lambda pfile, head, args:
+                   _irr(pfile, head, args.max_len, args.count_only))
 
     p = sub.add_parser("cdcheck", help="bounded three-condition report")
     p.add_argument("file")
     p.add_argument("--max-deg", type=int, required=True)
-    p.set_defaults(func=cmd_cdcheck)
+    p.set_defaults(run=lambda pfile, head, args:
+                   _cdcheck(pfile, head, args.max_deg))
 
     p = sub.add_parser("catalog", help="run a built-in presentation")
     p.add_argument("preset", choices=("chinese", "tensor"))
@@ -668,7 +638,7 @@ def build_parser():
     p.add_argument("--cdcheck", type=int, default=None, metavar="N")
     p.add_argument("--irr", type=int, default=None, metavar="N")
     p.add_argument("--count-only", action="store_true")
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(run=_catalog)
 
     return parser
 
@@ -685,7 +655,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "catalog":
+            pfile, head = _preset(args)
+        else:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                pfile = parse_presentation(fh.read())
+            head = "kind: %s" % pfile.kind
+        lines, result, code = args.run(pfile, head, args)
     except BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
@@ -695,6 +671,8 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    _emit(lines, result)
+    return code
 
 
 if __name__ == "__main__":

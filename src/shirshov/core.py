@@ -573,7 +573,13 @@ class Structure:
         return checked, tuple(failing)
 
     def is_gsb(self):
-        """Every composition of every ordered pair reduces to 0."""
+        """Every composition of every ordered pair reduces to 0.  Raises
+        NotImplementedError for a kind whose compositions are not
+        examined; bounded_check is its check."""
+        if self.compositions is None:
+            raise NotImplementedError(
+                "%s examines no compositions; use bounded_check"
+                % type(self).__name__)
         checked, failing = self._failing()
         return GsbReport(holds=not failing, checked=checked, failing=failing)
 

@@ -75,6 +75,8 @@ def _inter_reduce_elements(system, h=None):
     - A rewritten element is not a candidate again for its own new
       leading word: its normal form modulo the others is irreducible by
       them.
+    - A candidate that a new leading word brings while it waits on the
+      heap is tested once: its copies leave the heap when it is popped.
 
     The elements are built from the system's checked words, so the result
     is not validated again.
@@ -93,6 +95,8 @@ def _inter_reduce_elements(system, h=None):
     heapq.heapify(todo)
     while todo:
         i = heapq.heappop(todo)
+        while todo and todo[0] == i:  # pushed again while it waited
+            heapq.heappop(todo)
         p = elems[i]
         if p is None:
             continue

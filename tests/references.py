@@ -18,14 +18,20 @@ pair, and `bounded_check` calling `find` on every pivot.  The
 dialgebra span before it left out center-outside rows is kept as its
 `contexts`, `multiply` and the rows `Structure` built from them; the
 rewriting loop before it settled each monomial once is kept as
-`rewrite_step` and the loop over it.
+`rewrite_step` and the loop over it.  The presentation parser before its
+terms were read one factor at a time is kept as `_tokenize`, `_Cursor`,
+`_parse_ac_tree`, `_parse_term`, `_parse_expr`, `parse_element` and
+`parse_presentation`, over the helpers of `shirshov.cli` it shares.
 """
 
 from collections import Counter
 from itertools import product
 
+import shirshov as _lib
 from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
-from shirshov.core import (BoundedReport, DegreeLine, Polynomial,
+from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
+                          PresentationFile, _ac_renorm, _names, _rank)
+from shirshov.core import (Alphabet, BoundedReport, DegreeLine, Polynomial,
                            add_scaled, check_bound, exact, exact_div)
 from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 leibniz_check, leibniz_i0)
@@ -472,3 +478,298 @@ class EveryDialgebraRow(Dialgebra):
                         yield a, b, q
                     for r in range(-lb, 0):
                         yield a, b, r
+
+
+def _tokenize(text, lineno):
+    text = text.split("#", 1)[0]
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            col = len(text) - len(rest) + 1
+            raise ParseError(lineno, col, "unexpected character %r" % rest[0])
+        col = m.start(m.lastgroup) + 1
+        tokens.append((m.lastgroup, m.group(m.lastgroup), col))
+        pos = m.end()
+    return tokens
+
+
+class _Cursor:
+    def __init__(self, tokens, lineno):
+        self.tokens = tokens
+        self.lineno = lineno
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self, expect=None, what=None):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(self.lineno, self._end_col(),
+                             "expected %s at end of line" % (what or expect))
+        if expect is not None and (tok[0], tok[1]) != expect and \
+                tok[0] != expect:
+            raise ParseError(self.lineno, tok[2],
+                             "expected %s, found %r" % (what or expect,
+                                                        tok[1]))
+        self.i += 1
+        return tok
+
+    def _end_col(self):
+        if self.tokens:
+            return self.tokens[-1][2] + len(self.tokens[-1][1])
+        return 1
+
+    def error(self, msg):
+        tok = self.peek()
+        col = tok[2] if tok else self._end_col()
+        raise ParseError(self.lineno, col, msg)
+
+
+def _parse_ac_tree(cur, alphabet):
+    tok = cur.peek()
+    if tok is None:
+        cur.error("expected a letter or a parenthesized pair")
+    kind, value, col = tok
+    if kind == "name":
+        cur.next()
+        return _rank(cur, alphabet, value, col)
+    if (kind, value) == ("op", "("):
+        cur.next()
+        left = _parse_ac_tree(cur, alphabet)
+        right = _parse_ac_tree(cur, alphabet)
+        closing = cur.peek()
+        if closing is None or (closing[0], closing[1]) != ("op", ")"):
+            cur.error("expected )")
+        cur.next()
+        return (left, right)
+    cur.error("expected a letter or (")
+
+
+def _parse_term(cur, kind, alphabet, mgens):
+    """One product term; returns its (monomial, coefficient) pairs.
+
+    A term of numerals alone whose product is 0 has none, which every
+    kind reads as zero; other bare scalars are associative only.  An ac
+    term gives the pairs of its renormalised tree product."""
+    coeff = 1
+    letters = []
+    center = None
+    ygen = None
+    trees = []
+    saw_atom = False
+    while True:
+        tok = cur.peek()
+        if tok is None:
+            break
+        tkind, value, col = tok
+        if saw_atom:
+            if (tkind, value) != ("op", "*"):
+                break
+            cur.next()
+            tok = cur.peek()
+            if tok is None:
+                cur.error("expected a factor after *")
+            tkind, value, col = tok
+            if (tkind, value) == ("op", "*"):
+                cur.error("expected a factor after *")
+        saw_atom = True
+        if tkind == "num":
+            cur.next()
+            num, _, den = value.partition("/")
+            try:
+                coeff *= exact_div(int(num), int(den or 1))
+            except ZeroDivisionError:
+                raise ParseError(cur.lineno, col, "zero denominator") from None
+            continue
+        if ygen is not None:
+            raise ParseError(cur.lineno, col,
+                             "nothing may follow the module generator")
+        if kind == "ac":
+            trees.append(_parse_ac_tree(cur, alphabet))
+            continue
+        if tkind == "name":
+            cur.next()
+            letters.append(_rank(cur, alphabet, value, col))
+            continue
+        if (tkind, value) == ("op", "@") and kind == "dialgebra":
+            cur.next()
+            ntok = cur.next("name", "a generator after @")
+            if center is not None:
+                raise ParseError(cur.lineno, ntok[2],
+                                 "a diword has exactly one center")
+            center = len(letters)
+            letters.append(_rank(cur, alphabet, ntok[1], ntok[2]))
+            continue
+        if (tkind, value) == ("op", "[") and kind == "module":
+            cur.next()
+            ntok = cur.next("name", "a module generator")
+            if ntok[1] not in mgens:
+                raise ParseError(cur.lineno, ntok[2],
+                                 "unknown module generator %r" % ntok[1])
+            cur.next(("op", "]"), "]")
+            ygen = mgens.index(ntok[1])
+            continue
+        cur.error("expected a factor")
+    if not saw_atom:
+        cur.error("expected a term")
+
+    if not coeff and not (letters or trees or ygen is not None):
+        return []
+    if kind == "assoc":
+        return [(tuple(letters), coeff)]
+    if kind == "dialgebra":
+        if not letters:
+            cur.error("a dialgebra term needs letters")
+        if center is None:
+            cur.error("mark the center letter with @")
+        return [(_lib.Diword(tuple(letters), center), coeff)]
+    if kind == "module":
+        if ygen is None:
+            cur.error("a module term ends with [generator]")
+        return [(_lib.ModuleWord(tuple(letters), ygen), coeff)]
+    if not trees:
+        cur.error("an ac term needs a tree or a letter")
+    acc = _ac_renorm(trees[0])
+    for t in trees[1:]:
+        acc = _lib.ac_mul(acc, _ac_renorm(t))
+    return acc.scale(coeff).items()
+
+
+def _parse_expr(cur, kind, alphabet, mgens):
+    # reads to the end of the line: a term followed by anything but + or -
+    # is an error
+    items = []
+    sign = 1
+    tok = cur.peek()
+    if tok and (tok[0], tok[1]) == ("op", "-"):
+        cur.next()
+        sign = -1
+    elif tok and (tok[0], tok[1]) == ("op", "+"):
+        cur.next()
+    while True:
+        items += [(m, sign * c)
+                  for m, c in _parse_term(cur, kind, alphabet, mgens)]
+        tok = cur.peek()
+        if tok is None:
+            break
+        if (tok[0], tok[1]) == ("op", "+"):
+            sign = 1
+        elif (tok[0], tok[1]) == ("op", "-"):
+            sign = -1
+        else:
+            cur.error("expected + or - between terms")
+        cur.next()
+    return _SPECS[kind].elem(items)
+
+
+def parse_element(text, kind, alphabet, mgens=(), lineno=1):
+    """Parse one element in the given structure; raises ParseError."""
+    cur = _Cursor(_tokenize(text, lineno), lineno)
+    if not cur.tokens:
+        cur.error("expected an expression")
+    return _parse_expr(cur, kind, alphabet, mgens)
+
+
+def parse_presentation(text):
+    """Parse a presentation file into its kind, alphabets and relations;
+    bracket lines give the relations of the enveloping dialgebra of a
+    Leibniz algebra."""
+    kind = None
+    gens = None
+    mgens = ()
+    bracket = {}
+    bracket_pairs = set()
+    rel_lines = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize(raw, lineno)
+        if not tokens:
+            continue
+        cur = _Cursor(tokens, lineno)
+        head = cur.next("name", "a directive")
+        word = head[1]
+        if word == "kind":
+            if kind is not None:
+                raise ParseError(lineno, head[2], "duplicate kind line")
+            tok = cur.next("name", "one of %s" % (KINDS,))
+            if tok[1] not in KINDS:
+                raise ParseError(lineno, tok[2],
+                                 "kind must be one of %s" % (KINDS,))
+            kind = tok[1]
+        elif word == "gens":
+            if gens is not None:
+                raise ParseError(lineno, head[2], "duplicate gens line")
+            gens = Alphabet(_names(cur, word, "generator"))
+        elif word == "mgens":
+            if kind != "module":
+                raise ParseError(lineno, head[2],
+                                 "mgens lines belong to kind module")
+            if mgens:
+                raise ParseError(lineno, head[2], "duplicate mgens line")
+            mgens = _names(cur, word, "module generator")
+        elif word == "bracket":
+            if kind != "dialgebra":
+                raise ParseError(lineno, head[2],
+                                 "bracket lines belong to kind dialgebra")
+            if gens is None:
+                raise ParseError(lineno, head[2], "gens must come first")
+            if rel_lines:
+                raise ParseError(lineno, head[2],
+                                 "bracket and rel lines cannot be mixed")
+            ti = cur.next("name", "a generator name")
+            tj = cur.next("name", "a generator name")
+            cur.next(("op", "="), "=")
+            i = _rank(cur, gens, ti[1], ti[2])
+            j = _rank(cur, gens, tj[1], tj[2])
+            if (i, j) in bracket_pairs:
+                raise ParseError(lineno, ti[2], "duplicate bracket line for "
+                                 "%s %s" % (ti[1], tj[1]))
+            bracket_pairs.add((i, j))
+            combo = _parse_expr(cur, "assoc", gens, ())
+            for w, c in combo.items():
+                if len(w) != 1:
+                    raise ParseError(lineno, head[2],
+                                     "bracket values are linear in the "
+                                     "generators")
+                bracket[(i, j, w[0])] = c
+        elif word == "rel":
+            if kind is None:
+                raise ParseError(lineno, head[2], "kind must come first")
+            if gens is None:
+                raise ParseError(lineno, head[2], "gens must come first")
+            if bracket_pairs:
+                raise ParseError(lineno, head[2],
+                                 "bracket and rel lines cannot be mixed")
+            if kind == "module" and not mgens:
+                raise ParseError(lineno, head[2],
+                                 "mgens must come before module relations")
+            elem = _parse_expr(cur, kind, gens, mgens)
+            if not elem:
+                raise ParseError(lineno, head[2], "the relation is zero")
+            rel_lines.append(elem.monic())
+        else:
+            raise ParseError(lineno, head[2],
+                             "unknown directive %r" % word)
+
+    if kind is None:
+        raise ParseError(1, 1, "missing kind line")
+    if gens is None:
+        raise ParseError(1, 1, "missing gens line")
+    if kind == "module" and not mgens:
+        raise ParseError(1, 1, "kind module needs an mgens line")
+
+    relations = rel_lines
+    if bracket_pairs:
+        try:
+            relations = _lib.leibniz_enveloping(
+                _lib.LeibnizAlgebra(dim=len(gens), bracket=bracket))
+        except ValueError as exc:
+            raise ParseError(1, 1, str(exc)) from None
+    return PresentationFile(kind=kind, alphabet=gens, mgens=mgens,
+                            relations=relations)

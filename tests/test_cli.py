@@ -20,6 +20,9 @@ from shirshov.core import Alphabet, Polynomial
 from shirshov.dialgebra import DiPolynomial, Diword
 from shirshov.freemodule import ModuleElement, ModuleWord
 
+from references import parse_element as reference_parse_element
+from references import parse_presentation as reference_parse_presentation
+
 CHINESE2 = """\
 # defining relations of the rank-2 presentation
 kind assoc
@@ -526,8 +529,8 @@ def test_a_zero_denominator_is_an_input_error(tmp_path, capsys, kind):
 
 
 # Token soup: terms of the file's kind, now and then a term of another
-# kind, a stray token or a stray line, so that many files parse and reach
-# the engines.
+# kind, a product of two terms, a stray token or a stray line, so that
+# many files parse and reach the engines.
 ATOMS = {
     "assoc": ["x1", "x2", "x1*x2", "x2*x2*x1", "1", "1/2"],
     "dialgebra": ["@x1", "x2*@x1", "@x2*x1*x1", "x1*@x1*x2"],
@@ -552,7 +555,10 @@ def soup(draw, kind):
     words = []
     for _ in range(draw(st.integers(1, 3))):
         atoms = ANY_ATOM if rarely(draw) else st.sampled_from(ATOMS[kind])
-        words += [draw(st.sampled_from("+-")), draw(COEFFS) + draw(atoms)]
+        term = draw(COEFFS) + draw(atoms)
+        if rarely(draw):  # a product of two atoms, or one with ** in it
+            term += draw(st.sampled_from(["*", "**"])) + draw(atoms)
+        words += [draw(st.sampled_from("+-")), term]
     words = words[draw(st.integers(0, 1)):]
     if rarely(draw):
         words.insert(draw(st.integers(0, len(words))), draw(STRAYS))
@@ -598,9 +604,12 @@ def test_every_command_on_token_soup_exits_with_a_contract_code(case):
                      ["cdcheck", path, "--max-deg", bound],
                      ["complete", path, "--max-deg", bound,
                       "--max-elems", "3", "--budget-seconds", "5"]):
-            with redirect_stdout(io.StringIO()), \
-                    redirect_stderr(io.StringIO()):
-                assert main(argv) in (0, 1, 2, 3)
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            # a refused or stopped command prints no partial report
+            assert code in (0, 1) or out.getvalue() == ""
 
 
 ALPHABET = Alphabet(("x1", "x2"))
@@ -635,6 +644,40 @@ def test_printed_elements_parse_back(case):
     kind, e = case
     pfile = PresentationFile(kind, ALPHABET, MGENS, [])
     assert parse_element(fmt_element(e, pfile), kind, ALPHABET, MGENS) == e
+
+
+def outcome(parse, *args):
+    """What a parse gives: its result, or the place and text of its
+    error."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return exc.line, exc.col, str(exc)
+
+
+# "x1**x2" must be refused after the first *, and so must a letter after
+# the module generator.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(soup_files())
+@example(("kind assoc\ngens x1 x2\nrel x1**x2\n", "x1**x2", "1"))
+@example(("kind module\ngens x1 x2\nmgens v w\nrel [v]*x1\n", "[v]*x1",
+          "1"))
+def test_the_parser_agrees_with_the_reference_on_token_soup(case):
+    text, elem, _ = case
+    assert outcome(parse_presentation, text) \
+        == outcome(reference_parse_presentation, text)
+    for kind in KINDS:
+        assert outcome(parse_element, elem, kind, ALPHABET, MGENS) \
+            == outcome(reference_parse_element, elem, kind, ALPHABET, MGENS)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(elements())
+def test_the_parser_agrees_with_the_reference_on_printed_elements(case):
+    kind, e = case
+    text = fmt_element(e, PresentationFile(kind, ALPHABET, MGENS, []))
+    assert outcome(parse_element, text, kind, ALPHABET, MGENS) \
+        == outcome(reference_parse_element, text, kind, ALPHABET, MGENS)
 
 
 # Each command loads core and cli, then only the engine its kind runs: the

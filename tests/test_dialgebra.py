@@ -197,3 +197,12 @@ def test_bounded_check_flags_an_incomplete_set():
     S = leibniz_enveloping(L)
     rep = di_gsb_check_bounded(S[:4], 2, 3)
     assert not rep.holds
+
+
+def test_is_gsb_refuses_a_dialgebra_and_names_the_bounded_check():
+    # Dialgebra compositions are not examined, so there is no exact check
+    # to run.
+    structure = Dialgebra(leibniz_enveloping(leibniz_dim2()), 2)
+    with pytest.raises(NotImplementedError, match="bounded_check"):
+        structure.is_gsb()
+    assert structure.bounded_check(4).holds

@@ -9,7 +9,7 @@ from shirshov.core import Alphabet, DegLexOrder, Polynomial
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
                                  module_cd_check, module_irr, mword_key,
                                  pair_normal_form, random_module_set)
-from shirshov.rewrite import RewriteSystem
+from shirshov.rewrite import RewriteSystem, irr_words
 
 
 def mono(u, y, c=1):
@@ -160,3 +160,50 @@ def test_irreducible_words_are_those_find_leaves(nx, ny, max_udeg, bound,
     assert S.irreducible(bound) == [
         mw for d in range(bound + 1) for mw in S.monomials(d)
         if S.find(mw) is None]
+
+
+def embedded(S, nx, ny):
+    """The associative system of S over X ⊔ Y, the letters of Y ranked
+    after those of X: each module word u.y becomes the word u + (nx + y,),
+    and the monomial relations y*a, for every y in Y and every letter a,
+    kill the words in which a letter follows a generator."""
+    n = nx + ny
+    alphabet = Alphabet(tuple("x%d" % i for i in range(nx))
+                        + tuple("y%d" % i for i in range(ny)))
+    rels = [embed(s, nx) for s in S]
+    rels += [Polynomial.monomial((nx + y, a)) for y in range(ny)
+             for a in range(n)]
+    return RewriteSystem(tuple(rels), DegLexOrder(alphabet))
+
+
+def embed(m, nx):
+    return Polynomial({mw.u + (nx + mw.y,): c for mw, c in m.items()})
+
+
+def random_module_element(nx, ny, rng):
+    """One to four module words with |u| <= 4, with coefficients in
+    -3..3 over 1 or 2; a zero coefficient drops its word."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        u = tuple(rng.randrange(nx) for _ in range(rng.randint(0, 4)))
+        terms[ModuleWord(u, rng.randrange(ny))] = Fraction(
+            rng.randint(-3, 3), rng.randint(1, 2))
+    return ModuleElement(terms)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2),
+       st.randoms(use_true_random=False))
+def test_a_module_is_its_embedding_in_the_associative_engine(nx, ny, rng):
+    # The words X*.Y of the embedded ideal span the submodule S
+    # generates, and mword_key orders them as deg-lex orders their
+    # embeddings, so normal forms, irreducible words and verdicts agree.
+    S = random_module_set(nx, ny, 3, rng)
+    module, R = FreeModule(S, nx, ny), embedded(S, nx, ny)
+    for _ in range(10):
+        m = random_module_element(nx, ny, rng)
+        assert R.normal_form(embed(m, nx)) == embed(module.normal_form(m), nx)
+    assert [ModuleWord(w[:-1], w[-1] - nx) for w in irr_words(R, 5)
+            if w and w[-1] >= nx and all(a < nx for a in w[:-1])] \
+        == module.irreducible(4)
+    assert R.is_gsb().holds == module.is_gsb().holds

@@ -411,6 +411,27 @@ def test_inter_reduce_matches_the_reference(case):
         reference_inter_reduce(reduced.elements + (h,), order))
 
 
+def test_inter_reduce_tests_a_candidate_once_however_often_it_is_pushed(
+        monkeypatch):
+    # x2 - x1 waits on the heap from the start; rewriting x2 to x1 pushes
+    # it again, and it must be tested once: two tests, then the result.
+    x1, x2 = 0, 1
+    system = RewriteSystem((Polynomial({(x2,): 1}),
+                            Polynomial({(x2,): 1, (x1,): -1})),
+                           DegLexOrder(Alphabet(("x1", "x2"))))
+    builds = []
+    derived = RewriteSystem._derived
+
+    def counted(self, *args):
+        builds.append(args)
+        return derived(self, *args)
+
+    monkeypatch.setattr(RewriteSystem, "_derived", counted)
+    assert inter_reduce(system).elements == (Polynomial({(x1,): 1}),
+                                             Polynomial({(x2,): 1}))
+    assert len(builds) == 3
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6)
                 .map(tuple), min_size=1, max_size=8),

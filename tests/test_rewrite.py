@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shirshov.anticomm import AcPolynomial, AntiCommutative, hall_gsb
 from shirshov.core import Alphabet, DegLexOrder, Polynomial, deglex_key
+from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord
 from shirshov.gsb import is_gsb
 from shirshov.rewrite import (RewriteSystem, find_factor, irr_words,
                               membership_oracle, normal_form)
@@ -141,6 +143,20 @@ def test_membership_oracle():
     assert not membership_oracle(x * y - y * x, S, 4)
     with pytest.raises(ValueError):
         membership_oracle(f, S, 1)
+
+
+def test_membership_oracle_measures_degree_as_the_structure_does():
+    # A module word's degree is the length of its u-part, and an ac
+    # word's is its size; neither is len() of the monomial.
+    x1, x2 = 0, 1
+    module = FreeModule((ModuleElement({ModuleWord((x1,), 0): 1}),), 2, 1)
+    p = ModuleElement({ModuleWord((x2, x2, x1), 0): 1})
+    with pytest.raises(ValueError, match="below the degree"):
+        membership_oracle(p, module, 2)
+    assert membership_oracle(p, module, 3)
+    hall = AntiCommutative(hall_gsb(2, 4), 2)
+    assert not membership_oracle(AcPolynomial({x1: 1}), hall, 4)
+    assert all(membership_oracle(s, hall, 4) for s in hall.elements)
 
 
 # -- irr_words against the definition ------------------------------------
