@@ -259,25 +259,37 @@ class VectorSpan:
     span, independent of insertion order.  A span built by Structure.span
     also maps each closed degree to its rank in `ranks`.
 
-    Elimination runs in key space.  Each column of a vector is mapped to
-    its key once, as the vector enters; rows are stored as {key:
-    coefficient}, and each step takes its pivot as the greatest key, so
-    hashing, equality and order compare keys only.  The one precondition
-    is that `key` is injective on the columns, so that a key stands for
-    its column; `deglex_key`, `diword_key`, `mword_key`, `ac_key` and the
-    `-k` of `leibniz_i0` are.  A table maps the key of every column of a
-    stored row back to the column, and the rows share its key objects.
-    `pivots()` and `rows` read columns through it; `rows` is a view, a
-    new dict from each pivot column to its row in insertion order, whose
-    changes do not reach the span.
+    Elimination runs in key space: rows are stored as {key: coefficient},
+    and each step takes its pivot as the greatest key, so hashing,
+    equality and order compare keys only.  The one precondition is that
+    `key` is injective on the columns, so that a key stands for its
+    column; `deglex_key`, `diword_key`, `mword_key`, `ac_key`, the `-k` of
+    `leibniz_i0` and the int code `rewrite.word_code` are.
+
+    Without a column reader, `insert` maps each column of a vector to its
+    key once, as the vector enters, and a table maps the key of every
+    column of a stored row back to the column; the rows share its key
+    objects.  With one, column(k) is the column whose key is k, and
+    `insert` takes vectors already in key space, {key: coefficient} with
+    exact nonzero coefficients, which the span may keep; `RewriteSystem`
+    inserts its rows so, keyed by int codes.  `contains` and `is_pivot`
+    take columns either way, and a column whose key is None is in no row.
+    `pivots()` and `rows` read columns through the table or the reader;
+    `rows` is a view, a new dict from each pivot column to its row in
+    insertion order, whose changes do not reach the span.
     """
 
-    def __init__(self, key):
+    def __init__(self, key, column=None):
         self.key = key
         self.ranks = {}
         self._rows = {}
-        self._keys = {}  # key -> the equal key object the rows share
-        self._columns = {}  # key -> column
+        if column is None:
+            self._keys = {}  # key -> the equal key object the rows share
+            self._columns = {}  # key -> column
+            column = self._columns.__getitem__
+        else:
+            self._keys = None
+        self._column = column
 
     def _reduce(self, kvec):
         # Reduces kvec in place by the stored rows; returns its pivot key,
@@ -293,20 +305,24 @@ class VectorSpan:
 
     def insert(self, vec):
         """Add a vector; returns True when it enlarged the span."""
-        key, shared, columns = self.key, self._keys, self._columns
-        kvec = {}
-        for m, c in vec.items():
-            if type(c) is not int:
-                c = exact(c)
-            if c:
-                k = key(m)
-                known = shared.get(k)
-                if known is None:
-                    # a column no stored row has cannot cancel, so it
-                    # ends up in the row this vector stores
-                    shared[k] = known = k
-                    columns[k] = m
-                kvec[known] = c
+        shared = self._keys
+        if shared is None:
+            kvec = vec
+        else:
+            key, columns = self.key, self._columns
+            kvec = {}
+            for m, c in vec.items():
+                if type(c) is not int:
+                    c = exact(c)
+                if c:
+                    k = key(m)
+                    known = shared.get(k)
+                    if known is None:
+                        # a column no stored row has cannot cancel, so it
+                        # ends up in the row this vector stores
+                        shared[k] = known = k
+                        columns[k] = m
+                    kvec[known] = c
         lead = self._reduce(kvec)
         if lead is None:
             return False
@@ -317,8 +333,20 @@ class VectorSpan:
 
     def contains(self, vec):
         key = self.key
-        return self._reduce({key(m): c for m, c in
-                             zip(vec, map(exact, vec.values())) if c}) is None
+        kvec = {}
+        for m, c in vec.items():
+            c = exact(c)
+            if c:
+                k = key(m)
+                if k is None:
+                    return False
+                kvec[k] = c
+        return self._reduce(kvec) is None
+
+    def is_pivot(self, column):
+        """Whether column is the pivot of a stored row."""
+        k = self.key(column)
+        return k is not None and k in self._rows
 
     @property
     def rank(self):
@@ -327,14 +355,13 @@ class VectorSpan:
     @property
     def rows(self):
         """{pivot column: {column: coefficient}}, in insertion order."""
-        column = self._columns
-        return {column[p]: {column[k]: v for k, v in row.items()}
+        column = self._column
+        return {column(p): {column(k): v for k, v in row.items()}
                 for p, row in self._rows.items()}
 
     def pivots(self):
         """Pivot columns, key-descending."""
-        column = self._columns
-        return [column[p] for p in sorted(self._rows, reverse=True)]
+        return list(map(self._column, sorted(self._rows, reverse=True)))
 
 
 class BudgetExceeded(RuntimeError):
@@ -448,7 +475,7 @@ class Structure:
     the S-words, the rewriting image and the bounded ideal rows.  A kind
     may override `find` for another strategy, `compositions`, `pairs`,
     `irreducible` and `rows`, which may leave out S-words that the rows
-    it keeps span.
+    it keeps span, with `empty_span`, the span that takes those rows.
     """
 
     elem = Terms
@@ -583,13 +610,18 @@ class Structure:
         checked, failing = self._failing()
         return GsbReport(holds=not failing, checked=checked, failing=failing)
 
+    def empty_span(self):
+        """The VectorSpan that `span` inserts the rows of `rows` into:
+        over monomials, keyed by the order key."""
+        return VectorSpan(self.elem._key)
+
     def span(self, max_deg):
         """One span of `rows(max_deg)`, the S-words of degree <=
         max_deg; ranks[d] is its rank at bound d, for low <= d <= max_deg,
         recorded as degree d closes.  Rank does not depend on insertion
         order, and the rows of degree <= d span every S-word of degree
         <= d, so ranks[d] is the rank of the span those S-words build."""
-        span = VectorSpan(self.elem._key)
+        span = self.empty_span()
         d = self.low
         for deg, vec in self.rows(max_deg):
             while d < deg:
@@ -615,8 +647,8 @@ class Structure:
         irreducible = self.irreducible(max_deg)
         # a pivot has degree <= max_deg, so it has no occurrence exactly
         # when it is among the irreducible monomials
-        irr_set = set(irreducible)
-        bad = tuple(m for m in span.pivots() if m in irr_set)
+        bad = tuple(sorted(filter(span.is_pivot, irreducible),
+                           key=span.key, reverse=True))
         per_degree = Counter(map(self.degree, irreducible))
         table = []
         irr = total = 0

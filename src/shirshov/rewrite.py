@@ -14,9 +14,52 @@ element.
 
 import copy
 from collections import namedtuple
-from itertools import product
+from itertools import accumulate, product
 
-from .core import Polynomial, Structure, check_letters, deglex_key
+from .core import (Polynomial, Structure, VectorSpan, check_letters,
+                   deglex_key)
+
+
+def _value(word, n):
+    # the word read as a base-n numeral
+    v = 0
+    for x in word:
+        v = v * n + x
+    return v
+
+
+def _firsts(n, top):
+    # the code of the first word of each length 0..top: the number of
+    # shorter words
+    return list(accumulate((n ** k for k in range(top)), initial=0))
+
+
+def word_code(word, n):
+    """The place of word in the deg-lex order of the words over n letters,
+    () first: (n**|w| - 1) // (n - 1) plus w read as a base-n numeral, or
+    |w| when n = 1.  None when a letter is outside range(n), since such a
+    word has no place, and the code computed from it could be another
+    word's."""
+    letters = range(n)
+    for x in word:
+        if x not in letters:
+            return None
+    return _firsts(n, len(word))[-1] + _value(word, n)
+
+
+def code_word(code, n):
+    """The word whose `word_code` over n letters is code."""
+    if n == 1:
+        return (0,) * code
+    length, count = 0, 1  # count: the words of this length
+    while code >= count:
+        code -= count
+        count *= n
+        length += 1
+    word = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, word[i] = divmod(code, n)
+    return tuple(word)
 
 
 def _mul_word_poly(context, p):
@@ -96,7 +139,13 @@ class RewriteSystem(Structure):
     def rows(self, max_deg):
         """The S-words a*s*b of degree d <= max_deg whose left factor a
         is () or irreducible, by d, element, |a|, a and b; with a
-        constant relation, only a = ().
+        constant relation, only a = ().  Each comes in the key space of
+        `empty_span`, as {word_code(w): coefficient}: the code of a*t*b is
+        that of the first word of its length plus (v(a) * n**|t| + v(t))
+        * n**|b| + v(b), where v reads a word as a base-n numeral, so it
+        is computed from the values of the left factors and of the terms
+        of s, once each, while v(b) runs over range(n**|b|) in the order
+        of the words b.
 
         For every d, those of degree <= d span every S-word of degree d,
         so the span, its rank at each degree and its pivots are those of
@@ -117,18 +166,36 @@ class RewriteSystem(Structure):
         """
         if not self.elements:
             return
+        n = len(self.order.alphabet)
         top = max(max_deg - self.lead_degrees[-1], 0)
-        left = [[()]] + [[] for _ in range(top)]
+        left = [[0]] + [[] for _ in range(top)]  # v(a) by |a|
         for a in irr_words(self, top):
             if a:
-                left[len(a)].append(a)
+                left[len(a)].append(_value(a, n))
+        power = [n ** k for k in range(max_deg + 1)]
+        first = _firsts(n, max_deg)
+        terms = [[(len(t), _value(t, n), c) for t, c in s.terms.items()]
+                 for s in self.elements]
         for d in range(max_deg + 1):
-            for s, lw in zip(self.elements, self.leading_words):
+            for s, lw in zip(terms, self.leading_words):
                 room = d - len(lw)
                 for la in range(room + 1):
-                    for a in left[la]:
-                        for b in self.monomials(room - la):
-                            yield d, _mul_word_poly((a, b), s).terms
+                    lb = room - la
+                    nb = power[lb]
+                    for va in left[la]:
+                        at = [(first[la + lt + lb]
+                               + (va * power[lt] + vt) * nb, c)
+                              for lt, vt, c in s]
+                        for vb in range(nb):
+                            yield d, {k + vb: c for k, c in at}
+
+    def empty_span(self):
+        """The span of `rows`, keyed by `word_code`: it takes the rows in
+        key space and reads a code back as a word by `code_word` where a
+        word is read."""
+        n = len(self.order.alphabet)
+        return VectorSpan(lambda w: word_code(w, n),
+                          lambda k: code_word(k, n))
 
     def monomials(self, d):
         return product(range(len(self.order.alphabet)), repeat=d)

@@ -22,6 +22,8 @@ rewriting loop before it settled each monomial once is kept as
 terms were read one factor at a time is kept as `_tokenize`, `_Cursor`,
 `_parse_ac_tree`, `_parse_term`, `_parse_expr`, `parse_element` and
 `parse_presentation`, over the helpers of `shirshov.cli` it shares.
+The associative rows before they were built as int word codes are kept
+as `word_rows`, which `WordKeyedRows` inserts into a word-keyed span.
 """
 
 from collections import Counter
@@ -32,11 +34,12 @@ from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
 from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
                           PresentationFile, _ac_renorm, _names, _rank)
 from shirshov.core import (Alphabet, BoundedReport, DegreeLine, Polynomial,
-                           add_scaled, check_bound, exact, exact_div)
+                           Structure, add_scaled, check_bound, exact,
+                           exact_div)
 from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 leibniz_check, leibniz_i0)
 from shirshov.freemodule import act
-from shirshov.rewrite import RewriteSystem
+from shirshov.rewrite import RewriteSystem, _mul_word_poly, irr_words
 
 
 def _occurrence_paths(tree, target):
@@ -404,6 +407,36 @@ class EveryRowAndPair(RewriteSystem):
     rows = all_context_rows
     _failing = all_pairs_failing
     bounded_check = find_bounded_check
+    empty_span = Structure.empty_span  # word-keyed, for the word rows
+
+
+def word_rows(self, max_deg):
+    """The S-words a*s*b of degree d <= max_deg whose left factor a
+    is () or irreducible, by d, element, |a|, a and b; with a
+    constant relation, only a = ().  Each is {word: coefficient}."""
+    if not self.elements:
+        return
+    top = max(max_deg - self.lead_degrees[-1], 0)
+    left = [[()]] + [[] for _ in range(top)]
+    for a in irr_words(self, top):
+        if a:
+            left[len(a)].append(a)
+    for d in range(max_deg + 1):
+        for s, lw in zip(self.elements, self.leading_words):
+            room = d - len(lw)
+            for la in range(room + 1):
+                for a in left[la]:
+                    for b in self.monomials(room - la):
+                        yield d, _mul_word_poly((a, b), s).terms
+
+
+class WordKeyedRows(RewriteSystem):
+    """A `RewriteSystem` whose span takes the same rows as words, keyed
+    by `deglex_key` through the span's table, as it did before the rows
+    were built as int codes."""
+
+    rows = word_rows
+    empty_span = Structure.empty_span
 
 
 def rewrite_step(p, find, image):

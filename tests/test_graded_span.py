@@ -9,9 +9,10 @@ must come out equal, down to the last Fraction.  The elimination itself,
 which runs over order keys, is compared the same way with the one that
 compared columns through their keys, and the associative check, which
 leaves out rows and pairs that cannot change its answer, with the one
-that inserted every S-word and visited every pair.  So is the dialgebra
-span, which leaves out center-outside rows, with the one that inserted
-every S-word.
+that inserted every S-word and visited every pair; its rows, which come
+as int word codes, are also compared with the same rows inserted as
+words.  So is the dialgebra span, which leaves out center-outside rows,
+with the one that inserted every S-word.
 """
 
 import random
@@ -38,10 +39,11 @@ from shirshov.freemodule import (FreeModule, ModuleWord, act,
                                  module_cd_check, module_irr, mword_key,
                                  random_module_set)
 from shirshov.gsb import cd_lemma_check, find_compositions
-from shirshov.rewrite import RewriteSystem, irr_words
+from shirshov.rewrite import (RewriteSystem, code_word, irr_words,
+                              membership_oracle, word_code)
 
 from references import VectorSpan as ReferenceSpan
-from references import (EveryDialgebraRow, EveryRowAndPair,
+from references import (EveryDialgebraRow, EveryRowAndPair, WordKeyedRows,
                         _occurrence_paths, _occurrences, _prep,
                         ac_compositions)
 
@@ -439,18 +441,81 @@ def assoc_systems(draw):
     return system, longest + draw(st.integers(0, 3))
 
 
+@st.composite
+def assoc_queries(draw, system, bound, rows):
+    """Vectors to test for membership: random ones over the words of
+    letters -1..n, one past the alphabet on each side, up to one letter
+    longer than the bound, and combinations of two rows, some with one
+    more such term."""
+    n = len(system.order.alphabet)
+    words = st.lists(st.integers(-1, n), max_size=bound + 1).map(tuple)
+    out = draw(st.lists(st.dictionaries(words, SPAN_COEFFS, max_size=4),
+                        max_size=4))
+    if rows:
+        for _ in range(draw(st.integers(1, 4))):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            vec = dict(u)
+            for m, c in v.items():
+                vec[m] = vec.get(m, 0) + draw(SPAN_COEFFS.filter(bool)) * c
+            if draw(st.booleans()):
+                vec[draw(words)] = draw(SPAN_COEFFS)
+            out.append(vec)
+    return out
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(assoc_systems())
-def test_assoc_checks_without_the_left_out_rows_and_pairs_agree(case):
+@given(assoc_systems(), st.data())
+def test_assoc_checks_without_the_left_out_rows_and_pairs_agree(case, data):
     # The oracle inserts every S-word, visits every ordered pair and
-    # calls find on every pivot.
+    # calls find on every pivot; the word-keyed span inserts the same
+    # rows as this one, as words, so it stores the same rows.
     system, bound = case
     oracle = EveryRowAndPair(system.elements, system.order)
     span, ref = system.span(bound), oracle.span(bound)
-    assert span.ranks == ref.ranks
-    assert span.pivots() == ref.pivots()
+    keyed = WordKeyedRows(system.elements, system.order).span(bound)
+    assert span.ranks == ref.ranks == keyed.ranks
+    assert span.pivots() == ref.pivots() == keyed.pivots()
+    assert [(p, _typed(row)) for p, row in span.rows.items()] \
+        == [(p, _typed(row)) for p, row in keyed.rows.items()]
+    queries = data.draw(assoc_queries(system, bound,
+                                      list(ref.rows.values())))
+    for vec in queries:
+        assert span.contains(vec) == ref.contains(vec) \
+            == keyed.contains(vec)
     assert system.bounded_check(bound) == oracle.bounded_check(bound)
     assert system.is_gsb() == oracle.is_gsb()
+
+
+# -- integer word codes ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_codes_number_the_words_in_deglex_order(n):
+    # every word of length <= 6, () included: the codes in deg-lex order
+    # are 0, 1, 2, ..., so c(u) < c(v) exactly when deglex_key(u) <
+    # deglex_key(v), and code_word inverts word_code
+    words = sorted((w for d in range(7) for w in product(range(n), repeat=d)),
+                   key=deglex_key)
+    assert [word_code(w, n) for w in words] == list(range(len(words)))
+    assert [code_word(c, n) for c in range(len(words))] == words
+
+
+def test_contains_does_not_alias_a_word_outside_the_alphabet_or_bound():
+    xy = DegLexOrder(Alphabet(("x", "y")))
+    assert not membership_oracle(Polynomial({(5,): 1}), chinese_gsb(2), 3)
+    # over two letters, (2,) read as a numeral has the place of (0, 0),
+    # and (-1,) that of ()
+    squares = RewriteSystem((Polynomial.monomial((0, 0)),), xy)
+    assert membership_oracle(Polynomial({(0, 0): 1}), squares, 3)
+    assert not membership_oracle(Polynomial({(2,): 1}), squares, 3)
+    span = squares.span(3)
+    assert span.contains({(1, 0, 0): 2, (0, 0, 0): -1})
+    assert not span.contains({(0, 0): 1, (2,): 1})
+    constant = RewriteSystem((Polynomial.one(),), xy).span(2)
+    assert constant.contains({(): 1})
+    assert not constant.contains({(-1,): 1})
+    # x^4 is in the ideal, but above the bound of the span
+    assert not span.contains({(0, 0, 0, 0): 1})
 
 
 @st.composite
