@@ -154,19 +154,14 @@ class Dialgebra(Structure):
     @staticmethod
     def multiply(context, s):
         """The diwords a * t * b of the monomials t of s.  A center inside
-        s keeps its offset, so the terms map one to one; a center outside
-        s is a Python index into the letters and can merge terms."""
+        s keeps its offset; a center outside s is a Python index into the
+        letters and can merge terms, which `add_scaled` sums."""
         a, b, c = context
-        new = tuple.__new__
-        if c is None:
-            la = len(a)
-            return DiPolynomial._of({
-                new(Diword, (a + t.letters + b, la + t.center)): k
-                for t, k in s.terms.items()})
-        room = len(a) + len(b)
+        new, room = tuple.__new__, len(a) + len(b)
         return DiPolynomial._of(add_scaled({}, [
-            (new(Diword, (a + t.letters + b, c % (room + len(t.letters)))),
-             k) for t, k in s.terms.items()]))
+            (new(Diword, (a + t.letters + b, len(a) + t.center if c is None
+                          else c % (room + len(t.letters)))), k)
+            for t, k in s.terms.items()]))
 
     def rows(self, max_deg):
         """The S-words a * s * b of length d <= max_deg, by d, element,

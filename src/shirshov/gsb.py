@@ -13,7 +13,7 @@ import time
 from collections import namedtuple
 
 from .core import BudgetExceeded, deglex_key
-from .rewrite import _composition, find_compositions
+from .rewrite import find_compositions
 
 
 # status is completed, degree-capped or element-capped
@@ -176,26 +176,30 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     """Close the system under compositions, bounded by resources.
 
     Each round reduces the pending compositions of the inter-reduced
-    basis in ascending order of (ambient word, kind, lead f, lead g, |a|,
-    a) until one does not vanish; its normal form h modulo the basis is
-    added, and `_inter_reduce_elements` inter-reduces the basis with h,
-    reducing modulo the others only the elements that contain a new
-    leading word.
-    The basis is sorted by leading word, so this is the order of (w, kind,
-    left, right, |a|, a) over the current basis.  The overlaps of a pair
-    depend only on its two leading words: when a leading word enters the
-    basis, its overlaps with every leading word, both ways round, go on
-    one heap that lives across rounds.  A composition's polynomial is
-    built only when it is popped.  An entry with a leading word that has
-    left the basis is dropped when popped; the surviving entry goes back
-    on the heap; one that reduces to zero leaves the heap for good.
+    basis in ascending deg-lex order of their ambient words w until one
+    does not vanish; its normal form h modulo the basis is added, and
+    `_inter_reduce_elements` inter-reduces the basis with h, reducing
+    modulo the others only the elements that contain a new leading word.
+    The overlaps of a pair depend only on its two leading words: when a
+    leading word enters the basis, its overlaps with every leading word,
+    both ways round, go on one heap that lives across rounds as (|w|, w,
+    lf, lg).  A composition's polynomial is built only when it is popped.
+    An entry with a leading word that has left the basis is dropped when
+    popped; the surviving entry goes back on the heap; one that reduces
+    to zero leaves the heap for good.
 
     Only intersections reach the heap, and `_OverlapIndex` finds them
     from the proper prefixes and suffixes of the leading words.  An
     inclusion needs one leading word inside another.  In an inter-reduced
     basis no leading word contains another, distinct one, since the
     element with the longer one would be reducible, and a word contains
-    itself only as the identity inclusion, whose result is zero.
+    itself only as the identity inclusion, whose result is zero.  For the
+    same reason lf is the only leading word that is a proper prefix of
+    w = lf*b: of two, the shorter would be a factor of the longer.
+    Likewise lg is the only one that is a proper suffix of w = a*lg.  So
+    the entries whose two leading words are in the basis have distinct
+    ambient words, or are copies of one entry, and w alone orders them
+    as (w, kind, lf, lg, |a|, a) would.
 
     Skipping a vanished composition in later rounds changes no result.
     Take, in some round, a composition at ambient word w whose two leading
@@ -232,13 +236,11 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
             raise ValueError("budget_seconds must be >= 0")
         deadline = time.monotonic() + budget_seconds
 
-    key = deglex_key
     basis = _inter_reduce_elements(system)
-    # pending compositions as (key(w), kind, key(lf), key(lg), |a|, a, b,
-    # lf, lg): the prefix up to b orders them, lf and lg are its payload
-    heap = []
+    multiply = basis.multiply
+    heap = []  # pending intersections as (|w|, w, lf, lg)
     overlaps = _OverlapIndex()
-    known = set()  # the leading words of the previous round's basis
+    known = {}  # the previous round's lead_index
     added = 0
     iterations = 0
     while True:
@@ -246,33 +248,29 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
         _check_budget(deadline, budget_seconds)
         elems = basis.elements
         index = basis.lead_index  # inter-reduced leads are distinct
-        for lw in known - index.keys():
+        for lw in known.keys() - index.keys():
             overlaps.remove(lw)
-        for lw in index.keys() - known:
-            for lf, lg, a, b in overlaps.add(lw):
-                heapq.heappush(heap, (key(lf + b), "intersection", key(lf),
-                                      key(lg), len(a), a, b, lf, lg))
-        known = set(index)
+        for lw in index.keys() - known.keys():
+            for lf, lg, _, b in overlaps.add(lw):
+                heapq.heappush(heap, (len(lf) + len(b), lf + b, lf, lg))
+        known = index
 
-        obstruction = None
         while heap:
             _check_budget(deadline, budget_seconds)
             entry = heapq.heappop(heap)
-            _, kind, _, _, _, a, b, lf, lg = entry
+            _, w, lf, lg = entry
             if lf not in index or lg not in index:
                 continue  # a leading word left the basis
-            i, j = index[lf], index[lg]
-            comp = _composition(kind, elems[i], elems[j], a, b, i, j)
-            h = basis.normal_form(comp.result)
+            h = basis.normal_form(
+                multiply(((), w[len(lf):]), elems[index[lf]])
+                - multiply((w[:len(w) - len(lg)], ()), elems[index[lg]]))
             if h:
                 heapq.heappush(heap, entry)
-                obstruction = (comp, h)
                 break
-        if obstruction is None:
+        else:
             status = "completed"
             break
-        comp, h = obstruction
-        if len(comp.w) > max_deg:
+        if len(w) > max_deg:
             status = "degree-capped"
             break
         if added >= max_elems:

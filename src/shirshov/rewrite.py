@@ -16,8 +16,7 @@ import copy
 from collections import namedtuple
 from itertools import accumulate, product
 
-from .core import (Polynomial, Structure, VectorSpan, check_letters,
-                   deglex_key)
+from .core import Polynomial, Structure, VectorSpan, check_letters
 
 
 def _value(word, n):
@@ -256,56 +255,49 @@ class Composition(namedtuple("Composition",
 
 
 def _overlaps(lf, lg):
-    """(kind, a, b) of every overlap of the leading words lf and lg.
+    """(kind, a, b) of every overlap of the leading words lf and lg, in
+    ascending deg-lex order of the ambient word w.
 
-    Intersections pair every proper suffix of lf with an equal proper
-    prefix of lg (w = lf*b = a*lg); the symmetric overlaps belong to the
-    swapped pair.  Inclusions cover every occurrence of lg inside lf
-    (w = lf = a*lg*b), the identity occurrence of a word in itself
-    included.
+    Inclusions come first, leftmost first: they cover every occurrence of
+    lg inside lf (w = lf = a*lg*b), the identity occurrence of a word in
+    itself included.  Intersections follow, longest overlap first: they
+    pair every proper suffix of lf with an equal proper prefix of lg
+    (w = lf*b = a*lg, so |w| > |lf| and a longer overlap makes w
+    shorter); the symmetric overlaps belong to the swapped pair.
     """
     out = []
-    for k in range(1, min(len(lf), len(lg))):
-        if lf[len(lf) - k:] == lg[:k]:
-            out.append(("intersection", lf[:len(lf) - k], lg[k:]))
     if len(lg) <= len(lf):
         pos = find_factor(lf, lg)
         while pos is not None:
             out.append(("inclusion", lf[:pos], lf[pos + len(lg):]))
             pos = find_factor(lf, lg, pos + 1)
+    for k in range(min(len(lf), len(lg)) - 1, 0, -1):
+        if lf[len(lf) - k:] == lg[:k]:
+            out.append(("intersection", lf[:len(lf) - k], lg[k:]))
     return out
-
-
-def _composition(kind, f, g, a, b, left, right):
-    # Builds f*b - a*g or f - a*g*b.  Its leading word lies strictly
-    # below the ambient word w: both terms lead with w, which cancels, and
-    # deg-lex is a monomial order, so every other word of a*g*b or f*b is
-    # below w.
-    if kind == "intersection":
-        w = f.leading_monomial() + b
-        result = _mul_word_poly(((), b), f) - _mul_word_poly((a, ()), g)
-    else:
-        w = f.leading_monomial()
-        result = f - _mul_word_poly((a, b), g)
-    return Composition(kind, w, left, right, a, b, result)
 
 
 def find_compositions(f, g, *, left=0, right=1):
     """All compositions of the ordered pair (f, g) of monic polynomials,
     ascending by ambient word under deg-lex, the order of their leading
-    terms; left and right label f and g in each Composition.
+    terms, as `_overlaps` lists them; left and right label f and g in
+    each Composition.
 
-    Intersections pair every proper suffix of lead(f) with an equal proper
-    prefix of lead(g); the symmetric overlaps belong to the swapped call.
-    Inclusions cover every occurrence of lead(g) inside lead(f) except the
-    identity occurrence of an element in itself, whose result is exactly
-    zero.
+    Intersections give f*b - a*g, inclusions f - a*g*b.  Both terms lead
+    with w, which cancels, and deg-lex is a monomial order, so the
+    result's leading word lies strictly below w.  The identity inclusion
+    of an element in itself is left out: its result is exactly zero.
     """
-    out = [_composition(kind, f, g, a, b, left, right)
-           for kind, a, b in _overlaps(f.leading_monomial(),
-                                       g.leading_monomial())
-           if not (f == g and kind == "inclusion" and not a and not b)]
-    out.sort(key=lambda c: (deglex_key(c.w), c.kind, len(c.a), c.a))
+    lf = f.leading_monomial()
+    out = []
+    for kind, a, b in _overlaps(lf, g.leading_monomial()):
+        if kind == "intersection":
+            out.append(Composition(kind, lf + b, left, right, a, b,
+                                   _mul_word_poly(((), b), f)
+                                   - _mul_word_poly((a, ()), g)))
+        elif a or b or f != g:
+            out.append(Composition(kind, lf, left, right, a, b,
+                                   f - _mul_word_poly((a, b), g)))
     return out
 
 

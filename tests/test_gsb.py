@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from shirshov import gsb
 from shirshov.catalog import chinese_gsb, chinese_relations
-from shirshov.core import Alphabet, DegLexOrder, Polynomial, Structure
+from shirshov.core import (Alphabet, DegLexOrder, Polynomial, Structure,
+                           deglex_key)
 from shirshov.gsb import (BudgetExceeded, _inter_reduce_elements,
                           _OverlapIndex, all_compositions, cd_lemma_check,
                           find_compositions, inter_reduce, is_gsb,
@@ -352,6 +353,31 @@ def test_completion_matches_reference_on_fractional_presentations(
 
 
 @st.composite
+def monic_pairs(draw):
+    """Monic f and g over 1-3 letters with words of length <= 5; in about
+    half the draws g is f itself."""
+    n = draw(st.integers(1, 3))
+    words = st.lists(st.integers(0, n - 1), max_size=5).map(tuple)
+    poly = st.dictionaries(words, COEFFS, min_size=1, max_size=3).map(
+        lambda terms: Polynomial(terms).monic())
+    f = draw(poly)
+    return f, f if draw(st.booleans()) else draw(poly)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(monic_pairs())
+def test_compositions_come_in_ascending_ambient_word_order(pair):
+    # find_compositions does not sort: _overlaps lists the inclusions,
+    # then the intersections longest overlap first
+    f, g = pair
+    comps = find_compositions(f, g)
+    assert comps == sorted(comps, key=lambda c: (deglex_key(c.w), c.kind,
+                                                 len(c.a), c.a))
+    if f == g:
+        assert all(c.a or c.b for c in comps if c.kind == "inclusion")
+
+
+@st.composite
 def inter_reduce_inputs(draw):
     """A fractional system as `fractional_systems` draws it, in any order
     with up to two more relations: one over the leading word of a drawn
@@ -455,6 +481,9 @@ def test_overlap_index_finds_every_intersection(words, data):
                 else:  # only the identity inclusion
                     assert (lf, a, b) == (lg, (), ())
     assert got == want
+    # so the completion heap can key its entries by ambient word alone
+    ambient = [lf + b for lf, _, _, b in want.elements()]
+    assert len(set(ambient)) == len(ambient)
     gone = data.draw(st.sets(st.sampled_from(leads)))
     for lw in gone:
         index.remove(lw)
