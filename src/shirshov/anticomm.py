@@ -22,11 +22,18 @@ def ac_size(t):
 
 def ac_key(t):
     """Sort key for the recursive order: size first, then (left, right)
-    lexicographically, leaves by rank."""
+    lexicographically, leaves by rank.  `ac_column` is its inverse."""
     if isinstance(t, int):
         return 1, t
     lk, rk = ac_key(t[0]), ac_key(t[1])
     return lk[0] + rk[0], lk, rk
+
+
+def ac_column(k):
+    """The tree-word whose `ac_key` is k."""
+    if k[0] == 1:
+        return k[1]
+    return ac_column(k[1]), ac_column(k[2])
 
 
 def is_normal_acword(t):
@@ -42,6 +49,7 @@ class AcPolynomial(Terms):
 
     __slots__ = ()
     _key = staticmethod(ac_key)
+    _column = staticmethod(ac_column)
 
 
 def _lift(x):

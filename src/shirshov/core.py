@@ -123,10 +123,12 @@ class Terms:
     """Finite linear combination of monomials with nonzero exact
     coefficients (see `exact`): `coeff` and `leading_coeff` may return an
     int, so a caller divides by one through `exact_div` or `Fraction`.
-    Subclasses fix the monomial kind and its order key."""
+    Subclasses fix the monomial kind, its order `_key` and its inverse
+    `_column`."""
 
     __slots__ = ("terms",)
     _key = staticmethod(deglex_key)
+    _column = staticmethod(lambda k: k[1])
 
     @classmethod
     def zero(cls):
@@ -229,7 +231,6 @@ class Polynomial(Terms):
     """Noncommutative polynomial: rational linear combination of words."""
 
     __slots__ = ()
-    _key = staticmethod(deglex_key)
 
     @classmethod
     def monomial(cls, word, coeff=1):
@@ -250,46 +251,28 @@ class Polynomial(Terms):
 
 
 class VectorSpan:
-    """Row space of sparse exact vectors, built incrementally; a vector
-    maps columns to coefficients, which `exact` normalizes.
+    """Row space of sparse exact vectors, built incrementally.
 
-    Columns are arbitrary hashable values ordered by `key`; each stored row
-    is normalized with coefficient 1 at its pivot, the key-greatest column
-    of its support.  The pivot set and rank are canonical invariants of the
-    span, independent of insertion order.  A span built by Structure.span
-    also maps each closed degree to its rank in `ranks`.
-
-    Elimination runs in key space: rows are stored as {key: coefficient},
-    and each step takes its pivot as the greatest key, so hashing,
-    equality and order compare keys only.  The one precondition is that
-    `key` is injective on the columns, so that a key stands for its
-    column; `deglex_key`, `diword_key`, `mword_key`, `ac_key`, the `-k` of
-    `leibniz_i0` and the int code `rewrite.word_code` are.
-
-    Without a column reader, `insert` maps each column of a vector to its
-    key once, as the vector enters, and a table maps the key of every
-    column of a stored row back to the column; the rows share its key
-    objects.  With one, column(k) is the column whose key is k, and
-    `insert` takes vectors already in key space, {key: coefficient} with
-    exact nonzero coefficients, which the span may keep; `RewriteSystem`
-    inserts its rows so, keyed by int codes.  `contains` and `is_pivot`
-    take columns either way, and a column whose key is None is in no row.
-    `pivots()` and `rows` read columns through the table or the reader;
-    `rows` is a view, a new dict from each pivot column to its row in
-    insertion order, whose changes do not reach the span.
+    Elimination runs in key space.  key(m) is the key of the column m and
+    column(k) the column whose key is k, as an element class's `_key` and
+    `_column` give them; `key` is injective on the columns.  `insert`
+    takes a vector {key: coefficient} with exact nonzero coefficients,
+    which the span may keep, as every kind's `rows` yields it; a vector
+    over columns enters as `insert(keyed(vec))`.  Each stored row has
+    coefficient 1 at its pivot, its greatest key.  The pivot set and rank
+    are canonical invariants of the span, independent of insertion order.
+    A span built by Structure.span maps each closed degree to its rank in
+    `ranks`.  `contains` and `is_pivot` take columns, and a column whose
+    key is None is in no row.  `pivots()` and `rows` read columns through
+    `column`; `rows` is a view, a new dict from each pivot column to its
+    row in insertion order, whose changes do not reach the span.
     """
 
-    def __init__(self, key, column=None):
+    def __init__(self, key, column):
         self.key = key
+        self._column = column
         self.ranks = {}
         self._rows = {}
-        if column is None:
-            self._keys = {}  # key -> the equal key object the rows share
-            self._columns = {}  # key -> column
-            column = self._columns.__getitem__
-        else:
-            self._keys = None
-        self._column = column
 
     def _reduce(self, kvec):
         # Reduces kvec in place by the stored rows; returns its pivot key,
@@ -303,26 +286,8 @@ class VectorSpan:
             add_scaled(kvec, row.items(), -kvec[lead])
         return None
 
-    def insert(self, vec):
-        """Add a vector; returns True when it enlarged the span."""
-        shared = self._keys
-        if shared is None:
-            kvec = vec
-        else:
-            key, columns = self.key, self._columns
-            kvec = {}
-            for m, c in vec.items():
-                if type(c) is not int:
-                    c = exact(c)
-                if c:
-                    k = key(m)
-                    known = shared.get(k)
-                    if known is None:
-                        # a column no stored row has cannot cancel, so it
-                        # ends up in the row this vector stores
-                        shared[k] = known = k
-                        columns[k] = m
-                    kvec[known] = c
+    def insert(self, kvec):
+        """Add a vector in key space; True when it enlarged the span."""
         lead = self._reduce(kvec)
         if lead is None:
             return False
@@ -331,7 +296,9 @@ class VectorSpan:
             k: exact_div(v, c) for k, v in kvec.items()}
         return True
 
-    def contains(self, vec):
+    def keyed(self, vec):
+        """vec over columns as {key: exact nonzero coefficient}, or None
+        when a column has no key."""
         key = self.key
         kvec = {}
         for m, c in vec.items():
@@ -339,9 +306,13 @@ class VectorSpan:
             if c:
                 k = key(m)
                 if k is None:
-                    return False
+                    return None
                 kvec[k] = c
-        return self._reduce(kvec) is None
+        return kvec
+
+    def contains(self, vec):
+        kvec = self.keyed(vec)
+        return kvec is not None and self._reduce(kvec) is None
 
     def is_pivot(self, column):
         """Whether column is the pivot of a stored row."""
@@ -547,16 +518,20 @@ class Structure:
         return p if c == 1 else p.scale(exact_div(1, c))
 
     def rows(self, max_deg):
-        """The bounded ideal rows (d, vec) in ascending d, as `span`
-        inserts them: every S-word of degree d <= max_deg, by d, element
-        and context.  An override may leave out an S-word of degree d
-        that the rows it keeps of degree <= d span."""
+        """The bounded ideal rows (d, {key(m): coefficient}) in ascending
+        d, as `span` inserts them: every S-word of degree d <= max_deg, by
+        d, element and context, each monomial keyed once per call.  An
+        override may leave out an S-word of degree d that the rows it
+        keeps of degree <= d span."""
+        key, keys = self.elem._key, {}
         for d in range(self.low, max_deg + 1):
             for s, lw in zip(self.elements, self.leading_words):
                 room = d - self.degree(lw)
                 if room >= 0:
                     for context in self.contexts(room):
-                        yield d, self.multiply(context, s).terms
+                        yield d, {keys[m] if m in keys else
+                                  keys.setdefault(m, key(m)): c for m, c
+                                  in self.multiply(context, s).terms.items()}
 
     def normal_form(self, p):
         return rewrite(p, self.find, self.image)
@@ -612,8 +587,9 @@ class Structure:
 
     def empty_span(self):
         """The VectorSpan that `span` inserts the rows of `rows` into:
-        over monomials, keyed by the order key."""
-        return VectorSpan(self.elem._key)
+        over monomials, in the key space of the element's order key, read
+        back by its `_column`."""
+        return VectorSpan(self.elem._key, self.elem._column)
 
     def span(self, max_deg):
         """One span of `rows(max_deg)`, the S-words of degree <=

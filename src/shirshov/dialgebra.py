@@ -9,6 +9,7 @@ is the center.  In printed form the center letter carries an @ mark.
 
 from collections import namedtuple
 from itertools import combinations_with_replacement, product
+from operator import neg
 
 from .core import (Polynomial, Structure, Terms, VectorSpan, add_scaled,
                    check_letters)
@@ -35,7 +36,7 @@ class Diword(namedtuple("Diword", "letters center")):
 
 def diword_key(u):
     """Sort key for the weight order: length, then center position, then
-    the letter sequence."""
+    the letter sequence.  `DiPolynomial._column` is its inverse."""
     return (len(u.letters), u.center, u.letters)
 
 
@@ -44,6 +45,7 @@ class DiPolynomial(Terms):
 
     __slots__ = ()
     _key = staticmethod(diword_key)
+    _column = staticmethod(lambda k: Diword(k[2], k[1]))
 
 
 def _lift(x):
@@ -173,6 +175,8 @@ class Dialgebra(Structure):
         lw_j.letters of a relation s_j with flat_ok: none of the keys at
         which the reducer rewrites with the center outside.  Relations the
         reducer cannot use get rows too: their S-words are in the ideal.
+        Each is {diword_key(w): coefficient}, with |w| taken from the
+        term, since a relation need not be homogeneous.
 
         For every d, the rows kept of length <= d span every S-word of
         length d, so the span, its rank at each length and its pivots are
@@ -226,11 +230,11 @@ class Dialgebra(Structure):
         right = {b: [r for r in range(-len(b), 0) if b[:len(b) + r] in clean]
                  for level in words for b in level}
         # each relation as its length, its terms and its image's terms
-        terms = [(len(lw), [(t.letters, t.center, k) for t, k in s.items()],
+        terms = [(len(lw), [(t.letters, len(t), t.center, k)
+                            for t, k in s.items()],
                   [(x, len(x), k) for x, k in flat.items()])
                  for s, lw, flat in zip(self.elements, self.leading_words,
                                         self.flats)]
-        new = tuple.__new__
         for d in range(1, max_deg + 1):
             for length, inside, outside in terms:
                 room = d - length
@@ -238,16 +242,16 @@ class Dialgebra(Structure):
                     lb = room - la
                     for a in words[la]:
                         for b in words[lb]:
-                            yield d, {new(Diword, (a + t + b, la + c)): k
-                                      for t, c, k in inside}
+                            yield d, {(la + lt + lb, la + c, a + t + b): k
+                                      for t, lt, c, k in inside}
                             if not outside:
                                 continue
                             for q in left[a]:
-                                yield d, {new(Diword, (a + x + b, q)): k
-                                          for x, _, k in outside}
+                                yield d, {(la + lx + lb, q, a + x + b): k
+                                          for x, lx, k in outside}
                             for r in right[b]:
-                                yield d, {new(Diword, (a + x + b,
-                                                       la + lx + lb + r)): k
+                                yield d, {(la + lx + lb, la + lx + lb + r,
+                                           a + x + b): k
                                           for x, lx, k in outside}
 
 
@@ -322,12 +326,12 @@ def leibniz_i0(L):
     subset of indices to describe it; otherwise the basis of L has to be
     adapted first and this raises.
     """
-    span = VectorSpan(key=lambda k: -k)
+    span = VectorSpan(neg, neg)
     for i in range(L.dim):
-        span.insert(L.bracket_of(i, i))
+        span.insert(span.keyed(L.bracket_of(i, i)))
         for j in range(i + 1, L.dim):
-            span.insert(add_scaled(L.bracket_of(i, j),
-                                   L.bracket_of(j, i).items()))
+            span.insert(span.keyed(add_scaled(L.bracket_of(i, j),
+                                              L.bracket_of(j, i).items())))
     indices = set()
     for pivot, row in span.rows.items():
         if set(row) != {pivot}:

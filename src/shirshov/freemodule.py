@@ -22,6 +22,7 @@ class ModuleWord(namedtuple("ModuleWord", "u y")):
 
 
 def mword_key(mw):
+    """The order key; `ModuleElement._column` is its inverse."""
     return (len(mw.u), mw.u, mw.y)
 
 
@@ -30,6 +31,7 @@ class ModuleElement(Terms):
 
     __slots__ = ()
     _key = staticmethod(mword_key)
+    _column = staticmethod(lambda k: ModuleWord(k[1], k[2]))
 
 
 def act(p, m):

@@ -23,19 +23,22 @@ terms were read one factor at a time is kept as `_tokenize`, `_Cursor`,
 `_parse_ac_tree`, `_parse_term`, `_parse_expr`, `parse_element` and
 `parse_presentation`, over the helpers of `shirshov.cli` it shares.
 The associative rows before they were built as int word codes are kept
-as `word_rows`, which `WordKeyedRows` inserts into a word-keyed span.
+as `word_rows`, which `WordKeyedRows` inserts keyed by `deglex_key`.
+Every row generator here yields its rows as {key(m): coefficient}, in
+the key space in which `core.VectorSpan` takes them.
 """
 
 from collections import Counter
 from itertools import product
 
 import shirshov as _lib
-from shirshov.anticomm import _lift, _normal_by_degree, ac_mul, ac_size
+from shirshov.anticomm import (_lift, _normal_by_degree, ac_key, ac_mul,
+                               ac_size)
 from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
                           PresentationFile, _ac_renorm, _names, _rank)
 from shirshov.core import (Alphabet, BoundedReport, DegreeLine, Polynomial,
-                           Structure, add_scaled, check_bound, exact,
-                           exact_div)
+                           Structure, add_scaled, check_bound, deglex_key,
+                           exact, exact_div)
 from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 leibniz_check, leibniz_i0)
 from shirshov.freemodule import act
@@ -82,7 +85,7 @@ def ac_compositions(f, g):
 
 
 def ac_chain_rows(self, max_deg):
-    """(d, vec) for every nonzero chain product of ambient size
+    """(d, {ac_key(m): c}) for every nonzero chain product of ambient size
     d <= max_deg, level by level: a level is yielded in full, and its
     right products by normal words go to the higher levels, before
     the next level starts.
@@ -98,7 +101,7 @@ def ac_chain_rows(self, max_deg):
             levels.setdefault(ac_size(lw), []).append(s)
     for ambient in range(1, max_deg + 1):
         for p in levels.pop(ambient, ()):
-            yield ambient, p.terms
+            yield ambient, {ac_key(m): c for m, c in p.terms.items()}
             for d in range(1, max_deg - ambient + 1):
                 for m in _normal_by_degree(self.n, d):
                     prod = ac_mul(p, m)
@@ -338,15 +341,17 @@ def leibniz_enveloping(L):
 
 
 def all_context_rows(self, max_deg):
-    """The bounded ideal rows (d, vec) in ascending d, as `span`
+    """The bounded ideal rows (d, {key(m): c}) in ascending d, as `span`
     inserts them: every S-word of degree d <= max_deg, by d, element
     and context."""
+    key = self.elem._key
     for d in range(self.low, max_deg + 1):
         for s, lw in zip(self.elements, self.leading_words):
             room = d - self.degree(lw)
             if room >= 0:
                 for context in _all_contexts(self, room):
-                    yield d, self.multiply(context, s).terms
+                    yield d, {key(m): c for m, c in
+                              self.multiply(context, s).terms.items()}
 
 
 def _all_contexts(self, room):
@@ -407,13 +412,13 @@ class EveryRowAndPair(RewriteSystem):
     rows = all_context_rows
     _failing = all_pairs_failing
     bounded_check = find_bounded_check
-    empty_span = Structure.empty_span  # word-keyed, for the word rows
+    empty_span = Structure.empty_span  # keyed by deglex_key, as word_rows
 
 
 def word_rows(self, max_deg):
     """The S-words a*s*b of degree d <= max_deg whose left factor a
     is () or irreducible, by d, element, |a|, a and b; with a
-    constant relation, only a = ().  Each is {word: coefficient}."""
+    constant relation, only a = ().  Each is {deglex_key(w): coefficient}."""
     if not self.elements:
         return
     top = max(max_deg - self.lead_degrees[-1], 0)
@@ -427,13 +432,13 @@ def word_rows(self, max_deg):
             for la in range(room + 1):
                 for a in left[la]:
                     for b in self.monomials(room - la):
-                        yield d, _mul_word_poly((a, b), s).terms
+                        yield d, {deglex_key(w): c for w, c in
+                                  _mul_word_poly((a, b), s).terms.items()}
 
 
 class WordKeyedRows(RewriteSystem):
-    """A `RewriteSystem` whose span takes the same rows as words, keyed
-    by `deglex_key` through the span's table, as it did before the rows
-    were built as int codes."""
+    """A `RewriteSystem` whose span takes the same rows keyed by
+    `deglex_key`, as it did before the rows were built as int codes."""
 
     rows = word_rows
     empty_span = Structure.empty_span
@@ -469,16 +474,18 @@ def rewrite(p, find, image):
 
 
 def structure_rows(self, max_deg):
-    """The bounded ideal rows (d, vec) in ascending d, as `span`
+    """The bounded ideal rows (d, {key(m): c}) in ascending d, as `span`
     inserts them: every S-word of degree d <= max_deg, by d, element
     and context.  An override may leave out an S-word of degree d
     that the rows it keeps of degree <= d span."""
+    key = self.elem._key
     for d in range(self.low, max_deg + 1):
         for s, lw in zip(self.elements, self.leading_words):
             room = d - self.degree(lw)
             if room >= 0:
                 for context in self.contexts(room):
-                    yield d, self.multiply(context, s).terms
+                    yield d, {key(m): c for m, c in
+                              self.multiply(context, s).terms.items()}
 
 
 class EveryDialgebraRow(Dialgebra):

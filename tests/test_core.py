@@ -95,14 +95,26 @@ def test_sorted_terms_descending():
 
 
 def test_vector_span_detects_dependence():
-    span = VectorSpan(key=deglex_key)
-    assert span.insert({(0,): Fraction(2)})
-    assert span.insert({(1,): 1, (0,): 1})
-    assert not span.insert({(0,): 3, (1,): 3})
+    span = VectorSpan(deglex_key, Polynomial._column)
+    assert span.insert(span.keyed({(0,): Fraction(2)}))
+    assert span.insert(span.keyed({(1,): 1, (0,): 1}))
+    assert not span.insert(span.keyed({(0,): 3, (1,): 3}))
     assert span.rank == 2
     assert span.contains({(1,): 7, (0,): 7})
     assert not span.contains({(0, 0): 1})
     assert span.pivots() == [(1,), (0,)]
+
+
+def test_keyed_brings_a_column_vector_into_key_space():
+    span = VectorSpan(deglex_key, Polynomial._column)
+    kvec = span.keyed({(1, 0): Fraction(4, 2), (0,): 0, (): Fraction(0)})
+    assert kvec == {(2, (1, 0)): 2} and type(kvec[2, (1, 0)]) is int
+    assert span.keyed({(1,): Fraction(1, 2)}) == {(1, (1,)): Fraction(1, 2)}
+    # a word outside the alphabet has no int code, so no key
+    xy = DegLexOrder(Alphabet(("x", "y")))
+    words = RewriteSystem((Polynomial.monomial((0, 0)),), xy).empty_span()
+    assert words.keyed({(5,): 1}) is None
+    assert words.keyed({(1, 0): 1}) == {5: 1}
 
 
 def test_an_integral_coefficient_is_an_int_and_any_other_a_fraction():
@@ -114,8 +126,8 @@ def test_an_integral_coefficient_is_an_int_and_any_other_a_fraction():
     assert type(p.coeff(x)) is int
     assert type((p + p).coeff(y)) is int
     assert type(p.scale(Fraction(2)).coeff(y)) is int
-    span = VectorSpan(key=deglex_key)
-    span.insert({x: 3, y: 6})
+    span = VectorSpan(deglex_key, Polynomial._column)
+    span.insert(span.keyed({x: 3, y: 6}))
     assert span.rows[x] == {x: 1, y: 2}
     assert type(span.rows[x][y]) is int
     assert type(exact(Fraction(-6, 3))) is int
@@ -147,7 +159,7 @@ def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(bad):
     with pytest.raises(TypeError):
         Polynomial({x: 1}).scale(bad)
     with pytest.raises(TypeError):
-        VectorSpan(key=deglex_key).insert({x: bad})
+        VectorSpan(deglex_key, Polynomial._column).keyed({x: bad})
     with pytest.raises(TypeError):
         RewriteSystem([Polynomial({(0, 0): 1, x: bad})],
                       DegLexOrder(Alphabet(("x",))))

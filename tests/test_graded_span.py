@@ -18,16 +18,16 @@ with the one that inserted every S-word.
 import random
 from fractions import Fraction
 from itertools import product
+from operator import neg
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shirshov import core
 from shirshov.anticomm import (AcPolynomial, AntiCommutative,
-                               _normal_by_degree, ac_gsb_check_bounded,
-                               ac_key, ac_mul, ac_size, hall_gsb,
-                               hall_words, normal_words)
+                               _normal_by_degree, ac_column,
+                               ac_gsb_check_bounded, ac_key, ac_mul,
+                               ac_size, hall_gsb, hall_words, normal_words)
 from shirshov.catalog import chinese_gsb
 from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
                            DegreeLine, Polynomial, VectorSpan, deglex_key)
@@ -35,9 +35,9 @@ from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
                                 LeibnizAlgebra, all_diwords,
                                 di_gsb_check_bounded, di_irr, diword_key,
                                 leibniz_dim2, leibniz_enveloping)
-from shirshov.freemodule import (FreeModule, ModuleWord, act,
-                                 module_cd_check, module_irr, mword_key,
-                                 random_module_set)
+from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord,
+                                 act, module_cd_check, module_irr,
+                                 mword_key, random_module_set)
 from shirshov.gsb import cd_lemma_check, find_compositions
 from shirshov.rewrite import (RewriteSystem, code_word, irr_words,
                               membership_oracle, word_code)
@@ -73,17 +73,20 @@ def test_graded_span_of_an_empty_row_source():
 # -- elimination in key space against elimination through keys ---------
 
 
-# Columns of every kind with the key that orders them; `-k` orders the
-# basis indices of leibniz_i0.
+# Columns of every kind with the key that orders them and the reader
+# that inverts it; `-k` orders the basis indices of leibniz_i0.
 COLUMNS = [
-    (deglex_key, st.lists(st.integers(0, 2), max_size=3).map(tuple)),
-    (diword_key, st.sampled_from(all_diwords(2, 1) + all_diwords(2, 2)
-                                 + all_diwords(2, 3))),
-    (mword_key, st.builds(ModuleWord, st.lists(st.integers(0, 1),
-                                                max_size=3).map(tuple),
-                          st.integers(0, 1))),
-    (ac_key, st.sampled_from(normal_words(2, 4))),
-    (lambda k: -k, st.integers(0, 9)),
+    (deglex_key, Polynomial._column,
+     st.lists(st.integers(0, 2), max_size=3).map(tuple)),
+    (diword_key, DiPolynomial._column,
+     st.sampled_from(all_diwords(2, 1) + all_diwords(2, 2)
+                     + all_diwords(2, 3))),
+    (mword_key, ModuleElement._column,
+     st.builds(ModuleWord, st.lists(st.integers(0, 1),
+                                    max_size=3).map(tuple),
+               st.integers(0, 1))),
+    (ac_key, ac_column, st.sampled_from(normal_words(2, 4))),
+    (neg, neg, st.integers(0, 9)),
 ]
 SPAN_COEFFS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2),
                                Fraction(-2, 3), Fraction(4, 2),
@@ -96,27 +99,46 @@ def _typed(vec):
 
 @st.composite
 def span_inputs(draw):
-    """A column kind with its key, and sparse vectors over it to insert,
-    then to test for membership."""
-    key, columns = draw(st.sampled_from(COLUMNS))
+    """A column kind with its key and reader, and sparse vectors over it
+    to insert, then to test for membership."""
+    key, column, columns = draw(st.sampled_from(COLUMNS))
     vecs = st.lists(st.dictionaries(columns, SPAN_COEFFS, max_size=5),
                     max_size=12)
-    return key, draw(vecs), draw(vecs)
+    return key, column, draw(vecs), draw(vecs)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(span_inputs())
 def test_span_in_key_space_matches_the_reference(case):
-    key, inserts, queries = case
-    span, ref = VectorSpan(key), ReferenceSpan(key)
+    key, column, inserts, queries = case
+    span, ref = VectorSpan(key, column), ReferenceSpan(key)
     for vec in inserts:
-        assert span.insert(vec) == ref.insert(vec)
+        assert span.insert(span.keyed(vec)) == ref.insert(vec)
     assert span.rank == ref.rank
     assert span.pivots() == ref.pivots()
+    assert list(map(type, span.pivots())) == list(map(type, ref.pivots()))
     assert [(p, _typed(row)) for p, row in span.rows.items()] \
         == [(p, _typed(row)) for p, row in ref.rows.items()]
     for vec in inserts + queries:
         assert span.contains(vec) == ref.contains(vec)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(COLUMNS).flatmap(
+    lambda kind: st.tuples(st.just(kind), kind[2])))
+def test_each_reader_inverts_its_key(case):
+    (key, column, _), m = case
+    assert column(key(m)) == m
+    assert type(column(key(m))) is type(m)
+
+
+def test_the_rows_share_one_key_object_per_column():
+    # ac_key builds nested tuples, so a key computed afresh for each row
+    # that holds a column would store a copy per row: 602 key objects for
+    # these 284 keys
+    span = AntiCommutative(hall_gsb(2, 8), 2).span(8)
+    keys = [k for row in span._rows.values() for k in row]
+    assert len({id(k) for k in keys}) == len(set(keys)) == 284
 
 
 def _graded_cases():
@@ -143,14 +165,22 @@ def _graded_cases():
     return cases
 
 
-def test_graded_spans_match_the_reference_elimination(monkeypatch):
-    cases = [(structure, bound, structure.span(bound))
-             for structure, bound in _graded_cases()]
-    monkeypatch.setattr(core, "VectorSpan", ReferenceSpan)
-    for structure, bound, span in cases:
-        ref = structure.span(bound)
-        assert type(ref) is ReferenceSpan
-        assert span.ranks == ref.ranks
+def test_graded_spans_match_the_reference_elimination():
+    # The reference takes the same rows, read back as monomials, and
+    # eliminates over monomials; its rank is read as each degree closes.
+    for structure, bound in _graded_cases():
+        span = structure.span(bound)
+        column = structure.elem._column
+        by_degree = {}
+        for d, kvec in structure.rows(bound):
+            by_degree.setdefault(d, []).append(
+                {column(k): c for k, c in kvec.items()})
+        ref, ranks = ReferenceSpan(structure.elem._key), {}
+        for d in range(structure.low, bound + 1):
+            for vec in by_degree.get(d, ()):
+                ref.insert(vec)
+            ranks[d] = ref.rank
+        assert span.ranks == ranks
         assert span.pivots() == ref.pivots()
         assert span.rows == ref.rows
 
@@ -178,7 +208,7 @@ def _context_image(entry, a, b, center_inside, ambient_center=None):
 
 def reference_ideal_span(system, max_deg):
     n = len(system.order.alphabet)
-    span = VectorSpan(key=deglex_key)
+    span = ReferenceSpan(deglex_key)
     for s, lw in zip(system.elements, system.leading_words):
         room = max_deg - len(lw)
         for la in range(room + 1):
@@ -191,7 +221,7 @@ def reference_ideal_span(system, max_deg):
 
 
 def reference_di_span(S, n, max_len):
-    span = VectorSpan(key=diword_key)
+    span = ReferenceSpan(diword_key)
     for entry in _prep(S):
         room = max_len - len(entry.lead.letters)
         for la in range(room + 1):
@@ -210,7 +240,7 @@ def reference_di_span(S, n, max_len):
 
 
 def reference_module_span(S, nx, max_len):
-    span = VectorSpan(key=mword_key)
+    span = ReferenceSpan(mword_key)
     for s in S:
         room = max_len - len(s.leading_monomial().u)
         for la in range(room + 1):
@@ -220,7 +250,7 @@ def reference_module_span(S, nx, max_len):
 
 
 def reference_ac_span(S, n, max_deg):
-    span = VectorSpan(key=ac_key)
+    span = ReferenceSpan(ac_key)
     queue = [(s, ac_size(s.leading_monomial())) for s in S
              if ac_size(s.leading_monomial()) <= max_deg]
     while queue:
@@ -467,8 +497,8 @@ def assoc_queries(draw, system, bound, rows):
 @given(assoc_systems(), st.data())
 def test_assoc_checks_without_the_left_out_rows_and_pairs_agree(case, data):
     # The oracle inserts every S-word, visits every ordered pair and
-    # calls find on every pivot; the word-keyed span inserts the same
-    # rows as this one, as words, so it stores the same rows.
+    # calls find on every pivot; the deglex-keyed span inserts the same
+    # rows as this one, keyed by their words, so it stores the same rows.
     system, bound = case
     oracle = EveryRowAndPair(system.elements, system.order)
     span, ref = system.span(bound), oracle.span(bound)
