@@ -431,14 +431,15 @@ class Structure:
     """Monic relations in a free structure, rewritten by `rewrite`.
 
     A subclass names its element class `elem` and the least degree `low`
-    of a monomial, and supplies degree(m); monomials(d), an iterable in
-    ascending order; parts(m), every (part, context) of the monomial m
-    where a relation may apply, in the kind's order; multiply(context,
-    s), the S-word that puts s into the context; and contexts(room),
-    every context that raises the degree by room, in row order, which
-    only the base `rows` reads.  keys(j), the parts at which element j
-    applies, defaults to its leading monomial.  The base class checks that every
-    relation is a nonzero monic `elem`, keeps the relations in `elements`
+    of a monomial, and supplies degree(m); monomials(d), in ascending
+    order, a sequence unless the kind gives count(d) in closed form;
+    parts(m), every (part, context) of the monomial m where a relation
+    may apply, in the kind's order; multiply(context, s), the S-word that
+    puts s into the context; and contexts(room), every context that
+    raises the degree by room, in row order, which only the base `rows`
+    reads.  keys(j), the parts at which element j applies, defaults to
+    its leading monomial.  The base class checks that every relation is a
+    nonzero monic `elem`, keeps the relations in `elements`
     and their leading monomials in `leading_words`, and indexes the keys
     once: `lead_index` maps each to its first element, and `lead_degrees`
     lists the distinct leading degrees, descending.  From parts and keys
@@ -536,6 +537,12 @@ class Structure:
     def normal_form(self, p):
         return rewrite(p, self.find, self.image)
 
+    def count(self, d):
+        """The number of monomials of degree d: the length of
+        monomials(d), which a kind whose monomials(d) is an iterator
+        gives in closed form."""
+        return len(self.monomials(d))
+
     def irreducible(self, max_deg):
         """Monomials of degree <= max_deg with no occurrence, ascending;
         the walk over a monomial's parts stops at the first key."""
@@ -629,7 +636,7 @@ class Structure:
         table = []
         irr = total = 0
         for d, rank in span.ranks.items():
-            total += sum(1 for _ in self.monomials(d))
+            total += self.count(d)
             irr += per_degree[d]
             table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
                                     total=total, ok=(irr + rank == total)))

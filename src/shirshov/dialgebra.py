@@ -132,6 +132,9 @@ class Dialgebra(Structure):
             for letters in product(range(self.n), repeat=d):
                 yield new(Diword, (letters, center))
 
+    def count(self, d):
+        return d * self.n ** d
+
     def keys(self, j):
         lw = self.leading_words[j]
         return (lw, lw.letters) if self.flat_ok[j] else (lw,)

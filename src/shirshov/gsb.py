@@ -8,8 +8,10 @@ The checks are those of `core.Structure`, which `rewrite.RewriteSystem`
 is; completion stays specific to this structure.
 """
 
+import copy
 import heapq
 import time
+from bisect import bisect_left
 from collections import namedtuple
 
 from .core import BudgetExceeded, deglex_key
@@ -40,20 +42,12 @@ def is_gsb(system):
     return system.is_gsb()
 
 
-def _containing(elems, own, u):
-    # positions of the live elements with a monomial that has u as a
-    # factor; no monomial is longer than its leading word own[i]
-    m = len(u)
-    return [i for i, p in enumerate(elems) if p is not None
-            and len(own[i]) >= m and any(
-                w[k:k + m] == u for w in p.terms
-                for k in range(len(w) - m + 1))]
-
-
 def _inter_reduce_elements(system, h=None):
-    """The system inter-reduced, its elements sorted by leading word; with
-    a nonzero h, the system must be inter-reduced already, and h is added
-    at the end of its list.
+    """(basis, entered, left): the system inter-reduced, its elements
+    sorted by leading word, with the leading words that the basis has and
+    the system had not, and those that the system had and the basis has
+    not.  With a nonzero h, the system must be a basis this function
+    returned, and h is added at the end of its list.
 
     Each step takes the first candidate, in list order, and reduces it
     modulo all the other elements.  The reducer returns its input when it
@@ -78,20 +72,61 @@ def _inter_reduce_elements(system, h=None):
     - A candidate that a new leading word brings while it waits on the
       heap is tested once: its copies leave the heap when it is popped.
 
-    The elements are built from the system's checked words, so the result
-    is not validated again.
+    One working system reduces modulo the list, with None for a deleted
+    element; its index maps each leading word to the first element that
+    has it.  A candidate hands its leading word to the next element that
+    has it, if any, for its own reduction.  At the end the elements that
+    kept their places stay in order, the others are inserted by
+    bisection, and the index is renumbered from the first place that
+    moved.  The elements are built from the system's checked words, so
+    the result is not validated again.
     """
-    elems = list(system.elements)
-    own = list(system.leading_words)
+    before = system.leading_words
+    elems, own = list(system.elements), list(before)
+    index, degrees = dict(system.lead_index), list(system.lead_degrees)
+    work = copy.copy(system)
+    work.elements, work.lead_index, work.lead_degrees = elems, index, degrees
+
+    def enter(i, lw):
+        own[i] = lw
+        if index.get(lw, i) >= i:
+            index[lw] = i
+        if len(lw) not in degrees:  # one that left may stay until the end
+            degrees.append(len(lw))
+            degrees.sort(reverse=True)
+
+    def leave(i):
+        lw, own[i] = own[i], None
+        if index.get(lw) == i:
+            try:
+                index[lw] = own.index(lw, i + 1)
+            except ValueError:
+                del index[lw]
+        return lw
+
+    def containing(u):
+        # the live elements with a monomial that has u as a factor; no
+        # monomial is longer than its element's leading word, reduction
+        # never lengthens one, and with h the system's leading words ascend
+        m = len(u)
+        start = 0 if h is None else bisect_left(before, m, key=len)
+        return [i for i in range(start, len(elems)) if elems[i] is not None
+                and len(own[i]) >= m and any(
+                    w[k:k + m] == u for w in elems[i].terms
+                    for k in range(len(w) - m + 1))]
+
     if h is None:
         todo = list(range(len(elems)))
+        moved = set(todo)  # the input is in no particular order
     else:
         h = h.monic()
-        todo = _containing(elems, own, h.leading_monomial())
+        todo = containing(h.leading_monomial())
         if system.normal_form(h) is not h:
             todo.append(len(elems))
+        moved = {len(elems)}
         elems.append(h)
-        own.append(h.leading_monomial())
+        own.append(None)
+        enter(len(elems) - 1, h.leading_monomial())
     heapq.heapify(todo)
     while todo:
         i = heapq.heappop(todo)
@@ -100,23 +135,41 @@ def _inter_reduce_elements(system, h=None):
         p = elems[i]
         if p is None:
             continue
-        rest = [k for k, q in enumerate(elems) if q is not None and k != i]
-        nf = system._derived(tuple(elems[k] for k in rest),
-                             tuple(own[k] for k in rest)).normal_form(p)
+        lw = leave(i)
+        nf = work.normal_form(p)
         if nf is p:
+            enter(i, lw)
             continue
+        moved.add(i)
         if nf:
             elems[i] = nf.monic()
-            own[i] = lw = nf.leading_monomial()
-            for k in _containing(elems, own, lw):
+            enter(i, nf.leading_monomial())
+            for k in containing(own[i]):
                 if k != i:
                     heapq.heappush(todo, k)
         else:
             elems[i] = None
-    live = sorted((k for k, p in enumerate(elems) if p is not None),
-                  key=lambda k: deglex_key(own[k]))
-    return system._derived(tuple(elems[k] for k in live),
-                           tuple(own[k] for k in live))
+
+    out, leads = list(system.elements), list(before)
+    first = len(leads)  # the first place whose element moved
+    for k in sorted(moved, reverse=True):
+        if k < len(before):
+            del out[k], leads[k]
+            first = k
+    for k in sorted(moved):
+        if elems[k] is not None:
+            at = bisect_left(leads, deglex_key(own[k]), key=deglex_key)
+            out.insert(at, elems[k])
+            leads.insert(at, own[k])
+            first = min(first, at)
+    index.update(zip(leads[first:], range(first, len(leads))))
+    work.elements, work.leading_words = tuple(out), tuple(leads)
+    work.lead_degrees = sorted(set(map(len, leads)), reverse=True)
+    entered = [own[k] for k in sorted(moved) if elems[k] is not None
+               and own[k] not in system.lead_index]
+    left = [lw for lw in {before[k] for k in moved if k < len(before)}
+            if lw not in index]
+    return work, entered, left
 
 
 def inter_reduce(system):
@@ -126,7 +179,7 @@ def inter_reduce(system):
     Each removed or rewritten element stays expressible through the others
     (witnessed by the reduction steps), so the ideal is unchanged.
     """
-    return _inter_reduce_elements(system)
+    return _inter_reduce_elements(system)[0]
 
 
 def _check_budget(deadline, budget_seconds):
@@ -172,6 +225,12 @@ class _OverlapIndex:
                     del table[part]
 
 
+def _chain_trivial(basis, w):
+    # a leading word occurs in w = lf*b = a*lg with a letter of w on
+    # either side; `shirshov_complete` proves the composition trivial
+    return basis.find(w[1:-1]) is not None
+
+
 def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     """Close the system under compositions, bounded by resources.
 
@@ -186,7 +245,8 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     lf, lg).  A composition's polynomial is built only when it is popped.
     An entry with a leading word that has left the basis is dropped when
     popped; the surviving entry goes back on the heap; one that reduces
-    to zero leaves the heap for good.
+    to zero, or that the chain criterion below skips, leaves the heap for
+    good.
 
     Only intersections reach the heap, and `_OverlapIndex` finds them
     from the proper prefixes and suffixes of the leading words.  An
@@ -203,18 +263,37 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
 
     Skipping a vanished composition in later rounds changes no result.
     Take, in some round, a composition at ambient word w whose two leading
-    words have stayed in the basis since it vanished.  By induction over
-    the ambient words, every composition of the current basis below w has
-    reduced to zero this round or is skipped for the same reason, so the
-    basis is closed below w.  By the Composition-Diamond argument
-    restricted to words below w, an ideal element written as a sum of
-    multiples of a*s*b with every a*lead(s)*b < w then has normal form 0.
-    The current composition f'*b - a*g' has such a form: the old f*b - a*g
-    had one, because it reduced to zero; inter-reduction changes f and g
+    words have stayed in the basis since it vanished or was skipped.  By
+    induction over the ambient words, every composition of the current
+    basis below w has reduced to zero this round or is skipped for the
+    same reason, so the basis is closed below w.  By the
+    Composition-Diamond argument restricted to words below w, an ideal
+    element written as a sum of multiples of a*s*b with every
+    a*lead(s)*b < w then has normal form 0.  The current composition
+    f'*b - a*g' has such a form: the old f*b - a*g had one, because it
+    reduced to zero or is chain-trivial; inter-reduction changes f and g
     only by terms below their leading words; and every element it removed
     is a combination of the new basis with words at most its leading word.
     So the first surviving composition, and every result, are those of
     re-reducing every composition of the basis in every round.
+
+    The chain criterion (Buchberger's second criterion, in the form of
+    Mora, TCS 134 (1994)) skips a popped entry, without building it, when
+    the leading word lk of an element k occurs strictly inside w, at a
+    place p with 0 < p and p + |lk| < |w|: when the reducer finds a
+    leading word in w[1:-1].  As above, a leading word lies inside lf or
+    lg only as the word itself, at its own place, so p < |a| and
+    p + |lk| > |lf|: lk overlaps the end of lf and the start of lg.  With
+    x = w[:p], c = w[|lf|:p + |lk|], d = w[p + |lk|:] and e = w[p:|a|],
+
+        f*b - a*g = (f*c - x*k)*d + x*(k*d - e*g),
+
+    the compositions of (f, k) at the proper prefix lf*c = x*lk of w and
+    of (k, g) at its proper suffix lk*d = e*lg.  Both ambient words are
+    shorter than w, so by the induction above each is a sum of multiples
+    of S-words below its ambient word, and multiplied out by d and by x,
+    below w.  So f*b - a*g has normal form 0 as a vanished one has, and
+    the first surviving composition is the same with the skip as without.
 
     A surviving composition whose ambient word is longer than max_deg
     stops the run as degree-capped; needing more than max_elems additions
@@ -236,24 +315,23 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
             raise ValueError("budget_seconds must be >= 0")
         deadline = time.monotonic() + budget_seconds
 
-    basis = _inter_reduce_elements(system)
+    basis = _inter_reduce_elements(system)[0]
+    entered, left = basis.leading_words, ()
     multiply = basis.multiply
     heap = []  # pending intersections as (|w|, w, lf, lg)
     overlaps = _OverlapIndex()
-    known = {}  # the previous round's lead_index
     added = 0
     iterations = 0
     while True:
         iterations += 1
         _check_budget(deadline, budget_seconds)
-        elems = basis.elements
-        index = basis.lead_index  # inter-reduced leads are distinct
-        for lw in known.keys() - index.keys():
+        for lw in left:
             overlaps.remove(lw)
-        for lw in index.keys() - known.keys():
+        for lw in entered:
             for lf, lg, _, b in overlaps.add(lw):
                 heapq.heappush(heap, (len(lf) + len(b), lf + b, lf, lg))
-        known = index
+        elems = basis.elements
+        index = basis.lead_index  # inter-reduced leads are distinct
 
         while heap:
             _check_budget(deadline, budget_seconds)
@@ -261,6 +339,8 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
             _, w, lf, lg = entry
             if lf not in index or lg not in index:
                 continue  # a leading word left the basis
+            if _chain_trivial(basis, w):
+                continue
             h = basis.normal_form(
                 multiply(((), w[len(lf):]), elems[index[lf]])
                 - multiply((w[:len(w) - len(lg)], ()), elems[index[lg]]))
@@ -276,7 +356,7 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
         if added >= max_elems:
             status = "element-capped"
             break
-        basis = _inter_reduce_elements(basis, h)
+        basis, entered, left = _inter_reduce_elements(basis, h)
         added += 1
     return CompletionReport(status=status, basis=basis, added=added,
                             iterations=iterations)

@@ -12,7 +12,6 @@ longest length first, against the index of leading words that
 element.
 """
 
-import copy
 from collections import namedtuple
 from itertools import accumulate, product
 
@@ -105,16 +104,6 @@ class RewriteSystem(Structure):
 
     __hash__ = None
 
-    def _derived(self, elements, leading_words):
-        """A system over the same order with other elements, which the
-        caller built from words of this system through exact arithmetic:
-        each is nonzero and monic, and leading_words lists their leading
-        words.  Nothing is checked again; only the index is rebuilt."""
-        out = copy.copy(self)
-        out.elements, out.leading_words = elements, leading_words
-        out._index()
-        return out
-
     def find(self, word):
         """(i, (a, b)) where word = a * lw * b for the order-greatest
         leading word lw occurring in word, i its first element and a the
@@ -198,6 +187,9 @@ class RewriteSystem(Structure):
 
     def monomials(self, d):
         return product(range(len(self.order.alphabet)), repeat=d)
+
+    def count(self, d):
+        return len(self.order.alphabet) ** d
 
     def irreducible(self, max_deg):
         return irr_words(self, max_deg)

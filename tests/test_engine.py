@@ -366,6 +366,16 @@ def cases(draw, coeffs=st.sampled_from(COEFFS)):
     return structure(S), cls(draw(_terms(monomials, 6, coeffs)))
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cases())
+def test_count_is_the_number_of_monomials(case):
+    # bounded_check totals count(d), which assoc and dialgebras give in
+    # closed form instead of walking monomials(d)
+    structure, _ = case
+    for d in range(structure.low, 7):
+        assert structure.count(d) == sum(1 for _ in structure.monomials(d))
+
+
 # -- find and occurrences with a repeated leading monomial ---------------
 
 

@@ -352,6 +352,63 @@ def test_completion_matches_reference_on_fractional_presentations(
     assert_matches_reference(system, max_deg, max_elems)
 
 
+def assert_skips_vanish(system, max_deg, max_elems):
+    """Complete the system, recording each entry that the chain criterion
+    skips with the basis of its round; its composition must have normal
+    form 0 modulo that basis.  Returns how many were skipped."""
+    skipped = []
+    probe = gsb._chain_trivial
+
+    def recorded(basis, w):
+        if probe(basis, w):
+            skipped.append((basis, w))
+            return True
+        return False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gsb, "_chain_trivial", recorded)
+        shirshov_complete(system, max_deg=max_deg, max_elems=max_elems)
+    for basis, w in skipped:
+        index = basis.lead_index
+        # the one leading word that is a proper prefix of w, and the one
+        # that is a proper suffix
+        (lf,) = [w[:k] for k in range(1, len(w)) if w[:k] in index]
+        (lg,) = [w[k:] for k in range(1, len(w)) if w[k:] in index]
+        f, g = basis.elements[index[lf]], basis.elements[index[lg]]
+        a, b = w[:len(w) - len(lg)], w[len(lf):]
+        assert not basis.normal_form(basis.multiply(((), b), f)
+                                     - basis.multiply((a, ()), g))
+    return len(skipped)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.randoms(use_true_random=False).map(random_system),
+                 fractional_systems()),
+       st.integers(4, 7), st.integers(0, 15))
+def test_every_composition_the_chain_criterion_skips_vanishes(
+        system, max_deg, max_elems):
+    assert_skips_vanish(system, max_deg, max_elems)
+
+
+def test_the_chain_criterion_skips_on_random_presentations():
+    # the property above is not vacuous on these presentations
+    rng = random.Random(20080408)
+    skipped = sum(assert_skips_vanish(random_system(rng), 7, 15)
+                  for _ in range(200))
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("names, max_deg, skipped", [
+    (("x3", "x2", "x1"), 8, 177),
+    (("x1", "x2", "x3"), 8, 2),
+    (("x4", "x3", "x2", "x1"), 6, 131),
+])
+def test_every_plactic_composition_the_chain_criterion_skips_vanishes(
+        names, max_deg, skipped):
+    assert assert_skips_vanish(knuth_system(names), max_deg, 1000) \
+        == skipped
+
+
 @st.composite
 def monic_pairs(draw):
     """Monic f and g over 1-3 letters with words of length <= 5; in about
@@ -427,35 +484,48 @@ def one_letter(terms):
 def test_inter_reduce_matches_the_reference(case):
     # Without h every element is a candidate; with h only those that a
     # new leading word can make reducible, which must not change the
-    # result.
+    # result.  Each basis keeps its index current, as a fresh system
+    # builds it, and entered and left are what its leading words gained
+    # and lost.
     system, h = case
     order = system.order
     reduced = inter_reduce(system)
     assert reduced.elements \
         == tuple(reference_inter_reduce(system.elements, order))
-    assert _inter_reduce_elements(reduced, h).elements == tuple(
+    extended, entered, left = _inter_reduce_elements(reduced, h)
+    assert extended.elements == tuple(
         reference_inter_reduce(reduced.elements + (h,), order))
+    for basis in (reduced, extended):
+        fresh = RewriteSystem(basis.elements, order)
+        assert basis.leading_words == fresh.leading_words
+        assert basis.lead_index == fresh.lead_index
+        assert basis.lead_degrees == fresh.lead_degrees
+    old, new = set(reduced.leading_words), set(extended.leading_words)
+    assert (set(entered), set(left)) == (new - old, old - new)
+    assert len(entered) == len(set(entered))
+    assert len(left) == len(set(left))
 
 
 def test_inter_reduce_tests_a_candidate_once_however_often_it_is_pushed(
         monkeypatch):
     # x2 - x1 waits on the heap from the start; rewriting x2 to x1 pushes
-    # it again, and it must be tested once: two tests, then the result.
+    # it again, and it must be tested once: two reductions, one per
+    # candidate.
     x1, x2 = 0, 1
     system = RewriteSystem((Polynomial({(x2,): 1}),
                             Polynomial({(x2,): 1, (x1,): -1})),
                            DegLexOrder(Alphabet(("x1", "x2"))))
-    builds = []
-    derived = RewriteSystem._derived
+    tested = []
+    normal_form = Structure.normal_form
 
-    def counted(self, *args):
-        builds.append(args)
-        return derived(self, *args)
+    def counted(self, p):
+        tested.append(p)
+        return normal_form(self, p)
 
-    monkeypatch.setattr(RewriteSystem, "_derived", counted)
+    monkeypatch.setattr(Structure, "normal_form", counted)
     assert inter_reduce(system).elements == (Polynomial({(x1,): 1}),
                                              Polynomial({(x2,): 1}))
-    assert len(builds) == 3
+    assert tested == list(system.elements)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -547,6 +617,41 @@ def test_plactic_rank_four_to_degree_eight():
     assert [by_length[n] for n in range(9)] == counts
 
 
+def coxeter_system(edges, n):
+    """The Coxeter group on s1..sn, ranked as listed, as an associative
+    presentation: s*s - 1 for each generator and the braid relation
+    s*t*s... - t*s*t... with m(s, t) letters a side, where edges gives
+    m(s, t) > 2 by pairs of 0-based generators and every other pair
+    commutes.  Not homogeneous: s*s - 1 falls in degree."""
+    elems = [Polynomial({(i, i): 1, (): -1}) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = edges.get((i, j), 2)
+            u = tuple((i, j)[k % 2] for k in range(m))
+            v = tuple((j, i)[k % 2] for k in range(m))
+            elems.append(Polynomial({u: 1, v: -1}).monic())
+    return RewriteSystem(tuple(elems), DegLexOrder(
+        Alphabet(tuple("s%d" % i for i in range(1, n + 1)))))
+
+
+@pytest.mark.parametrize("edges, n, order, longest", [
+    ({(0, 1): 3, (1, 2): 3}, 3, 24, 6),                 # A3
+    ({(0, 1): 3, (1, 2): 4}, 3, 48, 9),                 # B3
+    ({(0, 1): 3, (1, 2): 3, (1, 3): 3}, 4, 192, 12),    # D4
+    ({(0, 1): 3, (1, 2): 4, (2, 3): 3}, 4, 1152, 24),   # F4
+])
+def test_coxeter_completions_count_the_group(edges, n, order, longest):
+    # The normal words of a completed basis are one per group element,
+    # the longest as long as the longest element.
+    system = coxeter_system(edges, n)
+    status, elements, _, _ = assert_matches_reference(system, 2 * longest,
+                                                      100)
+    assert status == "completed"
+    words = RewriteSystem(elements, system.order).irreducible(longest + 1)
+    assert len(words) == order
+    assert max(map(len, words)) == longest
+
+
 def test_systems_and_completion_reports_are_equal_by_value():
     first, second = (shirshov_complete(knuth_system(("x3", "x2", "x1")),
                                        max_deg=6, max_elems=1000)
@@ -562,7 +667,8 @@ def test_systems_and_completion_reports_are_equal_by_value():
 def test_completion_does_not_reduce_a_vanished_composition_again(
         monkeypatch):
     # Re-reducing every composition of the basis in every round takes 9,737
-    # normal forms here; reducing each only until it vanishes takes 511.
+    # normal forms here.  Reducing each only until it vanishes takes 581,
+    # inter-reduction included; skipping the 177 chain-trivial ones, 404.
     calls = []
     normal_form = Structure.normal_form
 
@@ -574,4 +680,4 @@ def test_completion_does_not_reduce_a_vanished_composition_again(
     rep = shirshov_complete(knuth_system(("x3", "x2", "x1")), max_deg=8,
                             max_elems=1000)
     assert (rep.status, rep.added) == ("degree-capped", 62)
-    assert len(calls) <= 1000
+    assert len(calls) == 404

@@ -184,19 +184,10 @@ def systems(draw):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(systems(), st.data())
-def test_irr_words_are_the_words_find_leaves(system, data):
+@given(systems())
+def test_irr_words_are_the_words_find_leaves(system):
     n = len(system.order.alphabet)
     for L in range(7):
         assert irr_words(system, L) == [
             w for d in range(L + 1) for w in product(range(n), repeat=d)
             if system.find(w) is None]
-    # a derived system indexes its leading words as a fresh one does
-    keep = data.draw(st.lists(st.sampled_from(range(len(system))),
-                              unique=True).map(sorted))
-    elems = tuple(system.elements[k] for k in keep)
-    derived = system._derived(elems, tuple(system.leading_words[k]
-                                           for k in keep))
-    fresh = RewriteSystem(elems, system.order)
-    assert derived.lead_index == fresh.lead_index
-    assert derived.lead_degrees == fresh.lead_degrees
