@@ -22,18 +22,11 @@ def ac_size(t):
 
 def ac_key(t):
     """Sort key for the recursive order: size first, then (left, right)
-    lexicographically, leaves by rank.  `ac_column` is its inverse."""
+    lexicographically, leaves by rank."""
     if isinstance(t, int):
         return 1, t
     lk, rk = ac_key(t[0]), ac_key(t[1])
     return lk[0] + rk[0], lk, rk
-
-
-def ac_column(k):
-    """The tree-word whose `ac_key` is k."""
-    if k[0] == 1:
-        return k[1]
-    return ac_column(k[1]), ac_column(k[2])
 
 
 def is_normal_acword(t):
@@ -49,7 +42,6 @@ class AcPolynomial(Terms):
 
     __slots__ = ()
     _key = staticmethod(ac_key)
-    _column = staticmethod(ac_column)
 
 
 def _lift(x):
@@ -141,7 +133,8 @@ class AntiCommutative(Structure):
     word is a subtree, at its preorder-first occurrence.  The degree of
     a tree-word is its size.  A context is a chain of (side, sibling)
     pairs from a subtree up to the root: side 0 puts the sibling on the
-    right of the subtree below it, side 1 on its left.
+    right of the subtree below it, side 1 on its left.  A tree-word's
+    code has no closed form, so `Structure.empty_span` reads it.
     """
 
     elem = AcPolynomial

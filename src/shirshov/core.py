@@ -56,6 +56,14 @@ def add_scaled(acc, items, c=1):
     return acc
 
 
+def _value(word, n):
+    # the word read as a base-n numeral
+    v = 0
+    for x in word:
+        v = v * n + x
+    return v
+
+
 def deglex_key(word):
     """Sort key realizing the degree-then-lexicographic order on rank tuples."""
     return (len(word), word)
@@ -123,12 +131,10 @@ class Terms:
     """Finite linear combination of monomials with nonzero exact
     coefficients (see `exact`): `coeff` and `leading_coeff` may return an
     int, so a caller divides by one through `exact_div` or `Fraction`.
-    Subclasses fix the monomial kind, its order `_key` and its inverse
-    `_column`."""
+    Subclasses fix the monomial kind and its order `_key`."""
 
     __slots__ = ("terms",)
     _key = staticmethod(deglex_key)
-    _column = staticmethod(lambda k: k[1])
 
     @classmethod
     def zero(cls):
@@ -253,12 +259,13 @@ class Polynomial(Terms):
 class VectorSpan:
     """Row space of sparse exact vectors, built incrementally.
 
-    Elimination runs in key space.  key(m) is the key of the column m and
-    column(k) the column whose key is k, as an element class's `_key` and
-    `_column` give them; `key` is injective on the columns.  `insert`
-    takes a vector {key: coefficient} with exact nonzero coefficients,
-    which the span may keep, as every kind's `rows` yields it; a vector
-    over columns enters as `insert(keyed(vec))`.  Each stored row has
+    Elimination runs in key space.  key(m) is the key of the column m
+    and column(k) the column whose key is k; `key` is injective on the
+    columns.  A structure's span keys a monomial by its int code, its
+    place in the kind's order (`Structure.empty_span`).  `insert` takes
+    a vector {key: coefficient} with exact nonzero coefficients, which
+    the span may keep, as every kind's `rows` yields it; a vector over
+    columns enters as `insert(keyed(vec))`.  Each stored row has
     coefficient 1 at its pivot, its greatest key.  The pivot set and rank
     are canonical invariants of the span, independent of insertion order.
     A span built by Structure.span maps each closed degree to its rank in
@@ -446,8 +453,8 @@ class Structure:
     it derives `find`, `occurrences`, `compositions` and `pairs`; from
     the S-words, the rewriting image and the bounded ideal rows.  A kind
     may override `find` for another strategy, `compositions`, `pairs`,
-    `irreducible` and `rows`, which may leave out S-words that the rows
-    it keeps span, with `empty_span`, the span that takes those rows.
+    `irreducible`, `empty_span`, and `rows`, which may compute the codes
+    in closed form and leave out S-words that the rows it keeps span.
     """
 
     elem = Terms
@@ -519,20 +526,19 @@ class Structure:
         return p if c == 1 else p.scale(exact_div(1, c))
 
     def rows(self, max_deg):
-        """The bounded ideal rows (d, {key(m): coefficient}) in ascending
+        """The bounded ideal rows (d, {code(m): coefficient}) in ascending
         d, as `span` inserts them: every S-word of degree d <= max_deg, by
-        d, element and context, each monomial keyed once per call.  An
-        override may leave out an S-word of degree d that the rows it
-        keeps of degree <= d span."""
-        key, keys = self.elem._key, {}
+        d, element and context, in the key space of
+        `empty_span(max_deg)`.  An override may leave out an S-word of
+        degree d that the rows it keeps of degree <= d span."""
+        code = self.empty_span(max_deg).key
         for d in range(self.low, max_deg + 1):
             for s, lw in zip(self.elements, self.leading_words):
                 room = d - self.degree(lw)
                 if room >= 0:
                     for context in self.contexts(room):
-                        yield d, {keys[m] if m in keys else
-                                  keys.setdefault(m, key(m)): c for m, c
-                                  in self.multiply(context, s).terms.items()}
+                        yield d, {code(m): c for m, c in
+                                  self.multiply(context, s).terms.items()}
 
     def normal_form(self, p):
         return rewrite(p, self.find, self.image)
@@ -592,11 +598,14 @@ class Structure:
         checked, failing = self._failing()
         return GsbReport(holds=not failing, checked=checked, failing=failing)
 
-    def empty_span(self):
-        """The VectorSpan that `span` inserts the rows of `rows` into:
-        over monomials, in the key space of the element's order key, read
-        back by its `_column`."""
-        return VectorSpan(self.elem._key, self.elem._column)
+    def empty_span(self, max_deg):
+        """The VectorSpan that `span` inserts `rows(max_deg)` into, keyed
+        by one dict: a monomial of degree <= max_deg by its code, its
+        place in the kind's order, and any other column by None."""
+        words = [m for d in range(self.low, max_deg + 1)
+                 for m in self.monomials(d)]
+        return VectorSpan({m: i for i, m in enumerate(words)}.get,
+                          words.__getitem__)
 
     def span(self, max_deg):
         """One span of `rows(max_deg)`, the S-words of degree <=
@@ -604,7 +613,7 @@ class Structure:
         recorded as degree d closes.  Rank does not depend on insertion
         order, and the rows of degree <= d span every S-word of degree
         <= d, so ranks[d] is the rank of the span those S-words build."""
-        span = self.empty_span()
+        span = self.empty_span(max_deg)
         d = self.low
         for deg, vec in self.rows(max_deg):
             while d < deg:

@@ -8,11 +8,11 @@ is the center.  In printed form the center letter carries an @ mark.
 """
 
 from collections import namedtuple
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from operator import neg
 
-from .core import (Polynomial, Structure, Terms, VectorSpan, add_scaled,
-                   check_letters)
+from .core import (Polynomial, Structure, Terms, VectorSpan, _value,
+                   add_scaled, check_letters)
 
 
 class Diword(namedtuple("Diword", "letters center")):
@@ -36,7 +36,7 @@ class Diword(namedtuple("Diword", "letters center")):
 
 def diword_key(u):
     """Sort key for the weight order: length, then center position, then
-    the letter sequence.  `DiPolynomial._column` is its inverse."""
+    the letter sequence."""
     return (len(u.letters), u.center, u.letters)
 
 
@@ -45,7 +45,6 @@ class DiPolynomial(Terms):
 
     __slots__ = ()
     _key = staticmethod(diword_key)
-    _column = staticmethod(lambda k: Diword(k[2], k[1]))
 
 
 def _lift(x):
@@ -99,7 +98,9 @@ class Dialgebra(Structure):
     length.  A context (a, b, c) puts a relation between the letters a
     and b; c is None when the center lies inside the relation, else the
     center's position, counted from the left (c >= 0) or from the right
-    end (c < 0).
+    end (c < 0).  The code of a diword, its place in the order, is
+    F[L] + center * n**L + v(letters), where F[L] = sum(l * n**l for l
+    < L) counts the diwords shorter than L and v reads base n.
     """
 
     elem = DiPolynomial
@@ -178,8 +179,10 @@ class Dialgebra(Structure):
         lw_j.letters of a relation s_j with flat_ok: none of the keys at
         which the reducer rewrites with the center outside.  Relations the
         reducer cannot use get rows too: their S-words are in the ideal.
-        Each is {diword_key(w): coefficient}, with |w| taken from the
-        term, since a relation need not be homogeneous.
+        Each is {code(w): coefficient}, with |w| taken from the term,
+        since a relation need not be homogeneous, and v(a*t*b) = (v(a) *
+        n**|t| + v(t)) * n**|b| + v(b) as v(a) and v(b) run over
+        range(n**|a|) and range(n**|b|), in the order of the words.
 
         For every d, the rows kept of length <= d span every S-word of
         length d, so the span, its rank at each length and its pivots are
@@ -228,14 +231,19 @@ class Dialgebra(Structure):
         for level in words[1:]:
             clean.update(w for w in level if w[1:] in clean
                          and w[:-1] in clean and w not in keys)
-        left = {a: [q for q in range(len(a)) if a[q + 1:] in clean]
-                for level in words for a in level}
-        right = {b: [r for r in range(-len(b), 0) if b[:len(b) + r] in clean]
-                 for level in words for b in level}
+        # by |a| and v(a), and by |b| and v(b): the centers outside s
+        # that leave a row
+        left = [[[q for q in range(len(a)) if a[q + 1:] in clean]
+                 for a in level] for level in words]
+        right = [[[r for r in range(-len(b), 0) if b[:len(b) + r] in clean]
+                  for b in level] for level in words]
+        power = [n ** k for k in range(max_deg + 1)]
+        first = list(accumulate((k * power[k] for k in range(max_deg)),
+                                initial=0))
         # each relation as its length, its terms and its image's terms
-        terms = [(len(lw), [(t.letters, len(t), t.center, k)
+        terms = [(len(lw), [(len(t), _value(t.letters, n), t.center, k)
                             for t, k in s.items()],
-                  [(x, len(x), k) for x, k in flat.items()])
+                  [(len(x), _value(x, n), k) for x, k in flat.items()])
                  for s, lw, flat in zip(self.elements, self.leading_words,
                                         self.flats)]
         for d in range(1, max_deg + 1):
@@ -243,19 +251,30 @@ class Dialgebra(Structure):
                 room = d - length
                 for la in range(room + 1):
                     lb = room - la
-                    for a in words[la]:
-                        for b in words[lb]:
-                            yield d, {(la + lt + lb, la + c, a + t + b): k
-                                      for t, lt, c, k in inside}
+                    nb = power[lb]
+                    # per term of length L = room + |t|: its code at v(a)
+                    # = v(b) = 0 and the step of v(a); outside s, the step
+                    # n**L of the center and L * n**L
+                    ins = [(first[room + lt] + (la + c) * power[room + lt]
+                            + vt * nb, power[lt] * nb, k)
+                           for lt, vt, c, k in inside]
+                    outs = [(first[room + lx] + vx * nb, power[lx] * nb,
+                             power[room + lx], (room + lx) * power[room + lx],
+                             k) for lx, vx, k in outside]
+                    for va in range(power[la]):
+                        at = [(k0 + va * step, k) for k0, step, k in ins]
+                        out = [(k0 + va * step, pc, end, k)
+                               for k0, step, pc, end, k in outs]
+                        for vb in range(nb):
+                            yield d, {k0 + vb: k for k0, k in at}
                             if not outside:
                                 continue
-                            for q in left[a]:
-                                yield d, {(la + lx + lb, q, a + x + b): k
-                                          for x, lx, k in outside}
-                            for r in right[b]:
-                                yield d, {(la + lx + lb, la + lx + lb + r,
-                                           a + x + b): k
-                                          for x, lx, k in outside}
+                            for q in left[la][va]:
+                                yield d, {k0 + q * pc + vb: k
+                                          for k0, pc, _, k in out}
+                            for r in right[lb][vb]:
+                                yield d, {k0 + end + r * pc + vb: k
+                                          for k0, pc, end, k in out}
 
 
 # perfbench imports it

@@ -8,8 +8,8 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .core import Polynomial, Structure, Terms, check_letters, rewrite
-from .rewrite import RewriteSystem, find_factor
+from .core import Polynomial, Structure, Terms, _value, check_letters, rewrite
+from .rewrite import RewriteSystem, _firsts, find_factor
 
 
 class ModuleWord(namedtuple("ModuleWord", "u y")):
@@ -22,7 +22,7 @@ class ModuleWord(namedtuple("ModuleWord", "u y")):
 
 
 def mword_key(mw):
-    """The order key; `ModuleElement._column` is its inverse."""
+    """The order key: the u-part by deg-lex, then y."""
     return (len(mw.u), mw.u, mw.y)
 
 
@@ -31,7 +31,6 @@ class ModuleElement(Terms):
 
     __slots__ = ()
     _key = staticmethod(mword_key)
-    _column = staticmethod(lambda k: ModuleWord(k[1], k[2]))
 
 
 def act(p, m):
@@ -62,7 +61,8 @@ class FreeModule(Structure):
     suffix in `lead_index` wins.  A module word hashes and compares as
     the tuple (u, y), so a part is that plain tuple, which `find` probes
     without building a ModuleWord.  The degree of a module word is the
-    length of its u-part.
+    length of its u-part.  The code of u.y, its place in the order, is
+    ny * word_code(u, nx) + y.
     """
 
     elem = ModuleElement
@@ -104,8 +104,24 @@ class FreeModule(Structure):
         return ModuleElement._of({new(ModuleWord, (a + mw.u, mw.y)): c
                                   for mw, c in s.terms.items()})
 
-    def contexts(self, room):
-        return product(range(self.nx), repeat=room)
+    def rows(self, max_deg):
+        """The S-words a.s of degree d <= max_deg, by d, element and a, as
+        {code: coefficient}: a.(t, y) has the code ny * word_code(a*t,
+        nx) + y, where v(a*t) = v(a) * nx**|t| + v(t) for v(a) over
+        range(nx**|a|), in the order of the words a."""
+        nx, ny = self.nx, self.ny
+        power = [nx ** k for k in range(max_deg + 1)]
+        first = _firsts(nx, max_deg)
+        terms = [[(len(t.u), ny * _value(t.u, nx) + t.y, c)
+                  for t, c in s.terms.items()] for s in self.elements]
+        for d in range(max_deg + 1):
+            for s, lw in zip(terms, self.leading_words):
+                la = d - len(lw.u)
+                if la >= 0:
+                    at = [(ny * first[la + lt] + k, ny * power[lt], c)
+                          for lt, k, c in s]
+                    for va in range(power[la]):
+                        yield d, {k + va * step: c for k, step, c in at}
 
     def irreducible(self, max_deg):
         """Module words with |u| <= max_deg that no leading word ends,

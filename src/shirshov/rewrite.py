@@ -15,15 +15,7 @@ element.
 from collections import namedtuple
 from itertools import accumulate, product
 
-from .core import Polynomial, Structure, VectorSpan, check_letters
-
-
-def _value(word, n):
-    # the word read as a base-n numeral
-    v = 0
-    for x in word:
-        v = v * n + x
-    return v
+from .core import Polynomial, Structure, VectorSpan, _value, check_letters
 
 
 def _firsts(n, top):
@@ -177,10 +169,9 @@ class RewriteSystem(Structure):
                         for vb in range(nb):
                             yield d, {k + vb: c for k, c in at}
 
-    def empty_span(self):
-        """The span of `rows`, keyed by `word_code`: it takes the rows in
-        key space and reads a code back as a word by `code_word` where a
-        word is read."""
+    def empty_span(self, max_deg):
+        """The span of `rows`, keyed by `word_code` at every degree: it
+        reads a code back as a word by `code_word`."""
         n = len(self.order.alphabet)
         return VectorSpan(lambda w: word_code(w, n),
                           lambda k: code_word(k, n))

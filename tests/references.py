@@ -24,24 +24,31 @@ terms were read one factor at a time is kept as `_tokenize`, `_Cursor`,
 `parse_presentation`, over the helpers of `shirshov.cli` it shares.
 The associative rows before they were built as int word codes are kept
 as `word_rows`, which `WordKeyedRows` inserts keyed by `deglex_key`.
-Every row generator here yields its rows as {key(m): coefficient}, in
-the key space in which `core.VectorSpan` takes them.
+The rows of the other kinds before they came as int codes are kept as
+`keyed_rows`, the `Structure.rows` of that time, with the module
+contexts it read, and `keyed_dialgebra_rows`; `TupleKeyedModule`,
+`TupleKeyedDialgebra` and `TupleKeyedAc` insert them into `tuple_span`,
+keyed by the order keys and read back by their inverses, such as
+`ac_column`.  Every row generator here yields its rows as
+{key(m): coefficient}, in the key space of the span that takes them.
 """
 
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 
 import shirshov as _lib
-from shirshov.anticomm import (_lift, _normal_by_degree, ac_key, ac_mul,
-                               ac_size)
+from shirshov.anticomm import (AcPolynomial, AntiCommutative, _lift,
+                               _normal_by_degree, ac_key, ac_mul, ac_size)
 from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
                           PresentationFile, _ac_renorm, _names, _rank)
 from shirshov.core import (Alphabet, BoundedReport, DegreeLine, Polynomial,
-                           Structure, add_scaled, check_bound, deglex_key,
-                           exact, exact_div)
+                           add_scaled, check_bound, deglex_key, exact,
+                           exact_div)
+from shirshov.core import VectorSpan as KeySpan
 from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 leibniz_check, leibniz_i0)
-from shirshov.freemodule import act
+from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord, act
 from shirshov.rewrite import RewriteSystem, _mul_word_poly, irr_words
 
 
@@ -340,6 +347,162 @@ def leibniz_enveloping(L):
     return rels
 
 
+def keyed_rows(self, max_deg):
+    """The bounded ideal rows (d, {key(m): coefficient}) in ascending
+    d, as `span` inserts them: every S-word of degree d <= max_deg, by
+    d, element and context, each monomial keyed once per call.  An
+    override may leave out an S-word of degree d that the rows it
+    keeps of degree <= d span."""
+    key, keys = self.elem._key, {}
+    for d in range(self.low, max_deg + 1):
+        for s, lw in zip(self.elements, self.leading_words):
+            room = d - self.degree(lw)
+            if room >= 0:
+                for context in self.contexts(room):
+                    yield d, {keys[m] if m in keys else
+                              keys.setdefault(m, key(m)): c for m, c
+                              in self.multiply(context, s).terms.items()}
+
+
+def keyed_dialgebra_rows(self, max_deg):
+    """The S-words a * s * b of length d <= max_deg, by d, element,
+    |a|, a and b: the center inside s, then in a, then in b.  Every
+    S-word with the center inside s is kept.  One with the center at
+    c outside s is kept only when the center-forgetting image flat(s)
+    is nonzero and the letters strictly between the center and s,
+    a[c+1:] for c >= 0 or b[:len(b)+c] for c < 0, have no factor
+    lw_j.letters of a relation s_j with flat_ok: none of the keys at
+    which the reducer rewrites with the center outside.  Relations the
+    reducer cannot use get rows too: their S-words are in the ideal.
+    Each is {diword_key(w): coefficient}, with |w| taken from the
+    term, since a relation need not be homogeneous.
+
+    For every d, the rows kept of length <= d span every S-word of
+    length d, so the span, its rank at each length and its pivots are
+    those of all S-words.  Take s = s_i, c >= 0, and write a = L*x,
+    where L ends at the center.  Every monomial of the S-word has its
+    center at c, so its letters decide it: the S-word is
+    phi(x*flat(s_i)*b), where phi(y) is the diword L*y centered at c.
+    phi is linear and keeps the deg-lex order of words, so the S-word
+    is 0 when flat(s_i) is, and otherwise its leading diword is
+    w = phi(x*v*b), with v the leading word of flat(s_i).  The proof
+    goes by induction on (w, |x|), with L held fixed.  Let x =
+    x1*g*x2, where g = lw_j.letters for a relation s_j with flat_ok,
+    so that flat(s_j) = k*g + r_j with k != 0 and r_j below g:
+
+        phi(x*flat(s_i)*b) = 1/k * phi(x1*flat(s_j)*x2*u*b), u over
+                             the words of flat(s_i),
+                           - 1/k * phi(x1*z*x2*flat(s_i)*b), z over
+                             the words of r_j,
+
+    with the coefficients of flat(s_i) and r_j.  A term of the first
+    sum is the S-word of s_j at (L*x1, x2*u*b, c): its factor x1 is
+    shorter than x, and its leading diword is w for u = v and below
+    w otherwise.  A term of the second sum is the S-word of s_i at
+    (L*x1*z*x2, b, c), whose leading diword is below w, since z < g
+    and deg-lex is a monomial order.  None is longer than d, since
+    |g| = |lw_j|, no word of r_j is longer than g and no word of
+    flat(s_i) is longer than lw_i.  For c < 0 the sides swap: b =
+    x*R, where R starts at the center, and the S-word is
+    phi(a*flat(s_i)*x).  The argument needs |g| = |lw_j|.  Take for g
+    the leading word of an image shorter than its relation's leading
+    diword, and the first sum holds S-words longer than d; leaving
+    out the rows such a g would leave out changes the span of some
+    sets.
+    """
+    if not self.elements:
+        return
+    n = self.n
+    top = max(max_deg - self.lead_degrees[-1], 0)
+    keys = {lw.letters for lw, ok in zip(self.leading_words,
+                                          self.flat_ok) if ok}
+    words = [list(product(range(n), repeat=length))
+             for length in range(top + 1)]
+    # the words of length <= top with no key as a factor; a word is
+    # clean when both its longest factors are and it is no key
+    clean = {()}
+    for level in words[1:]:
+        clean.update(w for w in level if w[1:] in clean
+                     and w[:-1] in clean and w not in keys)
+    left = {a: [q for q in range(len(a)) if a[q + 1:] in clean]
+            for level in words for a in level}
+    right = {b: [r for r in range(-len(b), 0) if b[:len(b) + r] in clean]
+             for level in words for b in level}
+    # each relation as its length, its terms and its image's terms
+    terms = [(len(lw), [(t.letters, len(t), t.center, k)
+                        for t, k in s.items()],
+              [(x, len(x), k) for x, k in flat.items()])
+             for s, lw, flat in zip(self.elements, self.leading_words,
+                                    self.flats)]
+    for d in range(1, max_deg + 1):
+        for length, inside, outside in terms:
+            room = d - length
+            for la in range(room + 1):
+                lb = room - la
+                for a in words[la]:
+                    for b in words[lb]:
+                        yield d, {(la + lt + lb, la + c, a + t + b): k
+                                  for t, lt, c, k in inside}
+                        if not outside:
+                            continue
+                        for q in left[a]:
+                            yield d, {(la + lx + lb, q, a + x + b): k
+                                      for x, lx, k in outside}
+                        for r in right[b]:
+                            yield d, {(la + lx + lb, la + lx + lb + r,
+                                       a + x + b): k
+                                      for x, lx, k in outside}
+
+
+def module_contexts(self, room):
+    return product(range(self.nx), repeat=room)
+
+
+# readers of the order keys, the inverses of `deglex_key`, `diword_key`,
+# `mword_key` and `ac_key`
+def ac_column(k):
+    """The tree-word whose `ac_key` is k."""
+    if k[0] == 1:
+        return k[1]
+    return ac_column(k[1]), ac_column(k[2])
+
+
+TUPLE_READERS = {Polynomial: itemgetter(1),
+                 DiPolynomial: lambda k: Diword(k[2], k[1]),
+                 ModuleElement: lambda k: ModuleWord(k[1], k[2]),
+                 AcPolynomial: ac_column}
+
+
+def tuple_span(self, max_deg):
+    """The span over the order keys of the element class, read back by
+    their inverses, that took every kind's rows before they came as int
+    codes."""
+    return KeySpan(self.elem._key, TUPLE_READERS[self.elem])
+
+
+class TupleKeyedModule(FreeModule):
+    """A `FreeModule` whose span takes every S-word keyed by `mword_key`,
+    through the rows of `Structure` and the contexts it had then."""
+
+    rows = keyed_rows
+    contexts = module_contexts
+    empty_span = tuple_span
+
+
+class TupleKeyedDialgebra(Dialgebra):
+    """A `Dialgebra` whose span takes its rows keyed by `diword_key`."""
+
+    rows = keyed_dialgebra_rows
+    empty_span = tuple_span
+
+
+class TupleKeyedAc(AntiCommutative):
+    """An `AntiCommutative` whose span takes its rows keyed by `ac_key`."""
+
+    rows = keyed_rows
+    empty_span = tuple_span
+
+
 def all_context_rows(self, max_deg):
     """The bounded ideal rows (d, {key(m): c}) in ascending d, as `span`
     inserts them: every S-word of degree d <= max_deg, by d, element
@@ -412,7 +575,7 @@ class EveryRowAndPair(RewriteSystem):
     rows = all_context_rows
     _failing = all_pairs_failing
     bounded_check = find_bounded_check
-    empty_span = Structure.empty_span  # keyed by deglex_key, as word_rows
+    empty_span = tuple_span  # keyed by deglex_key, as word_rows
 
 
 def word_rows(self, max_deg):
@@ -441,7 +604,7 @@ class WordKeyedRows(RewriteSystem):
     `deglex_key`, as it did before the rows were built as int codes."""
 
     rows = word_rows
-    empty_span = Structure.empty_span
+    empty_span = tuple_span
 
 
 def rewrite_step(p, find, image):
@@ -493,6 +656,7 @@ class EveryDialgebraRow(Dialgebra):
     left out center-outside rows."""
 
     rows = structure_rows
+    empty_span = tuple_span
 
     @staticmethod
     def multiply(context, s):

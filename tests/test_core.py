@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -10,6 +11,9 @@ from shirshov.core import (Alphabet, DegLexOrder, Polynomial, Terms,
 from shirshov.dialgebra import DiPolynomial, Diword, LeibnizAlgebra
 from shirshov.freemodule import ModuleElement, ModuleWord
 from shirshov.rewrite import RewriteSystem
+
+# reads a deglex_key back as its word
+WORD = itemgetter(1)
 
 
 def test_deglex_sorts_by_length_then_letters():
@@ -95,7 +99,7 @@ def test_sorted_terms_descending():
 
 
 def test_vector_span_detects_dependence():
-    span = VectorSpan(deglex_key, Polynomial._column)
+    span = VectorSpan(deglex_key, WORD)
     assert span.insert(span.keyed({(0,): Fraction(2)}))
     assert span.insert(span.keyed({(1,): 1, (0,): 1}))
     assert not span.insert(span.keyed({(0,): 3, (1,): 3}))
@@ -106,13 +110,13 @@ def test_vector_span_detects_dependence():
 
 
 def test_keyed_brings_a_column_vector_into_key_space():
-    span = VectorSpan(deglex_key, Polynomial._column)
+    span = VectorSpan(deglex_key, WORD)
     kvec = span.keyed({(1, 0): Fraction(4, 2), (0,): 0, (): Fraction(0)})
     assert kvec == {(2, (1, 0)): 2} and type(kvec[2, (1, 0)]) is int
     assert span.keyed({(1,): Fraction(1, 2)}) == {(1, (1,)): Fraction(1, 2)}
     # a word outside the alphabet has no int code, so no key
     xy = DegLexOrder(Alphabet(("x", "y")))
-    words = RewriteSystem((Polynomial.monomial((0, 0)),), xy).empty_span()
+    words = RewriteSystem((Polynomial.monomial((0, 0)),), xy).empty_span(2)
     assert words.keyed({(5,): 1}) is None
     assert words.keyed({(1, 0): 1}) == {5: 1}
 
@@ -126,7 +130,7 @@ def test_an_integral_coefficient_is_an_int_and_any_other_a_fraction():
     assert type(p.coeff(x)) is int
     assert type((p + p).coeff(y)) is int
     assert type(p.scale(Fraction(2)).coeff(y)) is int
-    span = VectorSpan(deglex_key, Polynomial._column)
+    span = VectorSpan(deglex_key, WORD)
     span.insert(span.keyed({x: 3, y: 6}))
     assert span.rows[x] == {x: 1, y: 2}
     assert type(span.rows[x][y]) is int
@@ -159,7 +163,7 @@ def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(bad):
     with pytest.raises(TypeError):
         Polynomial({x: 1}).scale(bad)
     with pytest.raises(TypeError):
-        VectorSpan(deglex_key, Polynomial._column).keyed({x: bad})
+        VectorSpan(deglex_key, WORD).keyed({x: bad})
     with pytest.raises(TypeError):
         RewriteSystem([Polynomial({(0, 0): 1, x: bad})],
                       DegLexOrder(Alphabet(("x",))))

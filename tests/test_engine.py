@@ -39,7 +39,8 @@ from shirshov.rewrite import RewriteSystem, find_factor
 
 from references import (_occurrence_paths, _occurrences, _prep, _substitute,
                         ac_chain_rows, ac_compositions, ac_find,
-                        ac_occurrences, module_compositions, rewrite_step)
+                        ac_occurrences, module_compositions, rewrite_step,
+                        tuple_span)
 from references import rewrite as step_loop
 
 COEFFS = [-2, -1, 1, 2, 3]
@@ -626,9 +627,10 @@ HALL8 = hall_gsb(2, 8)
 
 class ChainRows(AntiCommutative):
     """The anti-commutative kind with the chain-product rows it had
-    before its contexts became chains."""
+    before its contexts became chains, keyed by `ac_key`."""
 
     rows = ac_chain_rows
+    empty_span = tuple_span
 
 
 @st.composite

@@ -15,6 +15,7 @@ words.  So is the dialgebra span, which leaves out center-outside rows,
 with the one that inserted every S-word.
 """
 
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -25,9 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shirshov.anticomm import (AcPolynomial, AntiCommutative,
-                               _normal_by_degree, ac_column,
-                               ac_gsb_check_bounded, ac_key, ac_mul,
-                               ac_size, hall_gsb, hall_words, normal_words)
+                               _normal_by_degree, ac_gsb_check_bounded,
+                               ac_key, ac_mul, ac_size, hall_gsb,
+                               hall_words, normal_words)
 from shirshov.catalog import chinese_gsb
 from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
                            DegreeLine, Polynomial, VectorSpan, deglex_key)
@@ -43,9 +44,10 @@ from shirshov.rewrite import (RewriteSystem, code_word, irr_words,
                               membership_oracle, word_code)
 
 from references import VectorSpan as ReferenceSpan
-from references import (EveryDialgebraRow, EveryRowAndPair, WordKeyedRows,
-                        _occurrence_paths, _occurrences, _prep,
-                        ac_compositions)
+from references import (TUPLE_READERS, EveryDialgebraRow, EveryRowAndPair,
+                        TupleKeyedAc, TupleKeyedDialgebra, TupleKeyedModule,
+                        WordKeyedRows, _occurrence_paths, _occurrences,
+                        _prep, ac_compositions)
 
 
 # -- Structure.span -----------------------------------------------------
@@ -73,19 +75,31 @@ def test_graded_span_of_an_empty_row_source():
 # -- elimination in key space against elimination through keys ---------
 
 
+def _codes(structure, bound):
+    # the key and reader of the span of a structure at a bound
+    span = structure.empty_span(bound)
+    return span.key, span._column
+
+
+WORDS = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+DIWORDS = st.sampled_from(all_diwords(2, 1) + all_diwords(2, 2)
+                          + all_diwords(2, 3))
+MWORDS = st.builds(ModuleWord, st.lists(st.integers(0, 1),
+                                        max_size=3).map(tuple),
+                   st.integers(0, 1))
+TREES = st.sampled_from(normal_words(2, 4))
 # Columns of every kind with the key that orders them and the reader
-# that inverts it; `-k` orders the basis indices of leibniz_i0.
+# that inverts it: the order keys, then the codes of the spans; `-k`
+# orders the basis indices of leibniz_i0.
 COLUMNS = [
-    (deglex_key, Polynomial._column,
-     st.lists(st.integers(0, 2), max_size=3).map(tuple)),
-    (diword_key, DiPolynomial._column,
-     st.sampled_from(all_diwords(2, 1) + all_diwords(2, 2)
-                     + all_diwords(2, 3))),
-    (mword_key, ModuleElement._column,
-     st.builds(ModuleWord, st.lists(st.integers(0, 1),
-                                    max_size=3).map(tuple),
-               st.integers(0, 1))),
-    (ac_key, ac_column, st.sampled_from(normal_words(2, 4))),
+    (deglex_key, TUPLE_READERS[Polynomial], WORDS),
+    (diword_key, TUPLE_READERS[DiPolynomial], DIWORDS),
+    (mword_key, TUPLE_READERS[ModuleElement], MWORDS),
+    (ac_key, TUPLE_READERS[AcPolynomial], TREES),
+    (*_codes(RewriteSystem((), DegLexOrder(Alphabet("xyz"))), 3), WORDS),
+    (*_codes(Dialgebra((), 2), 3), DIWORDS),
+    (*_codes(FreeModule((), 2, 2), 3), MWORDS),
+    (*_codes(AntiCommutative((), 2), 4), TREES),
     (neg, neg, st.integers(0, 9)),
 ]
 SPAN_COEFFS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2),
@@ -132,13 +146,17 @@ def test_each_reader_inverts_its_key(case):
     assert type(column(key(m))) is type(m)
 
 
-def test_the_rows_share_one_key_object_per_column():
-    # ac_key builds nested tuples, so a key computed afresh for each row
-    # that holds a column would store a copy per row: 602 key objects for
-    # these 284 keys
-    span = AntiCommutative(hall_gsb(2, 8), 2).span(8)
-    keys = [k for row in span._rows.values() for k in row]
-    assert len({id(k) for k in keys}) == len(set(keys)) == 284
+def test_every_stored_key_is_an_int():
+    # every kind eliminates over int codes, not over tuple keys
+    for structure, bound in [
+            (chinese_gsb(2), 6), (AntiCommutative(hall_gsb(2, 8), 2), 8),
+            (Dialgebra(leibniz_enveloping(leibniz_dim2()), 2), 6),
+            (FreeModule(random_module_set(2, 2, 3, random.Random(1)), 2,
+                        2), 7)]:
+        rows = structure.span(bound)._rows
+        assert rows
+        assert {type(k) for row in rows.values() for k in row} \
+            == {type(p) for p in rows} == {int}
 
 
 def _graded_cases():
@@ -170,7 +188,7 @@ def test_graded_spans_match_the_reference_elimination():
     # eliminates over monomials; its rank is read as each degree closes.
     for structure, bound in _graded_cases():
         span = structure.span(bound)
-        column = structure.elem._column
+        column = span._column
         by_degree = {}
         for d, kvec in structure.rows(bound):
             by_degree.setdefault(d, []).append(
@@ -530,6 +548,48 @@ def test_word_codes_number_the_words_in_deglex_order(n):
     assert [code_word(c, n) for c in range(len(words))] == words
 
 
+def _diword_code(m, n):
+    # F[L] + center * n**L + v(letters), F[L] = sum(l * n**l for l < L)
+    length = len(m.letters)
+    value = sum(x * n ** i for i, x in enumerate(reversed(m.letters)))
+    return (sum(l * n ** l for l in range(length)) + m.center * n ** length
+            + value)
+
+
+@pytest.mark.parametrize("structure,bound", [
+    (FreeModule((), 1, 1), 5), (FreeModule((), 2, 3), 4),
+    (FreeModule((), 3, 2), 3), (Dialgebra((), 1), 5), (Dialgebra((), 2), 4),
+    (Dialgebra((), 3), 3), (AntiCommutative((), 1), 4),
+    (AntiCommutative((), 2), 6), (AntiCommutative((), 3), 5)])
+def test_codes_number_the_monomials_of_every_kind_in_its_order(structure,
+                                                                bound):
+    # every monomial of degree <= bound, sorted by the kind's order key:
+    # the codes are 0, 1, 2, ..., as the closed forms give them for
+    # modules and dialgebras, and the reader reads each back
+    formula = None
+    if isinstance(structure, FreeModule):
+        nx, ny = structure.nx, structure.ny
+        monomials = [ModuleWord(u, y) for d in range(bound + 1)
+                     for u in product(range(nx), repeat=d)
+                     for y in range(ny)]
+        formula = lambda mw: ny * word_code(mw.u, nx) + mw.y
+    elif isinstance(structure, Dialgebra):
+        monomials = [dw for d in range(1, bound + 1)
+                     for dw in all_diwords(structure.n, d)]
+        formula = lambda dw: _diword_code(dw, structure.n)
+    else:
+        monomials = normal_words(structure.n, bound)
+    monomials.sort(key=structure.elem._key)
+    span = structure.empty_span(bound)
+    codes = [span.key(m) for m in monomials]
+    assert codes == list(range(len(monomials)))
+    if formula:
+        assert codes == list(map(formula, monomials))
+    read = [span._column(c) for c in codes]
+    assert read == monomials
+    assert list(map(type, read)) == list(map(type, monomials))
+
+
 def test_contains_does_not_alias_a_word_outside_the_alphabet_or_bound():
     xy = DegLexOrder(Alphabet(("x", "y")))
     assert not membership_oracle(Polynomial({(5,): 1}), chinese_gsb(2), 3)
@@ -546,6 +606,52 @@ def test_contains_does_not_alias_a_word_outside_the_alphabet_or_bound():
     assert not constant.contains({(-1,): 1})
     # x^4 is in the ideal, but above the bound of the span
     assert not span.contains({(0, 0, 0, 0): 1})
+
+
+@pytest.mark.parametrize("structure,bound,inside,outside", [
+    # over two letters and two generators, v2 after (1,) is v0 after
+    # (0, 0) in code, and (2,) reads as the numeral of (0, 0)
+    (FreeModule([ModuleElement({ModuleWord((0, 0), 0): 1})], 2, 2), 3,
+     ModuleWord((0, 0), 0), [ModuleWord((1,), 2), ModuleWord((2,), 0),
+                             ModuleWord((0, -1), 0)]),
+    # (2,) centered at 0 reads as (0, 0) centered at 0
+    (Dialgebra([DiPolynomial({Diword((0, 0), 0): 1})], 2), 3,
+     Diword((0, 0), 0), [Diword((2,), 0), Diword((0, -1), 1)]),
+    # (0, 1) is not normal, and 2 is outside the alphabet
+    (AntiCommutative([AcPolynomial({(1, 0): 1})], 2), 3, (1, 0),
+     [(0, 1), (2, 0), ((1, 0), 2), (0, (1, 0))]),
+])
+def test_contains_does_not_alias_a_monomial_of_another_kind(
+        structure, bound, inside, outside):
+    span = structure.span(bound)
+    elem = structure.elem
+    assert span.contains({inside: 1})
+    assert membership_oracle(elem({inside: 1}), structure, bound)
+    for m in outside:
+        assert span.key(m) is None
+        assert not span.contains({m: 1})
+        assert not span.contains({inside: 1, m: 1})
+        assert not membership_oracle(elem({m: 1}), structure, bound)
+
+
+def test_a_bounded_check_leaves_no_cyclic_garbage():
+    # the three structures-bounded checks, with the collector off: what
+    # they leave is freed by reference counting alone
+    di_rels = leibniz_enveloping(leibniz_dim2())
+    hall = hall_gsb(2, 8)
+    module_set = random_module_set(2, 2, 3, random.Random(1))
+    checks = [lambda: di_gsb_check_bounded(di_rels, 2, 6),
+              lambda: ac_gsb_check_bounded(hall, 2, 8),
+              lambda: module_cd_check(module_set, 2, 2, 7)]
+    for check in checks:
+        check()  # fills the caches
+        gc.collect()
+        gc.disable()
+        try:
+            check()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @st.composite
@@ -605,6 +711,99 @@ def test_dialgebra_checks_without_the_left_out_rows_agree(case):
     assert span.ranks == ref.ranks
     assert span.pivots() == ref.pivots()
     assert structure.bounded_check(bound) == oracle.bounded_check(bound)
+
+
+@st.composite
+def kind_queries(draw, monomials, rows):
+    """Vectors to test for membership: random ones over the monomials,
+    which may lie outside the span's space, and combinations of two rows,
+    some with one more such term."""
+    out = draw(st.lists(st.dictionaries(monomials, SPAN_COEFFS,
+                                        max_size=4), max_size=4))
+    if rows:
+        for _ in range(draw(st.integers(1, 4))):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            vec = dict(u)
+            for m, c in v.items():
+                vec[m] = vec.get(m, 0) + draw(SPAN_COEFFS.filter(bool)) * c
+            if draw(st.booleans()):
+                vec[draw(monomials)] = draw(SPAN_COEFFS)
+            out.append(vec)
+    return out
+
+
+@st.composite
+def module_sets(draw):
+    """Relations over 1-3 letters and 1-3 generators, fractional and
+    non-homogeneous, and a bound from the longest leading length up to 2
+    above it; queries over letters and generators one past each end."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top = 3 if nx < 3 else 2
+    words = st.builds(ModuleWord, st.lists(st.integers(0, nx - 1),
+                                           max_size=top).map(tuple),
+                      st.integers(0, ny - 1))
+    rels = draw(st.lists(st.dictionaries(words, SPAN_COEFFS.filter(bool),
+                                         min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    structure = FreeModule([ModuleElement(t).monic() for t in rels], nx, ny)
+    bound = max(len(lw.u) for lw in structure.leading_words) \
+        + draw(st.integers(0, 2))
+    queries = st.builds(ModuleWord, st.lists(
+        st.integers(-1, nx), max_size=bound + 1).map(tuple),
+        st.integers(-1, ny))
+    return structure, TupleKeyedModule(structure.elements, nx, ny), bound, \
+        queries
+
+
+@st.composite
+def dialgebra_cases(draw):
+    structure, bound = draw(dialgebra_sets())
+    n = structure.n
+    queries = st.lists(st.integers(-1, n), min_size=1,
+                       max_size=bound + 1).flatmap(
+        lambda w: st.builds(Diword, st.just(w),
+                            st.integers(0, len(w) - 1)))
+    return structure, TupleKeyedDialgebra(structure.elements, n), bound, \
+        queries
+
+
+@st.composite
+def ac_cases(draw):
+    """Relations over 1-3 letters whose terms are normal trees of size
+    <= 4, and a bound up to 1 above the largest leading size; queries
+    over trees with a letter one past the alphabet, and their mirror
+    images, which are not normal."""
+    n = draw(st.integers(1, 3))
+    pool = normal_words(n, 4 if n < 3 else 3)
+    rels = draw(st.lists(st.dictionaries(st.sampled_from(pool),
+                                         SPAN_COEFFS.filter(bool),
+                                         min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    structure = AntiCommutative([AcPolynomial(t).monic() for t in rels], n)
+    bound = max(ac_size(lw) for lw in structure.leading_words) \
+        + draw(st.integers(0, 1))
+    trees = normal_words(n + 1, 3)
+    queries = st.sampled_from(trees + [t[::-1] for t in trees
+                                       if not isinstance(t, int)])
+    return structure, TupleKeyedAc(structure.elements, n), bound, queries
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(module_sets(), dialgebra_cases(), ac_cases()), st.data())
+def test_code_rows_agree_with_the_tuple_keyed_rows(case, data):
+    # The reference inserts the rows of every kind as they were before
+    # they came as int codes, keyed by the order keys; read back as
+    # monomials, the two spans store the same rows.
+    structure, ref, bound, monomials = case
+    span, old = structure.span(bound), ref.span(bound)
+    assert span.ranks == old.ranks
+    assert span.pivots() == old.pivots()
+    assert [(p, _typed(row)) for p, row in span.rows.items()] \
+        == [(p, _typed(row)) for p, row in old.rows.items()]
+    assert structure.bounded_check(bound) == ref.bounded_check(bound)
+    queries = data.draw(kind_queries(monomials, list(old.rows.values())))
+    for vec in queries:
+        assert span.contains(vec) == old.contains(vec)
 
 
 def _counting(calls, method):
