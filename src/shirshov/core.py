@@ -267,12 +267,14 @@ class VectorSpan:
     the span may keep, as every kind's `rows` yields it; a vector over
     columns enters as `insert(keyed(vec))`.  Each stored row has
     coefficient 1 at its pivot, its greatest key.  The pivot set and rank
-    are canonical invariants of the span, independent of insertion order.
-    A span built by Structure.span maps each closed degree to its rank in
-    `ranks`.  `contains` and `is_pivot` take columns, and a column whose
-    key is None is in no row.  `pivots()` and `rows` read columns through
-    `column`; `rows` is a view, a new dict from each pivot column to its
-    row in insertion order, whose changes do not reach the span.
+    are canonical invariants of the span, independent of insertion order;
+    the stored rows are not.  A reduction that steps from row A into the
+    pivot b of a row B in A's tail subtracts A[b] * B from A, which
+    keeps A's pivot and the row space, so chains of rows shorten as they
+    are walked.  A span built by Structure.span maps each closed degree
+    to its rank in `ranks`.  `contains` and `is_pivot` take columns, and
+    a column whose key is None is in no row.  `pivots()` reads columns
+    through `column`.
     """
 
     def __init__(self, key, column):
@@ -283,14 +285,19 @@ class VectorSpan:
 
     def _reduce(self, kvec):
         # Reduces kvec in place by the stored rows; returns its pivot key,
-        # or None once it is zero.
+        # or None once it is zero.  A step from row A into the pivot of
+        # row B, a key of A, folds B into A.
         rows = self._rows
+        last = ()
         while kvec:
             lead = max(kvec)
             row = rows.get(lead)
             if row is None:
                 return lead
+            if lead in last:
+                add_scaled(last, row.items(), -last[lead])
             add_scaled(kvec, row.items(), -kvec[lead])
+            last = row
         return None
 
     def insert(self, kvec):
@@ -329,13 +336,6 @@ class VectorSpan:
     @property
     def rank(self):
         return len(self._rows)
-
-    @property
-    def rows(self):
-        """{pivot column: {column: coefficient}}, in insertion order."""
-        column = self._column
-        return {column(p): {column(k): v for k, v in row.items()}
-                for p, row in self._rows.items()}
 
     def pivots(self):
         """Pivot columns, key-descending."""

@@ -171,16 +171,17 @@ class Dialgebra(Structure):
 
     def rows(self, max_deg):
         """The S-words a * s * b of length d <= max_deg, by d, element,
-        |a|, a and b: the center inside s, then in a, then in b.  Every
-        S-word with the center inside s is kept.  One with the center at
-        c outside s is kept only when the center-forgetting image flat(s)
-        is nonzero and the letters strictly between the center and s,
-        a[c+1:] for c >= 0 or b[:len(b)+c] for c < 0, have no factor
-        lw_j.letters of a relation s_j with flat_ok: none of the keys at
-        which the reducer rewrites with the center outside.  Relations the
-        reducer cannot use get rows too: their S-words are in the ideal.
-        Each is {code(w): coefficient}, with |w| taken from the term,
-        since a relation need not be homogeneous, and v(a*t*b) = (v(a) *
+        |a|, a and b: the center inside s, then in a, then in b.  Call a
+        word clean when it has no factor lw_j.letters of a relation s_j
+        with flat_ok: no key at which the reducer rewrites with the center
+        outside.  An S-word with the center inside s is kept only when a
+        and b are clean.  One with the center at c outside s is kept only
+        when the center-forgetting image flat(s) is nonzero and the
+        letters strictly between the center and s, a[c+1:] for c >= 0 or
+        b[:len(b)+c] for c < 0, are clean.  Relations the reducer cannot
+        use get rows too: their S-words are in the ideal.  Each is
+        {code(w): coefficient}, with |w| taken from the term, since a
+        relation need not be homogeneous, and v(a*t*b) = (v(a) *
         n**|t| + v(t)) * n**|b| + v(b) as v(a) and v(b) run over
         range(n**|a|) and range(n**|b|), in the order of the words.
 
@@ -216,6 +217,16 @@ class Dialgebra(Structure):
         diword, and the first sum holds S-words longer than d; leaving
         out the rows such a g would leave out changes the span of some
         sets.
+
+        With the center inside s_i and a = x1*g*x2, g as above, the
+        S-word is 1/k times the sum over the terms k_t*t of s_i of the
+        S-words of s_j at (x1, x2*t*b, c), c < 0 the center of t, less
+        the sum over the words z of r_j, with their coefficients, of the
+        S-words of s_i at (x1*z*x2, b) with the center inside.  None is
+        longer than d.  The first have the center outside, so the kept
+        rows span them; the leading diwords x1*z*x2*lw_i*b of the second
+        are below a*lw_i*b, since z < g.  Induction on that diword, for
+        each i, ends the proof; for b = x1*g*x2 the sides swap.
         """
         if not self.elements:
             return
@@ -231,8 +242,9 @@ class Dialgebra(Structure):
         for level in words[1:]:
             clean.update(w for w in level if w[1:] in clean
                          and w[:-1] in clean and w not in keys)
-        # by |a| and v(a), and by |b| and v(b): the centers outside s
-        # that leave a row
+        # by |a| and v(a), and by |b| and v(b): whether the word is
+        # clean, and the centers outside s that leave a row
+        inner = [[w in clean for w in level] for level in words]
         left = [[[q for q in range(len(a)) if a[q + 1:] in clean]
                  for a in level] for level in words]
         right = [[[r for r in range(-len(b), 0) if b[:len(b) + r] in clean]
@@ -262,11 +274,13 @@ class Dialgebra(Structure):
                              power[room + lx], (room + lx) * power[room + lx],
                              k) for lx, vx, k in outside]
                     for va in range(power[la]):
-                        at = [(k0 + va * step, k) for k0, step, k in ins]
+                        at = inner[la][va] and [
+                            (k0 + va * step, k) for k0, step, k in ins]
                         out = [(k0 + va * step, pc, end, k)
                                for k0, step, pc, end, k in outs]
                         for vb in range(nb):
-                            yield d, {k0 + vb: k for k0, k in at}
+                            if at and inner[lb][vb]:
+                                yield d, {k0 + vb: k for k0, k in at}
                             if not outside:
                                 continue
                             for q in left[la][va]:
@@ -348,20 +362,20 @@ def leibniz_i0(L):
     subset of indices to describe it; otherwise the basis of L has to be
     adapted first and this raises.
     """
+    # the subspace is a coordinate one exactly when it holds e_p for
+    # each of its pivots p, as many as its dimension
     span = VectorSpan(neg, neg)
     for i in range(L.dim):
         span.insert(span.keyed(L.bracket_of(i, i)))
         for j in range(i + 1, L.dim):
             span.insert(span.keyed(add_scaled(L.bracket_of(i, j),
                                               L.bracket_of(j, i).items())))
-    indices = set()
-    for pivot, row in span.rows.items():
-        if set(row) != {pivot}:
-            raise ValueError(
-                "the squares span no coordinate subspace; rewrite the "
-                "algebra in an adapted basis first")
-        indices.add(pivot)
-    return frozenset(indices)
+    indices = frozenset(span.pivots())
+    if not all(span.contains({i: 1}) for i in indices):
+        raise ValueError(
+            "the squares span no coordinate subspace; rewrite the "
+            "algebra in an adapted basis first")
+    return indices
 
 
 def leibniz_dim2():

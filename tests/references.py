@@ -31,6 +31,9 @@ contexts it read, and `keyed_dialgebra_rows`; `TupleKeyedModule`,
 keyed by the order keys and read back by their inverses, such as
 `ac_column`.  Every row generator here yields its rows as
 {key(m): coefficient}, in the key space of the span that takes them.
+Since a reduction folds the stored rows of `shirshov.core.VectorSpan`,
+spans are compared by `echelon`, their reduced row echelon form, over
+the rows that `stored_rows` reads back as columns.
 """
 
 from collections import Counter
@@ -268,6 +271,35 @@ class VectorSpan:
     def pivots(self):
         """Pivot columns, key-descending."""
         return sorted(self.rows, key=self.key, reverse=True)
+
+
+def stored_rows(span):
+    """The stored rows of a `shirshov.core.VectorSpan` as {pivot column:
+    {column: coefficient}}, in insertion order."""
+    column = span._column
+    return {column(p): {column(k): v for k, v in row.items()}
+            for p, row in span._rows.items()}
+
+
+def echelon(rows, key):
+    """The reduced row echelon form of the rows {pivot: {column:
+    coefficient}}, whose columns `key` orders: (pivot, [(column,
+    coefficient, its type)]) pairs, both key-descending, where no row
+    holds the pivot of another.  Equal forms span equal spaces.  Asserts
+    that every coefficient is nonzero and kept as `exact` gives it."""
+    done = {}
+    for p in sorted(rows, key=key):
+        row = rows[p]
+        assert row[p] == 1 and all(c and type(c) is type(exact(c))
+                                   for c in row.values()), row
+        row = dict(row)
+        # each finished row holds no pivot but its own
+        for q in [k for k in row if k != p and k in done]:
+            add_scaled(row, done[q].items(), -row[q])
+        done[p] = row
+    return [(p, [(m, done[p][m], type(done[p][m]))
+                 for m in sorted(done[p], key=key, reverse=True)])
+            for p in sorted(done, key=key, reverse=True)]
 
 
 def ac_occurrences(t, lw):

@@ -12,6 +12,8 @@ from shirshov.dialgebra import DiPolynomial, Diword, LeibnizAlgebra
 from shirshov.freemodule import ModuleElement, ModuleWord
 from shirshov.rewrite import RewriteSystem
 
+from references import stored_rows
+
 # reads a deglex_key back as its word
 WORD = itemgetter(1)
 
@@ -109,6 +111,29 @@ def test_vector_span_detects_dependence():
     assert span.pivots() == [(1,), (0,)]
 
 
+def test_a_reduction_folds_the_chain_it_walks(monkeypatch):
+    # x_k - x_(k-1) for k = 1..30: the tail of each row is the pivot of
+    # the row before it, so x_30 - x_0 reduces along the whole chain
+    span = VectorSpan(int, int)
+    for k in range(1, 31):
+        assert span.insert({k: 1, k - 1: -1})
+    steps = []
+
+    def counted(acc, items, c=1):
+        steps.append(c)
+        return add_scaled(acc, items, c)
+
+    monkeypatch.setattr("shirshov.core.add_scaled", counted)
+    walks = []
+    for _ in range(3):
+        del steps[:]
+        assert span.contains({30: 1, 0: -1})
+        walks.append(len(steps))
+    assert walks[0] > walks[1] > walks[2]
+    assert span.rank == 30 and span.pivots() == list(range(30, 0, -1))
+    assert not span.contains({30: 1})
+
+
 def test_keyed_brings_a_column_vector_into_key_space():
     span = VectorSpan(deglex_key, WORD)
     kvec = span.keyed({(1, 0): Fraction(4, 2), (0,): 0, (): Fraction(0)})
@@ -132,8 +157,8 @@ def test_an_integral_coefficient_is_an_int_and_any_other_a_fraction():
     assert type(p.scale(Fraction(2)).coeff(y)) is int
     span = VectorSpan(deglex_key, WORD)
     span.insert(span.keyed({x: 3, y: 6}))
-    assert span.rows[x] == {x: 1, y: 2}
-    assert type(span.rows[x][y]) is int
+    assert stored_rows(span)[x] == {x: 1, y: 2}
+    assert type(stored_rows(span)[x][y]) is int
     assert type(exact(Fraction(-6, 3))) is int
     assert exact_div(6, -3) == -2 and type(exact_div(6, -3)) is int
     assert exact_div(1, 2) == Fraction(1, 2)

@@ -16,8 +16,14 @@ from references import leibniz_enveloping as reference_enveloping
 # tests/golden/leibniz3.pres
 LEIBNIZ3 = LeibnizAlgebra(dim=3, bracket={(1, 2, 0): 1, (2, 1, 0): -1,
                                           (2, 2, 0): 1})
+# {e0, e0} = e1 + e2 and {e3, e3} = e2, as in
+# tests/golden/leibniz_adapted.pres: the squares span the coordinate
+# subspace of e1 and e2, though e1 is no bracket
+ADAPTED = LeibnizAlgebra(dim=4, bracket={(0, 0, 1): 1, (0, 0, 2): 1,
+                                         (3, 3, 2): 1})
 ALGEBRAS = [leibniz_dim2(), LeibnizAlgebra(dim=2, bracket={}), LEIBNIZ3,
-            LeibnizAlgebra(dim=2, bracket={(1, 1, 0): Fraction(3, 2)})]
+            LeibnizAlgebra(dim=2, bracket={(1, 1, 0): Fraction(3, 2)}),
+            ADAPTED]
 
 
 def test_diword_validation():
@@ -101,6 +107,8 @@ def test_leibniz_i0():
     skew = LeibnizAlgebra(dim=2, bracket={(0, 0, 0): 1, (0, 0, 1): 1})
     with pytest.raises(ValueError):
         leibniz_i0(skew)
+    assert leibniz_check(ADAPTED)
+    assert leibniz_i0(ADAPTED) == frozenset({1, 2})
 
 
 def test_enveloping_rejects_non_leibniz():
@@ -156,6 +164,12 @@ def test_irr_matches_pbw():
     for d in (1, 2, 3):
         assert di_irr(S, 2, d) == pbw_basis(L, d)
     assert len(pbw_basis(L, 3)) == 6
+
+
+def test_irr_matches_pbw_when_the_squares_are_no_basis_vectors():
+    S = leibniz_enveloping(ADAPTED)
+    for d in (1, 2, 3, 4):
+        assert di_irr(S, 4, d) == pbw_basis(ADAPTED, d)
 
 
 def test_a_relation_outside_the_alphabet_is_refused():

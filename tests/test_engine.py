@@ -40,7 +40,7 @@ from shirshov.rewrite import RewriteSystem, find_factor
 from references import (_occurrence_paths, _occurrences, _prep, _substitute,
                         ac_chain_rows, ac_compositions, ac_find,
                         ac_occurrences, module_compositions, rewrite_step,
-                        tuple_span)
+                        stored_rows, tuple_span)
 from references import rewrite as step_loop
 
 COEFFS = [-2, -1, 1, 2, 3]
@@ -601,7 +601,7 @@ def test_a_coefficient_is_an_int_when_integral_and_a_fraction_otherwise(
         r = step
     d = max(map(structure.degree,
                 list(p.terms) + list(structure.leading_words)))
-    for row in structure.span(d).rows.values():
+    for row in stored_rows(structure.span(d)).values():
         assert all(map(_is_exact, row.values()))
 
 
