@@ -43,11 +43,10 @@ def is_gsb(system):
 
 
 def _inter_reduce_elements(system, h=None):
-    """(basis, entered, left): the system inter-reduced, its elements
-    sorted by leading word, with the leading words that the basis has and
-    the system had not, and those that the system had and the basis has
-    not.  With a nonzero h, the system must be a basis this function
-    returned, and h is added at the end of its list.
+    """(basis, entered): the system inter-reduced, its elements sorted by
+    leading word, and the leading words new to the basis.  With h, the
+    system must be a basis this function returned and h a nonzero normal
+    form modulo it, added at the end of its list.
 
     Each step takes the first candidate, in list order, and reduces it
     modulo all the other elements.  The reducer returns its input when it
@@ -63,9 +62,9 @@ def _inter_reduce_elements(system, h=None):
       so the other elements with a monomial that contains one become
       candidates: those that contain lead(h) at the start, and those that
       contain the new leading word of a rewritten element.
-    - h itself is a candidate at the start only when the system reduces
-      it.  Otherwise only a leading word that enters later and that h
-      contains can make h reducible, and that word makes h a candidate.
+    - h is irreducible by the system, so only a leading word that enters
+      later and that h contains can make h reducible, and that word makes
+      h a candidate.
     - A rewritten element is not a candidate again for its own new
       leading word: its normal form modulo the others is irreducible by
       them.
@@ -121,8 +120,6 @@ def _inter_reduce_elements(system, h=None):
     else:
         h = h.monic()
         todo = containing(h.leading_monomial())
-        if system.normal_form(h) is not h:
-            todo.append(len(elems))
         moved = {len(elems)}
         elems.append(h)
         own.append(None)
@@ -133,8 +130,6 @@ def _inter_reduce_elements(system, h=None):
         while todo and todo[0] == i:  # pushed again while it waited
             heapq.heappop(todo)
         p = elems[i]
-        if p is None:
-            continue
         lw = leave(i)
         nf = work.normal_form(p)
         if nf is p:
@@ -167,9 +162,7 @@ def _inter_reduce_elements(system, h=None):
     work.lead_degrees = sorted(set(map(len, leads)), reverse=True)
     entered = [own[k] for k in sorted(moved) if elems[k] is not None
                and own[k] not in system.lead_index]
-    left = [lw for lw in {before[k] for k in moved if k < len(before)}
-            if lw not in index]
-    return work, entered, left
+    return work, entered
 
 
 def inter_reduce(system):
@@ -189,7 +182,7 @@ def _check_budget(deadline, budget_seconds):
 
 
 class _OverlapIndex:
-    """The intersections of a changing set of words, found through maps
+    """The intersections of a growing set of words, found through maps
     from each proper prefix and each proper suffix to the words that have
     it, instead of by testing every pair."""
 
@@ -214,16 +207,6 @@ class _OverlapIndex:
                     out.append((lf, lw, lf[:len(lf) - k], lw[k:]))
         return out
 
-    def remove(self, lw):
-        n = len(lw)
-        for k in range(1, n):
-            for table, part in ((self.prefixes, lw[:k]),
-                                (self.suffixes, lw[n - k:])):
-                words = table[part]
-                words.discard(lw)
-                if not words:
-                    del table[part]
-
 
 def _chain_trivial(basis, w):
     # a leading word occurs in w = lf*b = a*lg with a letter of w on
@@ -244,9 +227,10 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     both ways round, go on one heap that lives across rounds as (|w|, w,
     lf, lg).  A composition's polynomial is built only when it is popped.
     An entry with a leading word that has left the basis is dropped when
-    popped; the surviving entry goes back on the heap; one that reduces
-    to zero, or that the chain criterion below skips, leaves the heap for
-    good.
+    popped, so a word that left may stay in the overlap index: if it
+    re-enters, its overlaps are pushed again.  The surviving entry goes
+    back on the heap; one that reduces to zero, or that the chain
+    criterion below skips, leaves the heap for good.
 
     Only intersections reach the heap, and `_OverlapIndex` finds them
     from the proper prefixes and suffixes of the leading words.  An
@@ -316,7 +300,7 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
         deadline = time.monotonic() + budget_seconds
 
     basis = _inter_reduce_elements(system)[0]
-    entered, left = basis.leading_words, ()
+    entered = basis.leading_words
     multiply = basis.multiply
     heap = []  # pending intersections as (|w|, w, lf, lg)
     overlaps = _OverlapIndex()
@@ -325,8 +309,6 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     while True:
         iterations += 1
         _check_budget(deadline, budget_seconds)
-        for lw in left:
-            overlaps.remove(lw)
         for lw in entered:
             for lf, lg, _, b in overlaps.add(lw):
                 heapq.heappush(heap, (len(lf) + len(b), lf + b, lf, lg))
@@ -356,7 +338,7 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
         if added >= max_elems:
             status = "element-capped"
             break
-        basis, entered, left = _inter_reduce_elements(basis, h)
+        basis, entered = _inter_reduce_elements(basis, h)
         added += 1
     return CompletionReport(status=status, basis=basis, added=added,
                             iterations=iterations)
