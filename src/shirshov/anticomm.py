@@ -29,12 +29,22 @@ def ac_key(t):
     return lk[0] + rk[0], lk, rk
 
 
+def _normal_key(t, n=None):
+    """ac_key(t) when t is a normal tree-word, else None, in one walk;
+    raises when n is given and a leaf is no rank below n."""
+    if not isinstance(t, tuple):
+        if n is not None:
+            check_letters((t,), n)
+        return 1, t
+    lk, rk = _normal_key(t[0], n), _normal_key(t[1], n)
+    if lk is None or rk is None or lk <= rk:
+        return None
+    return lk[0] + rk[0], lk, rk
+
+
 def is_normal_acword(t):
     """Left > right at every internal node."""
-    if isinstance(t, int):
-        return True
-    return (is_normal_acword(t[0]) and is_normal_acword(t[1])
-            and ac_key(t[0]) > ac_key(t[1]))
+    return _normal_key(t) is not None
 
 
 class AcPolynomial(Terms):
@@ -130,11 +140,11 @@ class AntiCommutative(Structure):
     letters.
 
     Strategy of the derived `find`: the first relation whose leading
-    word is a subtree, at its preorder-first occurrence.  The degree of
+    word is a subtree, at its preorder-first occurrence; the degree of
     a tree-word is its size.  A context is a chain of (side, sibling)
-    pairs from a subtree up to the root: side 0 puts the sibling on the
-    right of the subtree below it, side 1 on its left.  A tree-word's
-    code has no closed form, so `Structure.empty_span` reads it.
+    pairs up to the root, the sibling right of the subtree for side 0
+    and left for side 1.  `rows` yields chains of right products, keyed
+    by `Structure.empty_span`, as a tree-word's code has no closed form.
     """
 
     elem = AcPolynomial
@@ -144,9 +154,10 @@ class AntiCommutative(Structure):
     def __init__(self, relations, n_letters):
         super().__init__(relations)
         self.n = n_letters
-        for p in self.elements:
+        for i, p in enumerate(self.elements):
             for t in p.terms:
-                check_letters(ac_flatten(t), n_letters)
+                if _normal_key(t, n_letters) is None:
+                    raise ValueError("element %d: %r is not normal" % (i, t))
 
     def monomials(self, d):
         return _normal_by_degree(self.n, d)
@@ -173,22 +184,25 @@ class AntiCommutative(Structure):
             p = ac_mul(p, sibling) if side == 0 else ac_mul(sibling, p)
         return p
 
-    def contexts(self, room):
-        """The chains ((0, m1), ..., (0, mk)) of right products by normal
-        words whose sizes sum to room, by the size and rank of m1, then
-        the rest.
-
-        Every ideal element is a combination of multiplication chains
-        applied to a single relation, and anti-commutativity makes
-        one-sided chains span both sides.
-        """
-        if not room:
-            yield ()
-            return
-        for d in range(1, room + 1):
-            for m in _normal_by_degree(self.n, d):
-                for rest in self.contexts(room - d):
-                    yield ((0, m),) + rest
+    def rows(self, max_deg):
+        """(d, {code: coefficient}) for the nonzero chain products ((s m1)
+        ... mk) of a relation s by normal words, d = |lead s| + |m1| + ...
+        + |mk| <= max_deg, level by level: each is yielded once and
+        extended by every normal word that fits.  They span the ideal,
+        since anti-commutativity makes one-sided chains span both sides,
+        and a chain that reaches 0 stays 0, as the product is bilinear."""
+        code = self.empty_span(max_deg).key
+        levels = {}
+        for s, lw in zip(self.elements, self.leading_words):
+            levels.setdefault(ac_size(lw), []).append(s)
+        for d in range(1, max_deg + 1):
+            for p in levels.pop(d, ()):
+                yield d, {code(m): c for m, c in p.terms.items()}
+                for e in range(1, max_deg - d + 1):
+                    for m in _normal_by_degree(self.n, e):
+                        q = ac_mul(p, m)
+                        if q:
+                            levels.setdefault(d + e, []).append(q)
 
 
 # perfbench imports it

@@ -442,19 +442,19 @@ class Structure:
     order, a sequence unless the kind gives count(d) in closed form;
     parts(m), every (part, context) of the monomial m where a relation
     may apply, in the kind's order; multiply(context, s), the S-word that
-    puts s into the context; and contexts(room), every context that
-    raises the degree by room, in row order, which only the base `rows`
-    reads.  keys(j), the parts at which element j applies, defaults to
-    its leading monomial.  The base class checks that every relation is a
-    nonzero monic `elem`, keeps the relations in `elements`
-    and their leading monomials in `leading_words`, and indexes the keys
-    once: `lead_index` maps each to its first element, and `lead_degrees`
-    lists the distinct leading degrees, descending.  From parts and keys
-    it derives `find`, `occurrences`, `compositions` and `pairs`; from
-    the S-words, the rewriting image and the bounded ideal rows.  A kind
-    may override `find` for another strategy, `compositions`, `pairs`,
-    `irreducible`, `empty_span`, and `rows`, which may compute the codes
-    in closed form and leave out S-words that the rows it keeps span.
+    puts s into the context; and rows(max_deg), the (d, {code(m):
+    coefficient}) in ascending d that `span` inserts into
+    `empty_span(max_deg)`: S-words of degree d <= max_deg such that those
+    of degree <= d span every S-word of degree <= d.  keys(j), the parts
+    at which element j applies, defaults to its leading monomial.  The
+    base class checks that every relation is a nonzero monic `elem`,
+    keeps the relations in `elements` and their leading monomials in
+    `leading_words`, and indexes the keys once: `lead_index` maps each to
+    its first element, and `lead_degrees` lists the distinct leading
+    degrees, descending.  From parts and keys it derives `find`,
+    `occurrences`, `compositions` and `pairs`; from the S-words, the
+    rewriting image.  A kind may override `find` for another strategy,
+    `compositions`, `pairs`, `irreducible` and `empty_span`.
     """
 
     elem = Terms
@@ -524,21 +524,6 @@ class Structure:
         p = self.multiply(context, self.elements[i])
         c = p.terms[m]
         return p if c == 1 else p.scale(exact_div(1, c))
-
-    def rows(self, max_deg):
-        """The bounded ideal rows (d, {code(m): coefficient}) in ascending
-        d, as `span` inserts them: every S-word of degree d <= max_deg, by
-        d, element and context, in the key space of
-        `empty_span(max_deg)`.  An override may leave out an S-word of
-        degree d that the rows it keeps of degree <= d span."""
-        code = self.empty_span(max_deg).key
-        for d in range(self.low, max_deg + 1):
-            for s, lw in zip(self.elements, self.leading_words):
-                room = d - self.degree(lw)
-                if room >= 0:
-                    for context in self.contexts(room):
-                        yield d, {code(m): c for m, c in
-                                  self.multiply(context, s).terms.items()}
 
     def normal_form(self, p):
         return rewrite(p, self.find, self.image)

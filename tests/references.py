@@ -25,8 +25,8 @@ terms were read one factor at a time is kept as `_tokenize`, `_Cursor`,
 The associative rows before they were built as int word codes are kept
 as `word_rows`, which `WordKeyedRows` inserts keyed by `deglex_key`.
 The rows of the other kinds before they came as int codes are kept as
-`keyed_rows`, the `Structure.rows` of that time, with the module
-contexts it read, and `keyed_dialgebra_rows`; `TupleKeyedModule`,
+`keyed_rows`, the `Structure.rows` of that time, with the module and
+anti-commutative contexts it read, and `keyed_dialgebra_rows`; `TupleKeyedModule`,
 `TupleKeyedDialgebra` and `TupleKeyedAc` insert them into `tuple_span`,
 keyed by the order keys and read back by their inverses, such as
 `ac_column`.  Every row generator here yields its rows as
@@ -490,6 +490,24 @@ def module_contexts(self, room):
     return product(range(self.nx), repeat=room)
 
 
+def ac_contexts(self, room):
+    """The chains ((0, m1), ..., (0, mk)) of right products by normal
+    words whose sizes sum to room, by the size and rank of m1, then
+    the rest.
+
+    Every ideal element is a combination of multiplication chains
+    applied to a single relation, and anti-commutativity makes
+    one-sided chains span both sides.
+    """
+    if not room:
+        yield ()
+        return
+    for d in range(1, room + 1):
+        for m in _normal_by_degree(self.n, d):
+            for rest in self.contexts(room - d):
+                yield ((0, m),) + rest
+
+
 # readers of the order keys, the inverses of `deglex_key`, `diword_key`,
 # `mword_key` and `ac_key`
 def ac_column(k):
@@ -529,9 +547,12 @@ class TupleKeyedDialgebra(Dialgebra):
 
 
 class TupleKeyedAc(AntiCommutative):
-    """An `AntiCommutative` whose span takes its rows keyed by `ac_key`."""
+    """An `AntiCommutative` whose span takes every chain product keyed by
+    `ac_key`, through the rows of `Structure` and the contexts it had
+    then."""
 
     rows = keyed_rows
+    contexts = ac_contexts
     empty_span = tuple_span
 
 

@@ -166,6 +166,16 @@ def test_a_relation_outside_the_alphabet_is_refused():
         AntiCommutative(hall_gsb(2, 4))
 
 
+def test_a_relation_that_is_not_normal_is_refused():
+    # unchecked, (0, 1) has no code and leaves rank 0 at every degree,
+    # and ((0, 1), 0) breaks the elimination
+    for terms in ({(0, 1): 1}, {((0, 1), 0): 1, 1: 1}):
+        with pytest.raises(ValueError, match="element 0: .* is not normal"):
+            AntiCommutative([AcPolynomial(terms)], 2)
+    report = AntiCommutative([AcPolynomial({(1, 0): 1})], 2).bounded_check(3)
+    assert [line.rank for line in report.table] == [0, 1, 3]
+
+
 def test_is_ls_word():
     assert is_ls_word((X2,))
     assert is_ls_word((X2, X1))

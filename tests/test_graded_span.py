@@ -852,6 +852,15 @@ def test_the_checks_insert_and_visit_only_what_can_change_them(monkeypatch):
     # every ordered pair: 3,364
     assert (len(visited), report.holds) == (64, True)
 
+    hall = AntiCommutative(hall_gsb(2, 8), 2)
+    products = []
+    monkeypatch.setattr("shirshov.anticomm.ac_mul",
+                        _counting(products, ac_mul))
+    del inserted[:]
+    span = hall.span(8)
+    # every chain rebuilt from its relation: 362 calls
+    assert (len(products), len(inserted), span.rank) == (181, 239, 228)
+
 
 # -- the anti-commutative key and Hall relations --------------------------
 
