@@ -516,14 +516,13 @@ def _irr(pfile, head, max_len, count_only):
     structure = _structure(pfile)
     if max_len < structure.low:
         raise ValueError("max_len must be >= %d" % structure.low)
-    grouped = {d: [] for d in range(structure.low, max_len + 1)}
-    for w in structure.irreducible(max_len):
-        grouped[structure.degree(w)].append(_SPECS[pfile.kind].fmt(w, pfile))
+    levels = structure.irreducible_by_degree(max_len)
     lines = [head, "max_len: %d" % max_len]
     if not count_only:
-        lines += [" ".join(["len %d:" % d] + words)
-                  for d, words in grouped.items()]
-    return lines, " ".join(str(len(words)) for words in grouped.values()), 0
+        fmt = _SPECS[pfile.kind].fmt
+        lines += [" ".join(["len %d:" % d] + [fmt(w, pfile) for w in words])
+                  for d, words in levels.items()]
+    return lines, " ".join(str(len(words)) for words in levels.values()), 0
 
 
 def _nf(pfile, head, text):

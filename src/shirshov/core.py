@@ -14,7 +14,7 @@ keeps each sum in that form and drops a coefficient that reaches 0.
 """
 
 from bisect import insort
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 
 Word = tuple
@@ -454,7 +454,7 @@ class Structure:
     degrees, descending.  From parts and keys it derives `find`,
     `occurrences`, `compositions` and `pairs`; from the S-words, the
     rewriting image.  A kind may override `find` for another strategy,
-    `compositions`, `pairs`, `irreducible` and `empty_span`.
+    `compositions`, `pairs`, `irreducible_by_degree` and `empty_span`.
     """
 
     elem = Terms
@@ -534,13 +534,18 @@ class Structure:
         gives in closed form."""
         return len(self.monomials(d))
 
-    def irreducible(self, max_deg):
-        """Monomials of degree <= max_deg with no occurrence, ascending;
-        the walk over a monomial's parts stops at the first key."""
+    def irreducible_by_degree(self, max_deg):
+        """{d: the monomials of degree d with no occurrence, ascending}
+        for low <= d <= max_deg; a walk over parts stops at a key."""
         index = self.lead_index
-        return [m for d in range(self.low, max_deg + 1)
-                for m in self.monomials(d)
-                if not any(part in index for part, _ in self.parts(m))]
+        return {d: [m for m in self.monomials(d)
+                    if not any(part in index for part, _ in self.parts(m))]
+                for d in range(self.low, max_deg + 1)}
+
+    def irreducible(self, max_deg):
+        """Monomials of degree <= max_deg with no occurrence, ascending."""
+        return [m for level in self.irreducible_by_degree(max_deg).values()
+                for m in level]
 
     def pairs(self):
         """The ordered pairs (i, j), ascending, where a key of element j
@@ -621,17 +626,16 @@ class Structure:
         if self.compositions is not None:
             failing = self._failing(max_deg)[1]
         span = self.span(max_deg)
-        irreducible = self.irreducible(max_deg)
-        # a pivot has degree <= max_deg, so it has no occurrence exactly
-        # when it is among the irreducible monomials
-        bad = tuple(sorted(filter(span.is_pivot, irreducible),
-                           key=span.key, reverse=True))
-        per_degree = Counter(map(self.degree, irreducible))
+        levels = self.irreducible_by_degree(max_deg)
+        # an irreducible pivot has no occurrence; codes follow the order,
+        # so the levels read backwards give them descending
+        bad = tuple(m for level in reversed(levels.values())
+                    for m in reversed(level) if span.is_pivot(m))
         table = []
         irr = total = 0
         for d, rank in span.ranks.items():
             total += self.count(d)
-            irr += per_degree[d]
+            irr += len(levels[d])
             table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
                                     total=total, ok=(irr + rank == total)))
         return BoundedReport(

@@ -45,7 +45,7 @@ def act(p, m):
     return ModuleElement(acc)
 
 
-# Cached: a bounded check reads each degree twice, to filter and to count.
+# Cached: a check reads each degree in the levels, `empty_span` and `count`.
 @lru_cache(maxsize=None)
 def _module_words(nx, ny, length):
     return tuple(ModuleWord(u, y) for u in product(range(nx), repeat=length)
@@ -123,20 +123,20 @@ class FreeModule(Structure):
                     for va in range(power[la]):
                         yield d, {k + va * step: c for k, step, c in at}
 
-    def irreducible(self, max_deg):
-        """Module words with |u| <= max_deg that no leading word ends,
-        ascending, grown a degree at a time: u.y is irreducible exactly
+    def irreducible_by_degree(self, max_deg):
+        """{d: the module words with |u| = d that no leading word ends,
+        ascending}, grown a degree at a time: u.y is irreducible exactly
         when (u[1:], y) is and u.y is no key.  monomials(d) lists the
         words by u, then y, so x*u.y sits x * len(monomials(d - 1))
         places after the place of u.y in monomials(d - 1)."""
         index = self.lead_index
-        out, words, kept = [], (), ()
+        out, words, kept = {}, (), ()
         for d in range(max_deg + 1):
             step, words = len(words), self.monomials(d)
             grown = (range(len(words)) if not d else
                      (x * step + j for x in range(self.nx) for j in kept))
             kept = [i for i in grown if words[i] not in index]
-            out += [words[i] for i in kept]
+            out[d] = [words[i] for i in kept]
         return out
 
 

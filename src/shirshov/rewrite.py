@@ -148,10 +148,9 @@ class RewriteSystem(Structure):
             return
         n = len(self.order.alphabet)
         top = max(max_deg - self.lead_degrees[-1], 0)
-        left = [[0]] + [[] for _ in range(top)]  # v(a) by |a|
-        for a in irr_words(self, top):
-            if a:
-                left[len(a)].append(_value(a, n))
+        levels = self.irreducible_by_degree(top)
+        left = [[0]] + [[_value(a, n) for a in levels[la]]  # v(a) by |a|
+                        for la in range(1, top + 1)]
         power = [n ** k for k in range(max_deg + 1)]
         first = _firsts(n, max_deg)
         terms = [[(len(t), _value(t, n), c) for t, c in s.terms.items()]
@@ -182,8 +181,31 @@ class RewriteSystem(Structure):
     def count(self, d):
         return len(self.order.alphabet) ** d
 
-    def irreducible(self, max_deg):
-        return irr_words(self, max_deg)
+    def irreducible_by_degree(self, max_deg):
+        """{d: the words of length d containing no leading word,
+        ascending}, breadth-first: a word is kept iff its parent was and
+        no leading word is a suffix of it, probed at the leading degrees,
+        shortest first.  A leading word () is a factor of every word."""
+        if max_deg < 0:
+            raise ValueError("max_len must be >= 0")
+        index = self.lead_index
+        degrees = self.lead_degrees[::-1]
+        n = len(self.order.alphabet)
+        frontier = [] if () in index else [()]
+        out = {0: frontier}
+        for length in range(1, max_deg + 1):
+            probes = [m for m in degrees if m <= length]
+            new = []
+            for w in frontier:
+                for letter in range(n):
+                    u = w + (letter,)
+                    for m in probes:
+                        if u[-m:] in index:
+                            break
+                    else:
+                        new.append(u)
+            out[length] = frontier = new
+        return out
 
     def pairs(self):
         """The ordered pairs (i, j), ascending, whose leading words
@@ -291,35 +313,8 @@ def normal_form(p, system):
 
 
 def irr_words(system, max_len):
-    """All words of length <= max_len containing no leading word, ascending.
-
-    Breadth-first: a word is kept iff its parent was kept and no leading
-    word is a suffix of it.  The suffixes probed against the system's
-    lead_index are those of its leading degrees, shortest first.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    index = system.lead_index
-    if () in index:  # a factor of every word
-        return []
-    degrees = system.lead_degrees[::-1]
-    n = len(system.order.alphabet)
-    out = [()]
-    frontier = [()]
-    for length in range(1, max_len + 1):
-        probes = [m for m in degrees if m <= length]
-        new = []
-        for w in frontier:
-            for letter in range(n):
-                u = w + (letter,)
-                for m in probes:
-                    if u[-m:] in index:
-                        break
-                else:
-                    new.append(u)
-        out.extend(new)
-        frontier = new
-    return out
+    """All words of length <= max_len containing no leading word, ascending."""
+    return system.irreducible(max_len)
 
 
 def membership_oracle(p, system, max_deg):

@@ -599,19 +599,21 @@ def find_bounded_check(self, max_deg):
     degree <= max_deg, where examined, reduce to 0; every pivot of the
     span at max_deg has an occurrence; irreducible count plus span
     rank matches the monomial count per degree, cumulatively.  Raises
-    when the bound cannot hold some relation's leading monomial."""
+    when the bound cannot hold some relation's leading monomial.  A
+    monomial is irreducible when find leaves it: the kind's own
+    enumeration of the irreducible monomials is not read."""
     check_bound(max_deg, map(self.degree, self.leading_words))
     failing = None
     if self.compositions is not None:
         failing = self._failing(max_deg)[1]
     span = self.span(max_deg)
     bad = tuple(m for m in span.pivots() if self.find(m) is None)
-    per_degree = Counter(map(self.degree, self.irreducible(max_deg)))
     table = []
     irr = total = 0
     for d, rank in span.ranks.items():
-        total += sum(1 for _ in self.monomials(d))
-        irr += per_degree[d]
+        for m in self.monomials(d):
+            total += 1
+            irr += self.find(m) is None
         table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
                                 total=total, ok=(irr + rank == total)))
     return BoundedReport(

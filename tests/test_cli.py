@@ -12,6 +12,7 @@ from conftest import src_env
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shirshov import cli
 from shirshov.anticomm import AcPolynomial, normal_words
 from shirshov.cli import (KINDS, ParseError, PresentationFile, fmt_element,
                           fmt_presentation, main, parse_element,
@@ -478,6 +479,27 @@ def test_negative_bounds_are_refused_for_every_kind(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: max_len must be >= 0\n"
+
+
+ONE_RELATION = {
+    "assoc": ("rel x2*x1 - x1*x2\n", "1 2 3 4 5 6"),
+    "dialgebra": ("rel x2*@x1 - @x2*x1\n", "2 7 20 52 128"),
+    "module": ("rel x2*x1*[v] - x1*[v]\n", "1 2 3 6 12 24"),
+    "ac": ("rel ((x2 x1) x1)\n", "2 1 1 2 5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NO_RELATIONS))
+def test_irr_count_only_formats_no_word(tmp_path, capsys, monkeypatch,
+                                        kind):
+    def fmt(m, pfile):
+        raise AssertionError("formatted %r" % (m,))
+
+    relation, counts = ONE_RELATION[kind]
+    path = write(tmp_path, NO_RELATIONS[kind] + relation)
+    monkeypatch.setitem(cli._SPECS, kind, cli._SPECS[kind]._replace(fmt=fmt))
+    assert main(["irr", path, "--max-len", "5", "--count-only"]) == 0
+    assert capsys.readouterr().out.endswith("\nmax_len: 5\n%s\n" % counts)
 
 
 @pytest.mark.parametrize("kind", sorted(NO_RELATIONS))

@@ -48,7 +48,8 @@ from references import VectorSpan as ReferenceSpan
 from references import (TUPLE_READERS, EveryDialgebraRow, EveryRowAndPair,
                         TupleKeyedAc, TupleKeyedDialgebra, TupleKeyedModule,
                         WordKeyedRows, _occurrence_paths, _occurrences,
-                        _prep, ac_compositions, echelon, stored_rows)
+                        _prep, ac_compositions, echelon, find_bounded_check,
+                        stored_rows)
 
 
 # -- Structure.span -----------------------------------------------------
@@ -813,6 +814,18 @@ def test_code_rows_agree_with_the_tuple_keyed_rows(case, data):
                                      list(stored_rows(old).values())))
     for vec in queries:
         assert span.contains(vec) == old.contains(vec)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(module_sets(), dialgebra_cases(), ac_cases()))
+def test_every_kind_reports_what_find_decides(case):
+    # The tuple-keyed references share bounded_check with the structures;
+    # this oracle reads neither it nor the irreducible enumeration: it
+    # calls find on every pivot, in the order pivots() gives, and on
+    # every monomial of every degree.
+    structure, _, bound, _ = case
+    assert structure.bounded_check(bound) \
+        == find_bounded_check(structure, bound)
 
 
 def _counting(calls, function):

@@ -6,13 +6,17 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shirshov import gsb
+from shirshov.anticomm import AntiCommutative, hall_gsb
 from shirshov.catalog import chinese_gsb, chinese_relations
 from shirshov.core import (Alphabet, DegLexOrder, Polynomial, Structure,
                            deglex_key)
+from shirshov.dialgebra import (Dialgebra, LeibnizAlgebra, leibniz_enveloping,
+                                pbw_basis)
+from shirshov.freemodule import FreeModule, random_module_set
 from shirshov.gsb import (BudgetExceeded, _inter_reduce_elements,
                           _OverlapIndex, all_compositions, cd_lemma_check,
                           find_compositions, inter_reduce, is_gsb,
@@ -299,6 +303,48 @@ def test_a_completed_basis_is_closed(rng):
         bound = max(map(len, rep.basis.leading_words)) + 1
         report = cd_lemma_check(rep.basis, bound)
         assert report.holds and report.agree
+
+
+@st.composite
+def closed_module_sets(draw):
+    """A random module set that is a Gröbner–Shirshov basis, and the
+    longest leading degree + 2."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    S = random_module_set(nx, ny, draw(st.integers(1, 3)),
+                          draw(st.randoms(use_true_random=False)))
+    structure = FreeModule(S, nx, ny)
+    assume(structure.is_gsb().holds)
+    return structure, max(len(lw.u) for lw in structure.leading_words) + 2, \
+        None
+
+
+@st.composite
+def nilpotent_leibniz_envelopes(draw):
+    """The enveloping dialgebra of a 2-step nilpotent Leibniz algebra,
+    {e_i, e_j} = c_ij e_0 for i, j >= 1 and e_0 central, so that the
+    Leibniz identity holds trivially; a bound of 4 or 5, and the PBW
+    basis up to it."""
+    dim = draw(st.integers(2, 3))
+    coeffs = st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2)])
+    L = LeibnizAlgebra(dim, {(i, j, 0): draw(coeffs)
+                             for i in range(1, dim) for j in range(1, dim)})
+    bound = draw(st.integers(4, 5))
+    return Dialgebra(leibniz_enveloping(L), dim), bound, pbw_basis(L, bound)
+
+
+HALL_CASES = [(AntiCommutative(hall_gsb(n, bound), n), bound, None)
+              for n in range(1, 4) for bound in range(1, 6)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(closed_module_sets(), st.sampled_from(HALL_CASES),
+                 nilpotent_leibniz_envelopes()))
+def test_the_three_conditions_agree_on_closed_inputs_of_every_kind(case):
+    structure, bound, basis = case
+    report = structure.bounded_check(bound)
+    assert report.holds and report.agree
+    if basis is not None:
+        assert structure.irreducible(bound) == basis
 
 
 def knuth_system(names):

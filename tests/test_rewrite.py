@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from shirshov.anticomm import AcPolynomial, AntiCommutative, hall_gsb
 from shirshov.core import Alphabet, DegLexOrder, Polynomial, deglex_key
+from shirshov.dialgebra import Dialgebra, leibniz_dim2, leibniz_enveloping
 from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord
 from shirshov.gsb import is_gsb
 from shirshov.rewrite import (RewriteSystem, find_factor, irr_words,
@@ -120,6 +121,20 @@ def test_irr_words_ascending_and_complete():
     assert [sum(1 for w in words if len(w) == d) for d in range(4)] == [
         1, 2, 3, 5]
     assert all(S.find(w) is None for w in words)
+
+
+def test_a_negative_bound_is_refused_by_the_associative_enumeration():
+    S = branching_system()
+    for enumerate_words in (lambda: irr_words(S, -1),
+                            lambda: S.irreducible(-1)):
+        with pytest.raises(ValueError, match="^max_len must be >= 0$"):
+            enumerate_words()
+    # the other kinds enumerate nothing below their shortest monomial
+    module = FreeModule([ModuleElement([(ModuleWord((0,), 0), 1)])], 2, 1)
+    dialgebra = Dialgebra(leibniz_enveloping(leibniz_dim2()), 2)
+    ac = AntiCommutative(hall_gsb(2, 3), 2)
+    for structure in (module, dialgebra, ac):
+        assert structure.irreducible(-1) == []
 
 
 def test_ideal_span_sees_the_unresolved_overlap():
