@@ -105,27 +105,21 @@ def _rank(cur, alphabet, name, col):
                          "unknown generator %r" % name) from None
 
 
-def _ac_renorm(tree):
-    """Rewrite a raw parsed tree into normal-word form, signs included."""
-    if isinstance(tree, int):
-        return _lib.AcPolynomial({tree: 1})
-    return _lib.ac_mul(_ac_renorm(tree[0]), _ac_renorm(tree[1]))
-
-
 def _parse_ac_tree(cur, alphabet):
+    """A letter or a (left right) pair, as its product in normal form."""
     tok = cur.peek()
     if tok is None:
         cur.error("expected a letter or a parenthesized pair")
     if tok[0] == "name":
         cur.next()
-        return _rank(cur, alphabet, tok[1], tok[2])
+        return _lib.AcPolynomial({_rank(cur, alphabet, tok[1], tok[2]): 1})
     if not cur.accept("("):
         cur.error("expected a letter or (")
     left = _parse_ac_tree(cur, alphabet)
     right = _parse_ac_tree(cur, alphabet)
     if not cur.accept(")"):
         cur.error("expected )")
-    return (left, right)
+    return _lib.ac_mul(left, right)
 
 
 def _parse_factor(cur, kind, alphabet, mgens, term, after_star):
@@ -201,9 +195,9 @@ def _parse_term(cur, kind, alphabet, mgens):
         return [(_lib.ModuleWord(letters, term.ygen), term.coeff)]
     if not term.trees:
         cur.error("an ac term needs a tree or a letter")
-    acc = _ac_renorm(term.trees[0])
+    acc = term.trees[0]
     for t in term.trees[1:]:
-        acc = _lib.ac_mul(acc, _ac_renorm(t))
+        acc = _lib.ac_mul(acc, t)
     return acc.scale(term.coeff).items()
 
 
@@ -425,11 +419,6 @@ def _emit(lines, result):
     print(result)
 
 
-def _assoc_system(pfile):
-    return _lib.RewriteSystem(tuple(pfile.relations),
-                              DegLexOrder(pfile.alphabet))
-
-
 def _bool(x):
     return "true" if x else "false"
 
@@ -445,7 +434,9 @@ _SPECS = {
     "assoc": _Kind(
         elem=Polynomial,
         fmt=lambda m, pf: fmt_word(m, pf.alphabet),
-        structure=_assoc_system, exact=True),
+        structure=lambda pf: _lib.RewriteSystem(tuple(pf.relations),
+                                                DegLexOrder(pf.alphabet)),
+        exact=True),
     "dialgebra": _Kind(
         elem=lambda items: _lib.DiPolynomial(items),
         fmt=lambda m, pf: fmt_diword(m, pf.alphabet),
@@ -533,7 +524,7 @@ def _nf(pfile, head, text):
 def _complete(pfile, head, args):
     if pfile.kind != "assoc":
         raise ValueError("complete supports kind assoc only")
-    rep = _lib.shirshov_complete(_assoc_system(pfile), max_deg=args.max_deg,
+    rep = _lib.shirshov_complete(_structure(pfile), max_deg=args.max_deg,
                                  max_elems=args.max_elems,
                                  budget_seconds=args.budget_seconds)
     out = pfile._replace(relations=list(rep.basis.elements))

@@ -191,7 +191,7 @@ class _OverlapIndex:
         self.suffixes = {}
 
     def add(self, lw):
-        """Index lw; returns (lf, lg, a, b) with lf*b = a*lg for every
+        """Index lw; returns (w, lf, lg) with w = lf*b = a*lg for every
         intersection of lw with an indexed word, lw itself included, both
         ways round: a proper suffix of lf equal to a proper prefix of lg."""
         n = len(lw)
@@ -201,10 +201,10 @@ class _OverlapIndex:
         out = []
         for k in range(1, n):
             for lg in self.prefixes.get(lw[n - k:], ()):
-                out.append((lw, lg, lw[:n - k], lg[k:]))
+                out.append((lw + lg[k:], lw, lg))
             for lf in self.suffixes.get(lw[:k], ()):
                 if lf != lw:  # the pair (lw, lw) came from the loop above
-                    out.append((lf, lw, lf[:len(lf) - k], lw[k:]))
+                    out.append((lf + lw[k:], lf, lw))
         return out
 
 
@@ -228,9 +228,8 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     lf, lg).  A composition's polynomial is built only when it is popped.
     An entry with a leading word that has left the basis is dropped when
     popped, so a word that left may stay in the overlap index: if it
-    re-enters, its overlaps are pushed again.  The surviving entry goes
-    back on the heap; one that reduces to zero, or that the chain
-    criterion below skips, leaves the heap for good.
+    re-enters, its overlaps are pushed again.  Every popped entry leaves
+    the heap for good, the one that gives h too.
 
     Only intersections reach the heap, and `_OverlapIndex` finds them
     from the proper prefixes and suffixes of the leading words.  An
@@ -260,6 +259,12 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     is a combination of the new basis with words at most its leading word.
     So the first surviving composition, and every result, are those of
     re-reducing every composition of the basis in every round.
+
+    Nor does dropping the composition q at w that gives h.  The reducer
+    rewrites only monomials below w, so q - h is a sum of multiples of
+    S-words below w, and h is one more, since lead(h) < w.  That is the
+    form asked of a vanished composition above, so q would reduce to zero
+    when popped again.  A capped run stops at q and pops nothing more.
 
     The chain criterion (Buchberger's second criterion, in the form of
     Mora, TCS 134 (1994)) skips a popped entry, without building it, when
@@ -310,15 +315,14 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
         iterations += 1
         _check_budget(deadline, budget_seconds)
         for lw in entered:
-            for lf, lg, _, b in overlaps.add(lw):
-                heapq.heappush(heap, (len(lf) + len(b), lf + b, lf, lg))
+            for w, lf, lg in overlaps.add(lw):
+                heapq.heappush(heap, (len(w), w, lf, lg))
         elems = basis.elements
         index = basis.lead_index  # inter-reduced leads are distinct
 
         while heap:
             _check_budget(deadline, budget_seconds)
-            entry = heapq.heappop(heap)
-            _, w, lf, lg = entry
+            _, w, lf, lg = heapq.heappop(heap)
             if lf not in index or lg not in index:
                 continue  # a leading word left the basis
             if _chain_trivial(basis, w):
@@ -327,7 +331,6 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
                 multiply(((), w[len(lf):]), elems[index[lf]])
                 - multiply((w[:len(w) - len(lg)], ()), elems[index[lg]]))
             if h:
-                heapq.heappush(heap, entry)
                 break
         else:
             status = "completed"

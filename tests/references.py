@@ -20,8 +20,9 @@ dialgebra span before it left out center-outside rows is kept as its
 rewriting loop before it settled each monomial once is kept as
 `rewrite_step` and the loop over it.  The presentation parser before its
 terms were read one factor at a time is kept as `_tokenize`, `_Cursor`,
-`_parse_ac_tree`, `_parse_term`, `_parse_expr`, `parse_element` and
-`parse_presentation`, over the helpers of `shirshov.cli` it shares.
+`_ac_renorm`, `_parse_ac_tree`, `_parse_term`, `_parse_expr`,
+`parse_element` and `parse_presentation`, over the helpers of
+`shirshov.cli` it shares.
 The associative rows before they were built as int word codes are kept
 as `word_rows`, which `WordKeyedRows` inserts keyed by `deglex_key`.
 The rows of the other kinds before they came as int codes are kept as
@@ -44,7 +45,7 @@ import shirshov as _lib
 from shirshov.anticomm import (AcPolynomial, AntiCommutative, _lift,
                                _normal_by_degree, ac_key, ac_mul, ac_size)
 from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
-                          PresentationFile, _ac_renorm, _names, _rank)
+                          PresentationFile, _names, _rank)
 from shirshov.core import (Alphabet, BoundedReport, DegreeLine, Polynomial,
                            add_scaled, check_bound, deglex_key, exact,
                            exact_div)
@@ -788,6 +789,13 @@ class _Cursor:
         tok = self.peek()
         col = tok[2] if tok else self._end_col()
         raise ParseError(self.lineno, col, msg)
+
+
+def _ac_renorm(tree):
+    """Rewrite a raw parsed tree into normal-word form, signs included."""
+    if isinstance(tree, int):
+        return _lib.AcPolynomial({tree: 1})
+    return _lib.ac_mul(_ac_renorm(tree[0]), _ac_renorm(tree[1]))
 
 
 def _parse_ac_tree(cur, alphabet):

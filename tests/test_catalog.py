@@ -2,9 +2,10 @@ from math import comb
 
 import pytest
 
-from shirshov.catalog import (Presentation, chinese_gsb, chinese_relations,
-                              congruence_classes, is_staircase,
-                              staircase_equals_irr, tensor_relations)
+from shirshov.catalog import (Presentation, chinese_alphabet, chinese_gsb,
+                              chinese_relations, congruence_classes,
+                              is_staircase, staircase_equals_irr,
+                              tensor_relations)
 from shirshov.core import Alphabet, Polynomial
 from shirshov.gsb import all_compositions, is_gsb
 from shirshov.rewrite import irr_words
@@ -26,6 +27,8 @@ def test_chinese_relations_counts():
         # and for each b = a, which leaves c = b = a with none
         assert len(rels) == 2 * comb(k + 2, 3) - 2 * comb(k + 1, 2)
         assert len({frozenset(r.items()) for r in rels}) == len(rels)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        chinese_relations(0)
 
 
 def test_chinese_gsb_counts():
@@ -75,6 +78,13 @@ def test_congruence_classes_rejects_algebra_presentations():
         Presentation(ab, (trinomial,), "semigroup")
     P = Presentation(ab, (trinomial,), "algebra")
     with pytest.raises(ValueError):
+        congruence_classes(P, 2)
+    with pytest.raises(ValueError, match="^kind must be semigroup or "
+                                         "algebra$"):
+        Presentation(chinese_alphabet(2), (), "group")
+    # x = x*x is a word difference, but it changes length
+    P = Presentation(ab, (Polynomial({(0,): 1, (0, 0): -1}),), "semigroup")
+    with pytest.raises(ValueError, match="^length-changing relation"):
         congruence_classes(P, 2)
 
 

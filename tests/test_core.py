@@ -39,6 +39,10 @@ def test_alphabet_rejects_duplicates_and_empty():
         Alphabet(("a", "a"))
     with pytest.raises(ValueError):
         Alphabet(())
+    for bad in ("", 1):
+        with pytest.raises(ValueError, match="^generator names must be "
+                                             "nonempty strings$"):
+            Alphabet(("x", bad))
 
 
 def test_order_cmp_and_sort():
@@ -80,6 +84,9 @@ def test_scalar_and_negation():
     assert (3 * p).coeff((0,)) == 6
     assert p.scale(Fraction(1, 2)).coeff((0,)) == 1
     assert (-p).coeff((0,)) == -2
+    assert p * 3 == 3 * p
+    assert Polynomial.zero() == 0
+    assert (p == 0) is False
 
 
 def test_product_is_noncommutative():
@@ -200,3 +207,15 @@ def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(bad):
         AcPolynomial({0: bad})
     with pytest.raises(TypeError):
         LeibnizAlgebra(dim=1, bracket={(0, 0, 0): bad})
+
+
+def test_an_operand_that_is_not_of_the_kind_or_a_number_is_refused():
+    p = Polynomial({(0,): 1})
+    with pytest.raises(TypeError):
+        p + ModuleElement({ModuleWord((), 0): 1})
+    with pytest.raises(TypeError):
+        "x" * p
+    with pytest.raises(TypeError):
+        p * "x"
+    # a bool is an int, and comes back as the int itself
+    assert exact(True) == 1 and type(exact(True)) is int

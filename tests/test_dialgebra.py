@@ -99,6 +99,8 @@ def test_leibniz_check():
 def test_leibniz_algebra_refuses_an_index_outside_its_basis():
     with pytest.raises(ValueError, match=r"^index 2 outside basis 0\.\.1$"):
         LeibnizAlgebra(dim=2, bracket={(0, 2, 1): 1})
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        LeibnizAlgebra(dim=0, bracket={})
 
 
 def test_leibniz_i0():

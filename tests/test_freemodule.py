@@ -133,6 +133,9 @@ def test_pair_normal_form():
     assert not pair_normal_form(mono((1, 1, 0), 0), algebra, S)
     out = pair_normal_form(mono((1, 1), 0), algebra, S)
     assert out == mono((0, 1), 0)
+    with pytest.raises(TypeError, match="^algebra side must be a "
+                                        "RewriteSystem$"):
+        pair_normal_form(out, "x", [])
 
 
 def test_random_set_over_a_single_module_word_returns():
