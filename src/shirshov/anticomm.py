@@ -79,20 +79,21 @@ def ac_mul(u, v):
 @lru_cache(maxsize=None)
 def _normal_by_degree(n_letters, degree, hall=False):
     # The normal tree-words of one size, ascending; with hall, only the
-    # Hall words among them.
+    # Hall words among them.  ac_key compares sizes first, so (left,
+    # right) is normal when left is the larger, or, at equal size, comes
+    # later in its ascending list; by left, then right, the pairs ascend.
     if degree == 1:
         return tuple(range(n_letters))
     out = []
-    for ls in range(1, degree):
-        for left in _normal_by_degree(n_letters, ls, hall):
-            for right in _normal_by_degree(n_letters, degree - ls, hall):
-                if ac_key(left) <= ac_key(right):
-                    continue
+    for ls in range((degree + 1) // 2, degree):
+        rights = _normal_by_degree(n_letters, degree - ls, hall)
+        for k, left in enumerate(_normal_by_degree(n_letters, ls, hall)):
+            for right in rights[:k] if 2 * ls == degree else rights:
                 if hall and not isinstance(left, int) and \
                         ac_key(left[1]) > ac_key(right):
                     continue
                 out.append((left, right))
-    return tuple(sorted(out, key=ac_key))
+    return tuple(out)
 
 
 def normal_words(n_letters, max_deg):

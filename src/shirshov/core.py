@@ -17,8 +17,6 @@ from bisect import insort
 from collections import namedtuple
 from fractions import Fraction
 
-Word = tuple
-
 
 def exact(c):
     """The coefficient c as an int when its value is integral, else as a
@@ -451,10 +449,11 @@ class Structure:
     keeps the relations in `elements` and their leading monomials in
     `leading_words`, and indexes the keys once: `lead_index` maps each to
     its first element, and `lead_degrees` lists the distinct leading
-    degrees, descending.  From parts and keys it derives `find`,
-    `occurrences`, `compositions` and `pairs`; from the S-words, the
-    rewriting image.  A kind may override `find` for another strategy,
-    `compositions`, `pairs`, `irreducible_by_degree` and `empty_span`.
+    degrees, descending.  From parts and keys it derives `find` and
+    `compositions`, one walk over the parts of each leading monomial;
+    from the S-words, the rewriting image.  A kind may override `find`
+    for another strategy, `compositions`, `irreducible_by_degree` and
+    `empty_span`.
     """
 
     elem = Terms
@@ -500,22 +499,28 @@ class Structure:
                 best = i, context
         return best
 
-    def occurrences(self, m, j):
-        """The contexts of the parts of m that are keys of element j, in
-        the kind's order."""
-        keys = self.keys(j)
-        return [context for part, context in self.parts(m) if part in keys]
-
-    def compositions(self, i, j):
-        """The inclusion compositions of the ordered pair (i, j), as
-        (ambient monomial, result) pairs: (leading_words[i], elements[i]
-        - multiply(context, elements[j])) for every context of
-        occurrences(leading_words[i], j).  The root occurrence
-        of a self-pair gives an exactly-zero result.  A kind whose
+    def compositions(self):
+        """The inclusion compositions (w, result) of every ordered pair
+        (i, j), by i, then j, then the kind's order of the parts: w =
+        leading_words[i] and result = elements[i] - multiply(context,
+        elements[j]) for every part of w that is a key of element j.
+        Every other pair has no composition.  The root part of a
+        self-pair gives an exactly-zero result.  A kind whose
         compositions are not examined sets compositions = None."""
-        lw, f, g = self.leading_words[i], self.elements[i], self.elements[j]
-        return [(lw, f - self.multiply(context, g))
-                for context in self.occurrences(lw, j)]
+        owners = {}
+        for j in range(len(self)):
+            for key in self.keys(j):
+                owners.setdefault(key, []).append(j)
+        for i, lw in enumerate(self.leading_words):
+            contexts = {}  # j -> the contexts of its keys in lw
+            for part, context in self.parts(lw):
+                for j in owners.get(part, ()):
+                    contexts.setdefault(j, []).append(context)
+            f = self.elements[i]
+            for j in sorted(contexts):
+                g = self.elements[j]
+                for context in contexts[j]:
+                    yield lw, f - self.multiply(context, g)
 
     def image(self, m, occ):
         """The S-word of the occurrence occ = (i, context) of element i
@@ -547,34 +552,18 @@ class Structure:
         return [m for level in self.irreducible_by_degree(max_deg).values()
                 for m in level]
 
-    def pairs(self):
-        """The ordered pairs (i, j), ascending, where a key of element j
-        is a part of leading_words[i]; every other pair has no
-        composition.  `_failing` examines these."""
-        owners = {}
-        for j in range(len(self)):
-            for key in self.keys(j):
-                owners.setdefault(key, []).append(j)
-        for i, lw in enumerate(self.leading_words):
-            found = set()
-            for part, _ in self.parts(lw):
-                found.update(owners.get(part, ()))
-            for j in sorted(found):
-                yield i, j
-
     def _failing(self, max_deg=None):
-        """(checked, failing) over the compositions (w, result) of every
-        ordered pair whose ambient monomial w has degree <= max_deg, all
-        of them when max_deg is None: how many there are, and those whose
-        result has a nonzero normal form."""
+        """(checked, failing) over the compositions (w, result) whose
+        ambient monomial w has degree <= max_deg, all of them when max_deg
+        is None: how many there are, and those whose result has a nonzero
+        normal form."""
         checked = 0
         failing = []
-        for i, j in self.pairs():
-            for w, result in self.compositions(i, j):
-                if max_deg is None or self.degree(w) <= max_deg:
-                    checked += 1
-                    if self.normal_form(result):
-                        failing.append((w, result))
+        for w, result in self.compositions():
+            if max_deg is None or self.degree(w) <= max_deg:
+                checked += 1
+                if self.normal_form(result):
+                    failing.append((w, result))
         return checked, tuple(failing)
 
     def is_gsb(self):

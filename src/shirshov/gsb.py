@@ -310,9 +310,7 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
     heap = []  # pending intersections as (|w|, w, lf, lg)
     overlaps = _OverlapIndex()
     added = 0
-    iterations = 0
     while True:
-        iterations += 1
         _check_budget(deadline, budget_seconds)
         for lw in entered:
             for w, lf, lg in overlaps.add(lw):
@@ -343,8 +341,9 @@ def shirshov_complete(system, max_deg, max_elems, budget_seconds=None):
             break
         basis, entered = _inter_reduce_elements(basis, h)
         added += 1
+    # every round that does not stop adds one element
     return CompletionReport(status=status, basis=basis, added=added,
-                            iterations=iterations)
+                            iterations=added + 1)
 
 
 # perfbench imports it

@@ -207,11 +207,12 @@ class RewriteSystem(Structure):
             out[length] = frontier = new
         return out
 
-    def pairs(self):
-        """The ordered pairs (i, j), ascending, whose leading words
-        overlap: a proper suffix of lw_i is a proper prefix of lw_j, or
-        lw_j is a factor of lw_i.  Every other pair has no composition.
-        """
+    def compositions(self):
+        """The compositions (w, result) of every ordered pair (i, j), by
+        i, then j, as `find_compositions` lists them.  Only pairs whose
+        leading words overlap are tried: a proper suffix of lw_i is a
+        proper prefix of lw_j, or lw_j is a factor of lw_i; every other
+        pair has no composition."""
         leads = self.leading_words
         heads = {}  # each leading word and each proper prefix -> elements
         for j, lw in enumerate(leads):
@@ -229,11 +230,8 @@ class RewriteSystem(Structure):
                         if len(leads[j]) == q - p or 0 < p < q == n:
                             found.add(j)
             for j in sorted(found):
-                yield i, j
-
-    def compositions(self, i, j):
-        return [(c.w, c.result) for c in find_compositions(
-            self.elements[i], self.elements[j], left=i, right=j)]
+                for c in find_compositions(self.elements[i], self.elements[j]):
+                    yield c.w, c.result
 
 
 def find_factor(word, factor, start=0):

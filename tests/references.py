@@ -35,15 +35,18 @@ keyed by the order keys and read back by their inverses, such as
 Since a reduction folds the stored rows of `shirshov.core.VectorSpan`,
 spans are compared by `echelon`, their reduced row echelon form, over
 the rows that `stored_rows` reads back as columns.
+The normal tree-words of one size before they were built in order are
+kept as `_normal_by_degree`, which tried every pair of sizes and sorted.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
 import shirshov as _lib
 from shirshov.anticomm import (AcPolynomial, AntiCommutative, _lift,
-                               _normal_by_degree, ac_key, ac_mul, ac_size)
+                               ac_key, ac_mul, ac_size)
 from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
                           PresentationFile, _names, _rank)
 from shirshov.core import (Alphabet, BoundedReport, DegreeLine, Polynomial,
@@ -53,7 +56,27 @@ from shirshov.core import VectorSpan as KeySpan
 from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 leibniz_check, leibniz_i0)
 from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord, act
-from shirshov.rewrite import RewriteSystem, _mul_word_poly, irr_words
+from shirshov.rewrite import (RewriteSystem, _mul_word_poly, find_compositions,
+                              irr_words)
+
+
+@lru_cache(maxsize=None)
+def _normal_by_degree(n_letters, degree, hall=False):
+    # The normal tree-words of one size, ascending; with hall, only the
+    # Hall words among them.
+    if degree == 1:
+        return tuple(range(n_letters))
+    out = []
+    for ls in range(1, degree):
+        for left in _normal_by_degree(n_letters, ls, hall):
+            for right in _normal_by_degree(n_letters, degree - ls, hall):
+                if ac_key(left) <= ac_key(right):
+                    continue
+                if hall and not isinstance(left, int) and \
+                        ac_key(left[1]) > ac_key(right):
+                    continue
+                out.append((left, right))
+    return tuple(sorted(out, key=ac_key))
 
 
 def _occurrence_paths(tree, target):
@@ -579,19 +602,20 @@ def _all_contexts(self, room):
 
 
 def all_pairs_failing(self, max_deg=None):
-    """(checked, failing) over the compositions (w, result) of every
-    ordered pair whose ambient monomial w has degree <= max_deg, all
-    of them when max_deg is None: how many there are, and those whose
-    result has a nonzero normal form."""
+    """(checked, failing) over the compositions (w, result) that
+    `find_compositions` gives for every ordered pair of elements, whose
+    ambient word w has degree <= max_deg, all of them when max_deg is
+    None: how many there are, and those whose result has a nonzero
+    normal form."""
     checked = 0
     failing = []
-    for i in range(len(self)):
-        for j in range(len(self)):
-            for w, result in self.compositions(i, j):
-                if max_deg is None or self.degree(w) <= max_deg:
+    for f in self.elements:
+        for g in self.elements:
+            for c in find_compositions(f, g):
+                if max_deg is None or self.degree(c.w) <= max_deg:
                     checked += 1
-                    if self.normal_form(result):
-                        failing.append((w, result))
+                    if self.normal_form(c.result):
+                        failing.append((c.w, c.result))
     return checked, tuple(failing)
 
 

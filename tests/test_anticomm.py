@@ -3,12 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import witt
-from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_flatten,
+from shirshov.anticomm import (AcPolynomial, AntiCommutative,
+                               _normal_by_degree, ac_flatten,
                                ac_gsb_check_bounded, ac_key, ac_mul,
                                ac_size, hall_gsb, hall_words, is_ls_word,
                                is_normal_acword, ls_bracketing, ls_words,
                                normal_words)
 
+from references import _normal_by_degree as sorted_normal_by_degree
 from references import ac_find
 
 X1, X2 = 0, 1
@@ -101,16 +103,23 @@ def test_hall_gsb_leading_words_are_the_hall_triples_in_order():
         assert keys == sorted(triples)
 
 
+@pytest.mark.parametrize("hall", [False, True])
+def test_normal_words_come_in_the_order_sorting_gave(hall):
+    for n in range(1, 4):
+        for d in range(1, 9):
+            assert _normal_by_degree(n, d, hall) \
+                == sorted_normal_by_degree(n, d, hall)
+
+
 def test_ac_compositions_include_the_root():
+    # by i, then j, then preorder; a self-pair's root gives exactly 0
     g = AcPolynomial({(X2, X1): 1})
-    (w, zero), = AntiCommutative((g, g), 2).compositions(0, 1)
-    assert w == (X2, X1)
-    assert not zero
+    assert list(AntiCommutative((g,), 2).compositions()) == [((X2, X1), 0)]
+    assert list(AntiCommutative((g, g), 2).compositions()) \
+        == [((X2, X1), 0)] * 4
     f = AcPolynomial({((X2, X1), X2): 1})
-    comps = AntiCommutative((f, g), 2).compositions(0, 1)
-    assert len(comps) == 1
-    assert comps[0][0] == ((X2, X1), X2)
-    assert not comps[0][1]
+    assert list(AntiCommutative((f, g), 2).compositions()) \
+        == [(((X2, X1), X2), 0), (((X2, X1), X2), 0), ((X2, X1), 0)]
 
 
 def test_ac_normal_form():

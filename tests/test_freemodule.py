@@ -42,18 +42,16 @@ def test_act_prepends_words():
 
 
 def test_compositions_need_suffix_and_same_generator():
+    # by i, then j, then suffix; a self-pair's root gives exactly 0
     f, g = simple_set()
-    assert FreeModule((f, g), 2, 2).compositions(0, 1) == []
+    lf, lg = ModuleWord((0, 0), 0), ModuleWord((0,), 1)
+    assert list(FreeModule((f,), 2, 1).compositions()) == [(lf, 0)]
+    assert list(FreeModule((f, g), 2, 2).compositions()) \
+        == [(lf, 0), (lg, 0)]
     h = mono((0,), 0)
-    comps = FreeModule((f, h), 2, 1).compositions(0, 1)
-    assert len(comps) == 1
-    w, result = comps[0]
-    assert w == ModuleWord((0, 0), 0)
-    assert result == -mono((1,), 0)
-    # self-pair closes trivially
-    (w, zero), = FreeModule((f, f), 2, 1).compositions(0, 1)
-    assert w == ModuleWord((0, 0), 0)
-    assert not zero
+    assert list(FreeModule((f, h), 2, 1).compositions()) \
+        == [(lf, 0), (lf, -mono((1,), 0)), (ModuleWord((0,), 0), 0)]
+    assert list(FreeModule((f, f), 2, 1).compositions()) == [(lf, 0)] * 4
 
 
 def test_is_gsb():

@@ -854,18 +854,19 @@ def test_the_checks_insert_and_visit_only_what_can_change_them(monkeypatch):
     assert len(steps) == 4481
 
     visited = []
-    for kind in (RewriteSystem, AntiCommutative):
-        monkeypatch.setattr(kind, "compositions",
-                            _counting(visited, kind.compositions))
+    monkeypatch.setattr("shirshov.rewrite.find_compositions",
+                        _counting(visited, find_compositions))
     report = chinese_gsb(6).is_gsb()
     # every ordered pair: 8,100
     assert (len(visited), report.checked, report.holds) == (840, 770, True)
-    del visited[:]
-    report = AntiCommutative(hall_gsb(2, 8), 2).is_gsb()
-    # every ordered pair: 3,364
-    assert (len(visited), report.holds) == (64, True)
-
     hall = AntiCommutative(hall_gsb(2, 8), 2)
+    assert hall.is_gsb().holds
+    built = []
+    monkeypatch.setattr(AntiCommutative, "multiply", staticmethod(
+        _counting(built, AntiCommutative.multiply)))
+    # every ordered pair: 3,364
+    assert len(list(hall.compositions())) == len(built) == 64
+
     products = []
     monkeypatch.setattr("shirshov.anticomm.ac_mul",
                         _counting(products, ac_mul))
