@@ -9,13 +9,17 @@ Words are tuples of generator ranks; () is the monoid identity.  A
 coefficient is exact and never a float: an int when its value is integral,
 a fractions.Fraction otherwise.  `exact` brings a value to that form and
 `exact_div` divides two of them, since `1 / c` on an int gives a float.
-`add_scaled` is the one kernel every linear combination goes through: it
+`add_scaled` is the kernel of element arithmetic and elimination: it
 keeps each sum in that form and drops a coefficient that reaches 0.
+`rewrite` keeps the same rule in its own loop: a step folds the pairs
+that an `image` hook yields into an integer multiple of the input, so a
+system with integer coefficients rewrites in ints only.
 """
 
 from bisect import insort
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 
 def exact(c):
@@ -401,35 +405,52 @@ def rewrite(p, find, image):
     occurrence until none is left.
 
     find(m) returns an occurrence of a leading monomial in the monomial m,
-    or None; image(m, occ) is the ideal element the occurrence gives, with
-    coefficient 1 at m and smaller monomials elsewhere.  A step subtracts
-    the coefficient of m times its image, which changes only monomials
-    below m.  So the monomials are settled once each, greatest first: an
-    irreducible one keeps its coefficient for good, and a reducible one is
-    rewritten, the image's new monomials joining the pending ones below
-    it.  Returns p itself when nothing was rewritten.
+    or None; image(m, occ) yields the terms other than m of the ideal
+    element the occurrence gives, scaled to coefficient 1 at m, as
+    (monomial, coefficient) pairs, each monomial below m.  A step deletes
+    m and folds in -c times each pair, c the coefficient of m, in one
+    pass: a sum is kept as `exact` gives it, a zero is dropped and a new
+    monomial joins the pending ones below m.  So the monomials are
+    settled once each, greatest first: an irreducible one keeps its
+    coefficient for good, and a reducible one is rewritten.  The working
+    vector is D * p, D the lcm of the denominators of p, so it stays in
+    ints while the images do; it is divided by D once at the end.
+    Returns p itself when nothing was rewritten.
     """
     key = type(p)._key
-    terms = p.terms
+    terms = work = p.terms
     pending = sorted((key(m), m) for m in terms)  # ascending
     while pending:
         m = pending.pop()[1]
-        c = terms.get(m)
-        if c is None:  # cancelled by an earlier step
+        if m not in work:  # cancelled by an earlier step
             continue
         occ = find(m)
         if occ is None:
             continue
-        if terms is p.terms:
-            terms = dict(terms)
-        img = image(m, occ).terms
-        for u in img:
-            if u not in terms:
+        if work is terms:
+            d = lcm(*(v.denominator for v in terms.values()))
+            work = {u: v.numerator * (d // v.denominator)
+                    for u, v in terms.items()}
+        c = work.pop(m)
+        for u, v in image(m, occ):
+            old = work.get(u)
+            if old is None:
                 # pending already if an earlier step cancelled it; its
                 # second copy then finds it gone or is probed again
                 insort(pending, (key(u), u))
-        add_scaled(terms, img.items(), -c)
-    return p if terms is p.terms else p._of(terms)
+                old = 0
+            v = old - c * v
+            if type(v) is not int:  # an int sum is exact already
+                v = exact(v)
+            if v:
+                work[u] = v
+            else:
+                del work[u]
+    if work is terms:
+        return p
+    if d != 1:
+        work = {u: exact_div(v, d) for u, v in work.items()}
+    return p._of(work)
 
 
 class Structure:
@@ -451,8 +472,10 @@ class Structure:
     its first element, and `lead_degrees` lists the distinct leading
     degrees, descending.  From parts and keys it derives `find` and
     `compositions`, one walk over the parts of each leading monomial;
-    from the S-words, the rewriting image.  A kind may override `find`
-    for another strategy, `compositions`, `irreducible_by_degree` and
+    from the S-words, the rewriting `image`: the S-word's terms other
+    than m as (monomial, coefficient) pairs, scaled to coefficient 1 at
+    m, as `rewrite` takes them.  A kind may override `find` for another
+    strategy, `image`, `compositions`, `irreducible_by_degree` and
     `empty_span`.
     """
 
@@ -523,12 +546,14 @@ class Structure:
                     yield lw, f - self.multiply(context, g)
 
     def image(self, m, occ):
-        """The S-word of the occurrence occ = (i, context) of element i
-        in m, scaled to coefficient 1 at m."""
+        """The terms other than m of the S-word of the occurrence occ =
+        (i, context) of element i in m, scaled to coefficient 1 at m."""
         i, context = occ
-        p = self.multiply(context, self.elements[i])
-        c = p.terms[m]
-        return p if c == 1 else p.scale(exact_div(1, c))
+        terms = self.multiply(context, self.elements[i]).terms
+        c = terms[m]
+        if c == 1:
+            return [(u, v) for u, v in terms.items() if u != m]
+        return [(u, exact_div(v, c)) for u, v in terms.items() if u != m]
 
     def normal_form(self, p):
         return rewrite(p, self.find, self.image)

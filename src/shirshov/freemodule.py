@@ -8,8 +8,8 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .core import Polynomial, Structure, Terms, _value, check_letters, rewrite
-from .rewrite import RewriteSystem, _firsts, find_factor
+from .core import Polynomial, Structure, Terms, _value, check_letters
+from .rewrite import _firsts
 
 
 class ModuleWord(namedtuple("ModuleWord", "u y")):
@@ -151,43 +151,6 @@ def module_cd_check(S, nx, ny, max_len):
     """Bounded report of the three equivalent conditions, per u-length,
     as Structure.bounded_check gives it."""
     return FreeModule(S, nx, ny).bounded_check(max_len)
-
-
-def pair_normal_form(m, algebra, S):
-    """Normal form modulo a module-side set S and an algebra-side
-    rewrite system acting from the left.
-
-    Algebra leading words rewrite anywhere inside u-parts, because any
-    product a * s * b * y lies in the submodule generated by the pair:
-    the first leading word with an occurrence, at its leftmost position.
-    Alternates the two rewritings to a fixed point.
-    """
-    if not isinstance(algebra, RewriteSystem):
-        raise TypeError("algebra side must be a RewriteSystem")
-    # FreeModule refuses an S that is not made of module elements
-    ny = 1 + max((mw.y for p in (*S, m) if isinstance(p, ModuleElement)
-                  for mw in p.terms), default=0)
-    module = FreeModule(S, len(algebra.order.alphabet), ny)
-    leads = algebra.leading_words
-
-    def find(mw):
-        for i, lw in enumerate(leads):
-            pos = find_factor(mw.u, lw)
-            if pos is not None:
-                return i, pos
-        return None
-
-    def image(mw, occ):
-        i, pos = occ
-        a, b = mw.u[:pos], mw.u[pos + len(leads[i]):]
-        return ModuleElement([(ModuleWord(a + t + b, mw.y), c)
-                              for t, c in algebra.elements[i].items()])
-
-    while True:
-        m2 = rewrite(module.normal_form(m), find, image)
-        if m2 == m:
-            return m
-        m = m2
 
 
 def random_module_set(nx, ny, max_udeg, rng, max_elems=3):

@@ -116,6 +116,15 @@ class RewriteSystem(Structure):
 
     multiply = staticmethod(_mul_word_poly)
 
+    def image(self, word, occ):
+        """The terms of a*s*b other than word = a*lw*b, for the
+        occurrence occ = (i, (a, b)) of element i: s is monic and t ->
+        a*t*b is one to one, so they need no scaling and no merging."""
+        i, (a, b) = occ
+        lw = word[len(a):len(word) - len(b)]
+        return [(a + t + b, c) for t, c in self.elements[i].terms.items()
+                if t != lw]
+
     def rows(self, max_deg):
         """The S-words a*s*b of degree d <= max_deg whose left factor a
         is () or irreducible, by d, element, |a|, a and b; with a

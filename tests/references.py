@@ -18,7 +18,12 @@ pair, and `bounded_check` calling `find` on every pivot.  The
 dialgebra span before it left out center-outside rows is kept as its
 `contexts`, `multiply` and the rows `Structure` built from them; the
 rewriting loop before it settled each monomial once is kept as
-`rewrite_step` and the loop over it.  The presentation parser before its
+`rewrite_step` and the loop over it.  The reducer before it folded each
+image's pairs into an integer working vector is kept as `terms_rewrite`,
+with the Terms image it took as `structure_image`; `terms_image` reads
+today's image hook as such a Terms.  `pair_normal_form`, which has no
+caller in the library, is kept here with the image hook it passes to
+`shirshov.core.rewrite`.  The presentation parser before its
 terms were read one factor at a time is kept as `_tokenize`, `_Cursor`,
 `_ac_renorm`, `_parse_ac_tree`, `_parse_term`, `_parse_expr`,
 `parse_element` and `parse_presentation`, over the helpers of
@@ -39,12 +44,14 @@ The normal tree-words of one size before they were built in order are
 kept as `_normal_by_degree`, which tried every pair of sizes and sorted.
 """
 
+from bisect import insort
 from collections import Counter
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
 import shirshov as _lib
+import shirshov.core as _core
 from shirshov.anticomm import (AcPolynomial, AntiCommutative, _lift,
                                ac_key, ac_mul, ac_size)
 from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
@@ -57,7 +64,7 @@ from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 leibniz_check, leibniz_i0)
 from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord, act
 from shirshov.rewrite import (RewriteSystem, _mul_word_poly, find_compositions,
-                              irr_words)
+                              find_factor, irr_words)
 
 
 @lru_cache(maxsize=None)
@@ -714,6 +721,98 @@ def rewrite(p, find, image):
         if q is None:
             return p
         p = q
+
+
+def terms_rewrite(p, find, image):
+    """Normal form of p: rewrite its key-greatest monomial with an
+    occurrence until none is left.
+
+    find(m) returns an occurrence of a leading monomial in the monomial m,
+    or None; image(m, occ) is the ideal element the occurrence gives, with
+    coefficient 1 at m and smaller monomials elsewhere.  A step subtracts
+    the coefficient of m times its image, which changes only monomials
+    below m.  So the monomials are settled once each, greatest first: an
+    irreducible one keeps its coefficient for good, and a reducible one is
+    rewritten, the image's new monomials joining the pending ones below
+    it.  Returns p itself when nothing was rewritten.
+    """
+    key = type(p)._key
+    terms = p.terms
+    pending = sorted((key(m), m) for m in terms)  # ascending
+    while pending:
+        m = pending.pop()[1]
+        c = terms.get(m)
+        if c is None:  # cancelled by an earlier step
+            continue
+        occ = find(m)
+        if occ is None:
+            continue
+        if terms is p.terms:
+            terms = dict(terms)
+        img = image(m, occ).terms
+        for u in img:
+            if u not in terms:
+                # pending already if an earlier step cancelled it; its
+                # second copy then finds it gone or is probed again
+                insort(pending, (key(u), u))
+        add_scaled(terms, img.items(), -c)
+    return p if terms is p.terms else p._of(terms)
+
+
+def structure_image(self, m, occ):
+    """The S-word of the occurrence occ = (i, context) of element i
+    in m, scaled to coefficient 1 at m."""
+    i, context = occ
+    p = self.multiply(context, self.elements[i])
+    c = p.terms[m]
+    return p if c == 1 else p.scale(exact_div(1, c))
+
+
+def terms_image(structure):
+    """The structure's image hook read as `terms_rewrite` and
+    `rewrite_step` take it: image(m, occ) as the element of the
+    structure's kind with coefficient 1 at m and the yielded pairs
+    elsewhere, wrapped as they come so their exactness shows."""
+    def image(m, occ):
+        return structure.elem._of({m: 1, **dict(structure.image(m, occ))})
+    return image
+
+
+def pair_normal_form(m, algebra, S):
+    """Normal form modulo a module-side set S and an algebra-side
+    rewrite system acting from the left.
+
+    Algebra leading words rewrite anywhere inside u-parts, because any
+    product a * s * b * y lies in the submodule generated by the pair:
+    the first leading word with an occurrence, at its leftmost position.
+    Alternates the two rewritings to a fixed point.
+    """
+    if not isinstance(algebra, RewriteSystem):
+        raise TypeError("algebra side must be a RewriteSystem")
+    # FreeModule refuses an S that is not made of module elements
+    ny = 1 + max((mw.y for p in (*S, m) if isinstance(p, ModuleElement)
+                  for mw in p.terms), default=0)
+    module = FreeModule(S, len(algebra.order.alphabet), ny)
+    leads = algebra.leading_words
+
+    def find(mw):
+        for i, lw in enumerate(leads):
+            pos = find_factor(mw.u, lw)
+            if pos is not None:
+                return i, pos
+        return None
+
+    def image(mw, occ):
+        i, pos = occ
+        a, b = mw.u[:pos], mw.u[pos + len(leads[i]):]
+        return [(ModuleWord(a + t + b, mw.y), c)
+                for t, c in algebra.elements[i].items() if t != leads[i]]
+
+    while True:
+        m2 = _core.rewrite(module.normal_form(m), find, image)
+        if m2 == m:
+            return m
+        m = m2
 
 
 def structure_rows(self, max_deg):

@@ -14,7 +14,8 @@ again changes nothing, that what rewriting removed lies in the bounded
 ideal span, and that every coefficient the engine produces is an int
 when integral and a Fraction otherwise and equals what plain Fraction
 arithmetic gives, and that `core.rewrite` gives what the loop of single
-rewrite passes it replaced gives.  Last, the compositions and the
+rewrite passes it replaced gives, and what the reducer over Terms images
+it replaced gives.  Last, the compositions and the
 anti-commutative rows that `core.Structure` derives are checked
 against the functions they replaced.
 """
@@ -33,14 +34,15 @@ from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
                                 all_diwords, diword_key,
                                 leibniz_dim2, leibniz_enveloping)
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
-                                 mword_key, pair_normal_form,
-                                 random_module_set)
+                                 mword_key, random_module_set)
 from shirshov.rewrite import RewriteSystem, find_factor
 
 from references import (_occurrence_paths, _occurrences, _prep, _substitute,
                         ac_chain_rows, ac_compositions, ac_find,
-                        ac_occurrences, module_compositions, rewrite_step,
-                        stored_rows, tuple_span)
+                        ac_occurrences, module_compositions,
+                        pair_normal_form, rewrite_step, stored_rows,
+                        structure_image, terms_image, terms_rewrite,
+                        tuple_span)
 from references import rewrite as step_loop
 
 COEFFS = [-2, -1, 1, 2, 3]
@@ -508,15 +510,16 @@ def test_what_rewriting_removes_lies_in_the_bounded_ideal_span(case):
 @given(cases())
 @example(CONSTANT)
 def test_an_image_is_one_at_its_monomial_and_smaller_elsewhere(case):
-    # The contract of core.Structure.image, which rewrite_step relies on.
+    # The contract of the image hook, which core.rewrite relies on: the
+    # pairs are the S-word scaled to 1 at m, less m, all below m.
     structure, p = case
     key = type(p)._key
     for m in p.terms:
         occ = structure.find(m)
         if occ is not None:
-            image = structure.image(m, occ)
-            assert image.coeff(m) == 1
-            assert all(key(u) < key(m) for u in image.terms if u != m)
+            assert all(key(u) < key(m) for u, _ in structure.image(m, occ))
+            image = terms_image(structure)(m, occ)
+            assert image == structure_image(structure, m, occ)
 
 
 # -- exact coefficients ---------------------------------------------------
@@ -586,7 +589,8 @@ def test_a_coefficient_is_an_int_when_integral_and_a_fraction_otherwise(
     made = [p, q, nf, p + nf, p - nf, p + q, p - q, p + c * q, p.scale(c),
             c * p, p.monic()]
     made += structure.elements
-    made += [structure.image(m, structure.find(m)) for m in p.terms
+    image = terms_image(structure)
+    made += [image(m, structure.find(m)) for m in p.terms
              if structure.find(m) is not None]
     if isinstance(p, Polynomial):
         assert (p * q).terms == _reference_product(p, q)
@@ -596,13 +600,22 @@ def test_a_coefficient_is_an_int_when_integral_and_a_fraction_otherwise(
     # one rewrite pass equals the scaled copy subtracted, along the chain
     r = p
     while r is not None:
-        step = rewrite_step(r, structure.find, structure.image)
-        assert step == _two_step(r, structure.find, structure.image)
+        step = rewrite_step(r, structure.find, image)
+        assert step == _two_step(r, structure.find, image)
         r = step
     d = max(map(structure.degree,
                 list(p.terms) + list(structure.leading_words)))
     for row in stored_rows(structure.span(d)).values():
         assert all(map(_is_exact, row.values()))
+
+
+def _assert_same_normal_form(p, nf, ref):
+    # equal terms, equal coefficient types, and p itself from both or
+    # from neither
+    assert nf.sorted_terms() == ref.sorted_terms()
+    assert [type(c) for _, c in nf.sorted_terms()] == \
+        [type(c) for _, c in ref.sorted_terms()]
+    assert (nf is p) == (ref is p)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -612,11 +625,28 @@ def test_rewrite_settles_each_monomial_as_the_step_loop_does(case):
     # The loop re-sorted p and probed it from the top on every pass.
     structure, p = case
     nf = structure.normal_form(p)
-    ref = step_loop(p, structure.find, structure.image)
-    assert nf.sorted_terms() == ref.sorted_terms()
-    assert [type(c) for _, c in nf.sorted_terms()] == \
-        [type(c) for _, c in ref.sorted_terms()]
-    assert (nf is p) == (ref is p)
+    ref = step_loop(p, structure.find, terms_image(structure))
+    _assert_same_normal_form(p, nf, ref)
+
+
+# Fraction coefficients and no monomial to rewrite: p itself comes back.
+IRREDUCIBLE = (_free_algebra([Polynomial({(1, 1): 1, (0,): Fraction(-1, 2)})]),
+               Polynomial({(0, 1): Fraction(2, 3), (1, 0): Fraction(-1, 2),
+                           (): 3}))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cases(RATIONALS))
+@example(IRREDUCIBLE)
+@example(CONSTANT)
+def test_rewrite_agrees_with_the_terms_reducer(case):
+    # The reducer before the integer working vector: a Terms image,
+    # subtracted through add_scaled on every step.
+    structure, p = case
+    nf = structure.normal_form(p)
+    ref = terms_rewrite(p, structure.find,
+                        lambda m, occ: structure_image(structure, m, occ))
+    _assert_same_normal_form(p, nf, ref)
 
 
 # -- what core.Structure derives from parts ------------------------------

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from shirshov.core import Alphabet, DegLexOrder, Polynomial
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
                                  module_cd_check, module_irr, mword_key,
-                                 pair_normal_form, random_module_set)
+                                 random_module_set)
 from shirshov.rewrite import RewriteSystem, irr_words
+
+from references import pair_normal_form
 
 
 def mono(u, y, c=1):
