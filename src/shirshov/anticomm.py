@@ -60,20 +60,24 @@ def _lift(x):
     return AcPolynomial({x: 1})
 
 
-def ac_mul(u, v):
-    """Signed product: [uv] when u > v, -[vu] when u < v, 0 on equality;
-    bilinear on polynomials.  The result is always an AcPolynomial."""
-    p, q = _lift(u), _lift(v)
+def _signed_product(p, q, key):
+    """ac_mul over (tree, coefficient) pairs, the trees ordered by key."""
+    right = [(b, key(b), cb) for b, cb in q]
     items = []
-    for a, ca in p.items():
-        ka = ac_key(a)
-        for b, cb in q.items():
-            kb = ac_key(b)
+    for a, ca in p:
+        ka = key(a)
+        for b, kb, cb in right:
             if ka > kb:
                 items.append(((a, b), ca * cb))
             elif ka < kb:
                 items.append(((b, a), -ca * cb))
     return AcPolynomial(items)
+
+
+def ac_mul(u, v):
+    """Signed product: [uv] when u > v, -[vu] when u < v, 0 on equality;
+    bilinear on polynomials.  The result is always an AcPolynomial."""
+    return _signed_product(_lift(u).items(), _lift(v).items(), ac_key)
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +149,7 @@ class AntiCommutative(Structure):
     a tree-word is its size.  A context is a chain of (side, sibling)
     pairs up to the root, the sibling right of the subtree for side 0
     and left for side 1.  `rows` yields chains of right products, keyed
-    by `Structure.empty_span`, as a tree-word's code has no closed form.
+    and ordered by `table` codes: a tree-word's code has no closed form.
     """
 
     elem = AcPolynomial
@@ -155,6 +159,7 @@ class AntiCommutative(Structure):
     def __init__(self, relations, n_letters):
         super().__init__(relations)
         self.n = n_letters
+        self.shape = (n_letters,)
         for i, p in enumerate(self.elements):
             for t in p.terms:
                 if _normal_key(t, n_letters) is None:
@@ -191,8 +196,9 @@ class AntiCommutative(Structure):
         + |mk| <= max_deg, level by level: each is yielded once and
         extended by every normal word that fits.  They span the ideal,
         since anti-commutativity makes one-sided chains span both sides,
-        and a chain that reaches 0 stays 0, as the product is bilinear."""
-        code = self.empty_span(max_deg).key
+        and a chain that reaches 0 stays 0, as the product is bilinear.
+        Every factor has a code in `table(max_deg)`, which orders it."""
+        code = self.table(max_deg)[1].__getitem__
         levels = {}
         for s, lw in zip(self.elements, self.leading_words):
             levels.setdefault(ac_size(lw), []).append(s)
@@ -201,7 +207,7 @@ class AntiCommutative(Structure):
                 yield d, {code(m): c for m, c in p.terms.items()}
                 for e in range(1, max_deg - d + 1):
                     for m in _normal_by_degree(self.n, e):
-                        q = ac_mul(p, m)
+                        q = _signed_product(p.terms.items(), ((m, 1),), code)
                         if q:
                             levels.setdefault(d + e, []).append(q)
 

@@ -274,9 +274,9 @@ class VectorSpan:
     pivot b of a row B in A's tail subtracts A[b] * B from A, which
     keeps A's pivot and the row space, so chains of rows shorten as they
     are walked.  A span built by Structure.span maps each closed degree
-    to its rank in `ranks`.  `contains` and `is_pivot` take columns, and
-    a column whose key is None is in no row.  `pivots()` reads columns
-    through `column`.
+    to its rank in `ranks`.  `contains` takes columns, and a column
+    whose key is None is in no row.  `pivots()` reads columns through
+    `column`.
     """
 
     def __init__(self, key, column):
@@ -329,11 +329,6 @@ class VectorSpan:
     def contains(self, vec):
         kvec = self.keyed(vec)
         return kvec is not None and self._reduce(kvec) is None
-
-    def is_pivot(self, column):
-        """Whether column is the pivot of a stored row."""
-        k = self.key(column)
-        return k is not None and k in self._rows
 
     @property
     def rank(self):
@@ -476,11 +471,13 @@ class Structure:
     than m as (monomial, coefficient) pairs, scaled to coefficient 1 at
     m, as `rewrite` takes them.  A kind may override `find` for another
     strategy, `image`, `compositions`, `irreducible_by_degree` and
-    `empty_span`.
+    `empty_span`; one that keeps it names its `shape`, the sizes that fix
+    its monomials, for the int codes of `table`.
     """
 
     elem = Terms
     low = 0
+    _tables = {}  # (kind, shape, max_deg) -> table(max_deg)
 
     def __init__(self, relations):
         self.elements = tuple(relations)
@@ -602,14 +599,22 @@ class Structure:
         checked, failing = self._failing()
         return GsbReport(holds=not failing, checked=checked, failing=failing)
 
+    def table(self, max_deg):
+        """(words, codes): the monomials of degree <= max_deg in order, and
+        the dict of their places; built once per kind, shape and bound."""
+        key = type(self), self.shape, max_deg
+        if key not in self._tables:
+            words = tuple(m for d in range(self.low, max_deg + 1)
+                          for m in self.monomials(d))
+            self._tables[key] = words, {m: i for i, m in enumerate(words)}
+        return self._tables[key]
+
     def empty_span(self, max_deg):
         """The VectorSpan that `span` inserts `rows(max_deg)` into, keyed
-        by one dict: a monomial of degree <= max_deg by its code, its
-        place in the kind's order, and any other column by None."""
-        words = [m for d in range(self.low, max_deg + 1)
-                 for m in self.monomials(d)]
-        return VectorSpan({m: i for i, m in enumerate(words)}.get,
-                          words.__getitem__)
+        by `table(max_deg)`: a monomial of degree <= max_deg by its code
+        and any other column by None."""
+        words, codes = self.table(max_deg)
+        return VectorSpan(codes.get, words.__getitem__)
 
     def span(self, max_deg):
         """One span of `rows(max_deg)`, the S-words of degree <=
@@ -643,8 +648,9 @@ class Structure:
         levels = self.irreducible_by_degree(max_deg)
         # an irreducible pivot has no occurrence; codes follow the order,
         # so the levels read backwards give them descending
+        key, pivots = span.key, span._rows
         bad = tuple(m for level in reversed(levels.values())
-                    for m in reversed(level) if span.is_pivot(m))
+                    for m in reversed(level) if key(m) in pivots)
         table = []
         irr = total = 0
         for d, rank in span.ranks.items():

@@ -111,6 +111,7 @@ class Dialgebra(Structure):
     def __init__(self, relations, n_letters):
         super().__init__(relations)
         self.n = n_letters
+        self.shape = (n_letters,)
         for p in self.elements:
             for m in p.terms:
                 check_letters(m.letters, n_letters)

@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import product
 
 from .core import Polynomial, Structure, Terms, _value, check_letters
-from .rewrite import _firsts
+from .rewrite import _firsts, word_code
 
 
 class ModuleWord(namedtuple("ModuleWord", "u y")):
@@ -45,7 +45,7 @@ def act(p, m):
     return ModuleElement(acc)
 
 
-# Cached: a check reads each degree in the levels, `empty_span` and `count`.
+# Cached: a check reads each degree in the levels and `count`.
 @lru_cache(maxsize=None)
 def _module_words(nx, ny, length):
     return tuple(ModuleWord(u, y) for u in product(range(nx), repeat=length)
@@ -61,8 +61,8 @@ class FreeModule(Structure):
     suffix in `lead_index` wins.  A module word hashes and compares as
     the tuple (u, y), so a part is that plain tuple, which `find` probes
     without building a ModuleWord.  The degree of a module word is the
-    length of its u-part.  The code of u.y, its place in the order, is
-    ny * word_code(u, nx) + y.
+    length of its u-part.  The shape is (nx, ny), and the code of u.y,
+    its place in the order, ny * word_code(u, nx) + y.
     """
 
     elem = ModuleElement
@@ -70,6 +70,7 @@ class FreeModule(Structure):
     def __init__(self, relations, nx, ny):
         super().__init__(relations)
         self.nx, self.ny = nx, ny
+        self.shape = nx, ny
         for p in self.elements:
             for mw in p.terms:
                 check_letters(mw.u, nx)
@@ -128,14 +129,17 @@ class FreeModule(Structure):
         ascending}, grown a degree at a time: u.y is irreducible exactly
         when (u[1:], y) is and u.y is no key.  monomials(d) lists the
         words by u, then y, so x*u.y sits x * len(monomials(d - 1))
-        places after the place of u.y in monomials(d - 1)."""
-        index = self.lead_index
-        out, words, kept = {}, (), ()
+        places after the place of u.y in monomials(d - 1); its code,
+        which no key may have, is its place plus that of monomials(d)[0]."""
+        nx, ny = self.shape
+        leads = {ny * word_code(lw.u, nx) + lw.y for lw in self.lead_index}
+        out, words, kept, start = {}, (), (), 0
         for d in range(max_deg + 1):
             step, words = len(words), self.monomials(d)
+            start += step  # the code of words[0]
             grown = (range(len(words)) if not d else
-                     (x * step + j for x in range(self.nx) for j in kept))
-            kept = [i for i in grown if words[i] not in index]
+                     (x * step + j for x in range(nx) for j in kept))
+            kept = [i for i in grown if start + i not in leads]
             out[d] = [words[i] for i in kept]
         return out
 

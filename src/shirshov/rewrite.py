@@ -24,17 +24,19 @@ def _firsts(n, top):
     return list(accumulate((n ** k for k in range(top)), initial=0))
 
 
-def word_code(word, n):
+def word_code(word, n, first=()):
     """The place of word in the deg-lex order of the words over n letters,
     () first: (n**|w| - 1) // (n - 1) plus w read as a base-n numeral, or
     |w| when n = 1.  None when a letter is outside range(n), since such a
     word has no place, and the code computed from it could be another
-    word's."""
+    word's.  first, `_firsts(n, top)` built once, saves building it."""
     letters = range(n)
     for x in word:
         if x not in letters:
             return None
-    return _firsts(n, len(word))[-1] + _value(word, n)
+    if len(word) >= len(first):
+        first = _firsts(n, len(word))
+    return first[len(word)] + _value(word, n)
 
 
 def code_word(code, n):
@@ -178,10 +180,11 @@ class RewriteSystem(Structure):
                             yield d, {k + vb: c for k, c in at}
 
     def empty_span(self, max_deg):
-        """The span of `rows`, keyed by `word_code` at every degree: it
-        reads a code back as a word by `code_word`."""
+        """The span of `rows`, keyed by `word_code` at every degree, over
+        first codes built once: it reads a code back by `code_word`."""
         n = len(self.order.alphabet)
-        return VectorSpan(lambda w: word_code(w, n),
+        first = _firsts(n, max_deg)
+        return VectorSpan(lambda w: word_code(w, n, first),
                           lambda k: code_word(k, n))
 
     def monomials(self, d):

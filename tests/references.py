@@ -42,6 +42,14 @@ spans are compared by `echelon`, their reduced row echelon form, over
 the rows that `stored_rows` reads back as columns.
 The normal tree-words of one size before they were built in order are
 kept as `_normal_by_degree`, which tried every pair of sizes and sorted.
+The bounded check before it read one cached monomial table per kind,
+shape and bound is kept as `dict_span`, the `Structure.empty_span` that
+built a fresh code dict per check; `pivot_bounded_check`, whose
+condition (ii) called `is_pivot` per irreducible monomial;
+`module_irreducible_by_degree`, which hashed a module word per
+candidate; and `ac_mul_rows`, the anti-commutative rows that ordered
+each chain product by `ac_key` through `ac_mul`.  `PerCheckModule`,
+`PerCheckDialgebra` and `PerCheckAc` check with them.
 """
 
 from bisect import insort
@@ -861,6 +869,117 @@ class EveryDialgebraRow(Dialgebra):
                         yield a, b, q
                     for r in range(-lb, 0):
                         yield a, b, r
+
+
+def dict_span(self, max_deg):
+    """The VectorSpan that `span` inserts `rows(max_deg)` into, keyed
+    by one dict: a monomial of degree <= max_deg by its code, its
+    place in the kind's order, and any other column by None."""
+    words = [m for d in range(self.low, max_deg + 1)
+             for m in self.monomials(d)]
+    return KeySpan({m: i for i, m in enumerate(words)}.get,
+                   words.__getitem__)
+
+
+def is_pivot(self, column):
+    """Whether column is the pivot of a stored row."""
+    k = self.key(column)
+    return k is not None and k in self._rows
+
+
+def pivot_bounded_check(self, max_deg):
+    """Bounded report: the compositions whose ambient monomial has
+    degree <= max_deg, where examined, reduce to 0; every pivot of the
+    span at max_deg has an occurrence; irreducible count plus span
+    rank matches the monomial count per degree, cumulatively.  Raises
+    when the bound cannot hold some relation's leading monomial."""
+    check_bound(max_deg, map(self.degree, self.leading_words))
+    failing = None
+    if self.compositions is not None:
+        failing = self._failing(max_deg)[1]
+    span = self.span(max_deg)
+    levels = self.irreducible_by_degree(max_deg)
+    # an irreducible pivot has no occurrence; codes follow the order,
+    # so the levels read backwards give them descending
+    bad = tuple(m for level in reversed(levels.values())
+                for m in reversed(level) if is_pivot(span, m))
+    table = []
+    irr = total = 0
+    for d, rank in span.ranks.items():
+        total += self.count(d)
+        irr += len(levels[d])
+        table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
+                                total=total, ok=(irr + rank == total)))
+    return BoundedReport(
+        max_deg=max_deg,
+        gsb_ok=None if failing is None else not failing,
+        failing=failing, leading_ok=not bad, bad_leadings=bad,
+        counts_ok=all(line.ok for line in table), table=tuple(table))
+
+
+def module_irreducible_by_degree(self, max_deg):
+    """{d: the module words with |u| = d that no leading word ends,
+    ascending}, grown a degree at a time: u.y is irreducible exactly
+    when (u[1:], y) is and u.y is no key.  monomials(d) lists the
+    words by u, then y, so x*u.y sits x * len(monomials(d - 1))
+    places after the place of u.y in monomials(d - 1)."""
+    index = self.lead_index
+    out, words, kept = {}, (), ()
+    for d in range(max_deg + 1):
+        step, words = len(words), self.monomials(d)
+        grown = (range(len(words)) if not d else
+                 (x * step + j for x in range(self.nx) for j in kept))
+        kept = [i for i in grown if words[i] not in index]
+        out[d] = [words[i] for i in kept]
+    return out
+
+
+def ac_mul_rows(self, max_deg):
+    """(d, {code: coefficient}) for the nonzero chain products ((s m1)
+    ... mk) of a relation s by normal words, d = |lead s| + |m1| + ...
+    + |mk| <= max_deg, level by level: each is yielded once and
+    extended by every normal word that fits.  They span the ideal,
+    since anti-commutativity makes one-sided chains span both sides,
+    and a chain that reaches 0 stays 0, as the product is bilinear."""
+    code = self.empty_span(max_deg).key
+    levels = {}
+    for s, lw in zip(self.elements, self.leading_words):
+        levels.setdefault(ac_size(lw), []).append(s)
+    for d in range(1, max_deg + 1):
+        for p in levels.pop(d, ()):
+            yield d, {code(m): c for m, c in p.terms.items()}
+            for e in range(1, max_deg - d + 1):
+                for m in _normal_by_degree(self.n, e):
+                    q = ac_mul(p, m)
+                    if q:
+                        levels.setdefault(d + e, []).append(q)
+
+
+class PerCheckModule(FreeModule):
+    """A `FreeModule` that checks the bounded conditions as it did before
+    they read a cached monomial table."""
+
+    empty_span = dict_span
+    bounded_check = pivot_bounded_check
+    irreducible_by_degree = module_irreducible_by_degree
+
+
+class PerCheckDialgebra(Dialgebra):
+    """A `Dialgebra` that checks the bounded conditions as it did before
+    they read a cached monomial table."""
+
+    empty_span = dict_span
+    bounded_check = pivot_bounded_check
+
+
+class PerCheckAc(AntiCommutative):
+    """An `AntiCommutative` that checks the bounded conditions as it did
+    before they read a cached monomial table, with its chain products
+    taken by `ac_mul`."""
+
+    empty_span = dict_span
+    bounded_check = pivot_bounded_check
+    rows = ac_mul_rows
 
 
 def _tokenize(text, lineno):

@@ -12,7 +12,9 @@ leaves out rows and pairs that cannot change its answer, with the one
 that inserted every S-word and visited every pair; its rows, which come
 as int word codes, are also compared with the same rows inserted as
 words.  So is the dialgebra span, which leaves out rows with the center
-outside or inside a relation, with the one that inserted every S-word.
+outside or inside a relation, with the one that inserted every S-word,
+and every kind's bounded check, which reads one cached monomial table
+per kind, shape and bound, with the one that built its codes per check.
 """
 
 import gc
@@ -26,7 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shirshov.anticomm import (AcPolynomial, AntiCommutative,
-                               _normal_by_degree, ac_gsb_check_bounded,
+                               _normal_by_degree, _signed_product,
+                               ac_gsb_check_bounded,
                                ac_key, ac_mul, ac_size, hall_gsb,
                                hall_words, normal_words)
 from shirshov.catalog import chinese_gsb
@@ -46,6 +49,7 @@ from shirshov.rewrite import (RewriteSystem, code_word, irr_words,
 
 from references import VectorSpan as ReferenceSpan
 from references import (TUPLE_READERS, EveryDialgebraRow, EveryRowAndPair,
+                        PerCheckAc, PerCheckDialgebra, PerCheckModule,
                         TupleKeyedAc, TupleKeyedDialgebra, TupleKeyedModule,
                         WordKeyedRows, _occurrence_paths, _occurrences,
                         _prep, ac_compositions, echelon, find_bounded_check,
@@ -545,10 +549,13 @@ def test_assoc_checks_without_the_left_out_rows_and_pairs_agree(case, data):
 def test_word_codes_number_the_words_in_deglex_order(n):
     # every word of length <= 6, () included: the codes in deg-lex order
     # are 0, 1, 2, ..., so c(u) < c(v) exactly when deglex_key(u) <
-    # deglex_key(v), and code_word inverts word_code
+    # deglex_key(v), and code_word inverts word_code; a span at bound 3
+    # keys the longer words too
     words = sorted((w for d in range(7) for w in product(range(n), repeat=d)),
                    key=deglex_key)
     assert [word_code(w, n) for w in words] == list(range(len(words)))
+    key = RewriteSystem((), DegLexOrder(Alphabet("xyz"[:n]))).empty_span(3).key
+    assert [key(w) for w in words] == list(range(len(words)))
     assert [code_word(c, n) for c in range(len(words))] == words
 
 
@@ -828,6 +835,55 @@ def test_every_kind_reports_what_find_decides(case):
         == find_bounded_check(structure, bound)
 
 
+PER_CHECK = {FreeModule: PerCheckModule, Dialgebra: PerCheckDialgebra,
+             AntiCommutative: PerCheckAc}
+
+
+def _per_check_reports_agree(structure, bounds):
+    ref = PER_CHECK[type(structure)](structure.elements, *structure.shape)
+    for bound in bounds:
+        assert structure.bounded_check(bound) == ref.bounded_check(bound)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(module_sets(), dialgebra_cases(), ac_cases()))
+def test_bounded_checks_agree_with_the_per_check_path(case):
+    # The reference builds a code dict per check, asks is_pivot of every
+    # irreducible monomial, hashes module words and orders chain products
+    # by ac_key.  The bound goes up and back down, so a check reads tables
+    # cached by this structure and by the ones before it.
+    structure, _, bound, _ = case
+    _per_check_reports_agree(structure, (bound, bound + 1, bound))
+
+
+def test_the_benchmark_checks_agree_with_the_per_check_path():
+    rng = random.Random(3)
+    for _ in range(10):
+        _per_check_reports_agree(
+            FreeModule(random_module_set(2, 2, 3, rng), 2, 2), (5, 7, 5))
+    _per_check_reports_agree(AntiCommutative(hall_gsb(2, 6), 2), (6, 8, 6))
+    _per_check_reports_agree(
+        Dialgebra(leibniz_enveloping(leibniz_dim2()), 2), (4, 6, 4))
+
+
+def test_structures_of_one_kind_shape_and_bound_share_one_table():
+    rng = random.Random(3)
+    a, b = (FreeModule(random_module_set(2, 2, 3, rng), 2, 2)
+            for _ in range(2))
+    assert a.table(5) is b.table(5)
+    assert a.empty_span(5).key.__self__ is b.table(5)[1]
+    assert a.table(6) is not a.table(5)
+    assert FreeModule((), 2, 3).table(5) is not a.table(5)
+    hall = AntiCommutative(hall_gsb(2, 6), 2)
+    assert AntiCommutative((), 2).table(6) is hall.table(6)
+    assert AntiCommutative((), 3).table(6) is not hall.table(6)
+    di = Dialgebra(leibniz_enveloping(leibniz_dim2()), 2)
+    assert Dialgebra((), 2).table(4) is di.table(4)
+    assert Dialgebra((), 2).table(5) is not di.table(4)
+    # one shape, two kinds
+    assert AntiCommutative((), 2).table(4) is not di.table(4)
+
+
 def _counting(calls, function):
     def counted(*args):
         calls.append(args)
@@ -868,8 +924,8 @@ def test_the_checks_insert_and_visit_only_what_can_change_them(monkeypatch):
     assert len(list(hall.compositions())) == len(built) == 64
 
     products = []
-    monkeypatch.setattr("shirshov.anticomm.ac_mul",
-                        _counting(products, ac_mul))
+    monkeypatch.setattr("shirshov.anticomm._signed_product",
+                        _counting(products, _signed_product))
     del inserted[:]
     span = hall.span(8)
     # every chain rebuilt from its relation: 362 calls
