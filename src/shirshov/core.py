@@ -477,7 +477,7 @@ class Structure:
 
     elem = Terms
     low = 0
-    _tables = {}  # (kind, shape, max_deg) -> table(max_deg)
+    _tables = {}  # kind -> ((shape, max_deg), table(max_deg))
 
     def __init__(self, relations):
         self.elements = tuple(relations)
@@ -601,13 +601,16 @@ class Structure:
 
     def table(self, max_deg):
         """(words, codes): the monomials of degree <= max_deg in order, and
-        the dict of their places; built once per kind, shape and bound."""
-        key = type(self), self.shape, max_deg
-        if key not in self._tables:
+        the dict of their places.  Each kind holds the table of its last
+        shape and bound, and builds another only when they change."""
+        key = self.shape, max_deg
+        held = self._tables.get(type(self))
+        if held is None or held[0] != key:
             words = tuple(m for d in range(self.low, max_deg + 1)
                           for m in self.monomials(d))
-            self._tables[key] = words, {m: i for i, m in enumerate(words)}
-        return self._tables[key]
+            held = self._tables[type(self)] = key, (
+                words, {m: i for i, m in enumerate(words)})
+        return held[1]
 
     def empty_span(self, max_deg):
         """The VectorSpan that `span` inserts `rows(max_deg)` into, keyed

@@ -74,7 +74,11 @@ def _inter_reduce_elements(system, h=None):
     One working system reduces modulo the list, with None for a deleted
     element; its index maps each leading word to the first element that
     has it.  A candidate hands its leading word to the next element that
-    has it, if any, for its own reduction.  At the end the elements that
+    has it, if any, for its own reduction.  It is a shallow copy, so it
+    shares the system's automaton of leading words, built here if the
+    system has none: each word that enters is added to it, and a word
+    that leaves stays there, dead while the index lacks it, so a
+    completion builds one automaton.  At the end the elements that
     kept their places stay in order, the others are inserted by
     bisection, and the index is renumbered from the first place that
     moved.  The elements are built from the system's checked words, so
@@ -82,17 +86,16 @@ def _inter_reduce_elements(system, h=None):
     """
     before = system.leading_words
     elems, own = list(system.elements), list(before)
-    index, degrees = dict(system.lead_index), list(system.lead_degrees)
+    index = dict(system.lead_index)
     work = copy.copy(system)
-    work.elements, work.lead_index, work.lead_degrees = elems, index, degrees
+    work.elements, work.lead_index = elems, index
+    dfa = work._automaton()
 
     def enter(i, lw):
         own[i] = lw
+        dfa.add(lw)
         if index.get(lw, i) >= i:
             index[lw] = i
-        if len(lw) not in degrees:  # one that left may stay until the end
-            degrees.append(len(lw))
-            degrees.sort(reverse=True)
 
     def leave(i):
         lw, own[i] = own[i], None

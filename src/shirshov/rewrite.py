@@ -6,10 +6,14 @@ S-word of a relation s in the context (a, b) is a*s*b.
 The reduction strategy is fixed so every run is reproducible: rewrite the
 order-greatest reducible monomial, using the order-greatest applicable
 leading word (ties broken by element position) at its leftmost occurrence.
-`find` realises the strategy by probing the factors of a monomial,
-longest length first, against the index of leading words that
-`core.Structure` builds, instead of searching the monomial once per
-element.
+`find` realises the strategy in one left-to-right pass of a word through
+an Aho-Corasick automaton of the leading words (Aho and Corasick, CACM 18
+(1975)), which `irreducible_by_degree` walks too.  The automaton is built
+on a system's first use and only grows, by Meyer's incremental
+construction (Inf. Process. Lett. 21 (1985)).  A word in it counts only
+while it is in the system's own `lead_index`, so a word that left the
+leading words may stay: the working copies of one completion share one
+automaton, and each newly entered leading word is added to it.
 """
 
 from collections import namedtuple
@@ -61,6 +65,72 @@ def _mul_word_poly(context, p):
     return Polynomial._of({a + t + b: c for t, c in p.terms.items()})
 
 
+class _Automaton:
+    """The Aho-Corasick automaton of a growing set of words over the
+    letters range(n), as a full DFA.  State 0 is the root, the empty
+    word; every other state is a nonempty prefix of a word, of length
+    depth[s].  delta[s] is its transition row: on letter x, the state of
+    the longest suffix of s*x that is a state, and on column n, a letter
+    outside the alphabet, the root.  fail[s] is the longest proper suffix
+    of s that is a state, and kids[s] the states whose fail is s, the
+    inverse failure tree.  An added word w is a terminal state s with
+    words[s] = w.  out[s] is the longest terminal suffix of s, 0 when
+    there is none, and codes[s] its `word_code`, -1 for none.  The root
+    is never an output: () is left to the caller."""
+
+    __slots__ = ("n", "letters", "delta", "fail", "kids", "depth", "out",
+                 "words", "codes")
+
+    def __init__(self, n, words):
+        self.n, self.letters = n, frozenset(range(n))
+        self.delta = [[0] * (n + 1)]
+        self.fail, self.kids, self.depth, self.out = [0], [[]], [0], [0]
+        self.words, self.codes = [None], [-1]
+        for w in words:
+            self.add(w)
+
+    def add(self, word):
+        """Make word terminal.  Each new state q = s*x, for s its parent,
+        changes only the states that end in s, the failure subtree of s:
+        below a state with an x-child they keep their x-transitions, and
+        the first such x-children fail to q; the others go to q on x."""
+        delta, fail, kids, depth = self.delta, self.fail, self.kids, self.depth
+        s = k = 0
+        while k < len(word) and depth[delta[s][word[k]]] == k + 1:
+            s = delta[s][word[k]]
+            k += 1
+        for x in word[k:]:
+            q, f = len(delta), delta[fail[s]][x] if s else 0
+            moved, todo = [], [s]
+            while todo:
+                r = todo.pop()
+                c = delta[r][x]
+                if r != s and depth[c] == depth[r] + 1:
+                    moved.append(c)
+                else:
+                    delta[r][x] = q
+                    todo.extend(kids[r])
+            for c in moved:
+                kids[fail[c]].remove(c)
+                fail[c] = q
+            delta.append(delta[f][:])
+            fail.append(f)
+            kids[f].append(q)
+            kids.append(moved)
+            depth.append(depth[s] + 1)
+            self.out.append(self.out[f])
+            self.codes.append(self.codes[f])
+            self.words.append(None)
+            s = q
+        if s and self.words[s] is None:
+            self.words[s] = word
+            code, todo = word_code(word, self.n), [s]
+            while todo:  # the subtree of s down to its own terminals
+                r = todo.pop()
+                self.out[r], self.codes[r] = s, code
+                todo.extend(c for c in kids[r] if self.words[c] is None)
+
+
 class RewriteSystem(Structure):
     """Monic nonzero relations over a shared alphabet and order.
 
@@ -97,23 +167,48 @@ class RewriteSystem(Structure):
         return (self.elements, self.order) == (other.elements, other.order)
 
     __hash__ = None
+    _dfa = None  # the automaton of the leading words; a shallow copy shares it
+
+    def _automaton(self):
+        if self._dfa is None:  # built on first use
+            self._dfa = _Automaton(len(self.order.alphabet), self.lead_index)
+        return self._dfa
 
     def find(self, word):
         """(i, (a, b)) where word = a * lw * b for the order-greatest
         leading word lw occurring in word, i its first element and a the
         prefix of its leftmost occurrence, or None.  Under the
-        degree-lexicographic order the longest length with a hit wins,
-        then the lexicographically greatest factor."""
-        index = self.lead_index
-        n = len(word)
-        for m in self.lead_degrees:
-            best = None
-            for pos in range(n - m + 1):
-                u = word[pos:pos + m]
-                if u in index and (best is None or u > best):
-                    best, at = u, pos
-            if best is not None:
-                return index[best], (word[:at], word[at + m:])
+        degree-lexicographic order the longest wins, then the
+        lexicographically greatest, which is the greatest `word_code`.
+
+        One pass through the automaton: at each end it takes the longest
+        output that is in `lead_index`, down the failure links past those
+        that are not, and keeps it if its code beats the best so far.  A
+        letter outside the alphabet takes the pass back to the root, so
+        only the occurrences that cross it are lost.  The leading word ()
+        occurs at the start of every word, and only when nothing longer
+        does it win."""
+        dfa = self._automaton()
+        index, delta, out, codes = (self.lead_index, dfa.delta, dfa.out,
+                                    dfa.codes)
+        scan = word
+        if not dfa.letters.issuperset(word):
+            scan = [x if x in dfa.letters else dfa.n for x in word]
+        s = end = 0
+        top = -1
+        for i, x in enumerate(scan, 1):
+            s = delta[s][x]
+            if codes[s] > top:
+                t = out[s]
+                while codes[t] > top:
+                    if dfa.words[t] in index:
+                        top, best, end = codes[t], dfa.words[t], i
+                        break
+                    t = out[dfa.fail[t]]
+        if top >= 0:
+            return index[best], (word[:end - len(best)], word[end:])
+        if () in index:
+            return index[()], ((), word)
         return None
 
     multiply = staticmethod(_mul_word_poly)
@@ -196,28 +291,29 @@ class RewriteSystem(Structure):
     def irreducible_by_degree(self, max_deg):
         """{d: the words of length d containing no leading word,
         ascending}, breadth-first: a word is kept iff its parent was and
-        no leading word is a suffix of it, probed at the leading degrees,
-        shortest first.  A leading word () is a factor of every word."""
+        its state in the automaton has no output in `lead_index`, which
+        would be a suffix.  A leading word () is a factor of every word."""
         if max_deg < 0:
             raise ValueError("max_len must be >= 0")
-        index = self.lead_index
-        degrees = self.lead_degrees[::-1]
-        n = len(self.order.alphabet)
-        frontier = [] if () in index else [()]
-        out = {0: frontier}
+        dfa = self._automaton()
+        index, out, fail, words = (self.lead_index, dfa.out, dfa.fail,
+                                   dfa.words)
+        letters = range(len(self.order.alphabet))
+        frontier = [] if () in index else [((), 0)]
+        levels = {0: [w for w, _ in frontier]}
         for length in range(1, max_deg + 1):
-            probes = [m for m in degrees if m <= length]
             new = []
-            for w in frontier:
-                for letter in range(n):
-                    u = w + (letter,)
-                    for m in probes:
-                        if u[-m:] in index:
-                            break
-                    else:
-                        new.append(u)
-            out[length] = frontier = new
-        return out
+            for w, s in frontier:
+                row = dfa.delta[s]
+                for x in letters:
+                    t = out[row[x]]
+                    while t and words[t] not in index:
+                        t = out[fail[t]]
+                    if not t:
+                        new.append((w + (x,), row[x]))
+            frontier = new
+            levels[length] = [w for w, _ in new]
+        return levels
 
     def compositions(self):
         """The compositions (w, result) of every ordered pair (i, j), by

@@ -50,6 +50,11 @@ condition (ii) called `is_pivot` per irreducible monomial;
 candidate; and `ac_mul_rows`, the anti-commutative rows that ordered
 each chain product by `ac_key` through `ac_mul`.  `PerCheckModule`,
 `PerCheckDialgebra` and `PerCheckAc` check with them.
+The associative `find` and `irreducible_by_degree` before they read an
+automaton of the leading words are kept as `slicing_find`, which sliced
+every position of a word once per leading degree, and
+`probing_irreducible_by_degree`, which probed the suffixes of each word
+at the leading degrees; `SlicingSystem` uses both.
 """
 
 from bisect import insort
@@ -981,6 +986,60 @@ class PerCheckAc(AntiCommutative):
     bounded_check = pivot_bounded_check
     rows = ac_mul_rows
 
+
+
+def slicing_find(self, word):
+    """(i, (a, b)) where word = a * lw * b for the order-greatest
+    leading word lw occurring in word, i its first element and a the
+    prefix of its leftmost occurrence, or None.  Under the
+    degree-lexicographic order the longest length with a hit wins,
+    then the lexicographically greatest factor."""
+    index = self.lead_index
+    n = len(word)
+    for m in self.lead_degrees:
+        best = None
+        for pos in range(n - m + 1):
+            u = word[pos:pos + m]
+            if u in index and (best is None or u > best):
+                best, at = u, pos
+        if best is not None:
+            return index[best], (word[:at], word[at + m:])
+    return None
+
+
+def probing_irreducible_by_degree(self, max_deg):
+    """{d: the words of length d containing no leading word,
+    ascending}, breadth-first: a word is kept iff its parent was and
+    no leading word is a suffix of it, probed at the leading degrees,
+    shortest first.  A leading word () is a factor of every word."""
+    if max_deg < 0:
+        raise ValueError("max_len must be >= 0")
+    index = self.lead_index
+    degrees = self.lead_degrees[::-1]
+    n = len(self.order.alphabet)
+    frontier = [] if () in index else [()]
+    out = {0: frontier}
+    for length in range(1, max_deg + 1):
+        probes = [m for m in degrees if m <= length]
+        new = []
+        for w in frontier:
+            for letter in range(n):
+                u = w + (letter,)
+                for m in probes:
+                    if u[-m:] in index:
+                        break
+                else:
+                    new.append(u)
+        out[length] = frontier = new
+    return out
+
+
+class SlicingSystem(RewriteSystem):
+    """A `RewriteSystem` that finds leading words and irreducible words
+    as it did before it read an automaton of its leading words."""
+
+    find = slicing_find
+    irreducible_by_degree = probing_irreducible_by_degree
 
 def _tokenize(text, lineno):
     text = text.split("#", 1)[0]

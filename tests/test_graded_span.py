@@ -13,8 +13,9 @@ that inserted every S-word and visited every pair; its rows, which come
 as int word codes, are also compared with the same rows inserted as
 words.  So is the dialgebra span, which leaves out rows with the center
 outside or inside a relation, with the one that inserted every S-word,
-and every kind's bounded check, which reads one cached monomial table
-per kind, shape and bound, with the one that built its codes per check.
+and every kind's bounded check, which reads the cached monomial table
+of its kind's shape and bound, with the one that built its codes per
+check.
 """
 
 import gc
@@ -882,6 +883,20 @@ def test_structures_of_one_kind_shape_and_bound_share_one_table():
     assert Dialgebra((), 2).table(5) is not di.table(4)
     # one shape, two kinds
     assert AntiCommutative((), 2).table(4) is not di.table(4)
+
+
+def test_each_kind_holds_only_the_table_of_its_last_shape_and_bound():
+    # a process that checks many shapes and bounds keeps one table per
+    # kind, not one per shape and bound
+    for n in (2, 3):
+        for max_deg in (3, 4):
+            AntiCommutative((), n).table(max_deg)
+            FreeModule((), 2, n).table(max_deg)
+    tables = AntiCommutative._tables
+    assert tables is FreeModule._tables
+    assert tables[AntiCommutative][0] == ((3,), 4)
+    assert tables[FreeModule][0] == ((2, 3), 4)
+    assert tables[AntiCommutative][1] is AntiCommutative((), 3).table(4)
 
 
 def _counting(calls, function):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shirshov import gsb
+from shirshov import gsb, rewrite
 from shirshov.anticomm import AntiCommutative, hall_gsb
 from shirshov.catalog import chinese_gsb, chinese_relations
 from shirshov.core import (Alphabet, DegLexOrder, Polynomial, Structure,
@@ -24,6 +24,7 @@ from shirshov.gsb import (BudgetExceeded, _inter_reduce_elements,
 from shirshov.rewrite import RewriteSystem, _overlaps, normal_form
 
 from references import _inter_reduce_elements as reference_inter_reduce
+from references import slicing_find
 
 AB = Alphabet(("y", "x"))
 ORDER = DegLexOrder(AB)
@@ -531,7 +532,9 @@ def test_inter_reduce_matches_the_reference(case):
     # form as completion passes it, only those that a new leading word
     # can make reducible, which must not change the result.  Each basis
     # keeps its index current, as a fresh system builds it, and entered is
-    # what its leading words gained.
+    # what its leading words gained.  The two bases share one automaton,
+    # which holds the leading words of both, and each finds in it what a
+    # fresh system finds: the leading words of the other are dead to it.
     system, h = case
     order = system.order
     reduced = inter_reduce(system)
@@ -543,11 +546,19 @@ def test_inter_reduce_matches_the_reference(case):
     extended, entered = _inter_reduce_elements(reduced, h)
     assert extended.elements == tuple(
         reference_inter_reduce(reduced.elements + (h,), order))
+    assert extended._automaton() is reduced._automaton()
+    n = len(order.alphabet)
+    words = [w for d in range(4) for w in itertools.product(range(n),
+                                                            repeat=d)]
+    words += [(x,) + lw + (y,) for lw in system.leading_words
+              + extended.leading_words for x in range(n) for y in range(n)]
     for basis in (reduced, extended):
         fresh = RewriteSystem(basis.elements, order)
         assert basis.leading_words == fresh.leading_words
         assert basis.lead_index == fresh.lead_index
         assert basis.lead_degrees == fresh.lead_degrees
+        assert [basis.find(w) for w in words] \
+            == [fresh.find(w) for w in words]
     old, new = set(reduced.leading_words), set(extended.leading_words)
     assert set(entered) == new - old
     assert len(entered) == len(set(entered))
@@ -736,6 +747,51 @@ def test_coxeter_completions_count_the_group(edges, n, order, longest):
     words = RewriteSystem(elements, system.order).irreducible(longest + 1)
     assert len(words) == order
     assert max(map(len, words)) == longest
+
+
+E6 = {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (2, 5): 3}
+
+
+@pytest.mark.parametrize("system, max_deg", [
+    (knuth_system(("x3", "x2", "x1")), 10),
+    (knuth_system(("x1", "x2", "x3")), 10),
+    (knuth_system(("x4", "x3", "x2", "x1")), 8),
+    (coxeter_system(E6, 6), 72),
+], ids=["knuth3-descending", "knuth3-ascending", "knuth4", "e6"])
+def test_completion_through_the_automaton_matches_the_slicing_find(
+        monkeypatch, system, max_deg):
+    rep = shirshov_complete(system, max_deg, 1000)
+    monkeypatch.setattr(RewriteSystem, "find", slicing_find)
+    ref = shirshov_complete(system, max_deg, 1000)
+    assert (rep.status, rep.added, rep.iterations, rep.basis) \
+        == (ref.status, ref.added, ref.iterations, ref.basis)
+
+
+def test_a_completion_builds_one_automaton(monkeypatch):
+    # The working copies of the bases share one automaton, which grows as
+    # leading words enter; rebuilding it in every round is far slower.  A
+    # system that has found something already lends its own.
+    built = []
+
+    class Counted(rewrite._Automaton):
+        __slots__ = ()
+
+        def __init__(self, n, words):
+            built.append(n)
+            super().__init__(n, words)
+
+    monkeypatch.setattr(rewrite, "_Automaton", Counted)
+    for system, max_deg in ((knuth_system(("x3", "x2", "x1")), 10),
+                            (knuth_system(("x4", "x3", "x2", "x1")), 8),
+                            (coxeter_system(E6, 6), 72)):
+        del built[:]
+        rep = shirshov_complete(system, max_deg, 1000)
+        assert rep.added > 0 and len(built) == 1
+        del built[:]
+        system.find(())
+        assert len(built) == 1
+        shirshov_complete(system, max_deg, 1000)
+        assert len(built) == 1
 
 
 def test_systems_and_completion_reports_are_equal_by_value():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shirshov.anticomm import AcPolynomial, AntiCommutative, hall_gsb
+from shirshov.catalog import chinese_gsb
 from shirshov.core import Alphabet, DegLexOrder, Polynomial, deglex_key
 from shirshov.dialgebra import Dialgebra, leibniz_dim2, leibniz_enveloping
 from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord
@@ -12,7 +13,8 @@ from shirshov.gsb import is_gsb
 from shirshov.rewrite import (RewriteSystem, find_factor, irr_words,
                               membership_oracle, normal_form)
 
-from references import rewrite_step, terms_image
+from references import (probing_irreducible_by_degree, rewrite_step,
+                        slicing_find, terms_image)
 
 AB = Alphabet(("y", "x"))
 ORDER = DegLexOrder(AB)
@@ -52,6 +54,16 @@ def test_reducible():
     S = branching_system()
     assert S.find((Y, X, X, Y)) is not None
     assert S.find((X, Y, X)) is None
+
+
+def test_a_foreign_letter_breaks_only_the_occurrences_that_cross_it():
+    # chinese_gsb(2) leads with x2*x1*x1 and x2*x2*x1; a letter outside
+    # range(2), a negative one included, matches no leading word
+    S = chinese_gsb(2)
+    assert S.find((1, 1, 0, 7)) == (1, ((), (7,)))
+    assert S.find((-1, 1, 1, 0)) == (1, ((-1,), ()))
+    assert S.find((1, 7, 1, 0)) is None
+    assert S.find((1, -2, 1, 0, 0)) == (0, ((1, -2), ()))
 
 
 def test_reduce_step_rewrites_greatest_monomial_first():
@@ -208,3 +220,45 @@ def test_irr_words_are_the_words_find_leaves(system):
         assert irr_words(system, L) == [
             w for d in range(L + 1) for w in product(range(n), repeat=d)
             if system.find(w) is None]
+
+
+# -- find and the irreducible words against the slicing reference --------
+
+
+@st.composite
+def automaton_systems(draw):
+    """A system over 1 to 4 letters with 1 to 8 monomial relations whose
+    leading words may be (), repeat one another, or overlap themselves
+    (u^k followed by a prefix of u); words to find in it, over the
+    letters and at times one outside the alphabet; and words that are in
+    its automaton but not among its leading words, as after they left
+    the basis of a completion."""
+    n = draw(st.integers(1, 4))
+    letter = st.integers(0, n - 1)
+    plain = st.lists(letter, max_size=6).map(tuple)
+    periodic = st.builds(lambda u, k, j: u * k + u[:j],
+                         st.lists(letter, min_size=1, max_size=3).map(tuple),
+                         st.integers(1, 3), st.integers(0, 2))
+    leads = draw(st.lists(st.one_of(plain, periodic, st.just(())),
+                          min_size=1, max_size=8))
+    leads += draw(st.lists(st.sampled_from(leads), max_size=2))
+    alphabet = Alphabet(tuple("x%d" % i for i in range(n)))
+    system = RewriteSystem(tuple(Polynomial.monomial(w) for w in leads),
+                           DegLexOrder(alphabet))
+    words = draw(st.lists(st.lists(
+        st.one_of(letter, letter, letter, st.integers(-2, n + 1)),
+        max_size=14).map(tuple), max_size=40))
+    dead = draw(st.lists(st.one_of(plain, periodic), max_size=4))
+    return system, words, dead
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(automaton_systems())
+def test_find_and_irreducible_words_match_the_slicing_reference(case):
+    system, words, dead = case
+    for w in dead:
+        system._automaton().add(w)
+    for w in words:
+        assert system.find(w) == slicing_find(system, w)
+    assert system.irreducible_by_degree(6) \
+        == probing_irreducible_by_degree(system, 6)
