@@ -8,7 +8,7 @@ so that every element is a combination of normal trees.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .core import Structure, Terms, check_letters
 
@@ -210,6 +210,38 @@ class AntiCommutative(Structure):
                         q = _signed_product(p.terms.items(), ((m, 1),), code)
                         if q:
                             levels.setdefault(d + e, []).append(q)
+
+    def irreducible_codes(self, max_deg):
+        """{d: the `table` codes of the normal tree-words of size d with no
+        leading word as a subtree, ascending}, grown from the sizes
+        below: every subtree of (l, r) but itself is a subtree of l or of
+        r, so (l, r) is irreducible exactly when both children are and it
+        is no key.  The words of size d come by left size ls, then left,
+        then right: a block of count(ls) * count(d - ls) pairs, or i * (i
+        - 1) / 2 pairs before the left word of index i when the sizes are
+        equal, since then the right one is the smaller."""
+        codes = self.table(max_deg)[1]
+        leads = set(map(codes.get, self.lead_index))
+        count = [0] + [self.count(d) for d in range(1, max_deg + 1)]
+        first = list(accumulate(count, initial=0))  # by size: the first code
+        out = {}
+        if max_deg >= 1:
+            out[1] = [x for x in range(self.n) if x not in leads]
+        for d in range(2, max_deg + 1):
+            level, at = [], first[d]
+            for ls in range((d + 1) // 2, d):
+                rs = d - ls
+                same = ls == rs
+                for i, l in enumerate(out[ls]):
+                    il = l - first[ls]
+                    row = at - first[rs] + (il * (il - 1) // 2 if same
+                                            else il * count[rs])
+                    level += [k for r in (out[rs][:i] if same else out[rs])
+                              if (k := row + r) not in leads]
+                at += (count[ls] * (count[ls] - 1) // 2 if same
+                       else count[ls] * count[rs])
+            out[d] = level
+        return out
 
 
 # perfbench imports it

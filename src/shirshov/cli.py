@@ -507,7 +507,8 @@ def _irr(pfile, head, max_len, count_only):
     structure = _structure(pfile)
     if max_len < structure.low:
         raise ValueError("max_len must be >= %d" % structure.low)
-    levels = structure.irreducible_by_degree(max_len)
+    levels = (structure.irreducible_codes if count_only
+              else structure.irreducible_by_degree)(max_len)
     lines = [head, "max_len: %d" % max_len]
     if not count_only:
         fmt = _SPECS[pfile.kind].fmt

@@ -19,6 +19,7 @@ system with integer coefficients rewrites in ints only.
 from bisect import insort
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 
@@ -469,10 +470,13 @@ class Structure:
     `compositions`, one walk over the parts of each leading monomial;
     from the S-words, the rewriting `image`: the S-word's terms other
     than m as (monomial, coefficient) pairs, scaled to coefficient 1 at
-    m, as `rewrite` takes them.  A kind may override `find` for another
-    strategy, `image`, `compositions`, `irreducible_by_degree` and
-    `empty_span`; one that keeps it names its `shape`, the sizes that fix
-    its monomials, for the int codes of `table`.
+    m, as `rewrite` takes them.  irreducible_codes(max_deg) lists the
+    monomials with no occurrence per degree as the int codes of the span,
+    each degree grown from the one below, so no kind walks a whole degree
+    to find them.  A kind may override `find` for another strategy,
+    `image`, `compositions`, `irreducible_by_degree` and `empty_span`;
+    one that keeps it names its `shape`, the sizes that fix its
+    monomials, for the int codes of `table`.
     """
 
     elem = Terms
@@ -563,11 +567,11 @@ class Structure:
 
     def irreducible_by_degree(self, max_deg):
         """{d: the monomials of degree d with no occurrence, ascending}
-        for low <= d <= max_deg; a walk over parts stops at a key."""
-        index = self.lead_index
-        return {d: [m for m in self.monomials(d)
-                    if not any(part in index for part, _ in self.parts(m))]
-                for d in range(self.low, max_deg + 1)}
+        for low <= d <= max_deg: `irreducible_codes` read back as the
+        columns of `empty_span(max_deg)`."""
+        levels = self.irreducible_codes(max_deg)
+        column = self.empty_span(max_deg)._column
+        return {d: list(map(column, level)) for d, level in levels.items()}
 
     def irreducible(self, max_deg):
         """Monomials of degree <= max_deg with no occurrence, ascending."""
@@ -641,19 +645,21 @@ class Structure:
         """Bounded report: the compositions whose ambient monomial has
         degree <= max_deg, where examined, reduce to 0; every pivot of the
         span at max_deg has an occurrence; irreducible count plus span
-        rank matches the monomial count per degree, cumulatively.  Raises
-        when the bound cannot hold some relation's leading monomial."""
+        rank matches the monomial count per degree, cumulatively.  Both
+        read the codes of `irreducible_codes`, which key the span: the
+        pivots among them are the bad leading monomials, the only codes
+        decoded, and the level lengths are the counts.  Raises when the
+        bound cannot hold some relation's leading monomial."""
         check_bound(max_deg, map(self.degree, self.leading_words))
         failing = None
         if self.compositions is not None:
             failing = self._failing(max_deg)[1]
         span = self.span(max_deg)
-        levels = self.irreducible_by_degree(max_deg)
-        # an irreducible pivot has no occurrence; codes follow the order,
-        # so the levels read backwards give them descending
-        key, pivots = span.key, span._rows
-        bad = tuple(m for level in reversed(levels.values())
-                    for m in reversed(level) if key(m) in pivots)
+        levels = self.irreducible_codes(max_deg)
+        # an irreducible pivot has no occurrence; only those are decoded
+        bad = tuple(map(span._column, sorted(
+            span._rows.keys() & chain.from_iterable(levels.values()),
+            reverse=True)))
         table = []
         irr = total = 0
         for d, rank in span.ranks.items():

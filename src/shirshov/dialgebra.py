@@ -291,6 +291,62 @@ class Dialgebra(Structure):
                                 yield d, {k0 + end + r * pc + vb: k
                                           for k0, pc, end, k in out}
 
+    def irreducible_codes(self, max_deg):
+        """{d: the codes of the diwords of length d with no compatible
+        occurrence, ascending}, grown from length d - 1.  Every factor of
+        a diword w but w itself lies in w[1:] or in w[:-1], and holds the
+        center there exactly when it does in w, if that side keeps the
+        center.  So w is irreducible exactly when its sides that keep the
+        center are and no factor that touches the other end is a key:
+        with the center inside, both sides keep it and only w is probed;
+        at the first letter, w[:-1] keeps it and every suffix is probed;
+        at the last, w[1:] keeps it and every prefix is probed.  A factor
+        that holds the center is probed by its code, and any other by the
+        value of its letters among the letter keys of its length."""
+        n = self.n
+        power = [n ** k for k in range(max_deg + 1)]
+        first = list(accumulate((k * power[k] for k in range(max_deg)),
+                                initial=0))
+        whole, flat = set(), {}
+        for key in self.lead_index:
+            if not isinstance(key, Diword):
+                flat.setdefault(len(key), set()).add(_value(key, n))
+            elif len(key) <= max_deg:
+                whole.add(first[len(key)] + key.center * power[len(key)]
+                          + _value(key.letters, n))
+        out = {}
+        if max_deg >= 1:
+            out[1] = [x for x in range(n) if x not in whole]
+        for d in range(2, max_deg + 1):
+            p, below = power[d - 1], set(out[d - 1])
+            # the letter keys shorter than w by length L: n**L cuts the
+            # suffix (v % n**L) and n**(d - L) the prefix (v // n**(d - L))
+            # of that length from the value v of w's letters
+            ends = [(power[length], power[d - length], values)
+                    for length, values in flat.items() if length < d]
+            level, last = [], []
+            for u in out[d - 1]:
+                c, v = divmod(u - first[d - 1], p)
+                at = first[d] + c * power[d] + v * n
+                if c == 0:
+                    level += [at + x for x in range(n)
+                              if at + x not in whole
+                              and not any((v * n + x) % q in values
+                                          for q, _, values in ends)]
+                else:
+                    side = first[d - 1] + (c - 1) * p
+                    level += [at + x for x in range(n)
+                              if at + x not in whole
+                              and side + (v * n + x) % p in below]
+                if c == d - 2:
+                    last.append(v)
+            at = first[d] + (d - 1) * power[d]
+            level += [at + w for x in range(n) for v in last
+                      if at + (w := x * p + v) not in whole
+                      and not any(w // q in values for _, q, values in ends)]
+            out[d] = level
+        return out
+
 
 # perfbench imports it
 def di_irr(S, n_letters, max_len):

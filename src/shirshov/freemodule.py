@@ -45,7 +45,7 @@ def act(p, m):
     return ModuleElement(acc)
 
 
-# Cached: a check reads each degree in the levels and `count`.
+# Cached: every check reads each degree in `count`.
 @lru_cache(maxsize=None)
 def _module_words(nx, ny, length):
     return tuple(ModuleWord(u, y) for u in product(range(nx), repeat=length)
@@ -124,23 +124,23 @@ class FreeModule(Structure):
                     for va in range(power[la]):
                         yield d, {k + va * step: c for k, step, c in at}
 
-    def irreducible_by_degree(self, max_deg):
-        """{d: the module words with |u| = d that no leading word ends,
-        ascending}, grown a degree at a time: u.y is irreducible exactly
-        when (u[1:], y) is and u.y is no key.  monomials(d) lists the
-        words by u, then y, so x*u.y sits x * len(monomials(d - 1))
-        places after the place of u.y in monomials(d - 1); its code,
-        which no key may have, is its place plus that of monomials(d)[0]."""
+    def irreducible_codes(self, max_deg):
+        """{d: the codes of the module words with |u| = d that no leading
+        word ends, ascending}, grown a degree at a time: u.y is
+        irreducible exactly when (u[1:], y) is and u.y is no key, since
+        every suffix of u.y but itself is a suffix of (u[1:], y).  With
+        step = ny * nx**(d - 1), the count of the words of degree d - 1,
+        x*u.y has the code of (u[1:], y) plus (x + 1) * step: the words of
+        degree d - 1 before it, and x blocks of step."""
         nx, ny = self.shape
         leads = {ny * word_code(lw.u, nx) + lw.y for lw in self.lead_index}
-        out, words, kept, start = {}, (), (), 0
-        for d in range(max_deg + 1):
-            step, words = len(words), self.monomials(d)
-            start += step  # the code of words[0]
-            grown = (range(len(words)) if not d else
-                     (x * step + j for x in range(nx) for j in kept))
-            kept = [i for i in grown if start + i not in leads]
-            out[d] = [words[i] for i in kept]
+        out, step = {}, ny
+        if max_deg >= 0:
+            out[0] = [y for y in range(ny) if y not in leads]
+        for d in range(1, max_deg + 1):
+            out[d] = [k for x in range(1, nx + 1) for c in out[d - 1]
+                      if (k := c + x * step) not in leads]
+            step *= nx
         return out
 
 

@@ -8,7 +8,7 @@ order-greatest reducible monomial, using the order-greatest applicable
 leading word (ties broken by element position) at its leftmost occurrence.
 `find` realises the strategy in one left-to-right pass of a word through
 an Aho-Corasick automaton of the leading words (Aho and Corasick, CACM 18
-(1975)), which `irreducible_by_degree` walks too.  The automaton is built
+(1975)), which `irreducible_codes` walks too.  The automaton is built
 on a system's first use and only grows, by Meyer's incremental
 construction (Inf. Process. Lett. 21 (1985)).  A word in it counts only
 while it is in the system's own `lead_index`, so a word that left the
@@ -75,14 +75,17 @@ class _Automaton:
     of s that is a state, and kids[s] the states whose fail is s, the
     inverse failure tree.  An added word w is a terminal state s with
     words[s] = w.  out[s] is the longest terminal suffix of s, 0 when
-    there is none, and codes[s] its `word_code`, -1 for none.  The root
-    is never an output: () is left to the caller."""
+    there is none, and codes[s] its `word_code`, -1 for none, read over
+    `first`, the first code of each length, which grows only for a
+    longer word.  The root is never an output: () is left to the
+    caller."""
 
     __slots__ = ("n", "letters", "delta", "fail", "kids", "depth", "out",
-                 "words", "codes")
+                 "words", "codes", "first")
 
     def __init__(self, n, words):
         self.n, self.letters = n, frozenset(range(n))
+        self.first = _firsts(n, 0)
         self.delta = [[0] * (n + 1)]
         self.fail, self.kids, self.depth, self.out = [0], [[]], [0], [0]
         self.words, self.codes = [None], [-1]
@@ -124,7 +127,9 @@ class _Automaton:
             s = q
         if s and self.words[s] is None:
             self.words[s] = word
-            code, todo = word_code(word, self.n), [s]
+            if len(word) >= len(self.first):
+                self.first = _firsts(self.n, len(word))
+            code, todo = word_code(word, self.n, self.first), [s]
             while todo:  # the subtree of s down to its own terminals
                 r = todo.pop()
                 self.out[r], self.codes[r] = s, code
@@ -184,7 +189,8 @@ class RewriteSystem(Structure):
         One pass through the automaton: at each end it takes the longest
         output that is in `lead_index`, down the failure links past those
         that are not, and keeps it if its code beats the best so far.  A
-        letter outside the alphabet takes the pass back to the root, so
+        letter outside the alphabet, which is any that is no int rank, as
+        `check_letters` reads it, takes the pass back to the root, so
         only the occurrences that cross it are lost.  The leading word ()
         occurs at the start of every word, and only when nothing longer
         does it win."""
@@ -196,15 +202,23 @@ class RewriteSystem(Structure):
             scan = [x if x in dfa.letters else dfa.n for x in word]
         s = end = 0
         top = -1
-        for i, x in enumerate(scan, 1):
-            s = delta[s][x]
-            if codes[s] > top:
-                t = out[s]
-                while codes[t] > top:
-                    if dfa.words[t] in index:
-                        top, best, end = codes[t], dfa.words[t], i
-                        break
-                    t = out[dfa.fail[t]]
+        try:
+            for i, x in enumerate(scan, 1):
+                s = delta[s][x]
+                if codes[s] > top:
+                    t = out[s]
+                    while codes[t] > top:
+                        if dfa.words[t] in index:
+                            top, best, end = codes[t], dfa.words[t], i
+                            break
+                        t = out[dfa.fail[t]]
+        except TypeError:  # a letter that equals a rank but is no int
+            occ = self.find([x if isinstance(x, int) else dfa.n
+                             for x in word])
+            if occ:  # its context as slices of word
+                i, (a, b) = occ
+                occ = i, (word[:len(a)], word[len(word) - len(b):])
+            return occ
         if top >= 0:
             return index[best], (word[:end - len(best)], word[end:])
         if () in index:
@@ -254,11 +268,11 @@ class RewriteSystem(Structure):
             return
         n = len(self.order.alphabet)
         top = max(max_deg - self.lead_degrees[-1], 0)
-        levels = self.irreducible_by_degree(top)
-        left = [[0]] + [[_value(a, n) for a in levels[la]]  # v(a) by |a|
+        levels = self.irreducible_codes(top)
+        first = _firsts(n, max_deg)
+        left = [[0]] + [[k - first[la] for k in levels[la]]  # v(a) by |a|
                         for la in range(1, top + 1)]
         power = [n ** k for k in range(max_deg + 1)]
-        first = _firsts(n, max_deg)
         terms = [[(len(t), _value(t, n), c) for t, c in s.terms.items()]
                  for s in self.elements]
         for d in range(max_deg + 1):
@@ -288,31 +302,35 @@ class RewriteSystem(Structure):
     def count(self, d):
         return len(self.order.alphabet) ** d
 
-    def irreducible_by_degree(self, max_deg):
-        """{d: the words of length d containing no leading word,
-        ascending}, breadth-first: a word is kept iff its parent was and
-        its state in the automaton has no output in `lead_index`, which
-        would be a suffix.  A leading word () is a factor of every word."""
+    def irreducible_codes(self, max_deg):
+        """{d: the `word_code`s of the words of length d containing no
+        leading word, ascending}, breadth-first: a word is kept iff its
+        parent was and its state in the automaton has no output in
+        `lead_index`, which would be a suffix.  Each word is carried as
+        its value v, and w*x has the value v * n + x and the code
+        first[|w| + 1] + v * n + x.  A leading word () is a factor of
+        every word."""
         if max_deg < 0:
             raise ValueError("max_len must be >= 0")
         dfa = self._automaton()
         index, out, fail, words = (self.lead_index, dfa.out, dfa.fail,
                                    dfa.words)
         letters = range(len(self.order.alphabet))
-        frontier = [] if () in index else [((), 0)]
-        levels = {0: [w for w, _ in frontier]}
+        first = _firsts(len(letters), max_deg)
+        frontier = [] if () in index else [(0, 0)]
+        levels = {0: [v for v, _ in frontier]}
         for length in range(1, max_deg + 1):
             new = []
-            for w, s in frontier:
-                row = dfa.delta[s]
+            for v, s in frontier:
+                row, v = dfa.delta[s], v * len(letters)
                 for x in letters:
                     t = out[row[x]]
                     while t and words[t] not in index:
                         t = out[fail[t]]
                     if not t:
-                        new.append((w + (x,), row[x]))
+                        new.append((v + x, row[x]))
             frontier = new
-            levels[length] = [w for w, _ in new]
+            levels[length] = [first[length] + v for v, _ in new]
         return levels
 
     def compositions(self):

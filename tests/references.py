@@ -55,6 +55,17 @@ automaton of the leading words are kept as `slicing_find`, which sliced
 every position of a word once per leading degree, and
 `probing_irreducible_by_degree`, which probed the suffixes of each word
 at the leading degrees; `SlicingSystem` uses both.
+The enumerations of the irreducible monomials before they listed int
+codes grown from the degree below are kept as
+`parts_irreducible_by_degree`, the walk over the parts of every
+monomial of every degree, which `PerCheckDialgebra` and `PerCheckAc`
+read; `coded_module_irreducible_by_degree`, which read the module words
+off `monomials(d)`; and `automaton_irreducible_by_degree`, the automaton
+walk that carried words.  The tuple-keyed spans key no monomial by its
+code, so `TupleKeyedModule`, `TupleKeyedDialgebra`, `TupleKeyedAc` and
+`EveryDialgebraRow` check with `pivot_bounded_check` over the parts
+walk, and `WordKeyedRows` takes its left factors from the automaton
+walk.
 """
 
 from bisect import insort
@@ -77,7 +88,7 @@ from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 leibniz_check, leibniz_i0)
 from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord, act
 from shirshov.rewrite import (RewriteSystem, _mul_word_poly, find_compositions,
-                              find_factor, irr_words)
+                              find_factor, irr_words, word_code)
 
 
 @lru_cache(maxsize=None)
@@ -552,6 +563,99 @@ def ac_contexts(self, room):
                 yield ((0, m),) + rest
 
 
+def parts_irreducible_by_degree(self, max_deg):
+    """{d: the monomials of degree d with no occurrence, ascending}
+    for low <= d <= max_deg; a walk over parts stops at a key."""
+    index = self.lead_index
+    return {d: [m for m in self.monomials(d)
+                if not any(part in index for part, _ in self.parts(m))]
+            for d in range(self.low, max_deg + 1)}
+
+
+def coded_module_irreducible_by_degree(self, max_deg):
+    """{d: the module words with |u| = d that no leading word ends,
+    ascending}, grown a degree at a time: u.y is irreducible exactly
+    when (u[1:], y) is and u.y is no key.  monomials(d) lists the
+    words by u, then y, so x*u.y sits x * len(monomials(d - 1))
+    places after the place of u.y in monomials(d - 1); its code,
+    which no key may have, is its place plus that of monomials(d)[0]."""
+    nx, ny = self.shape
+    leads = {ny * word_code(lw.u, nx) + lw.y for lw in self.lead_index}
+    out, words, kept, start = {}, (), (), 0
+    for d in range(max_deg + 1):
+        step, words = len(words), self.monomials(d)
+        start += step  # the code of words[0]
+        grown = (range(len(words)) if not d else
+                 (x * step + j for x in range(nx) for j in kept))
+        kept = [i for i in grown if start + i not in leads]
+        out[d] = [words[i] for i in kept]
+    return out
+
+
+def automaton_irreducible_by_degree(self, max_deg):
+    """{d: the words of length d containing no leading word,
+    ascending}, breadth-first: a word is kept iff its parent was and
+    its state in the automaton has no output in `lead_index`, which
+    would be a suffix.  A leading word () is a factor of every word."""
+    if max_deg < 0:
+        raise ValueError("max_len must be >= 0")
+    dfa = self._automaton()
+    index, out, fail, words = (self.lead_index, dfa.out, dfa.fail,
+                               dfa.words)
+    letters = range(len(self.order.alphabet))
+    frontier = [] if () in index else [((), 0)]
+    levels = {0: [w for w, _ in frontier]}
+    for length in range(1, max_deg + 1):
+        new = []
+        for w, s in frontier:
+            row = dfa.delta[s]
+            for x in letters:
+                t = out[row[x]]
+                while t and words[t] not in index:
+                    t = out[fail[t]]
+                if not t:
+                    new.append((w + (x,), row[x]))
+        frontier = new
+        levels[length] = [w for w, _ in new]
+    return levels
+
+
+def is_pivot(self, column):
+    """Whether column is the pivot of a stored row."""
+    k = self.key(column)
+    return k is not None and k in self._rows
+
+
+def pivot_bounded_check(self, max_deg):
+    """Bounded report: the compositions whose ambient monomial has
+    degree <= max_deg, where examined, reduce to 0; every pivot of the
+    span at max_deg has an occurrence; irreducible count plus span
+    rank matches the monomial count per degree, cumulatively.  Raises
+    when the bound cannot hold some relation's leading monomial."""
+    check_bound(max_deg, map(self.degree, self.leading_words))
+    failing = None
+    if self.compositions is not None:
+        failing = self._failing(max_deg)[1]
+    span = self.span(max_deg)
+    levels = self.irreducible_by_degree(max_deg)
+    # an irreducible pivot has no occurrence; codes follow the order,
+    # so the levels read backwards give them descending
+    bad = tuple(m for level in reversed(levels.values())
+                for m in reversed(level) if is_pivot(span, m))
+    table = []
+    irr = total = 0
+    for d, rank in span.ranks.items():
+        total += self.count(d)
+        irr += len(levels[d])
+        table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
+                                total=total, ok=(irr + rank == total)))
+    return BoundedReport(
+        max_deg=max_deg,
+        gsb_ok=None if failing is None else not failing,
+        failing=failing, leading_ok=not bad, bad_leadings=bad,
+        counts_ok=all(line.ok for line in table), table=tuple(table))
+
+
 # readers of the order keys, the inverses of `deglex_key`, `diword_key`,
 # `mword_key` and `ac_key`
 def ac_column(k):
@@ -581,6 +685,8 @@ class TupleKeyedModule(FreeModule):
     rows = keyed_rows
     contexts = module_contexts
     empty_span = tuple_span
+    bounded_check = pivot_bounded_check
+    irreducible_by_degree = parts_irreducible_by_degree
 
 
 class TupleKeyedDialgebra(Dialgebra):
@@ -588,6 +694,8 @@ class TupleKeyedDialgebra(Dialgebra):
 
     rows = keyed_dialgebra_rows
     empty_span = tuple_span
+    bounded_check = pivot_bounded_check
+    irreducible_by_degree = parts_irreducible_by_degree
 
 
 class TupleKeyedAc(AntiCommutative):
@@ -598,6 +706,8 @@ class TupleKeyedAc(AntiCommutative):
     rows = keyed_rows
     contexts = ac_contexts
     empty_span = tuple_span
+    bounded_check = pivot_bounded_check
+    irreducible_by_degree = parts_irreducible_by_degree
 
 
 def all_context_rows(self, max_deg):
@@ -705,6 +815,7 @@ class WordKeyedRows(RewriteSystem):
 
     rows = word_rows
     empty_span = tuple_span
+    irreducible_by_degree = automaton_irreducible_by_degree
 
 
 def rewrite_step(p, find, image):
@@ -849,6 +960,8 @@ class EveryDialgebraRow(Dialgebra):
 
     rows = structure_rows
     empty_span = tuple_span
+    bounded_check = pivot_bounded_check
+    irreducible_by_degree = parts_irreducible_by_degree
 
     @staticmethod
     def multiply(context, s):
@@ -884,42 +997,6 @@ def dict_span(self, max_deg):
              for m in self.monomials(d)]
     return KeySpan({m: i for i, m in enumerate(words)}.get,
                    words.__getitem__)
-
-
-def is_pivot(self, column):
-    """Whether column is the pivot of a stored row."""
-    k = self.key(column)
-    return k is not None and k in self._rows
-
-
-def pivot_bounded_check(self, max_deg):
-    """Bounded report: the compositions whose ambient monomial has
-    degree <= max_deg, where examined, reduce to 0; every pivot of the
-    span at max_deg has an occurrence; irreducible count plus span
-    rank matches the monomial count per degree, cumulatively.  Raises
-    when the bound cannot hold some relation's leading monomial."""
-    check_bound(max_deg, map(self.degree, self.leading_words))
-    failing = None
-    if self.compositions is not None:
-        failing = self._failing(max_deg)[1]
-    span = self.span(max_deg)
-    levels = self.irreducible_by_degree(max_deg)
-    # an irreducible pivot has no occurrence; codes follow the order,
-    # so the levels read backwards give them descending
-    bad = tuple(m for level in reversed(levels.values())
-                for m in reversed(level) if is_pivot(span, m))
-    table = []
-    irr = total = 0
-    for d, rank in span.ranks.items():
-        total += self.count(d)
-        irr += len(levels[d])
-        table.append(DegreeLine(degree=d, irreducible=irr, rank=rank,
-                                total=total, ok=(irr + rank == total)))
-    return BoundedReport(
-        max_deg=max_deg,
-        gsb_ok=None if failing is None else not failing,
-        failing=failing, leading_ok=not bad, bad_leadings=bad,
-        counts_ok=all(line.ok for line in table), table=tuple(table))
 
 
 def module_irreducible_by_degree(self, max_deg):
@@ -971,20 +1048,24 @@ class PerCheckModule(FreeModule):
 
 class PerCheckDialgebra(Dialgebra):
     """A `Dialgebra` that checks the bounded conditions as it did before
-    they read a cached monomial table."""
+    they read a cached monomial table, with its irreducible diwords
+    found by walking the parts of every diword."""
 
     empty_span = dict_span
     bounded_check = pivot_bounded_check
+    irreducible_by_degree = parts_irreducible_by_degree
 
 
 class PerCheckAc(AntiCommutative):
     """An `AntiCommutative` that checks the bounded conditions as it did
     before they read a cached monomial table, with its chain products
-    taken by `ac_mul`."""
+    taken by `ac_mul` and its irreducible tree-words found by walking
+    the subtrees of every normal tree-word."""
 
     empty_span = dict_span
     bounded_check = pivot_bounded_check
     rows = ac_mul_rows
+    irreducible_by_degree = parts_irreducible_by_degree
 
 
 

@@ -53,8 +53,11 @@ from references import (TUPLE_READERS, EveryDialgebraRow, EveryRowAndPair,
                         PerCheckAc, PerCheckDialgebra, PerCheckModule,
                         TupleKeyedAc, TupleKeyedDialgebra, TupleKeyedModule,
                         WordKeyedRows, _occurrence_paths, _occurrences,
-                        _prep, ac_compositions, echelon, find_bounded_check,
-                        stored_rows)
+                        _prep, ac_compositions,
+                        automaton_irreducible_by_degree,
+                        coded_module_irreducible_by_degree, echelon,
+                        find_bounded_check, parts_irreducible_by_degree,
+                        probing_irreducible_by_degree, stored_rows)
 
 
 # -- Structure.span -----------------------------------------------------
@@ -855,6 +858,64 @@ def test_bounded_checks_agree_with_the_per_check_path(case):
     # cached by this structure and by the ones before it.
     structure, _, bound, _ = case
     _per_check_reports_agree(structure, (bound, bound + 1, bound))
+
+
+ENUMERATIONS = {
+    FreeModule: (coded_module_irreducible_by_degree,
+                 parts_irreducible_by_degree),
+    Dialgebra: (parts_irreducible_by_degree,),
+    AntiCommutative: (parts_irreducible_by_degree,),
+    RewriteSystem: (automaton_irreducible_by_degree,
+                    probing_irreducible_by_degree)}
+
+
+@st.composite
+def end_centered_dialgebras(draw):
+    """Monomial relations over 1-3 letters whose leading diwords have the
+    center at the first or the last letter, so that each is flat_ok and
+    keys its letters too, and a bound up to 2 above the longest."""
+    n = draw(st.integers(1, 3))
+    letters = st.lists(st.integers(0, n - 1), min_size=1,
+                       max_size=3 if n < 3 else 2)
+    leads = draw(st.lists(st.builds(
+        lambda w, last: Diword(w, len(w) - 1 if last else 0),
+        letters, st.booleans()), min_size=1, max_size=3))
+    structure = Dialgebra([DiPolynomial({dw: 1}) for dw in leads], n)
+    assert all(structure.flat_ok)
+    return structure, max(map(len, leads)) + draw(st.integers(0, 2))
+
+
+def _assoc(n, *relations):
+    alphabet = Alphabet(tuple("x%d" % (i + 1) for i in range(n)))
+    return RewriteSystem([Polynomial(t) for t in relations],
+                         DegLexOrder(alphabet))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(module_sets().map(lambda case: (case[0], case[2])),
+                 dialgebra_sets(), end_centered_dialgebras(),
+                 ac_cases().map(lambda case: (case[0], case[2])),
+                 assoc_systems()))
+@example((_assoc(2), 3))
+@example((_assoc(2, {(): 1}), 2))
+@example((_assoc(2, {(1, 0): 1, (0,): -1}, {(): 1}), 3))
+@example((Dialgebra([DiPolynomial({Diword((0, 1, 0), 0): 1}),
+                     DiPolynomial({Diword((1, 1), 1): 1})], 2), 4))
+def test_irreducible_codes_are_the_codes_of_the_reference_enumeration(case):
+    # Per degree, the codes grown from the degree below are the span's
+    # keys of the monomials that the walks kept in tests/references.py
+    # find, in the same order, and decode to them; from below the least
+    # degree up, since a bound below it lists nothing.
+    structure, bound = case
+    low = 0 if isinstance(structure, RewriteSystem) else structure.low - 2
+    for max_deg in range(low, bound + 1):
+        levels = structure.irreducible_codes(max_deg)
+        key = structure.empty_span(max_deg).key
+        for reference in ENUMERATIONS[type(structure)]:
+            want = reference(structure, max_deg)
+            assert structure.irreducible_by_degree(max_deg) == want
+            assert levels == {d: [key(m) for m in level]
+                              for d, level in want.items()}
 
 
 def test_the_benchmark_checks_agree_with_the_per_check_path():

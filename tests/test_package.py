@@ -1,9 +1,11 @@
 """The package's public names: a fixed set, each resolved on first use to
 the object its defining module holds."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import src_env
@@ -71,3 +73,24 @@ def test_version():
 def test_budget_exceeded_is_one_class():
     assert shirshov.BudgetExceeded is core.BudgetExceeded
     assert gsb.BudgetExceeded is core.BudgetExceeded
+
+
+def test_src_imports_only_the_standard_library():
+    # The engine is stdlib-only: every absolute import in the package
+    # names shirshov itself or a module of the standard library.
+    paths = sorted(Path(shirshov.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "shirshov" and top not in sys.stdlib_module_names:
+                    outside.append((path.name, name))
+    assert outside == []

@@ -1,9 +1,11 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shirshov import rewrite
 from shirshov.anticomm import AcPolynomial, AntiCommutative, hall_gsb
 from shirshov.catalog import chinese_gsb
 from shirshov.core import Alphabet, DegLexOrder, Polynomial, deglex_key
@@ -11,7 +13,7 @@ from shirshov.dialgebra import Dialgebra, leibniz_dim2, leibniz_enveloping
 from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord
 from shirshov.gsb import is_gsb
 from shirshov.rewrite import (RewriteSystem, find_factor, irr_words,
-                              membership_oracle, normal_form)
+                              membership_oracle, normal_form, word_code)
 
 from references import (probing_irreducible_by_degree, rewrite_step,
                         slicing_find, terms_image)
@@ -64,6 +66,31 @@ def test_a_foreign_letter_breaks_only_the_occurrences_that_cross_it():
     assert S.find((-1, 1, 1, 0)) == (1, ((-1,), ()))
     assert S.find((1, 7, 1, 0)) is None
     assert S.find((1, -2, 1, 0, 0)) == (0, ((1, -2), ()))
+    # a letter that equals a rank but is no int is outside the alphabet
+    # too, as check_letters reads it
+    assert S.find((1.0, 0, 0)) is None
+    assert S.find((1, 1.0, 0, 0)) is None
+    assert S.find((Fraction(1), 1, 1, 0)) == (1, ((Fraction(1),), ()))
+    p = Polynomial({(1.0, 0, 0): 1})
+    assert S.normal_form(p) == p
+
+
+def test_the_automaton_builds_first_codes_only_for_a_longer_word(
+        monkeypatch):
+    built = []
+
+    def counted(n, top):
+        built.append(top)
+        return firsts(n, top)
+
+    firsts = rewrite._firsts
+    monkeypatch.setattr(rewrite, "_firsts", counted)
+    words = [(0,), (1, 0), (0, 1), (1, 1, 0), (0, 0), (1, 0, 1)]
+    dfa = rewrite._Automaton(2, words)
+    assert built == [0, 1, 2, 3]
+    assert [dfa.codes[s] for s, w in enumerate(dfa.words) if w] \
+        == [word_code(w, 2) for w in dfa.words if w]
+    assert sorted(w for w in dfa.words if w) == sorted(words)
 
 
 def test_reduce_step_rewrites_greatest_monomial_first():
