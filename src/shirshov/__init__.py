@@ -10,8 +10,7 @@ _EXPORTS = {
                 "ac_mul hall_gsb hall_words is_ls_word ls_bracketing "
                 "ls_words normal_words",
     "catalog": "Presentation chinese_gsb chinese_relations "
-               "congruence_classes is_staircase staircase_equals_irr "
-               "tensor_relations",
+               "congruence_classes is_staircase tensor_relations",
     "core": "Alphabet BudgetExceeded DegLexOrder Polynomial Terms "
             "VectorSpan deglex_key",
     "dialgebra": "Dialgebra DiPolynomial Diword LeibnizAlgebra "
@@ -21,7 +20,7 @@ _EXPORTS = {
                   "mword_key",
     "gsb": "cd_lemma_check find_compositions inter_reduce is_gsb "
            "shirshov_complete",
-    "rewrite": "RewriteSystem irr_words membership_oracle normal_form",
+    "rewrite": "RewriteSystem irr_words normal_form",
 }
 _MODULE = {name: module for module, names in _EXPORTS.items()
            for name in names.split()}

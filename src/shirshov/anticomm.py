@@ -8,7 +8,7 @@ so that every element is a combination of normal trees.
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 
 from .core import Structure, Terms, check_letters
 
@@ -213,35 +213,20 @@ class AntiCommutative(Structure):
 
     def irreducible_codes(self, max_deg):
         """{d: the `table` codes of the normal tree-words of size d with no
-        leading word as a subtree, ascending}, grown from the sizes
-        below: every subtree of (l, r) but itself is a subtree of l or of
-        r, so (l, r) is irreducible exactly when both children are and it
-        is no key.  The words of size d come by left size ls, then left,
-        then right: a block of count(ls) * count(d - ls) pairs, or i * (i
-        - 1) / 2 pairs before the left word of index i when the sizes are
-        equal, since then the right one is the smaller."""
-        codes = self.table(max_deg)[1]
-        leads = set(map(codes.get, self.lead_index))
-        count = [0] + [self.count(d) for d in range(1, max_deg + 1)]
-        first = list(accumulate(count, initial=0))  # by size: the first code
-        out = {}
-        if max_deg >= 1:
-            out[1] = [x for x in range(self.n) if x not in leads]
-        for d in range(2, max_deg + 1):
-            level, at = [], first[d]
-            for ls in range((d + 1) // 2, d):
-                rs = d - ls
-                same = ls == rs
-                for i, l in enumerate(out[ls]):
-                    il = l - first[ls]
-                    row = at - first[rs] + (il * (il - 1) // 2 if same
-                                            else il * count[rs])
-                    level += [k for r in (out[rs][:i] if same else out[rs])
-                              if (k := row + r) not in leads]
-                at += (count[ls] * (count[ls] - 1) // 2 if same
-                       else count[ls] * count[rs])
-            out[d] = level
-        return out
+        leading word as a subtree, ascending}.  Every subtree of (l, r)
+        but itself lies in l or in r, so the irreducible tree-words of
+        size d are the pairs (l, r) of irreducible children that are no
+        key, with l the larger: of larger size, or at equal sizes later
+        in the list.  By left size, then l, then r, they ascend."""
+        index, trees = self.lead_index, {}
+        for d in range(1, max_deg + 1):
+            pairs = range(self.n) if d == 1 else (
+                (l, r) for ls in range((d + 1) // 2, d)
+                for i, l in enumerate(trees[ls])
+                for r in (trees[ls][:i] if 2 * ls == d else trees[d - ls]))
+            trees[d] = [t for t in pairs if t not in index]
+        code = self.table(max_deg)[1].__getitem__
+        return {d: list(map(code, level)) for d, level in trees.items()}
 
 
 # perfbench imports it
@@ -249,13 +234,6 @@ def ac_gsb_check_bounded(S, n_letters, max_deg):
     """Bounded three-condition report for a set of monic relations, per
     size, as Structure.bounded_check gives it."""
     return AntiCommutative(S, n_letters).bounded_check(max_deg)
-
-
-def ac_flatten(t):
-    """Left-to-right leaf sequence as a plain word."""
-    if isinstance(t, int):
-        return (t,)
-    return ac_flatten(t[0]) + ac_flatten(t[1])
 
 
 def is_ls_word(u):

@@ -7,7 +7,7 @@ from collections import namedtuple
 from itertools import product
 
 from .core import Alphabet, DegLexOrder, Polynomial, deglex_key
-from .rewrite import RewriteSystem, irr_words
+from .rewrite import RewriteSystem
 
 
 class Presentation(namedtuple("Presentation", "alphabet relations kind")):
@@ -90,19 +90,6 @@ def is_staircase(u, k):
         while u[pos:pos + 1] == (r,):
             pos += 1
     return pos == len(u)
-
-
-def staircase_equals_irr(k, max_len):
-    """Whether the staircase words and the irreducible words coincide up
-    to the length bound."""
-    system = chinese_gsb(k)
-    irr = set(irr_words(system, max_len))
-    stair = set()
-    for n in range(max_len + 1):
-        for u in product(range(k), repeat=n):
-            if is_staircase(u, k):
-                stair.add(u)
-    return irr == stair
 
 
 def congruence_classes(P, n):

@@ -472,9 +472,9 @@ class Structure:
     than m as (monomial, coefficient) pairs, scaled to coefficient 1 at
     m, as `rewrite` takes them.  irreducible_codes(max_deg) lists the
     monomials with no occurrence per degree as the int codes of the span,
-    each degree grown from the one below, so no kind walks a whole degree
-    to find them.  A kind may override `find` for another strategy,
-    `image`, `compositions`, `irreducible_by_degree` and `empty_span`;
+    by a rule of the kind that walks no whole degree to find them.  A
+    kind may override `find` for another strategy, `image`,
+    `compositions`, `irreducible_by_degree` and `empty_span`;
     one that keeps it names its `shape`, the sizes that fix its
     monomials, for the int codes of `table`.
     """

@@ -170,17 +170,37 @@ class Dialgebra(Structure):
                           else c % (room + len(t.letters)))), k)
             for t, k in s.terms.items()]))
 
+    def _powers(self, max_deg):
+        """(power, first): n**k for k <= max_deg, and F[L], the code of the
+        first diword of length L, for L <= max_deg."""
+        power = [self.n ** k for k in range(max_deg + 1)]
+        return power, list(accumulate(
+            (k * power[k] for k in range(max_deg)), initial=0))
+
+    def _clean(self, top):
+        """[the clean words of length k, ascending, for k <= top]: those
+        with no letter key, the letters of a relation with flat_ok, as a
+        factor.  Such a word is no key and drops to a clean one at either
+        end."""
+        keys = {key for key in self.lead_index if not isinstance(key, Diword)}
+        levels = [[()]]
+        for _ in range(top):
+            below = set(levels[-1])
+            levels.append([w for v in levels[-1] for x in range(self.n)
+                           if (w := v + (x,))[1:] in below and w not in keys])
+        return levels
+
     def rows(self, max_deg):
         """The S-words a * s * b of length d <= max_deg, by d, element,
-        |a|, a and b: the center inside s, then in a, then in b.  Call a
-        word clean when it has no factor lw_j.letters of a relation s_j
-        with flat_ok: no key at which the reducer rewrites with the center
-        outside.  An S-word with the center inside s is kept only when a
-        and b are clean.  One with the center at c outside s is kept only
-        when the center-forgetting image flat(s) is nonzero and the
-        letters strictly between the center and s, a[c+1:] for c >= 0 or
-        b[:len(b)+c] for c < 0, are clean.  Relations the reducer cannot
-        use get rows too: their S-words are in the ideal.  Each is
+        |a|, a and b: the center inside s, then in a, then in b.  A word
+        is clean, as `_clean` lists them, when it has no factor
+        lw_j.letters of a relation s_j with flat_ok.  An S-word with the
+        center inside s is kept only when a and b are clean.  One with
+        the center at c outside s is kept only when the center-forgetting
+        image flat(s) is nonzero and the letters strictly between the
+        center and s, a[c+1:] for c >= 0 or b[:len(b)+c] for c < 0, are
+        clean.  Relations the reducer cannot use get rows too: their
+        S-words are in the ideal.  Each is
         {code(w): coefficient}, with |w| taken from the term, since a
         relation need not be homogeneous, and v(a*t*b) = (v(a) *
         n**|t| + v(t)) * n**|b| + v(b) as v(a) and v(b) run over
@@ -233,16 +253,10 @@ class Dialgebra(Structure):
             return
         n = self.n
         top = max(max_deg - self.lead_degrees[-1], 0)
-        keys = {lw.letters for lw, ok in zip(self.leading_words,
-                                              self.flat_ok) if ok}
         words = [list(product(range(n), repeat=length))
                  for length in range(top + 1)]
-        # the words of length <= top with no key as a factor; a word is
-        # clean when both its longest factors are and it is no key
-        clean = {()}
-        for level in words[1:]:
-            clean.update(w for w in level if w[1:] in clean
-                         and w[:-1] in clean and w not in keys)
+        # the clean words of length <= top, the only sides a row keeps
+        clean = set().union(*self._clean(top))
         # by |a| and v(a), and by |b| and v(b): whether the word is
         # clean, and the centers outside s that leave a row
         inner = [[w in clean for w in level] for level in words]
@@ -250,9 +264,7 @@ class Dialgebra(Structure):
                  for a in level] for level in words]
         right = [[[r for r in range(-len(b), 0) if b[:len(b) + r] in clean]
                   for b in level] for level in words]
-        power = [n ** k for k in range(max_deg + 1)]
-        first = list(accumulate((k * power[k] for k in range(max_deg)),
-                                initial=0))
+        power, first = self._powers(max_deg)
         # each relation as its length, its terms and its image's terms
         terms = [(len(lw), [(len(t), _value(t.letters, n), t.center, k)
                             for t, k in s.items()],
@@ -291,61 +303,33 @@ class Dialgebra(Structure):
                                 yield d, {k0 + end + r * pc + vb: k
                                           for k0, pc, end, k in out}
 
-    def irreducible_codes(self, max_deg):
-        """{d: the codes of the diwords of length d with no compatible
-        occurrence, ascending}, grown from length d - 1.  Every factor of
-        a diword w but w itself lies in w[1:] or in w[:-1], and holds the
-        center there exactly when it does in w, if that side keeps the
-        center.  So w is irreducible exactly when its sides that keep the
-        center are and no factor that touches the other end is a key:
-        with the center inside, both sides keep it and only w is probed;
-        at the first letter, w[:-1] keeps it and every suffix is probed;
-        at the last, w[1:] keeps it and every prefix is probed.  A factor
-        that holds the center is probed by its code, and any other by the
-        value of its letters among the letter keys of its length."""
-        n = self.n
-        power = [n ** k for k in range(max_deg + 1)]
-        first = list(accumulate((k * power[k] for k in range(max_deg)),
-                                initial=0))
-        whole, flat = set(), {}
-        for key in self.lead_index:
-            if not isinstance(key, Diword):
-                flat.setdefault(len(key), set()).add(_value(key, n))
-            elif len(key) <= max_deg:
-                whole.add(first[len(key)] + key.center * power[len(key)]
-                          + _value(key.letters, n))
-        out = {}
-        if max_deg >= 1:
-            out[1] = [x for x in range(n) if x not in whole]
-        for d in range(2, max_deg + 1):
-            p, below = power[d - 1], set(out[d - 1])
-            # the letter keys shorter than w by length L: n**L cuts the
-            # suffix (v % n**L) and n**(d - L) the prefix (v // n**(d - L))
-            # of that length from the value v of w's letters
-            ends = [(power[length], power[d - length], values)
-                    for length, values in flat.items() if length < d]
-            level, last = [], []
-            for u in out[d - 1]:
-                c, v = divmod(u - first[d - 1], p)
-                at = first[d] + c * power[d] + v * n
-                if c == 0:
-                    level += [at + x for x in range(n)
-                              if at + x not in whole
-                              and not any((v * n + x) % q in values
-                                          for q, _, values in ends)]
-                else:
-                    side = first[d - 1] + (c - 1) * p
-                    level += [at + x for x in range(n)
-                              if at + x not in whole
-                              and side + (v * n + x) % p in below]
-                if c == d - 2:
-                    last.append(v)
-            at = first[d] + (d - 1) * power[d]
-            level += [at + w for x in range(n) for v in last
-                      if at + (w := x * p + v) not in whole
-                      and not any(w // q in values for _, q, values in ends)]
-            out[d] = level
+    def irreducible_by_degree(self, max_deg):
+        """{d: the diwords of length d with no compatible occurrence,
+        ascending}, without the monomial table.  A factor without the
+        center lies left or right of it, so (letters, c) is irreducible
+        exactly when letters[:c] and letters[c+1:] are clean and no factor
+        (letters[p:p+k], c - p) that holds the center is a key.  By
+        center, left word, center letter and right word, they ascend."""
+        index, clean, out = self.lead_index, self._clean(max_deg - 1), {}
+        for d in range(1, max_deg + 1):
+            out[d] = level = []
+            for c in range(d):
+                windows = [(p, p + k, c - p) for k in self.lead_degrees
+                           for p in range(c + 1 - k, c + 1) if 0 <= p <= d - k]
+                for a, x, b in product(clean[c], range(self.n),
+                                       clean[d - c - 1]):
+                    w = a + (x,) + b
+                    if not any((w[p:e], o) in index for p, e, o in windows):
+                        level.append(Diword(w, c))
         return out
+
+    def irreducible_codes(self, max_deg):
+        """{d: the codes F[d] + center * n**d + v(letters) of the diwords
+        of `irreducible_by_degree`}."""
+        power, first = self._powers(max_deg)
+        return {d: [first[d] + m.center * power[d] + _value(m.letters, self.n)
+                    for m in level]
+                for d, level in self.irreducible_by_degree(max_deg).items()}
 
 
 # perfbench imports it

@@ -439,22 +439,3 @@ def normal_form(p, system):
 def irr_words(system, max_len):
     """All words of length <= max_len containing no leading word, ascending."""
     return system.irreducible(max_len)
-
-
-def membership_oracle(p, system, max_deg):
-    """Exact membership of p in the bounded span of the system's S-words,
-    the products a * s * b for an associative system.
-
-    True is a certificate that p lies in the ideal.  False only means p is
-    not reachable within the degree bound: ideal members whose expressions
-    need monomials of degree above max_deg are reported False, so the
-    oracle is conservative.  Raises when p itself has a monomial of degree
-    above max_deg, as the system measures it; every kind's order puts a
-    monomial of the greatest degree first.
-    """
-    if not p:
-        return True
-    if system.degree(p.leading_monomial()) > max_deg:
-        raise ValueError(
-            "max_deg %d is below the degree of p's largest monomial" % max_deg)
-    return system.span(max_deg).contains(p.terms)

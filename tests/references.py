@@ -66,12 +66,18 @@ code, so `TupleKeyedModule`, `TupleKeyedDialgebra`, `TupleKeyedAc` and
 `EveryDialgebraRow` check with `pivot_bounded_check` over the parts
 walk, and `WordKeyedRows` takes its left factors from the automaton
 walk.
+The irreducible diwords and tree-words before they were listed by their
+defining rule are kept as `grown_dialgebra_irreducible_codes` and
+`grown_ac_irreducible_codes`, which grew each degree's codes from the
+codes of the degree below by code arithmetic.
+`membership_oracle`, `staircase_equals_irr` and `ac_flatten`, which had
+no caller in the library, are kept here verbatim.
 """
 
 from bisect import insort
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from operator import itemgetter
 
 import shirshov as _lib
@@ -80,9 +86,10 @@ from shirshov.anticomm import (AcPolynomial, AntiCommutative, _lift,
                                ac_key, ac_mul, ac_size)
 from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
                           PresentationFile, _names, _rank)
+from shirshov.catalog import chinese_gsb, is_staircase
 from shirshov.core import (Alphabet, BoundedReport, DegreeLine, Polynomial,
-                           add_scaled, check_bound, deglex_key, exact,
-                           exact_div)
+                           _value, add_scaled, check_bound, deglex_key,
+                           exact, exact_div)
 from shirshov.core import VectorSpan as KeySpan
 from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 leibniz_check, leibniz_i0)
@@ -620,6 +627,95 @@ def automaton_irreducible_by_degree(self, max_deg):
     return levels
 
 
+def grown_dialgebra_irreducible_codes(self, max_deg):
+    """{d: the codes of the diwords of length d with no compatible
+    occurrence, ascending}, grown from length d - 1.  Every factor of
+    a diword w but w itself lies in w[1:] or in w[:-1], and holds the
+    center there exactly when it does in w, if that side keeps the
+    center.  So w is irreducible exactly when its sides that keep the
+    center are and no factor that touches the other end is a key:
+    with the center inside, both sides keep it and only w is probed;
+    at the first letter, w[:-1] keeps it and every suffix is probed;
+    at the last, w[1:] keeps it and every prefix is probed.  A factor
+    that holds the center is probed by its code, and any other by the
+    value of its letters among the letter keys of its length."""
+    n = self.n
+    power = [n ** k for k in range(max_deg + 1)]
+    first = list(accumulate((k * power[k] for k in range(max_deg)),
+                            initial=0))
+    whole, flat = set(), {}
+    for key in self.lead_index:
+        if not isinstance(key, Diword):
+            flat.setdefault(len(key), set()).add(_value(key, n))
+        elif len(key) <= max_deg:
+            whole.add(first[len(key)] + key.center * power[len(key)]
+                      + _value(key.letters, n))
+    out = {}
+    if max_deg >= 1:
+        out[1] = [x for x in range(n) if x not in whole]
+    for d in range(2, max_deg + 1):
+        p, below = power[d - 1], set(out[d - 1])
+        # the letter keys shorter than w by length L: n**L cuts the
+        # suffix (v % n**L) and n**(d - L) the prefix (v // n**(d - L))
+        # of that length from the value v of w's letters
+        ends = [(power[length], power[d - length], values)
+                for length, values in flat.items() if length < d]
+        level, last = [], []
+        for u in out[d - 1]:
+            c, v = divmod(u - first[d - 1], p)
+            at = first[d] + c * power[d] + v * n
+            if c == 0:
+                level += [at + x for x in range(n)
+                          if at + x not in whole
+                          and not any((v * n + x) % q in values
+                                      for q, _, values in ends)]
+            else:
+                side = first[d - 1] + (c - 1) * p
+                level += [at + x for x in range(n)
+                          if at + x not in whole
+                          and side + (v * n + x) % p in below]
+            if c == d - 2:
+                last.append(v)
+        at = first[d] + (d - 1) * power[d]
+        level += [at + w for x in range(n) for v in last
+                  if at + (w := x * p + v) not in whole
+                  and not any(w // q in values for _, q, values in ends)]
+        out[d] = level
+    return out
+
+def grown_ac_irreducible_codes(self, max_deg):
+    """{d: the `table` codes of the normal tree-words of size d with no
+    leading word as a subtree, ascending}, grown from the sizes
+    below: every subtree of (l, r) but itself is a subtree of l or of
+    r, so (l, r) is irreducible exactly when both children are and it
+    is no key.  The words of size d come by left size ls, then left,
+    then right: a block of count(ls) * count(d - ls) pairs, or i * (i
+    - 1) / 2 pairs before the left word of index i when the sizes are
+    equal, since then the right one is the smaller."""
+    codes = self.table(max_deg)[1]
+    leads = set(map(codes.get, self.lead_index))
+    count = [0] + [self.count(d) for d in range(1, max_deg + 1)]
+    first = list(accumulate(count, initial=0))  # by size: the first code
+    out = {}
+    if max_deg >= 1:
+        out[1] = [x for x in range(self.n) if x not in leads]
+    for d in range(2, max_deg + 1):
+        level, at = [], first[d]
+        for ls in range((d + 1) // 2, d):
+            rs = d - ls
+            same = ls == rs
+            for i, l in enumerate(out[ls]):
+                il = l - first[ls]
+                row = at - first[rs] + (il * (il - 1) // 2 if same
+                                        else il * count[rs])
+                level += [k for r in (out[rs][:i] if same else out[rs])
+                          if (k := row + r) not in leads]
+            at += (count[ls] * (count[ls] - 1) // 2 if same
+                   else count[ls] * count[rs])
+        out[d] = level
+    return out
+
+
 def is_pivot(self, column):
     """Whether column is the pivot of a stored row."""
     k = self.key(column)
@@ -937,6 +1033,43 @@ def pair_normal_form(m, algebra, S):
         if m2 == m:
             return m
         m = m2
+
+
+def membership_oracle(p, system, max_deg):
+    """Exact membership of p in the bounded span of the system's S-words,
+    the products a * s * b for an associative system.
+
+    True is a certificate that p lies in the ideal.  False only means p is
+    not reachable within the degree bound: ideal members whose expressions
+    need monomials of degree above max_deg are reported False, so the
+    oracle is conservative.  Raises when p itself has a monomial of degree
+    above max_deg, as the system measures it; every kind's order puts a
+    monomial of the greatest degree first.
+    """
+    if not p:
+        return True
+    if system.degree(p.leading_monomial()) > max_deg:
+        raise ValueError(
+            "max_deg %d is below the degree of p's largest monomial" % max_deg)
+    return system.span(max_deg).contains(p.terms)
+
+def staircase_equals_irr(k, max_len):
+    """Whether the staircase words and the irreducible words coincide up
+    to the length bound."""
+    system = chinese_gsb(k)
+    irr = set(irr_words(system, max_len))
+    stair = set()
+    for n in range(max_len + 1):
+        for u in product(range(k), repeat=n):
+            if is_staircase(u, k):
+                stair.add(u)
+    return irr == stair
+
+def ac_flatten(t):
+    """Left-to-right leaf sequence as a plain word."""
+    if isinstance(t, int):
+        return (t,)
+    return ac_flatten(t[0]) + ac_flatten(t[1])
 
 
 def structure_rows(self, max_deg):

@@ -4,14 +4,13 @@ from hypothesis import strategies as st
 
 from conftest import witt
 from shirshov.anticomm import (AcPolynomial, AntiCommutative,
-                               _normal_by_degree, ac_flatten,
-                               ac_gsb_check_bounded, ac_key, ac_mul,
-                               ac_size, hall_gsb, hall_words, is_ls_word,
-                               is_normal_acword, ls_bracketing, ls_words,
-                               normal_words)
+                               _normal_by_degree, ac_gsb_check_bounded,
+                               ac_key, ac_mul, ac_size, hall_gsb,
+                               hall_words, is_ls_word, is_normal_acword,
+                               ls_bracketing, ls_words, normal_words)
 
 from references import _normal_by_degree as sorted_normal_by_degree
-from references import ac_find
+from references import ac_find, ac_flatten
 
 X1, X2 = 0, 1
 

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from shirshov.core import Structure
 from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
                                 LeibnizAlgebra, all_diwords,
                                 di_gsb_check_bounded, di_irr, di_left,
@@ -172,6 +173,24 @@ def test_irr_matches_pbw_when_the_squares_are_no_basis_vectors():
     S = leibniz_enveloping(ADAPTED)
     for d in (1, 2, 3, 4):
         assert di_irr(S, 4, d) == pbw_basis(ADAPTED, d)
+
+
+def test_listing_irreducible_diwords_builds_no_monomial_table(monkeypatch):
+    # The 20 irreducible diwords of length <= 10 come from their rule;
+    # the table of that bound holds 18,434 diwords.
+    built = []
+    table = Structure.table
+
+    def counted(self, max_deg):
+        built.append(max_deg)
+        return table(self, max_deg)
+
+    monkeypatch.setattr(Structure, "table", counted)
+    L = leibniz_dim2()
+    structure = Dialgebra(leibniz_enveloping(L), 2)
+    assert structure.irreducible(10) == pbw_basis(L, 10)
+    assert di_irr(leibniz_enveloping(L), 2, 10) == pbw_basis(L, 10)
+    assert built == []
 
 
 def test_a_relation_outside_the_alphabet_is_refused():

@@ -45,8 +45,7 @@ from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord,
                                  act, module_cd_check, module_irr,
                                  mword_key, random_module_set)
 from shirshov.gsb import cd_lemma_check, find_compositions
-from shirshov.rewrite import (RewriteSystem, code_word, irr_words,
-                              membership_oracle, word_code)
+from shirshov.rewrite import RewriteSystem, code_word, irr_words, word_code
 
 from references import VectorSpan as ReferenceSpan
 from references import (TUPLE_READERS, EveryDialgebraRow, EveryRowAndPair,
@@ -56,7 +55,9 @@ from references import (TUPLE_READERS, EveryDialgebraRow, EveryRowAndPair,
                         _prep, ac_compositions,
                         automaton_irreducible_by_degree,
                         coded_module_irreducible_by_degree, echelon,
-                        find_bounded_check, parts_irreducible_by_degree,
+                        find_bounded_check, grown_ac_irreducible_codes,
+                        grown_dialgebra_irreducible_codes,
+                        membership_oracle, parts_irreducible_by_degree,
                         probing_irreducible_by_degree, stored_rows)
 
 
@@ -867,6 +868,8 @@ ENUMERATIONS = {
     AntiCommutative: (parts_irreducible_by_degree,),
     RewriteSystem: (automaton_irreducible_by_degree,
                     probing_irreducible_by_degree)}
+GROWN = {Dialgebra: grown_dialgebra_irreducible_codes,
+         AntiCommutative: grown_ac_irreducible_codes}
 
 
 @st.composite
@@ -901,11 +904,20 @@ def _assoc(n, *relations):
 @example((_assoc(2, {(1, 0): 1, (0,): -1}, {(): 1}), 3))
 @example((Dialgebra([DiPolynomial({Diword((0, 1, 0), 0): 1}),
                      DiPolynomial({Diword((1, 1), 1): 1})], 2), 4))
+# a one-letter key at the center, and a key with no letter key that is
+# the whole diword at length 3
+@example((Dialgebra([DiPolynomial({Diword((1,), 0): 1})], 2), 4))
+@example((Dialgebra([DiPolynomial({Diword((0, 1, 0), 1): 1,
+                                   Diword((0, 1, 0), 0): -1})], 2), 4))
+# letter keys that touch the first and the last letter of a diword
+@example((Dialgebra([DiPolynomial({Diword((1, 0), 0): 1}),
+                     DiPolynomial({Diword((0, 0), 1): 1})], 2), 4))
 def test_irreducible_codes_are_the_codes_of_the_reference_enumeration(case):
-    # Per degree, the codes grown from the degree below are the span's
-    # keys of the monomials that the walks kept in tests/references.py
-    # find, in the same order, and decode to them; from below the least
-    # degree up, since a bound below it lists nothing.
+    # Per degree, the codes are the span's keys of the monomials that
+    # the walks kept in tests/references.py find, in the same order, and
+    # decode to them; from below the least degree up, since a bound
+    # below it lists nothing.  Dialgebras and tree-words also list the
+    # codes that the growth rules kept there grew from the degree below.
     structure, bound = case
     low = 0 if isinstance(structure, RewriteSystem) else structure.low - 2
     for max_deg in range(low, bound + 1):
@@ -916,6 +928,9 @@ def test_irreducible_codes_are_the_codes_of_the_reference_enumeration(case):
             assert structure.irreducible_by_degree(max_deg) == want
             assert levels == {d: [key(m) for m in level]
                               for d, level in want.items()}
+        grown = GROWN.get(type(structure))
+        if grown is not None:
+            assert levels == grown(structure, max_deg)
 
 
 def test_the_benchmark_checks_agree_with_the_per_check_path():

@@ -13,10 +13,10 @@ from shirshov.dialgebra import Dialgebra, leibniz_dim2, leibniz_enveloping
 from shirshov.freemodule import FreeModule, ModuleElement, ModuleWord
 from shirshov.gsb import is_gsb
 from shirshov.rewrite import (RewriteSystem, find_factor, irr_words,
-                              membership_oracle, normal_form, word_code)
+                              normal_form, word_code)
 
-from references import (probing_irreducible_by_degree, rewrite_step,
-                        slicing_find, terms_image)
+from references import (membership_oracle, probing_irreducible_by_degree,
+                        rewrite_step, slicing_find, terms_image)
 
 AB = Alphabet(("y", "x"))
 ORDER = DegLexOrder(AB)
