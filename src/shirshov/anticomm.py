@@ -10,7 +10,7 @@ so that every element is a combination of normal trees.
 from functools import lru_cache
 from itertools import combinations, product
 
-from .core import Structure, Terms, check_letters
+from .core import Structure, Terms, VectorSpan, check_letters
 
 
 def ac_size(t):
@@ -40,11 +40,6 @@ def _normal_key(t, n=None):
     if lk is None or rk is None or lk <= rk:
         return None
     return lk[0] + rk[0], lk, rk
-
-
-def is_normal_acword(t):
-    """Left > right at every internal node."""
-    return _normal_key(t) is not None
 
 
 class AcPolynomial(Terms):
@@ -108,6 +103,14 @@ def normal_words(n_letters, max_deg):
     return out
 
 
+@lru_cache(maxsize=1)
+def _numbering(n_letters, max_deg):
+    # the normal tree-words of size <= max_deg in order and their codes,
+    # which have no closed form; only the last numbering is held
+    words = tuple(normal_words(n_letters, max_deg))
+    return words, {t: i for i, t in enumerate(words)}
+
+
 def hall_words(n_letters, max_deg):
     """Hall tree-words of size <= max_deg, ascending: normal words where
     additionally every left factor [u1 u2] satisfies u2 <= the sibling on
@@ -148,8 +151,8 @@ class AntiCommutative(Structure):
     word is a subtree, at its preorder-first occurrence; the degree of
     a tree-word is its size.  A context is a chain of (side, sibling)
     pairs up to the root, the sibling right of the subtree for side 0
-    and left for side 1.  `rows` yields chains of right products, keyed
-    and ordered by `table` codes: a tree-word's code has no closed form.
+    and left for side 1.  A tree-word's code, its place in the order,
+    is read from `_numbering`, which `rows` orders chain products by.
     """
 
     elem = AcPolynomial
@@ -159,7 +162,6 @@ class AntiCommutative(Structure):
     def __init__(self, relations, n_letters):
         super().__init__(relations)
         self.n = n_letters
-        self.shape = (n_letters,)
         for i, p in enumerate(self.elements):
             for t in p.terms:
                 if _normal_key(t, n_letters) is None:
@@ -167,6 +169,9 @@ class AntiCommutative(Structure):
 
     def monomials(self, d):
         return _normal_by_degree(self.n, d)
+
+    def count(self, d):
+        return len(_normal_by_degree(self.n, d))
 
     @staticmethod
     def parts(t):
@@ -197,8 +202,8 @@ class AntiCommutative(Structure):
         extended by every normal word that fits.  They span the ideal,
         since anti-commutativity makes one-sided chains span both sides,
         and a chain that reaches 0 stays 0, as the product is bilinear.
-        Every factor has a code in `table(max_deg)`, which orders it."""
-        code = self.table(max_deg)[1].__getitem__
+        Every factor has a code, which orders it."""
+        code = _numbering(self.n, max_deg)[1].__getitem__
         levels = {}
         for s, lw in zip(self.elements, self.leading_words):
             levels.setdefault(ac_size(lw), []).append(s)
@@ -211,13 +216,18 @@ class AntiCommutative(Structure):
                         if q:
                             levels.setdefault(d + e, []).append(q)
 
-    def irreducible_codes(self, max_deg):
-        """{d: the `table` codes of the normal tree-words of size d with no
-        leading word as a subtree, ascending}.  Every subtree of (l, r)
-        but itself lies in l or in r, so the irreducible tree-words of
-        size d are the pairs (l, r) of irreducible children that are no
-        key, with l the larger: of larger size, or at equal sizes later
-        in the list.  By left size, then l, then r, they ascend."""
+    def empty_span(self, max_deg):
+        """The span of `rows`, keyed by the codes of `_numbering`."""
+        words, codes = _numbering(self.n, max_deg)
+        return VectorSpan(codes.get, words.__getitem__)
+
+    def irreducible_by_degree(self, max_deg):
+        """{d: the normal tree-words of size d with no leading word as a
+        subtree, ascending}.  Every subtree of (l, r) but itself lies in
+        l or in r, so the irreducible tree-words of size d are the pairs
+        (l, r) of irreducible children that are no key, with l the
+        larger: of larger size, or at equal sizes later in the list.  By
+        left size, then l, then r, they ascend."""
         index, trees = self.lead_index, {}
         for d in range(1, max_deg + 1):
             pairs = range(self.n) if d == 1 else (
@@ -225,8 +235,7 @@ class AntiCommutative(Structure):
                 for i, l in enumerate(trees[ls])
                 for r in (trees[ls][:i] if 2 * ls == d else trees[d - ls]))
             trees[d] = [t for t in pairs if t not in index]
-        code = self.table(max_deg)[1].__getitem__
-        return {d: list(map(code, level)) for d, level in trees.items()}
+        return trees
 
 
 # perfbench imports it

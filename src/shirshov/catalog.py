@@ -77,6 +77,7 @@ def chinese_gsb(k):
     return RewriteSystem(tuple(elems), DegLexOrder(chinese_alphabet(k)))
 
 
+# perfbench imports it
 def is_staircase(u, k):
     """Greedy parse of the row-block normal form: blocks with ascending
     lead letter r, each block first the pairs (x_r x_s) with s ascending

@@ -67,6 +67,11 @@ def _value(word, n):
     return v
 
 
+def _digits(v, n, length):
+    # the word of the length whose base-n numeral is v
+    return tuple(v // n ** i % n for i in range(length - 1, -1, -1))
+
+
 def deglex_key(word):
     """Sort key realizing the degree-then-lexicographic order on rank tuples."""
     return (len(word), word)
@@ -265,7 +270,7 @@ class VectorSpan:
     Elimination runs in key space.  key(m) is the key of the column m
     and column(k) the column whose key is k; `key` is injective on the
     columns.  A structure's span keys a monomial by its int code, its
-    place in the kind's order (`Structure.empty_span`).  `insert` takes
+    place in the kind's order (its `empty_span`).  `insert` takes
     a vector {key: coefficient} with exact nonzero coefficients, which
     the span may keep, as every kind's `rows` yields it; a vector over
     columns enters as `insert(keyed(vec))`.  Each stored row has
@@ -454,34 +459,33 @@ class Structure:
 
     A subclass names its element class `elem` and the least degree `low`
     of a monomial, and supplies degree(m); monomials(d), in ascending
-    order, a sequence unless the kind gives count(d) in closed form;
-    parts(m), every (part, context) of the monomial m where a relation
-    may apply, in the kind's order; multiply(context, s), the S-word that
-    puts s into the context; and rows(max_deg), the (d, {code(m):
-    coefficient}) in ascending d that `span` inserts into
+    order, and count(d), their number; parts(m), every (part, context) of
+    the monomial m where a relation may apply, in the kind's order;
+    multiply(context, s), the S-word that puts s into the context;
+    empty_span(max_deg), the VectorSpan keyed by the codes of the
+    monomials, their places in the kind's order; and rows(max_deg), the
+    (d, {code(m): coefficient}) in ascending d that `span` inserts into
     `empty_span(max_deg)`: S-words of degree d <= max_deg such that those
     of degree <= d span every S-word of degree <= d.  keys(j), the parts
     at which element j applies, defaults to its leading monomial.  The
-    base class checks that every relation is a nonzero monic `elem`,
-    keeps the relations in `elements` and their leading monomials in
+    base class checks that every relation is a nonzero monic `elem`, keeps
+    the relations in `elements` and their leading monomials in
     `leading_words`, and indexes the keys once: `lead_index` maps each to
     its first element, and `lead_degrees` lists the distinct leading
     degrees, descending.  From parts and keys it derives `find` and
-    `compositions`, one walk over the parts of each leading monomial;
-    from the S-words, the rewriting `image`: the S-word's terms other
-    than m as (monomial, coefficient) pairs, scaled to coefficient 1 at
-    m, as `rewrite` takes them.  irreducible_codes(max_deg) lists the
-    monomials with no occurrence per degree as the int codes of the span,
-    by a rule of the kind that walks no whole degree to find them.  A
-    kind may override `find` for another strategy, `image`,
-    `compositions`, `irreducible_by_degree` and `empty_span`;
-    one that keeps it names its `shape`, the sizes that fix its
-    monomials, for the int codes of `table`.
+    `compositions`, one walk over the parts of each leading monomial; from
+    the S-words, the rewriting `image`: the S-word's terms other than m as
+    (monomial, coefficient) pairs, scaled to coefficient 1 at m, as
+    `rewrite` takes them.  A kind lists the monomials with no occurrence
+    per degree by a rule that walks no whole degree, as the int codes of
+    irreducible_codes(max_deg) or as the monomials of
+    irreducible_by_degree(max_deg); the base class reads each from the
+    other through `empty_span`.  A kind may override `find` for another
+    strategy, `image` and `compositions`.
     """
 
     elem = Terms
     low = 0
-    _tables = {}  # kind -> ((shape, max_deg), table(max_deg))
 
     def __init__(self, relations):
         self.elements = tuple(relations)
@@ -559,12 +563,6 @@ class Structure:
     def normal_form(self, p):
         return rewrite(p, self.find, self.image)
 
-    def count(self, d):
-        """The number of monomials of degree d: the length of
-        monomials(d), which a kind whose monomials(d) is an iterator
-        gives in closed form."""
-        return len(self.monomials(d))
-
     def irreducible_by_degree(self, max_deg):
         """{d: the monomials of degree d with no occurrence, ascending}
         for low <= d <= max_deg: `irreducible_codes` read back as the
@@ -572,6 +570,12 @@ class Structure:
         levels = self.irreducible_codes(max_deg)
         column = self.empty_span(max_deg)._column
         return {d: list(map(column, level)) for d, level in levels.items()}
+
+    def irreducible_codes(self, max_deg):
+        """{d: the codes of `irreducible_by_degree(max_deg)`}."""
+        key = self.empty_span(max_deg).key
+        return {d: list(map(key, level))
+                for d, level in self.irreducible_by_degree(max_deg).items()}
 
     def irreducible(self, max_deg):
         """Monomials of degree <= max_deg with no occurrence, ascending."""
@@ -602,26 +606,6 @@ class Structure:
                 % type(self).__name__)
         checked, failing = self._failing()
         return GsbReport(holds=not failing, checked=checked, failing=failing)
-
-    def table(self, max_deg):
-        """(words, codes): the monomials of degree <= max_deg in order, and
-        the dict of their places.  Each kind holds the table of its last
-        shape and bound, and builds another only when they change."""
-        key = self.shape, max_deg
-        held = self._tables.get(type(self))
-        if held is None or held[0] != key:
-            words = tuple(m for d in range(self.low, max_deg + 1)
-                          for m in self.monomials(d))
-            held = self._tables[type(self)] = key, (
-                words, {m: i for i, m in enumerate(words)})
-        return held[1]
-
-    def empty_span(self, max_deg):
-        """The VectorSpan that `span` inserts `rows(max_deg)` into, keyed
-        by `table(max_deg)`: a monomial of degree <= max_deg by its code
-        and any other column by None."""
-        words, codes = self.table(max_deg)
-        return VectorSpan(codes.get, words.__getitem__)
 
     def span(self, max_deg):
         """One span of `rows(max_deg)`, the S-words of degree <=

@@ -11,7 +11,7 @@ from collections import namedtuple
 from itertools import accumulate, combinations_with_replacement, product
 from operator import neg
 
-from .core import (Polynomial, Structure, Terms, VectorSpan, _value,
+from .core import (Polynomial, Structure, Terms, VectorSpan, _digits, _value,
                    add_scaled, check_letters)
 
 
@@ -77,15 +77,6 @@ def di_right(u, v):
     return _di_product(u, v, False)
 
 
-def all_diwords(n_letters, length):
-    """Every diword of the exact length over ranks 0..n_letters-1."""
-    out = []
-    for letters in product(range(n_letters), repeat=length):
-        for c in range(length):
-            out.append(Diword(letters, c))
-    return out
-
-
 class Dialgebra(Structure):
     """Monic relations in the free dialgebra on n_letters letters.
 
@@ -111,7 +102,6 @@ class Dialgebra(Structure):
     def __init__(self, relations, n_letters):
         super().__init__(relations)
         self.n = n_letters
-        self.shape = (n_letters,)
         for p in self.elements:
             for m in p.terms:
                 check_letters(m.letters, n_letters)
@@ -129,10 +119,8 @@ class Dialgebra(Structure):
     def monomials(self, d):
         """The diwords of length d in key order: by center, then by
         letters."""
-        new = tuple.__new__
-        for center in range(d):
-            for letters in product(range(self.n), repeat=d):
-                yield new(Diword, (letters, center))
+        return (Diword(letters, c) for c in range(d)
+                for letters in product(range(self.n), repeat=d))
 
     def count(self, d):
         return d * self.n ** d
@@ -305,11 +293,11 @@ class Dialgebra(Structure):
 
     def irreducible_by_degree(self, max_deg):
         """{d: the diwords of length d with no compatible occurrence,
-        ascending}, without the monomial table.  A factor without the
-        center lies left or right of it, so (letters, c) is irreducible
-        exactly when letters[:c] and letters[c+1:] are clean and no factor
-        (letters[p:p+k], c - p) that holds the center is a key.  By
-        center, left word, center letter and right word, they ascend."""
+        ascending}.  A factor without the center lies left or right of
+        it, so (letters, c) is irreducible exactly when letters[:c] and
+        letters[c+1:] are clean and no factor (letters[p:p+k], c - p)
+        that holds the center is a key.  By center, left word, center
+        letter and right word, they ascend."""
         index, clean, out = self.lead_index, self._clean(max_deg - 1), {}
         for d in range(1, max_deg + 1):
             out[d] = level = []
@@ -323,13 +311,22 @@ class Dialgebra(Structure):
                         level.append(Diword(w, c))
         return out
 
-    def irreducible_codes(self, max_deg):
-        """{d: the codes F[d] + center * n**d + v(letters) of the diwords
-        of `irreducible_by_degree`}."""
+    def empty_span(self, max_deg):
+        """The span of `rows`; a column longer than max_deg has no key."""
+        n, letters = self.n, range(self.n)
         power, first = self._powers(max_deg)
-        return {d: [first[d] + m.center * power[d] + _value(m.letters, self.n)
-                    for m in level]
-                for d, level in self.irreducible_by_degree(max_deg).items()}
+
+        def key(m):
+            L = len(m.letters)
+            if L <= max_deg and all(x in letters for x in m.letters):
+                return first[L] + m.center * power[L] + _value(m.letters, n)
+
+        def column(k):
+            L = max(i for i in range(max_deg + 1) if first[i] <= k)
+            center, v = divmod(k - first[L], power[L])
+            return Diword(_digits(v, n, L), center)
+
+        return VectorSpan(key, column)
 
 
 # perfbench imports it

@@ -5,11 +5,11 @@ of an element s in the context a is the left action a.s.
 """
 
 from collections import namedtuple
-from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
-from .core import Polynomial, Structure, Terms, _value, check_letters
-from .rewrite import _firsts, word_code
+from .core import (Polynomial, Structure, Terms, VectorSpan, _value,
+                   check_letters)
+from .rewrite import code_word, word_code
 
 
 class ModuleWord(namedtuple("ModuleWord", "u y")):
@@ -45,13 +45,6 @@ def act(p, m):
     return ModuleElement(acc)
 
 
-# Cached: every check reads each degree in `count`.
-@lru_cache(maxsize=None)
-def _module_words(nx, ny, length):
-    return tuple(ModuleWord(u, y) for u in product(range(nx), repeat=length)
-                 for y in range(ny))
-
-
 class FreeModule(Structure):
     """Monic relations in the free module on nx letters and ny module
     generators.
@@ -61,8 +54,8 @@ class FreeModule(Structure):
     suffix in `lead_index` wins.  A module word hashes and compares as
     the tuple (u, y), so a part is that plain tuple, which `find` probes
     without building a ModuleWord.  The degree of a module word is the
-    length of its u-part.  The shape is (nx, ny), and the code of u.y,
-    its place in the order, ny * word_code(u, nx) + y.
+    length of its u-part.  The code of u.y, its place in the order, is
+    ny * word_code(u, nx) + y.
     """
 
     elem = ModuleElement
@@ -70,7 +63,6 @@ class FreeModule(Structure):
     def __init__(self, relations, nx, ny):
         super().__init__(relations)
         self.nx, self.ny = nx, ny
-        self.shape = nx, ny
         for p in self.elements:
             for mw in p.terms:
                 check_letters(mw.u, nx)
@@ -81,7 +73,12 @@ class FreeModule(Structure):
         return len(mw.u)
 
     def monomials(self, d):
-        return _module_words(self.nx, self.ny, d)
+        return tuple(ModuleWord(u, y)
+                     for u in product(range(self.nx), repeat=d)
+                     for y in range(self.ny))
+
+    def count(self, d):
+        return self.ny * self.nx ** d
 
     def parts(self, mw):
         """Every suffix (u, y) of mw with its prefix, longest first."""
@@ -112,7 +109,7 @@ class FreeModule(Structure):
         range(nx**|a|), in the order of the words a."""
         nx, ny = self.nx, self.ny
         power = [nx ** k for k in range(max_deg + 1)]
-        first = _firsts(nx, max_deg)
+        first = list(accumulate(power[:-1], initial=0))
         terms = [[(len(t.u), ny * _value(t.u, nx) + t.y, c)
                   for t, c in s.terms.items()] for s in self.elements]
         for d in range(max_deg + 1):
@@ -124,6 +121,18 @@ class FreeModule(Structure):
                     for va in range(power[la]):
                         yield d, {k + va * step: c for k, step, c in at}
 
+    def empty_span(self, max_deg):
+        """The span of `rows`; a column longer than max_deg has no key."""
+        nx, ny = self.nx, self.ny
+
+        def key(mw):
+            k = word_code(mw.u, nx)
+            if k is not None and len(mw.u) <= max_deg and mw.y in range(ny):
+                return ny * k + mw.y
+
+        return VectorSpan(key, lambda k: ModuleWord(code_word(k // ny, nx),
+                                                    k % ny))
+
     def irreducible_codes(self, max_deg):
         """{d: the codes of the module words with |u| = d that no leading
         word ends, ascending}, grown a degree at a time: u.y is
@@ -132,8 +141,8 @@ class FreeModule(Structure):
         step = ny * nx**(d - 1), the count of the words of degree d - 1,
         x*u.y has the code of (u[1:], y) plus (x + 1) * step: the words of
         degree d - 1 before it, and x blocks of step."""
-        nx, ny = self.shape
-        leads = {ny * word_code(lw.u, nx) + lw.y for lw in self.lead_index}
+        nx, ny = self.nx, self.ny
+        leads = set(map(self.empty_span(max_deg).key, self.lead_index))
         out, step = {}, ny
         if max_deg >= 0:
             out[0] = [y for y in range(ny) if y not in leads]
@@ -157,6 +166,7 @@ def module_cd_check(S, nx, ny, max_len):
     return FreeModule(S, nx, ny).bounded_check(max_len)
 
 
+# perfbench imports it
 def random_module_set(nx, ny, max_udeg, rng, max_elems=3):
     """Monic random module elements for randomized suites: up to
     max_elems elements, each a combination of one to three distinct

@@ -19,43 +19,32 @@ automaton, and each newly entered leading word is added to it.
 from collections import namedtuple
 from itertools import accumulate, product
 
-from .core import Polynomial, Structure, VectorSpan, _value, check_letters
+from .core import (Polynomial, Structure, VectorSpan, _digits, _value,
+                   check_letters)
 
 
-def _firsts(n, top):
-    # the code of the first word of each length 0..top: the number of
-    # shorter words
-    return list(accumulate((n ** k for k in range(top)), initial=0))
-
-
-def word_code(word, n, first=()):
+def word_code(word, n):
     """The place of word in the deg-lex order of the words over n letters,
-    () first: (n**|w| - 1) // (n - 1) plus w read as a base-n numeral, or
-    |w| when n = 1.  None when a letter is outside range(n), since such a
-    word has no place, and the code computed from it could be another
-    word's.  first, `_firsts(n, top)` built once, saves building it."""
+    () first: (n**|w| - 1) // (n - 1), the number of shorter words, plus
+    w read as a base-n numeral, or |w| when n = 1.  None when a letter is
+    outside range(n), since such a word has no place, and the code
+    computed from it could be another word's."""
     letters = range(n)
     for x in word:
         if x not in letters:
             return None
-    if len(word) >= len(first):
-        first = _firsts(n, len(word))
-    return first[len(word)] + _value(word, n)
+    k = len(word)
+    return (k if n == 1 else (n ** k - 1) // (n - 1)) + _value(word, n)
 
 
 def code_word(code, n):
     """The word whose `word_code` over n letters is code."""
-    if n == 1:
-        return (0,) * code
     length, count = 0, 1  # count: the words of this length
     while code >= count:
         code -= count
         count *= n
         length += 1
-    word = [0] * length
-    for i in range(length - 1, -1, -1):
-        code, word[i] = divmod(code, n)
-    return tuple(word)
+    return _digits(code, n, length)
 
 
 def _mul_word_poly(context, p):
@@ -75,17 +64,14 @@ class _Automaton:
     of s that is a state, and kids[s] the states whose fail is s, the
     inverse failure tree.  An added word w is a terminal state s with
     words[s] = w.  out[s] is the longest terminal suffix of s, 0 when
-    there is none, and codes[s] its `word_code`, -1 for none, read over
-    `first`, the first code of each length, which grows only for a
-    longer word.  The root is never an output: () is left to the
-    caller."""
+    there is none, and codes[s] its `word_code`, -1 for none.  The root
+    is never an output: () is left to the caller."""
 
     __slots__ = ("n", "letters", "delta", "fail", "kids", "depth", "out",
-                 "words", "codes", "first")
+                 "words", "codes")
 
     def __init__(self, n, words):
         self.n, self.letters = n, frozenset(range(n))
-        self.first = _firsts(n, 0)
         self.delta = [[0] * (n + 1)]
         self.fail, self.kids, self.depth, self.out = [0], [[]], [0], [0]
         self.words, self.codes = [None], [-1]
@@ -127,9 +113,7 @@ class _Automaton:
             s = q
         if s and self.words[s] is None:
             self.words[s] = word
-            if len(word) >= len(self.first):
-                self.first = _firsts(self.n, len(word))
-            code, todo = word_code(word, self.n, self.first), [s]
+            code, todo = word_code(word, self.n), [s]
             while todo:  # the subtree of s down to its own terminals
                 r = todo.pop()
                 self.out[r], self.codes[r] = s, code
@@ -269,10 +253,10 @@ class RewriteSystem(Structure):
         n = len(self.order.alphabet)
         top = max(max_deg - self.lead_degrees[-1], 0)
         levels = self.irreducible_codes(top)
-        first = _firsts(n, max_deg)
+        power = [n ** k for k in range(max_deg + 1)]
+        first = list(accumulate(power[:-1], initial=0))
         left = [[0]] + [[k - first[la] for k in levels[la]]  # v(a) by |a|
                         for la in range(1, top + 1)]
-        power = [n ** k for k in range(max_deg + 1)]
         terms = [[(len(t), _value(t, n), c) for t, c in s.terms.items()]
                  for s in self.elements]
         for d in range(max_deg + 1):
@@ -289,11 +273,10 @@ class RewriteSystem(Structure):
                             yield d, {k + vb: c for k, c in at}
 
     def empty_span(self, max_deg):
-        """The span of `rows`, keyed by `word_code` at every degree, over
-        first codes built once: it reads a code back by `code_word`."""
+        """The span of `rows`, keyed by `word_code` at every degree: it
+        reads a code back by `code_word`."""
         n = len(self.order.alphabet)
-        first = _firsts(n, max_deg)
-        return VectorSpan(lambda w: word_code(w, n, first),
+        return VectorSpan(lambda w: word_code(w, n),
                           lambda k: code_word(k, n))
 
     def monomials(self, d):
@@ -316,7 +299,7 @@ class RewriteSystem(Structure):
         index, out, fail, words = (self.lead_index, dfa.out, dfa.fail,
                                    dfa.words)
         letters = range(len(self.order.alphabet))
-        first = _firsts(len(letters), max_deg)
+        first = [word_code((0,) * k, len(letters)) for k in range(max_deg + 1)]
         frontier = [] if () in index else [(0, 0)]
         levels = {0: [v for v, _ in frontier]}
         for length in range(1, max_deg + 1):
@@ -436,6 +419,7 @@ def normal_form(p, system):
     return system.normal_form(p)
 
 
+# perfbench imports it
 def irr_words(system, max_len):
     """All words of length <= max_len containing no leading word, ascending."""
     return system.irreducible(max_len)

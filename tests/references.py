@@ -70,8 +70,9 @@ The irreducible diwords and tree-words before they were listed by their
 defining rule are kept as `grown_dialgebra_irreducible_codes` and
 `grown_ac_irreducible_codes`, which grew each degree's codes from the
 codes of the degree below by code arithmetic.
-`membership_oracle`, `staircase_equals_irr` and `ac_flatten`, which had
-no caller in the library, are kept here verbatim.
+`membership_oracle`, `staircase_equals_irr`, `ac_flatten`,
+`all_diwords` and `is_normal_acword`, which had no caller in the
+library, are kept here verbatim.
 """
 
 from bisect import insort
@@ -83,7 +84,8 @@ from operator import itemgetter
 import shirshov as _lib
 import shirshov.core as _core
 from shirshov.anticomm import (AcPolynomial, AntiCommutative, _lift,
-                               ac_key, ac_mul, ac_size)
+                               _normal_key, _numbering, ac_key, ac_mul,
+                               ac_size)
 from shirshov.cli import (_SPECS, _TOKEN, KINDS, ParseError,
                           PresentationFile, _names, _rank)
 from shirshov.catalog import chinese_gsb, is_staircase
@@ -586,7 +588,7 @@ def coded_module_irreducible_by_degree(self, max_deg):
     words by u, then y, so x*u.y sits x * len(monomials(d - 1))
     places after the place of u.y in monomials(d - 1); its code,
     which no key may have, is its place plus that of monomials(d)[0]."""
-    nx, ny = self.shape
+    nx, ny = self.nx, self.ny
     leads = {ny * word_code(lw.u, nx) + lw.y for lw in self.lead_index}
     out, words, kept, start = {}, (), (), 0
     for d in range(max_deg + 1):
@@ -684,15 +686,15 @@ def grown_dialgebra_irreducible_codes(self, max_deg):
     return out
 
 def grown_ac_irreducible_codes(self, max_deg):
-    """{d: the `table` codes of the normal tree-words of size d with no
-    leading word as a subtree, ascending}, grown from the sizes
+    """{d: the `_numbering` codes of the normal tree-words of size d
+    with no leading word as a subtree, ascending}, grown from the sizes
     below: every subtree of (l, r) but itself is a subtree of l or of
     r, so (l, r) is irreducible exactly when both children are and it
     is no key.  The words of size d come by left size ls, then left,
     then right: a block of count(ls) * count(d - ls) pairs, or i * (i
     - 1) / 2 pairs before the left word of index i when the sizes are
     equal, since then the right one is the smaller."""
-    codes = self.table(max_deg)[1]
+    codes = _numbering(self.n, max_deg)[1]
     leads = set(map(codes.get, self.lead_index))
     count = [0] + [self.count(d) for d in range(1, max_deg + 1)]
     first = list(accumulate(count, initial=0))  # by size: the first code
@@ -1070,6 +1072,20 @@ def ac_flatten(t):
     if isinstance(t, int):
         return (t,)
     return ac_flatten(t[0]) + ac_flatten(t[1])
+
+
+def all_diwords(n_letters, length):
+    """Every diword of the exact length over ranks 0..n_letters-1."""
+    out = []
+    for letters in product(range(n_letters), repeat=length):
+        for c in range(length):
+            out.append(Diword(letters, c))
+    return out
+
+
+def is_normal_acword(t):
+    """Left > right at every internal node."""
+    return _normal_key(t) is not None
 
 
 def structure_rows(self, max_deg):

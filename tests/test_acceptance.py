@@ -15,15 +15,15 @@ from shirshov.catalog import (chinese_gsb, chinese_relations,
                               congruence_classes, is_staircase,
                               tensor_relations)
 from shirshov.core import Alphabet, DegLexOrder, Polynomial
-from shirshov.dialgebra import (all_diwords, di_gsb_check_bounded, di_irr,
-                                di_left, di_right, leibniz_dim2,
-                                leibniz_enveloping, pbw_basis)
+from shirshov.dialgebra import (di_gsb_check_bounded, di_irr, di_left,
+                                di_right, leibniz_dim2, leibniz_enveloping,
+                                pbw_basis)
 from shirshov.freemodule import module_cd_check, random_module_set
 from shirshov.gsb import (all_compositions, cd_lemma_check, is_gsb,
                           shirshov_complete)
 from shirshov.rewrite import RewriteSystem, irr_words
 
-from references import ac_flatten, membership_oracle
+from references import ac_flatten, all_diwords, membership_oracle
 
 
 class Clock:

@@ -6,11 +6,11 @@ from conftest import witt
 from shirshov.anticomm import (AcPolynomial, AntiCommutative,
                                _normal_by_degree, ac_gsb_check_bounded,
                                ac_key, ac_mul, ac_size, hall_gsb,
-                               hall_words, is_ls_word, is_normal_acword,
-                               ls_bracketing, ls_words, normal_words)
+                               hall_words, is_ls_word, ls_bracketing,
+                               ls_words, normal_words)
 
 from references import _normal_by_degree as sorted_normal_by_degree
-from references import ac_find, ac_flatten
+from references import ac_find, ac_flatten, is_normal_acword
 
 X1, X2 = 0, 1
 

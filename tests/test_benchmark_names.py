@@ -6,7 +6,10 @@ each `from shirshov... import` of perfbench/*.py and checks that every
 imported name resolves, and that the two attributes the traced pass
 patches exist.  It also reads the functions whose profile statistics
 perfbench/layers.py reports as per-layer metrics: a renamed one would
-not break the run, its metric would silently read 0.
+not break the run, its metric would silently read 0.  Last, it checks
+that every function the package keeps only for the benchmark, under a
+`# perfbench imports it` comment, is one the benchmark imports or
+profiles, so that list of functions to delete with it stays exact.
 """
 
 import ast
@@ -79,6 +82,28 @@ def profiled_functions():
                             and isinstance(fn.value, str)):
                         out.append(("shirshov." + mod.id, fn.value))
     return out
+
+
+def test_every_function_kept_for_perfbench_is_used_by_it():
+    # A function under a `# perfbench imports it` comment is kept only
+    # for the benchmark; one it neither imports nor profiles is dead.
+    used = {getattr(importlib.import_module(module), name, None)
+            for module, name in imported_names()}
+    for module, path in profiled_functions():
+        obj = importlib.import_module(module)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        used.add(obj)
+    marked = []
+    for path in sorted(Path(core.__file__).resolve().parent.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        marked += [("shirshov." + path.stem, after.split()[1].split("(")[0])
+                   for line, after in zip(lines, lines[1:])
+                   if line.startswith("# perfbench imports it")]
+    assert len(marked) >= 12
+    unused = ["%s.%s" % (module, name) for module, name in marked
+              if getattr(importlib.import_module(module), name) not in used]
+    assert not unused
 
 
 def test_every_function_perfbench_profiles_resolves():

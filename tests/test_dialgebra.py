@@ -3,14 +3,13 @@ from math import comb
 
 import pytest
 
-from shirshov.core import Structure
 from shirshov.dialgebra import (Dialgebra, DiPolynomial, Diword,
-                                LeibnizAlgebra, all_diwords,
-                                di_gsb_check_bounded, di_irr, di_left,
-                                di_right, diword_key,
+                                LeibnizAlgebra, di_gsb_check_bounded,
+                                di_irr, di_left, di_right, diword_key,
                                 leibniz_check, leibniz_dim2,
                                 leibniz_enveloping, leibniz_i0, pbw_basis)
 
+from references import all_diwords
 from references import leibniz_enveloping as reference_enveloping
 
 # {e1, e2} = e0 = -{e2, e1} and {e2, e2} = e0, as in
@@ -177,15 +176,15 @@ def test_irr_matches_pbw_when_the_squares_are_no_basis_vectors():
 
 def test_listing_irreducible_diwords_builds_no_monomial_table(monkeypatch):
     # The 20 irreducible diwords of length <= 10 come from their rule;
-    # the table of that bound holds 18,434 diwords.
+    # the diwords of that bound number 18,434.
     built = []
-    table = Structure.table
+    monomials = Dialgebra.monomials
 
-    def counted(self, max_deg):
-        built.append(max_deg)
-        return table(self, max_deg)
+    def counted(self, d):
+        built.append(d)
+        return monomials(self, d)
 
-    monkeypatch.setattr(Structure, "table", counted)
+    monkeypatch.setattr(Dialgebra, "monomials", counted)
     L = leibniz_dim2()
     structure = Dialgebra(leibniz_enveloping(L), 2)
     assert structure.irreducible(10) == pbw_basis(L, 10)

@@ -31,15 +31,15 @@ from shirshov.anticomm import (AcPolynomial, AntiCommutative, ac_key,
 from shirshov.core import (Alphabet, DegLexOrder, Polynomial, add_scaled,
                            rewrite)
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
-                                all_diwords, diword_key,
-                                leibniz_dim2, leibniz_enveloping)
+                                diword_key, leibniz_dim2,
+                                leibniz_enveloping)
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
                                  mword_key, random_module_set)
 from shirshov.rewrite import RewriteSystem, find_factor
 
 from references import (_occurrence_paths, _occurrences, _prep, _substitute,
                         ac_chain_rows, ac_compositions, ac_find,
-                        ac_occurrences, module_compositions,
+                        ac_occurrences, all_diwords, module_compositions,
                         pair_normal_form, rewrite_step, stored_rows,
                         structure_image, terms_image, terms_rewrite,
                         tuple_span)

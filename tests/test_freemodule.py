@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shirshov import cli
 from shirshov.core import Alphabet, DegLexOrder, Polynomial
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord, act,
                                  module_cd_check, module_irr, mword_key,
@@ -92,6 +93,33 @@ def test_irr_counts():
         counts[len(w.u)] = counts.get(len(w.u), 0) + 1
     assert [counts.get(d, 0) for d in range(4)] == [2, 3, 5, 10]
     assert all(FreeModule(S, 2, 2).find(w) is None for w in words)
+
+
+def test_listing_irreducible_module_words_builds_no_monomial_table(
+        monkeypatch, tmp_path, capsys):
+    # Codes are read back by their closed form.  Three letters, three
+    # module generators and the bound 6 are used by no other test, so no
+    # table held from an earlier test can stand in for one built here.
+    calls = []
+    monomials = FreeModule.monomials
+
+    def counted(self, d):
+        calls.append(d)
+        return monomials(self, d)
+
+    monkeypatch.setattr(FreeModule, "monomials", counted)
+    S = [mono((1,), 1) - mono((0,), 0), mono((2, 2), 2)]
+    words = FreeModule(S, 3, 3).irreducible(6)
+    assert words == module_irr(S, 3, 3, 6)
+    assert all(FreeModule(S, 3, 3).find(w) is None for w in words)
+    path = tmp_path / "module.txt"
+    path.write_text("kind module\ngens x y z\nmgens u v w\n"
+                    "rel y*[v] - x*[u]\nrel z*z*[w]\n", encoding="utf-8")
+    assert cli.main(["irr", str(path), "--max-len", "6"]) == 0
+    counts = [sum(len(w.u) == d for w in words) for d in range(7)]
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == " ".join(map(str, counts))
+    assert calls == []
 
 
 def test_cd_check_table():

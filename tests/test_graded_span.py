@@ -13,9 +13,8 @@ that inserted every S-word and visited every pair; its rows, which come
 as int word codes, are also compared with the same rows inserted as
 words.  So is the dialgebra span, which leaves out rows with the center
 outside or inside a relation, with the one that inserted every S-word,
-and every kind's bounded check, which reads the cached monomial table
-of its kind's shape and bound, with the one that built its codes per
-check.
+and every kind's bounded check, which reads each monomial's code from
+its kind's one numbering, with the one that built a code dict per check.
 """
 
 import gc
@@ -29,7 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shirshov.anticomm import (AcPolynomial, AntiCommutative,
-                               _normal_by_degree, _signed_product,
+                               _normal_by_degree, _numbering,
+                               _signed_product,
                                ac_gsb_check_bounded,
                                ac_key, ac_mul, ac_size, hall_gsb,
                                hall_words, normal_words)
@@ -38,9 +38,9 @@ from shirshov.core import (Alphabet, BoundedReport, DegLexOrder,
                            DegreeLine, Polynomial, VectorSpan, add_scaled,
                            deglex_key)
 from shirshov.dialgebra import (DiPolynomial, Dialgebra, Diword,
-                                LeibnizAlgebra, all_diwords,
-                                di_gsb_check_bounded, di_irr, diword_key,
-                                leibniz_dim2, leibniz_enveloping)
+                                LeibnizAlgebra, di_gsb_check_bounded,
+                                di_irr, diword_key, leibniz_dim2,
+                                leibniz_enveloping)
 from shirshov.freemodule import (FreeModule, ModuleElement, ModuleWord,
                                  act, module_cd_check, module_irr,
                                  mword_key, random_module_set)
@@ -52,7 +52,7 @@ from references import (TUPLE_READERS, EveryDialgebraRow, EveryRowAndPair,
                         PerCheckAc, PerCheckDialgebra, PerCheckModule,
                         TupleKeyedAc, TupleKeyedDialgebra, TupleKeyedModule,
                         WordKeyedRows, _occurrence_paths, _occurrences,
-                        _prep, ac_compositions,
+                        _prep, ac_compositions, all_diwords,
                         automaton_irreducible_by_degree,
                         coded_module_irreducible_by_degree, echelon,
                         find_bounded_check, grown_ac_irreducible_codes,
@@ -845,7 +845,9 @@ PER_CHECK = {FreeModule: PerCheckModule, Dialgebra: PerCheckDialgebra,
 
 
 def _per_check_reports_agree(structure, bounds):
-    ref = PER_CHECK[type(structure)](structure.elements, *structure.shape)
+    sizes = ((structure.nx, structure.ny)
+             if isinstance(structure, FreeModule) else (structure.n,))
+    ref = PER_CHECK[type(structure)](structure.elements, *sizes)
     for bound in bounds:
         assert structure.bounded_check(bound) == ref.bounded_check(bound)
 
@@ -944,35 +946,26 @@ def test_the_benchmark_checks_agree_with_the_per_check_path():
 
 
 def test_structures_of_one_kind_shape_and_bound_share_one_table():
-    rng = random.Random(3)
-    a, b = (FreeModule(random_module_set(2, 2, 3, rng), 2, 2)
-            for _ in range(2))
-    assert a.table(5) is b.table(5)
-    assert a.empty_span(5).key.__self__ is b.table(5)[1]
-    assert a.table(6) is not a.table(5)
-    assert FreeModule((), 2, 3).table(5) is not a.table(5)
+    # tree-words, the one kind whose codes have no closed form
     hall = AntiCommutative(hall_gsb(2, 6), 2)
-    assert AntiCommutative((), 2).table(6) is hall.table(6)
-    assert AntiCommutative((), 3).table(6) is not hall.table(6)
-    di = Dialgebra(leibniz_enveloping(leibniz_dim2()), 2)
-    assert Dialgebra((), 2).table(4) is di.table(4)
-    assert Dialgebra((), 2).table(5) is not di.table(4)
-    # one shape, two kinds
-    assert AntiCommutative((), 2).table(4) is not di.table(4)
+    table = _numbering(2, 6)
+    assert _numbering(2, 6) is table
+    assert AntiCommutative((), 2).empty_span(6).key.__self__ is table[1]
+    assert hall.empty_span(6).key.__self__ is table[1]
+    assert _numbering(3, 6) is not table
 
 
-def test_each_kind_holds_only_the_table_of_its_last_shape_and_bound():
-    # a process that checks many shapes and bounds keeps one table per
-    # kind, not one per shape and bound
+def test_tree_words_hold_only_the_numbering_of_the_last_size_and_bound():
+    # a process that checks many alphabet sizes and bounds keeps one
+    # tree-word numbering, not one per size and bound
     for n in (2, 3):
         for max_deg in (3, 4):
-            AntiCommutative((), n).table(max_deg)
-            FreeModule((), 2, n).table(max_deg)
-    tables = AntiCommutative._tables
-    assert tables is FreeModule._tables
-    assert tables[AntiCommutative][0] == ((3,), 4)
-    assert tables[FreeModule][0] == ((2, 3), 4)
-    assert tables[AntiCommutative][1] is AntiCommutative((), 3).table(4)
+            AntiCommutative((), n).empty_span(max_deg)
+    held = _numbering.cache_info()
+    assert held.currsize == 1
+    last = _numbering(3, 4)  # the one held
+    assert _numbering.cache_info().hits == held.hits + 1
+    assert AntiCommutative((), 3).empty_span(4).key.__self__ is last[1]
 
 
 def _counting(calls, function):

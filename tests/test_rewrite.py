@@ -75,19 +75,10 @@ def test_a_foreign_letter_breaks_only_the_occurrences_that_cross_it():
     assert S.normal_form(p) == p
 
 
-def test_the_automaton_builds_first_codes_only_for_a_longer_word(
-        monkeypatch):
-    built = []
-
-    def counted(n, top):
-        built.append(top)
-        return firsts(n, top)
-
-    firsts = rewrite._firsts
-    monkeypatch.setattr(rewrite, "_firsts", counted)
+def test_the_automaton_codes_its_words_by_word_code_alone():
     words = [(0,), (1, 0), (0, 1), (1, 1, 0), (0, 0), (1, 0, 1)]
     dfa = rewrite._Automaton(2, words)
-    assert built == [0, 1, 2, 3]
+    assert "first" not in rewrite._Automaton.__slots__
     assert [dfa.codes[s] for s, w in enumerate(dfa.words) if w] \
         == [word_code(w, 2) for w in dfa.words if w]
     assert sorted(w for w in dfa.words if w) == sorted(words)
